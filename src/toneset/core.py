@@ -130,7 +130,7 @@ class FrequencySet:
     fundamental (gcd of the elements) and the period of the summed wave.
     """
 
-    __slots__ = ("_freqs", "_element_set", "_fundamental")
+    __slots__ = ("_freqs", "_element_set", "_fundamental", "_lattice")
 
     def __init__(self, frequencies: Iterable[RatioLike] = ()):
         freqs = sorted({to_ratio(f) for f in frequencies})
@@ -140,14 +140,22 @@ class FrequencySet:
         # lazy caches; safe because the value is immutable
         self._element_set: frozenset[Fraction] | None = None
         self._fundamental: Fraction | None = None
+        self._lattice: tuple[tuple[int, ...], frozenset[int]] | None = None
 
     @classmethod
-    def _from_sorted(cls, freqs: tuple[Fraction, ...]) -> "FrequencySet":
-        # internal: caller guarantees sorted, deduplicated, positive elements
+    def _from_sorted(
+        cls,
+        freqs: tuple[Fraction, ...],
+        fundamental: Fraction | None = None,
+        lattice: tuple[tuple[int, ...], frozenset[int]] | None = None,
+    ) -> "FrequencySet":
+        # internal: caller guarantees sorted, deduplicated, positive elements,
+        # and that any cache it passes is the one the elements would produce
         obj = cls.__new__(cls)
         obj._freqs = freqs
         obj._element_set = None
-        obj._fundamental = None
+        obj._fundamental = fundamental
+        obj._lattice = lattice
         return obj
 
     @classmethod
@@ -158,7 +166,12 @@ class FrequencySet:
             raise ValueError("fundamental must be positive")
         if count < 1:
             raise ValueError("partial count must be at least 1")
-        return cls._from_sorted(tuple(base * n for n in range(1, count + 1)))
+        multipliers = tuple(range(1, count + 1))
+        return cls._from_sorted(
+            tuple(base * n for n in multipliers),
+            base,
+            (multipliers, frozenset(multipliers)),
+        )
 
     @property
     def elements(self) -> tuple[Fraction, ...]:
@@ -209,9 +222,17 @@ class FrequencySet:
         t = to_ratio(interval)
         if t <= 0:
             raise ValueError("transposition interval must be positive")
+        if not self._freqs:
+            return self
         # multiplying distinct sorted values by t > 0 keeps them distinct
-        # and sorted, so the canonical form survives without re-sorting
-        return FrequencySet._from_sorted(tuple(t * f for f in self._freqs))
+        # and sorted, so the canonical form survives without re-sorting; the
+        # fundamental scales by t and the integer multipliers do not change
+        fundamental, multipliers, multiplier_set = self._lattice_view()
+        return FrequencySet._from_sorted(
+            tuple(t * f for f in self._freqs),
+            t * fundamental,
+            (multipliers, multiplier_set),
+        )
 
     def __mul__(self, interval: RatioLike) -> "FrequencySet":
         return self.transpose(interval)
@@ -227,11 +248,30 @@ class FrequencySet:
         if not self._freqs:
             raise ValueError("empty frequency set")
         if self._fundamental is None:
-            acc = self._freqs[0]
-            for f in self._freqs[1:]:
-                acc = rational_gcd(acc, f)
-            self._fundamental = acc
+            # gcd of reduced numerators over lcm of denominators is already
+            # in lowest terms: a prime of the gcd divides no denominator
+            self._fundamental = Fraction(
+                math.gcd(*(f.numerator for f in self._freqs)),
+                math.lcm(*(f.denominator for f in self._freqs)),
+            )
         return self._fundamental
+
+    def _lattice_view(self) -> tuple[Fraction, tuple[int, ...], frozenset[int]]:
+        """The set as ``fundamental * multipliers``.
+
+        Returns the fundamental ``a``, the ascending integer multipliers
+        ``n = f / a`` of the elements (their gcd is 1) and the same
+        multipliers as a frozenset. Lets consonance code test partials for
+        coincidence with integer arithmetic instead of building sets.
+        """
+        fundamental = self.fundamental()
+        if self._lattice is None:
+            num, den = fundamental.numerator, fundamental.denominator
+            multipliers = tuple(
+                f.numerator * den // (f.denominator * num) for f in self._freqs
+            )
+            self._lattice = (multipliers, frozenset(multipliers))
+        return (fundamental, *self._lattice)
 
     def total_period(self) -> Fraction:
         """Period in seconds of the summed wave: 1 / fundamental.

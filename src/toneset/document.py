@@ -62,6 +62,18 @@ class DocumentEntry:
         return data
 
 
+def _ratio_field(raw: dict, index: int, field: str) -> Fraction:
+    if field not in raw:
+        raise ValueError(f"invalid tuning document: entry {index} lacks {field!r}")
+    value = raw[field]
+    if not isinstance(value, str):
+        raise ValueError(
+            f"invalid tuning document: entry {index} field {field!r} must be a "
+            f"'p/q' string, not {type(value).__name__}"
+        )
+    return parse_ratio(value)
+
+
 class TuningDocument:
     """A tuning table plus the metadata needed to regenerate and rescore it."""
 
@@ -135,15 +147,21 @@ class TuningDocument:
             raise ValueError(f"invalid tuning document JSON: {exc}") from None
         if not isinstance(data, dict) or "metadata" not in data or "entries" not in data:
             raise ValueError("invalid tuning document: missing metadata or entries")
+        if not isinstance(data["metadata"], dict) or not isinstance(data["entries"], list):
+            raise ValueError(
+                "invalid tuning document: metadata must be an object and entries a list"
+            )
         entries = []
-        for raw in data["entries"]:
+        for index, raw in enumerate(data["entries"]):
+            if not isinstance(raw, dict):
+                raise ValueError(f"invalid tuning document: entry {index} is not an object")
             entry = DocumentEntry(
-                interval=parse_ratio(raw["interval"]),
-                affinity=parse_ratio(raw["affinity"]),
-                harmonicity=parse_ratio(raw["harmonicity"]),
+                interval=_ratio_field(raw, index, "interval"),
+                affinity=_ratio_field(raw, index, "affinity"),
+                harmonicity=_ratio_field(raw, index, "harmonicity"),
                 note=raw.get("note"),
             )
-            if "total" in raw and parse_ratio(raw["total"]) != entry.total:
+            if "total" in raw and _ratio_field(raw, index, "total") != entry.total:
                 raise ValueError(
                     f"inconsistent entry: total {raw['total']} is not the mean of "
                     f"affinity and harmonicity at interval {raw['interval']}"

@@ -13,7 +13,7 @@ import io
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
-from .consonance import harmonicity, thomae_classical, total_consonance
+from .consonance import thomae_classical, thomae_modified
 from .core import FrequencySet, cents, format_ratio, harmonic_set
 from .dissonance import DissonanceParams, dissonance_curve
 from .tuning import (
@@ -66,28 +66,6 @@ def _table_csv(table: TuningTable) -> str:
         ]
         for e in table.entries
     ]
-    return _csv(["interval_ratio", "cents", "affinity", "harmonicity", "total"], rows)
-
-
-def _distribution_csv(
-    contextual: FrequencySet,
-    complementary: FrequencySet,
-    lo: Fraction,
-    hi: Fraction,
-    max_den: int,
-) -> str:
-    rows = []
-    for t in enumerate_rationals(lo, hi, max_den):
-        score = total_consonance(contextual, complementary.transpose(t))
-        rows.append(
-            [
-                format_ratio(t, always_slash=True),
-                f"{cents(t):.4f}",
-                repr(float(score.affinity)),
-                repr(float(score.harmonicity)),
-                repr(float(score.total)),
-            ]
-        )
     return _csv(["interval_ratio", "cents", "affinity", "harmonicity", "total"], rows)
 
 
@@ -172,18 +150,16 @@ def _fig5_5(params: Params) -> dict[str, str]:
 
 def _fig5_6(params: Params) -> dict[str, str]:
     single = FrequencySet([C4_FUNDAMENTAL])
-    rows = []
-    for t in enumerate_rationals(Fraction(1, 8), 8, _max_den(params)):
-        score = total_consonance(single, single.transpose(t))
-        thomae = Fraction(1, max(t.numerator, t.denominator))
-        rows.append(
-            [
-                format_ratio(t, always_slash=True),
-                f"{cents(t):.4f}",
-                repr(float(score.total)),
-                repr(float(thomae)),
-            ]
-        )
+    table = harmonic_tuning(single, single, 0, Fraction(1, 8), 8, _max_den(params))
+    rows = [
+        [
+            format_ratio(e.interval, always_slash=True),
+            f"{cents(e.interval):.4f}",
+            repr(float(e.score.total)),
+            repr(float(thomae_modified(e.interval))),
+        ]
+        for e in table.entries
+    ]
     return {"fig5_6": _csv(["interval_ratio", "cents", "total", "thomae_modified"], rows)}
 
 
@@ -192,8 +168,8 @@ def _fig5_7(params: Params) -> dict[str, str]:
     parts = {}
     for k in counts:  # type: ignore[union-attr]
         spectrum = _c4(int(k))
-        parts[f"fig5_7_k{k}"] = _distribution_csv(
-            spectrum, spectrum, Fraction(1, 8), Fraction(8), _max_den(params)
+        parts[f"fig5_7_k{k}"] = _table_csv(
+            harmonic_tuning(spectrum, spectrum, 0, Fraction(1, 8), Fraction(8), _max_den(params))
         )
     return parts
 
@@ -210,20 +186,24 @@ def _fig5_8(params: Params) -> dict[str, str]:
         "fig5_8d": c4 | e4 | g4 | bb4,
     }
     return {
-        key: _distribution_csv(ctx, c4, Fraction(1, 4), Fraction(4), _max_den(params))
+        key: _table_csv(harmonic_tuning(ctx, c4, 0, Fraction(1, 4), Fraction(4), _max_den(params)))
         for key, ctx in contexts.items()
     }
 
 
 def _fig5_9(params: Params) -> dict[str, str]:
-    k = int(params.get("partials", 60))
-    rich = _c4(k)
+    partials = params.get("partials", 60)
+    if isinstance(partials, (list, tuple)):  # the CLI passes every --partials value
+        if len(partials) != 1:
+            raise ValueError(f"fig5_9 takes one partial count, got {len(partials)}")
+        (partials,) = partials
+    rich = _c4(int(partials))  # type: ignore[arg-type]
     contexts = {
         "fig5_9a": rich | rich.transpose(FIFTH),
         "fig5_9b": rich | rich.transpose(MAJOR_THIRD) | rich.transpose(FIFTH),
     }
     return {
-        key: _distribution_csv(ctx, rich, Fraction(1, 4), Fraction(4), _max_den(params))
+        key: _table_csv(harmonic_tuning(ctx, rich, 0, Fraction(1, 4), Fraction(4), _max_den(params)))
         for key, ctx in contexts.items()
     }
 
@@ -232,8 +212,8 @@ def _fig5_10(params: Params) -> dict[str, str]:
     parts = {}
     for key, rounded in (("fig5_10_rounded", True), ("fig5_10_original", False)):
         spectrum = _inharmonic(rounded)
-        parts[key] = _distribution_csv(
-            spectrum, spectrum, Fraction(1, 4), Fraction(4), _max_den(params)
+        parts[key] = _table_csv(
+            harmonic_tuning(spectrum, spectrum, 0, Fraction(1, 4), Fraction(4), _max_den(params))
         )
     return parts
 

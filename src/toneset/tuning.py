@@ -12,6 +12,14 @@ a contextual set F and a complementary set F' that is transposed against it:
   scored on the original sets. Contains the affinitive table and never
   misses a high-harmonicity interval.
 
+Every table is scored by one exact path: the consonance layer's private
+transposition scorer compares F with tF' in integer arithmetic on the sets'
+fundamentals and multipliers, so scoring a transposition never materialises
+the transposed set, and the harmonic generator filters and scores each
+candidate in the same pass. The public consonance functions
+(``total_consonance(F, F'.transpose(t))``) compute the same Fractions from
+the sets themselves and serve as the oracle the tests compare against.
+
 Octave reduction folds intervals into [1, 2) and rescores them from scratch;
 consonance is not preserved by octave transposition (4/5 folds to 8/5, which
 shares no partials with a six-partial context), so carried-over scores would
@@ -22,8 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
-from .consonance import ConsonanceScore, harmonicity, harmonic_superset, total_consonance
+from .consonance import ConsonanceScore, _transposition_scorer, harmonic_superset
 from .core import FrequencySet, RatioLike, format_ratio, format_set, to_ratio
 
 __all__ = [
@@ -64,8 +73,20 @@ class TuningTable:
         return tuple(e.interval for e in self.entries)
 
 
-def _score(contextual: FrequencySet, complementary: FrequencySet, t: Fraction) -> ConsonanceScore:
-    return total_consonance(contextual, complementary.transpose(t))
+def _scored(
+    intervals: Iterable[Fraction],
+    contextual: FrequencySet,
+    complementary: FrequencySet,
+    threshold: Fraction = Fraction(0),
+) -> tuple[TuningEntry, ...]:
+    """Entries for the intervals whose harmonicity exceeds the threshold, in order."""
+    score = _transposition_scorer(contextual, complementary, threshold)
+    entries = []
+    for t in intervals:
+        result = score(t)
+        if result is not None:
+            entries.append(TuningEntry(t, result))
+    return tuple(entries)
 
 
 def _table(
@@ -75,9 +96,7 @@ def _table(
     generator: str,
     descriptor: str,
 ) -> TuningTable:
-    entries = tuple(
-        TuningEntry(t, _score(contextual, complementary, t)) for t in sorted(intervals)
-    )
+    entries = _scored(sorted(intervals), contextual, complementary)
     return TuningTable(entries, generator, descriptor)
 
 
@@ -107,32 +126,52 @@ def affinitive_tuning(
 def enumerate_rationals(lo: RatioLike, hi: RatioLike, max_den: int) -> list[Fraction]:
     """All reduced fractions p/q with q <= max_den and lo <= p/q <= hi, ascending.
 
-    Walks the Stern-Brocot tree iteratively, pruning subtrees outside the
-    range; every rational appears exactly once and already in lowest terms.
+    Runs the Farey next-term rule (Graham, Knuth, Patashnik, *Concrete
+    Mathematics* 4.5): consecutive terms a/b < c/d of order n are followed by
+    (k*c - a)/(k*d - b) with k = (n + b) // d. Shifting by an integer keeps
+    denominators, so the rule walks straight across unit intervals; the
+    terms come out reduced and ascending, and only integers are touched
+    until each Fraction is built.
     """
     low, high = to_ratio(lo), to_ratio(hi)
     if not 0 < low < high:
         raise ValueError(f"invalid range [{format_ratio(low)}, {format_ratio(high)}]")
     if max_den < 1:
         raise ValueError("max_den must be at least 1")
+    a, b, c, d = _farey_bracket(low, max_den)
+    hn, hd = high.numerator, high.denominator
     found: list[Fraction] = []
-    stack = [((0, 1), (1, 0))]
-    while stack:
-        (ln, ld), (rn, rd) = stack.pop()
-        num, den = ln + rn, ld + rd
-        if den > max_den:  # denominators only grow deeper in the tree
-            continue
-        mediant = Fraction(num, den)
-        if mediant < low:
-            stack.append(((num, den), (rn, rd)))
-        elif mediant > high:
-            stack.append(((ln, ld), (num, den)))
-        else:
-            found.append(mediant)
-            stack.append(((ln, ld), (num, den)))
-            stack.append(((num, den), (rn, rd)))
-    found.sort()
+    while c * hd <= hn * d:
+        found.append(Fraction(c, d))
+        k = (max_den + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
     return found
+
+
+def _farey_bracket(x: Fraction, n: int) -> tuple[int, int, int, int]:
+    """Consecutive terms a/b < x <= c/d among the fractions with denominator <= n.
+
+    Descends the Stern-Brocot tree from the unit interval around x, moving
+    one bound toward x as far as it can go in a single step (a run of the
+    continued fraction), so it takes logarithmically many steps in n.
+    """
+    u, v = x.numerator, x.denominator
+    c = -(-u // v)  # ceil(x), so that c - 1 < x <= c
+    a, b, d = c - 1, 1, 1
+    while True:
+        below = u * b - a * v  # > 0: a/b < x
+        above = c * v - u * d  # >= 0: x <= c/d
+        # raise a/b to (a + j*c)/(b + j*d) while it stays below x
+        j = (n - b) // d
+        if above:
+            j = min(j, (below - 1) // above)
+        a, b = a + j * c, b + j * d
+        below = u * b - a * v
+        # lower c/d to (c + i*a)/(d + i*b) while it stays at or above x
+        i = min((n - d) // b, above // below)
+        c, d = c + i * a, d + i * b
+        if not (i or j):
+            return a, b, c, d
 
 
 def harmonic_intervals(
@@ -144,16 +183,7 @@ def harmonic_intervals(
     max_den: int = 60,
 ) -> frozenset[Fraction]:
     """Candidate intervals whose union-harmonicity strictly exceeds h."""
-    threshold = to_ratio(h)
-    if not 0 <= threshold < 1:
-        raise ValueError("harmonicity threshold h must lie in [0, 1)")
-    if not contextual or not complementary:
-        raise ValueError("empty frequency set")
-    return frozenset(
-        t
-        for t in enumerate_rationals(lo, hi, max_den)
-        if harmonicity(contextual, complementary.transpose(t)) > threshold
-    )
+    return frozenset(harmonic_tuning(contextual, complementary, h, lo, hi, max_den).intervals)
 
 
 def harmonic_tuning(
@@ -164,19 +194,22 @@ def harmonic_tuning(
     hi: RatioLike = Fraction(8),
     max_den: int = 60,
 ) -> TuningTable:
-    """Scored table over the harmonicity-thresholded interval set."""
+    """Scored table over the harmonicity-thresholded interval set.
+
+    One pass: each candidate is thresholded and scored by the same call.
+    """
+    threshold = to_ratio(h)
     descriptor = (
         f"F={format_set(contextual)}; F'={format_set(complementary)}; "
-        f"h={format_ratio(to_ratio(h))}; lo={format_ratio(to_ratio(lo))}; "
+        f"h={format_ratio(threshold)}; lo={format_ratio(to_ratio(lo))}; "
         f"hi={format_ratio(to_ratio(hi))}; max_den={max_den}"
     )
-    return _table(
-        harmonic_intervals(contextual, complementary, h, lo, hi, max_den),
-        contextual,
-        complementary,
-        "harmonic",
-        descriptor,
-    )
+    if not 0 <= threshold < 1:
+        raise ValueError("harmonicity threshold h must lie in [0, 1)")
+    if not contextual or not complementary:
+        raise ValueError("empty frequency set")
+    entries = _scored(enumerate_rationals(lo, hi, max_den), contextual, complementary, threshold)
+    return TuningTable(entries, "harmonic", descriptor)
 
 
 def superset_tuning(

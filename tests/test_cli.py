@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from toneset.cli import main
 
 
@@ -142,6 +144,27 @@ class TestDocumentPipelines:
         assert "reduce-octave" in err
 
 
+    @pytest.mark.parametrize("command", ["reduce-octave", "export-scl"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda e: e.pop("interval"), "entry 2 lacks 'interval'"),
+            (lambda e: e.pop("harmonicity"), "entry 2 lacks 'harmonicity'"),
+            (lambda e: e.update(affinity=1), "entry 2 field 'affinity' must be"),
+        ],
+        ids=["no-interval", "no-harmonicity", "int-affinity"],
+    )
+    def test_malformed_entry_is_domain_error(self, tmp_path, capsys, command, edit, message):
+        _, out, _ = run(["affinitive", "262*N6", "262*N6"], capsys)
+        data = json.loads(out)
+        edit(data["entries"][2])
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(data))
+        code, _, err = run([command, "--in", str(doc_path)], capsys)
+        assert code == 3
+        assert message in err and "Traceback" not in err
+
+
 class TestFigureCommand:
     def test_stdout_csv(self, capsys):
         code, out, _ = run(["figure", "fig8_1", "--max-den", "5"], capsys)
@@ -154,6 +177,17 @@ class TestFigureCommand:
         )
         assert code == 0
         assert (tmp_path / "fig5_2.csv").exists()
+
+    def test_fig5_9_takes_one_partial_count(self, capsys):
+        code, out, err = run(["figure", "fig5_9", "--partials", "4", "--max-den", "8"], capsys)
+        assert code == 0
+        assert "# part: fig5_9a" in out and "Traceback" not in err
+
+    def test_fig5_9_rejects_several_partial_counts(self, capsys):
+        code, out, err = run(["figure", "fig5_9", "--partials", "4", "6"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "one partial count" in err and "Traceback" not in err
 
     def test_unknown_figure_is_domain_error(self, capsys):
         code, _, err = run(["figure", "fig99"], capsys)

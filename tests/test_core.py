@@ -191,6 +191,24 @@ class TestInvariants:
     def test_gcd_scales_with_transposition(self, fs, t):
         assert gcd_set(transpose(fs, t)) == t * gcd_set(fs)
 
+    @given(freq_sets, ratios)
+    def test_transposed_caches_match_a_fresh_set(self, fs, t):
+        # transpose carries the fundamental and multipliers instead of
+        # recomputing them; a set built from the same elements recomputes both
+        moved = transpose(fs, t)
+        fresh = FrequencySet(moved.elements)
+        assert moved._lattice_view() == fresh._lattice_view()
+
+    @given(freq_sets)
+    def test_lattice_view_rebuilds_the_set(self, fs):
+        fundamental, multipliers, multiplier_set = fs._lattice_view()
+        assert tuple(fundamental * n for n in multipliers) == fs.elements
+        assert math.gcd(*multipliers) == 1
+        assert multiplier_set == frozenset(multipliers)
+
+    def test_harmonic_set_lattice(self):
+        assert harmonic_set(262, 4)._lattice_view() == FrequencySet([262, 524, 786, 1048])._lattice_view()
+
     @given(freq_sets)
     def test_elements_are_integer_multiples_of_gcd(self, fs):
         g = gcd_set(fs)

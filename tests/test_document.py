@@ -58,6 +58,33 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="strictly increasing"):
             TuningDocument.from_json(json.dumps(data))
 
+    @pytest.mark.parametrize("field", ["interval", "affinity", "harmonicity"])
+    def test_missing_entry_field_names_entry_and_field(self, field):
+        data = json.loads(c4_document().to_json())
+        del data["entries"][3][field]
+        with pytest.raises(ValueError, match=f"entry 3 lacks '{field}'"):
+            TuningDocument.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("value", [3, None, ["1/2"], {"p": 1}])
+    def test_non_string_entry_field_names_entry_and_field(self, value):
+        data = json.loads(c4_document().to_json())
+        data["entries"][0]["interval"] = value
+        with pytest.raises(ValueError, match="entry 0 field 'interval' must be"):
+            TuningDocument.from_json(json.dumps(data))
+        data = json.loads(c4_document().to_json())
+        data["entries"][1]["total"] = value
+        with pytest.raises(ValueError, match="entry 1 field 'total' must be"):
+            TuningDocument.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"metadata": {}, "entries": {}}', '{"metadata": [], "entries": []}',
+         '{"metadata": {}, "entries": [3]}'],
+    )
+    def test_malformed_structure_rejected(self, text):
+        with pytest.raises(ValueError, match="invalid tuning document"):
+            TuningDocument.from_json(text)
+
     def test_missing_sections_rejected(self):
         with pytest.raises(ValueError):
             TuningDocument.from_json("{}")

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toneset import (
     FrequencySet,
@@ -10,6 +11,7 @@ from toneset import (
     TuningEntry,
     ConsonanceScore,
     affinity,
+    harmonicity,
     affinitive_intervals,
     affinitive_tuning,
     enumerate_rationals,
@@ -22,6 +24,7 @@ from toneset import (
     thomae_modified,
     total_consonance,
 )
+from toneset.consonance import _transposition_scorer
 
 C4 = harmonic_set(262, 6)
 INHARMONIC = FrequencySet(
@@ -154,6 +157,23 @@ class TestEnumerateRationals:
         lo, hi = F(1, 8), F(8)
         assert enumerate_rationals(lo, hi, max_den) == oracle_rationals(lo, hi, max_den)
 
+    @pytest.mark.parametrize("max_den", [1, 2, 7, 13, 30])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(F(2, 3), F(7, 5)), (F(5, 4), F(3)), (F(1, 7), F(1, 2)), (F(3), F(10, 3))],
+        ids=["2/3-7/5", "5/4-3", "1/7-1/2", "3-10/3"],
+    )
+    def test_matches_brute_force_off_unit_bounds(self, lo, hi, max_den):
+        assert enumerate_rationals(lo, hi, max_den) == oracle_rationals(lo, hi, max_den)
+
+    def test_narrow_range_with_large_denominator_bound(self):
+        # the walk starts next to lo instead of sweeping the whole unit
+        # interval, which would take ~1e8 steps here
+        lo, hi = F(314159, 100000), F(314160, 100000)
+        got = enumerate_rationals(lo, hi, 20_000)
+        assert got == oracle_rationals(lo, hi, 20_000)
+        assert F(355, 113) in got and len(got) > 1000
+
     def test_inclusive_bounds(self):
         got = enumerate_rationals(F(1, 8), 8, 60)
         assert got[0] == F(1, 8) and got[-1] == 8
@@ -165,6 +185,56 @@ class TestEnumerateRationals:
             enumerate_rationals(0, 1, 10)
         with pytest.raises(ValueError):
             enumerate_rationals(1, 2, 0)
+
+
+# one-decimal partials of a one-decimal fundamental: mostly inharmonic, with
+# whole-number ratios whenever the decimals happen to line up
+one_decimal_sets = st.builds(
+    lambda base, tenths: FrequencySet(F(base, 10) * F(x, 10) for x in tenths),
+    st.integers(550, 4400),
+    st.sets(st.integers(10, 400), min_size=1, max_size=12),
+)
+SMALL_RANGE = enumerate_rationals(F(1, 4), 4, 12)
+
+
+class TestTranspositionScorer:
+    """The integer-lattice scorer against the materialising public functions."""
+
+    @staticmethod
+    def draw_interval(data, contextual, complementary):
+        # random candidates rarely share partials, so also draw intervals
+        # that make some pair of partials coincide
+        pool = st.sampled_from(SMALL_RANGE) | st.sampled_from(
+            sorted(affinitive_intervals(contextual, complementary))
+        )
+        return data.draw(pool)
+
+    @settings(max_examples=300, deadline=None)
+    @given(one_decimal_sets, one_decimal_sets, st.data())
+    def test_equals_total_consonance(self, contextual, complementary, data):
+        t = self.draw_interval(data, contextual, complementary)
+        score = _transposition_scorer(contextual, complementary)(t)
+        assert score == total_consonance(contextual, complementary.transpose(t))
+
+    @settings(max_examples=300, deadline=None)
+    @given(one_decimal_sets, one_decimal_sets, st.data())
+    def test_threshold_decision_equals_harmonicity_test(self, contextual, complementary, data):
+        t = self.draw_interval(data, contextual, complementary)
+        exact = harmonicity(contextual, complementary.transpose(t))
+        thresholds = st.fractions(min_value=0, max_value=F(99, 100), max_denominator=10**6)
+        if exact < 1:  # the boundary itself must be rejected: the test is strict
+            thresholds |= st.just(exact)
+        h = data.draw(thresholds)
+        score = _transposition_scorer(contextual, complementary, h)(t)
+        assert (score is not None) == (exact > h)
+
+    def test_harmonic_sets_of_many_partials(self):
+        # k ranges over many multipliers here, exercising the integer walk
+        big, small = harmonic_set(262, 256), harmonic_set(393, 5)
+        for contextual, complementary in ((big, small), (small, big), (big, big)):
+            score = _transposition_scorer(contextual, complementary)
+            for t in enumerate_rationals(F(1, 4), 4, 9):
+                assert score(t) == total_consonance(contextual, complementary.transpose(t))
 
 
 class TestHarmonicIntervals:
