@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import __version__
 from .consonance import total_consonance
-from .core import FrequencySet, ParseError, cents, format_ratio, parse_ratio
+from .core import FrequencySet, ParseError, _scientific, cents, format_ratio, parse_ratio
 from .dissonance import DissonanceParams, dissonance_curve
 from .document import TuningDocument, export_scl
 from .figures import emit_figure_data
@@ -51,6 +51,8 @@ def _read_document(path: Optional[str]) -> TuningDocument:
 
 def _score_float(value: Fraction) -> str:
     x = float(value)
+    if x == 0.0 and value != 0:
+        return _scientific(value)
     if x == 0.0 or abs(x) >= 0.0005:
         return f"{x:.3f}"
     return f"{x:.3e}"

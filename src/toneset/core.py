@@ -68,6 +68,26 @@ def format_ratio(value: Fraction, always_slash: bool = False) -> str:
     return str(value.numerator)
 
 
+def _scientific(value: Fraction) -> str:
+    """Render a ratio as "d.ddde+XX", like ``f"{x:.3e}"``, with integer
+    arithmetic only, so a value beyond the float range keeps its magnitude
+    instead of reading 0 or overflowing."""
+    if value == 0:
+        return "0.000e+00"
+    sign, value = ("-" if value < 0 else ""), abs(value)
+    # the bit lengths place the decimal exponent within one of its true value
+    bits = value.numerator.bit_length() - value.denominator.bit_length()
+    exponent = math.floor(bits * math.log10(2))
+    while value < Fraction(10) ** exponent:
+        exponent -= 1
+    while value >= Fraction(10) ** (exponent + 1):
+        exponent += 1
+    digits = round(value * Fraction(10) ** (3 - exponent))
+    if digits == 10_000:  # 9.9995... rounds up into the next decade
+        digits, exponent = 1000, exponent + 1
+    return f"{sign}{digits // 1000}.{digits % 1000:03d}e{exponent:+03d}"
+
+
 def to_ratio(value: RatioLike) -> Fraction:
     """Coerce ints, strings and Fractions to an exact ratio.
 

@@ -12,6 +12,16 @@ exactly at the nonzero-affinity intervals, which is what this module is here
 to check. Amplitudes are uniform (spectra are bare frequency sets), and the
 contract is qualitative: minima locations, not bit-exact curve values.
 
+A sweep of F (N partials) against tF' (M partials) sums the t-independent
+pairs within F once and, per step, evaluates only the N*M cross pairs and
+the M(M-1)/2 pairs within tF', whose lower frequency and distance are those
+of F' scaled by t. Steps are walked in chunks of about 2^16 pair values, so
+memory is bounded by the chunk and the pair arrays, not by steps * (N+M)^2.
+Summation order differs from an all-pairs sum only in rounding: curves agree
+with it to 1e-12 relative (the last digits of a ``dissonance`` value), and
+to ~1e-15 absolute per pair for totals too small for that, where one ulp of
+``exp`` in a nearly coincident pair dominates.
+
 This is the one floating-point corner of the package; nothing here feeds
 back into the rational layer.
 """
@@ -20,11 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Union
 
 import numpy as np
 
-from .core import FrequencySet
+from .core import FrequencySet, _scientific
 
 __all__ = [
     "DissonanceParams",
@@ -54,11 +65,16 @@ class DissonanceParams:
     amplitude: float = 1.0  # uniform amplitude convention
 
     def __post_init__(self) -> None:
-        if self.chi_star <= 0:
-            raise ValueError("chi_star must be positive")
+        if not (math.isfinite(self.chi_star) and self.chi_star > 0):
+            raise ValueError(f"chi_star must be finite and positive, not {self.chi_star}")
 
 
 DEFAULT_PARAMS = DissonanceParams()
+
+# Values per temporary array in a sweep: the t grid is walked in chunks of
+# steps small enough that each temporary stays cache-sized and memory does
+# not grow with the number of steps.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -91,24 +107,48 @@ def pair_roughness(
     )
 
 
-def _roughness_matrix(spectra: np.ndarray, params: DissonanceParams) -> np.ndarray:
-    # spectra: (..., n) partial frequencies; returns summed roughness over
-    # all unordered pairs along the last axis.
-    fi = spectra[..., :, None]
-    fj = spectra[..., None, :]
-    fmin = np.minimum(fi, fj)
-    diff = np.abs(fj - fi)
-    x = params.chi_star / (params.curve_slope * fmin + params.curve_offset) * diff
-    pair = params.weight_fast * np.exp(params.decay_fast * x)
-    pair += params.weight_slow * np.exp(params.decay_slow * x)
-    pair *= params.amplitude * params.amplitude
-    n = spectra.shape[-1]
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    return pair[..., upper].sum(axis=-1)
+def _roughness_sum(fmin: np.ndarray, diff: np.ndarray, params: DissonanceParams) -> np.ndarray:
+    """Kernel summed over the last axis, for pairs given by their lower
+    frequency and their distance; both arrays are overwritten."""
+    x = np.multiply(fmin, params.curve_slope, out=fmin)
+    x += params.curve_offset
+    np.divide(params.chi_star, x, out=x)
+    x *= diff
+    slow = np.multiply(x, params.decay_slow, out=diff)
+    np.exp(slow, out=slow)
+    slow *= params.weight_slow
+    x *= params.decay_fast
+    np.exp(x, out=x)
+    x *= params.weight_fast
+    x += slow
+    return params.amplitude * params.amplitude * x.sum(axis=-1)
 
 
-def _as_float_array(freqs: Union[FrequencySet, Iterable[float]]) -> np.ndarray:
-    arr = np.asarray([float(f) for f in freqs], dtype=float)
+def _upper_pairs(freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower frequency and distance of every unordered pair of partials."""
+    i, j = np.triu_indices(freqs.size, k=1)
+    return np.minimum(freqs[i], freqs[j]), np.abs(freqs[j] - freqs[i])
+
+
+def _chunk_rows(n: int, m: int) -> int:
+    """Sweep steps per chunk for n fixed and m moving partials: no per-chunk
+    temporary holds more than _CHUNK_ELEMENTS values unless one step does."""
+    return max(1, _CHUNK_ELEMENTS // max(n * m, m * (m - 1) // 2))
+
+
+def _as_float_array(freqs: Union[FrequencySet, Iterable[float]], role: str) -> np.ndarray:
+    values = []
+    for index, f in enumerate(freqs, 1):
+        try:
+            x = float(f)
+        except OverflowError:
+            raise ValueError(
+                f"partial {index} of the {role} ({_scientific(Fraction(f))}) exceeds the float range"
+            ) from None
+        if not math.isfinite(x):
+            raise ValueError(f"partial {index} of the {role} is {x}, not a finite frequency")
+        values.append(x)
+    arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("empty frequency set")
     if np.any(arr <= 0):
@@ -121,7 +161,7 @@ def spectrum_roughness(
     params: DissonanceParams = DEFAULT_PARAMS,
 ) -> float:
     """Total roughness of one spectrum: sum over all unordered partial pairs."""
-    return float(_roughness_matrix(_as_float_array(freqs), params))
+    return float(_roughness_sum(*_upper_pairs(_as_float_array(freqs, "spectrum")), params))
 
 
 def dissonance_curve(
@@ -136,17 +176,31 @@ def dissonance_curve(
 
     Samples are spaced geometrically (uniform in cents). At each sampled t
     the roughness of the combined spectrum F u tF' is summed over all
-    partial pairs, within-set pairs included.
+    partial pairs, within-set pairs included. Non-finite partials or bounds,
+    and a top that carries a partial past the float range, raise ValueError.
     """
-    if not 0 < t_lo < t_hi:
+    if not (math.isfinite(t_lo) and math.isfinite(t_hi) and 0 < t_lo < t_hi):
         raise ValueError(f"invalid sweep range [{t_lo}, {t_hi}]")
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    base = _as_float_array(contextual)
-    moving = _as_float_array(complementary)
+    base = _as_float_array(contextual, "contextual set")
+    moving = _as_float_array(complementary, "complementary set")
+    if not math.isfinite(t_hi * float(moving.max())):
+        raise ValueError(f"sweep top {t_hi} carries the complementary set past the float range")
     ts = np.geomspace(t_lo, t_hi, steps)
-    spectra = np.concatenate(
-        [np.broadcast_to(base, (steps, base.size)), ts[:, None] * moving], axis=1
-    )
-    totals = _roughness_matrix(spectra, params)
-    return [CurvePoint(float(t), float(d)) for t, d in zip(ts, totals)]
+    # pairs within F do not move with t; pairs within tF' scale with it
+    fixed = _roughness_sum(*_upper_pairs(base), params)
+    moving_min, moving_diff = _upper_pairs(moving)
+    # the two partials of every cross pair, flat so each row is one long run
+    cross_f, cross_g = np.repeat(base, moving.size), np.tile(moving, base.size)
+    totals = np.empty(steps)
+    rows = _chunk_rows(base.size, moving.size)
+    for start in range(0, steps, rows):
+        t = ts[start : start + rows, None]
+        swept = t * cross_g
+        lower = np.minimum(swept, cross_f)
+        swept -= cross_f
+        cross = _roughness_sum(lower, np.abs(swept, out=swept), params)
+        totals[start : start + rows] = cross + _roughness_sum(t * moving_min, t * moving_diff, params)
+    totals += fixed
+    return [CurvePoint(t, d) for t, d in zip(ts.tolist(), totals.tolist())]

@@ -20,6 +20,14 @@ class TestConsonanceCommand:
         assert "harmonicity = 5/9 (0.556)" in out
         assert "total       = 4/9 (0.444)" in out
 
+    def test_score_below_float_range_keeps_its_magnitude(self, capsys):
+        # harmonicity is 2 / (10^400 / 2) = 1/(25 * 10^398); float() gives 0.0
+        code, out, _ = run(["consonance", "1e400", "2"], capsys)
+        assert code == 0
+        assert f"harmonicity = 1/25{'0' * 398} (4.000e-400)" in out
+        assert f"total       = 1/5{'0' * 399} (2.000e-400)" in out
+        assert "affinity    = 0/1 (0.000)" in out
+
     def test_note_notation(self, capsys):
         code, out, _ = run(["consonance", "C4_6@262", "G4_6@393"], capsys)
         assert code == 0
@@ -95,6 +103,29 @@ class TestCurveCommand:
         lines = out.splitlines()
         assert lines[0] == "t,cents,dissonance"
         assert len(lines) == 21
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["1e400", "2"], "exceeds the float range"),
+            (["262", "1e400"], "exceeds the float range"),
+            (["262", "262", "--hi", "inf"], "invalid sweep range"),
+            (["262", "262", "--hi", "nan"], "invalid sweep range"),
+            (["262", "262", "--lo", "nan"], "invalid sweep range"),
+            (["262", "262", "--hi", "1e308"], "past the float range"),
+            (["262", "262", "--chi-star", "nan"], "chi_star"),
+            (["262", "262", "--chi-star", "inf"], "chi_star"),
+        ],
+        ids=["huge-context", "huge-complement", "hi-inf", "hi-nan", "lo-nan", "hi-overflows",
+             "chi-nan", "chi-inf"],
+    )
+    def test_non_finite_input_is_domain_error(self, capsys, argv, message):
+        code, out, err = run(["curve", *argv, "--steps", "5"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
 
 class TestDocumentPipelines:

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toneset import (
     affinitive_intervals,
@@ -14,8 +16,16 @@ from toneset import (
     pair_roughness,
     spectrum_roughness,
 )
+from toneset.dissonance import _chunk_rows
 
 C4 = harmonic_set(262, 6)
+
+
+def all_pairs_roughness(freqs, params=DEFAULT_PARAMS):
+    """Reference: pair_roughness summed over every unordered pair."""
+    return math.fsum(
+        pair_roughness(a, b, params) for i, a in enumerate(freqs) for b in freqs[i + 1 :]
+    )
 
 
 def interior_minima(values):
@@ -77,8 +87,67 @@ class TestPairRoughness:
         with pytest.raises(ValueError):
             DissonanceParams(chi_star=0.0)
 
+    @pytest.mark.parametrize("chi_star", [math.nan, math.inf])
+    def test_chi_star_must_be_finite(self, chi_star):
+        with pytest.raises(ValueError, match="finite"):
+            DissonanceParams(chi_star=chi_star)
+
+
+@st.composite
+def sweeps(draw):
+    """Integer spectra of 1-16 partials, some shared between F and G, and a
+    step count on either side of one chunk of the sweep."""
+    F_ = draw(st.lists(st.integers(20, 2000), min_size=1, max_size=16, unique=True))
+    G = draw(
+        st.lists(
+            st.one_of(st.sampled_from(F_), st.integers(20, 2000)),
+            min_size=1,
+            max_size=16,
+            unique=True,
+        )
+    )
+    rows = _chunk_rows(len(F_), len(G))
+    steps = draw(st.sampled_from([2, max(2, rows - 1), rows, rows + 1]))
+    t_hi = draw(st.floats(1.05, 4.0))
+    chi_star = draw(st.sampled_from([0.24, 0.03, 0.003]))
+    return [float(f) for f in F_], [float(g) for g in G], t_hi, steps, chi_star
+
 
 class TestDissonanceCurve:
+    @settings(max_examples=150, deadline=None)
+    @given(sweeps(), st.data())
+    def test_matches_all_pairs_sum(self, sweep, data):
+        # t starts at 1, so shared partials coincide exactly on the first row;
+        # the rows on both sides of the first chunk boundary are always checked.
+        # Each kernel value is a difference of two exponentials weighted by 5,
+        # and numpy's exp and math.exp may differ by an ulp, so a nearly
+        # coincident pair can be off by ~1e-15 absolute whatever the summation
+        # order: that, not the relative bound, covers totals of that size.
+        F_, G, t_hi, steps, chi_star = sweep
+        pairs = math.comb(len(F_) + len(G), 2)
+        params = DissonanceParams(chi_star=chi_star)
+        points = dissonance_curve(F_, G, 1.0, t_hi, steps, params)
+        assert [p.t for p in points] == np.geomspace(1.0, t_hi, steps).tolist()
+        rows = _chunk_rows(len(F_), len(G))
+        picked = {0, rows - 1, rows, steps - 1, data.draw(st.integers(0, steps - 1))}
+        for i in sorted(i for i in picked if i < steps):
+            t, d = points[i].t, points[i].dissonance
+            want = all_pairs_roughness(F_ + [t * g for g in G], params)
+            assert math.isclose(d, want, rel_tol=1e-12, abs_tol=1e-14 * pairs), (i, t, d, want)
+
+    def test_sweep_memory_is_bounded_by_the_chunk(self):
+        # all pairs at once would need 1000 * 256^2 doubles (0.5 GiB) per array
+        F_ = [110.0 * k for k in range(1, 129)]
+        G = [131.0 * k for k in range(1, 129)]
+        tracemalloc.start()
+        try:
+            points = dissonance_curve(F_, G, 1.0, 2.1, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(points) == 1000
+        assert peak < 32 * 2**20
+
     def test_sharp_minima_align_with_shared_partial_intervals(self):
         points = dissonance_curve(C4, C4, 1.0, 2.1, 2000)
         values = [p.dissonance for p in points]
@@ -148,16 +217,31 @@ class TestDissonanceCurve:
         with pytest.raises(ValueError):
             dissonance_curve([], C4, 1.0, 2.0, 10)
 
+    @pytest.mark.parametrize(
+        "contextual, complementary",
+        [([math.inf], [1.0]), ([1.0], [math.nan]), ([F(10) ** 400], [1.0]), ([1.0], [10**400])],
+    )
+    def test_partials_outside_the_float_range_rejected(self, contextual, complementary):
+        with pytest.raises(ValueError, match="partial 1 of the"):
+            dissonance_curve(contextual, complementary, 1, 2, 2)
+
+    @pytest.mark.parametrize("t_lo, t_hi", [(1.0, math.inf), (math.nan, 2.0), (1.0, 1e307)])
+    def test_non_finite_sweep_rejected(self, t_lo, t_hi):
+        with pytest.raises(ValueError):
+            dissonance_curve([262.0], [262.0], t_lo, t_hi, 2)
+
 
 class TestSpectrumRoughness:
     def test_matches_pairwise_sum(self):
         freqs = [262.0, 524.0, 790.0]
-        expected = sum(
-            pair_roughness(freqs[i], freqs[j])
-            for i in range(3)
-            for j in range(i + 1, 3)
-        )
-        assert math.isclose(spectrum_roughness(freqs), expected, rel_tol=1e-12)
+        assert math.isclose(spectrum_roughness(freqs), all_pairs_roughness(freqs), rel_tol=1e-12)
+
+    def test_single_partial_has_no_pairs(self):
+        assert spectrum_roughness([262.0]) == 0.0
+
+    def test_non_finite_partial_rejected(self):
+        with pytest.raises(ValueError, match="partial 2 of the spectrum"):
+            spectrum_roughness([1.0, math.nan])
 
     def test_curvepoint_rejects_negative(self):
         with pytest.raises(ValueError):
