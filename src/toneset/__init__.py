@@ -42,7 +42,7 @@ from .dissonance import (
     pair_roughness,
     spectrum_roughness,
 )
-from .document import DocumentEntry, TuningDocument, export_scl
+from .document import TuningDocument, export_scl
 from .figures import emit_figure_data, supported_figures
 from .notation import canonical_set_expression, parse_set_expression
 from .notes import NoteName, grid_frequency, note_name, note_set
@@ -103,7 +103,6 @@ __all__ = [
     "spectrum_roughness",
     "dissonance_curve",
     "TuningDocument",
-    "DocumentEntry",
     "export_scl",
     "parse_set_expression",
     "canonical_set_expression",

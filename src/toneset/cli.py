@@ -19,9 +19,9 @@ from typing import Optional
 
 from . import __version__
 from .consonance import total_consonance
-from .core import FrequencySet, ParseError, _scientific, cents, format_ratio, parse_ratio
+from .core import FrequencySet, ParseError, _display_score, cents, format_ratio, parse_ratio
 from .dissonance import DissonanceParams, dissonance_curve
-from .document import TuningDocument, export_scl
+from .document import TuningDocument, curve_csv, export_scl
 from .figures import emit_figure_data
 from .notation import canonical_set_expression, parse_set_expression
 from .tuning import (
@@ -49,29 +49,28 @@ def _read_document(path: Optional[str]) -> TuningDocument:
     return TuningDocument.from_json(text)
 
 
-def _score_float(value: Fraction) -> str:
-    x = float(value)
-    if x == 0.0 and value != 0:
-        return _scientific(value)
-    if x == 0.0 or abs(x) >= 0.0005:
-        return f"{x:.3f}"
-    return f"{x:.3e}"
+def _score_text(value: Fraction) -> str:
+    shown = _display_score(value)
+    if isinstance(shown, str):
+        return shown
+    # a rounded score prints 3 decimals, an unrounded one 4 significant digits
+    return f"{shown:.3f}" if shown == round(shown, 3) else f"{shown:.3e}"
 
 
 def _render_text(doc: TuningDocument, order: str) -> str:
     entries = list(doc.entries)
     if order == "consonance":
-        entries.sort(key=lambda e: (-e.total, e.interval))
+        entries.sort(key=lambda e: (-e.score.total, e.interval))
     lines = [f"# {doc.metadata['generator']} tuning  F={doc.metadata['context']}  F'={doc.metadata['complement']}"]
     lines.append(f"{'interval':>10}  {'cents':>10}  {'affinity':>16}  {'harmonicity':>18}  {'total':>16}  note")
     for e in entries:
+        scores = "".join(
+            f"  {format_ratio(v, always_slash=True):>8} ({_score_text(v)})"
+            for v in (e.score.affinity, e.score.harmonicity, e.score.total)
+        )
         lines.append(
             f"{format_ratio(e.interval, always_slash=True):>10}"
-            f"  {cents(e.interval):>10.4f}"
-            f"  {format_ratio(e.affinity, always_slash=True):>8} ({_score_float(e.affinity)})"
-            f"  {format_ratio(e.harmonicity, always_slash=True):>8} ({_score_float(e.harmonicity)})"
-            f"  {format_ratio(e.total, always_slash=True):>8} ({_score_float(e.total)})"
-            f"  {e.note or ''}"
+            f"  {cents(e.interval):>10.4f}{scores}  {e.note or ''}"
         )
     return "\n".join(lines) + "\n"
 
@@ -110,7 +109,7 @@ def cmd_consonance(args: argparse.Namespace) -> int:
         ("harmonicity", score.harmonicity),
         ("total", score.total),
     ):
-        print(f"{label:<11} = {format_ratio(value, always_slash=True)} ({_score_float(value)})")
+        print(f"{label:<11} = {format_ratio(value, always_slash=True)} ({_score_text(value)})")
     return EXIT_OK
 
 
@@ -163,9 +162,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     complementary = parse_set_expression(args.complement)
     params = DissonanceParams(chi_star=args.chi_star)
     points = dissonance_curve(contextual, complementary, args.lo, args.hi, args.steps, params)
-    lines = ["t,cents,dissonance"]
-    lines += [f"{p.t!r},{cents(p.t):.4f},{p.dissonance!r}" for p in points]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(curve_csv(points), args.out)
     return EXIT_OK
 
 

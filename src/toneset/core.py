@@ -37,6 +37,11 @@ __all__ = [
     "format_set",
 ]
 
+# Largest partial count of a harmonic set. Counts above it are refused before
+# anything is allocated; the largest in use is 1,865, the harmonic superset of
+# the two-decimal inharmonic spectrum (fig5_4).
+MAX_HARMONIC_PARTIALS = 2**20
+
 # Frequencies, intervals and consonance scores all share one scalar type.
 Ratio = Fraction
 RatioLike = Union[Fraction, int, str]
@@ -86,6 +91,21 @@ def _scientific(value: Fraction) -> str:
     if digits == 10_000:  # 9.9995... rounds up into the next decade
         digits, exponent = 1000, exponent + 1
     return f"{sign}{digits // 1000}.{digits % 1000:03d}e{exponent:+03d}"
+
+
+def _display_score(value: Fraction) -> float | str:
+    """How a score is shown beside its exact ratio (JSON and text alike).
+
+    A float rounded to 3 decimals; the unrounded float when rounding would
+    show a nonzero score as 0; and the :func:`_scientific` text when even
+    ``float()`` gives 0 for a nonzero score.
+    """
+    x = float(value)
+    if x == 0.0 and value != 0:
+        return _scientific(value)
+    if x == 0.0 or abs(x) >= 0.0005:
+        return round(x, 3)
+    return x
 
 
 def to_ratio(value: RatioLike) -> Fraction:
@@ -186,6 +206,10 @@ class FrequencySet:
             raise ValueError("fundamental must be positive")
         if count < 1:
             raise ValueError("partial count must be at least 1")
+        if count > MAX_HARMONIC_PARTIALS:
+            raise ValueError(
+                f"partial count {count} exceeds the limit of {MAX_HARMONIC_PARTIALS}"
+            )
         multipliers = tuple(range(1, count + 1))
         return cls._from_sorted(
             tuple(base * n for n in multipliers),

@@ -1,11 +1,12 @@
-"""Serialisation of tuning tables: JSON documents, CSV, Scala scale files.
+"""Serialisation: JSON tuning documents, CSV tables and curves, Scala scales.
 
-The JSON document is the interchange format between subcommands. Exact
-rational strings are authoritative; cents and float columns are derived on
-export, so import -> export is byte-identical. Score floats are shown to 3
-decimals except when rounding would erase them entirely (inharmonic spectra
-produce astronomically small exact harmonicities), in which case the full
-float survives in scientific notation.
+A tuning document is a table's ``TuningEntry`` values (with note names, on
+request) plus the metadata needed to regenerate and rescore them; it is the
+interchange format between subcommands. Exact rational strings are
+authoritative; cents and float columns are derived on export, so import ->
+export is byte-identical. Score floats are shown by the one display rule,
+``core._display_score``. Every CSV the package writes goes through
+``csv_text``, with the rows of ``table_csv`` and ``curve_csv``.
 """
 
 from __future__ import annotations
@@ -13,53 +14,71 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import replace
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import __version__
 from .consonance import ConsonanceScore
-from .core import cents, format_ratio, parse_ratio
+from .core import _display_score, cents, format_ratio, parse_ratio
+from .dissonance import CurvePoint
 from .notes import note_name
 from .tuning import TuningEntry, TuningTable
 
-__all__ = ["DocumentEntry", "TuningDocument", "export_scl"]
+__all__ = ["TuningDocument", "export_scl"]
 
 TOOL_NAME = "toneset"
 
 
-def _display_float(value: Fraction) -> float:
-    x = float(value)
-    if x == 0.0 or abs(x) >= 0.0005:
-        return round(x, 3)
-    return x  # too small for 3 decimals; keep full precision
+def csv_text(header: list[str], rows: Iterable[list]) -> str:
+    """A CSV block: header, rows, bare "\\n" line endings."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
-@dataclass(frozen=True)
-class DocumentEntry:
-    interval: Fraction
-    affinity: Fraction
-    harmonicity: Fraction
-    note: Optional[str] = None
+def table_csv(entries: Iterable[TuningEntry]) -> str:
+    """Tuning entries as CSV: exact interval, cents and the three scores."""
+    return csv_text(
+        ["interval_ratio", "cents", "affinity", "harmonicity", "total"],
+        (
+            [
+                format_ratio(e.interval, always_slash=True),
+                f"{cents(e.interval):.4f}",
+                repr(float(e.score.affinity)),
+                repr(float(e.score.harmonicity)),
+                repr(float(e.score.total)),
+            ]
+            for e in entries
+        ),
+    )
 
-    @property
-    def total(self) -> Fraction:
-        return (self.affinity + self.harmonicity) / 2
 
-    def as_dict(self) -> dict:
-        data = {
-            "interval": format_ratio(self.interval, always_slash=True),
-            "cents": round(cents(self.interval), 4),
-            "affinity": format_ratio(self.affinity, always_slash=True),
-            "harmonicity": format_ratio(self.harmonicity, always_slash=True),
-            "total": format_ratio(self.total, always_slash=True),
-            "affinity_float": _display_float(self.affinity),
-            "harmonicity_float": _display_float(self.harmonicity),
-            "total_float": _display_float(self.total),
-        }
-        if self.note is not None:
-            data["note"] = self.note
-        return data
+def curve_csv(points: Iterable[CurvePoint]) -> str:
+    """A dissonance curve as CSV: t, its cents and the roughness."""
+    return csv_text(
+        ["t", "cents", "dissonance"],
+        ([repr(p.t), f"{cents(p.t):.4f}", repr(p.dissonance)] for p in points),
+    )
+
+
+def _entry_dict(entry: TuningEntry) -> dict:
+    score = entry.score
+    data = {
+        "interval": format_ratio(entry.interval, always_slash=True),
+        "cents": round(cents(entry.interval), 4),
+        "affinity": format_ratio(score.affinity, always_slash=True),
+        "harmonicity": format_ratio(score.harmonicity, always_slash=True),
+        "total": format_ratio(score.total, always_slash=True),
+        "affinity_float": _display_score(score.affinity),
+        "harmonicity_float": _display_score(score.harmonicity),
+        "total_float": _display_score(score.total),
+    }
+    if entry.note is not None:
+        data["note"] = entry.note
+    return data
 
 
 def _ratio_field(raw: dict, index: int, field: str) -> Fraction:
@@ -74,15 +93,23 @@ def _ratio_field(raw: dict, index: int, field: str) -> Fraction:
     return parse_ratio(value)
 
 
-class TuningDocument:
-    """A tuning table plus the metadata needed to regenerate and rescore it."""
+def _note(frequency: Fraction) -> Optional[str]:
+    try:
+        return note_name(frequency).render()
+    except ValueError:
+        return None  # outside the naming span; leave unannotated
 
-    def __init__(self, metadata: dict, entries: list[DocumentEntry]):
-        intervals = [e.interval for e in entries]
-        if any(b <= a for a, b in zip(intervals, intervals[1:])):
-            raise ValueError("document entries must be strictly increasing by interval")
+
+class TuningDocument:
+    """A tuning table plus the metadata needed to regenerate and rescore it.
+
+    ``entries`` are in a ``TuningTable``'s order: ``from_table`` takes them
+    from a table, and ``from_json`` checks them by building one.
+    """
+
+    def __init__(self, metadata: dict, entries: tuple[TuningEntry, ...]):
         self.metadata = metadata
-        self.entries = list(entries)
+        self.entries = entries
 
     @classmethod
     def from_table(
@@ -93,22 +120,9 @@ class TuningDocument:
         parameters: Optional[dict] = None,
         annotate_root: Optional[Fraction] = None,
     ) -> "TuningDocument":
-        entries = []
-        for entry in table.entries:
-            note = None
-            if annotate_root is not None:
-                try:
-                    note = note_name(annotate_root * entry.interval).render()
-                except ValueError:
-                    note = None  # outside the naming span; leave unannotated
-            entries.append(
-                DocumentEntry(
-                    interval=entry.interval,
-                    affinity=entry.score.affinity,
-                    harmonicity=entry.score.harmonicity,
-                    note=note,
-                )
-            )
+        entries = table.entries
+        if annotate_root is not None:
+            entries = tuple(replace(e, note=_note(annotate_root * e.interval)) for e in entries)
         metadata = {
             "tool": TOOL_NAME,
             "version": __version__,
@@ -120,12 +134,8 @@ class TuningDocument:
         return cls(metadata, entries)
 
     def to_table(self) -> TuningTable:
-        entries = tuple(
-            TuningEntry(e.interval, ConsonanceScore(e.affinity, e.harmonicity))
-            for e in self.entries
-        )
         return TuningTable(
-            entries,
+            self.entries,
             self.metadata.get("generator", "unknown"),
             f"F={self.metadata.get('context', '?')}; F'={self.metadata.get('complement', '?')}",
         )
@@ -133,7 +143,7 @@ class TuningDocument:
     def as_dict(self) -> dict:
         return {
             "metadata": self.metadata,
-            "entries": [e.as_dict() for e in self.entries],
+            "entries": [_entry_dict(e) for e in self.entries],
         }
 
     def to_json(self) -> str:
@@ -155,35 +165,26 @@ class TuningDocument:
         for index, raw in enumerate(data["entries"]):
             if not isinstance(raw, dict):
                 raise ValueError(f"invalid tuning document: entry {index} is not an object")
-            entry = DocumentEntry(
-                interval=_ratio_field(raw, index, "interval"),
-                affinity=_ratio_field(raw, index, "affinity"),
-                harmonicity=_ratio_field(raw, index, "harmonicity"),
-                note=raw.get("note"),
+            entry = TuningEntry(
+                _ratio_field(raw, index, "interval"),
+                ConsonanceScore(
+                    _ratio_field(raw, index, "affinity"),
+                    _ratio_field(raw, index, "harmonicity"),
+                ),
+                raw.get("note"),
             )
-            if "total" in raw and _ratio_field(raw, index, "total") != entry.total:
+            if "total" in raw and _ratio_field(raw, index, "total") != entry.score.total:
                 raise ValueError(
                     f"inconsistent entry: total {raw['total']} is not the mean of "
                     f"affinity and harmonicity at interval {raw['interval']}"
                 )
             entries.append(entry)
-        return cls(data["metadata"], entries)
+        doc = cls(data["metadata"], tuple(entries))
+        doc.to_table()  # rejects entries out of interval order
+        return doc
 
     def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["interval_ratio", "cents", "affinity", "harmonicity", "total"])
-        for e in self.entries:
-            writer.writerow(
-                [
-                    format_ratio(e.interval, always_slash=True),
-                    f"{cents(e.interval):.4f}",
-                    repr(float(e.affinity)),
-                    repr(float(e.harmonicity)),
-                    repr(float(e.total)),
-                ]
-            )
-        return buffer.getvalue()
+        return table_csv(self.entries)
 
 
 def export_scl(

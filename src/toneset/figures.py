@@ -8,16 +8,14 @@ plotting itself is out of scope.
 
 from __future__ import annotations
 
-import csv
-import io
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
 from .consonance import thomae_classical, thomae_modified
 from .core import FrequencySet, cents, format_ratio, harmonic_set
 from .dissonance import DissonanceParams, dissonance_curve
+from .document import csv_text, curve_csv, table_csv
 from .tuning import (
-    TuningTable,
     affinitive_tuning,
     enumerate_rationals,
     harmonic_tuning,
@@ -47,43 +45,6 @@ def _inharmonic(rounded: bool = False) -> FrequencySet:
     return FrequencySet(C4_FUNDAMENTAL * r for r in ratios)
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def _table_csv(table: TuningTable) -> str:
-    rows = [
-        [
-            format_ratio(e.interval, always_slash=True),
-            f"{cents(e.interval):.4f}",
-            repr(float(e.score.affinity)),
-            repr(float(e.score.harmonicity)),
-            repr(float(e.score.total)),
-        ]
-        for e in table.entries
-    ]
-    return _csv(["interval_ratio", "cents", "affinity", "harmonicity", "total"], rows)
-
-
-def _curve_csv(
-    contextual: FrequencySet,
-    complementary: FrequencySet,
-    t_lo: float,
-    t_hi: float,
-    steps: int,
-    params: DissonanceParams,
-) -> str:
-    rows = [
-        [repr(p.t), f"{cents(p.t):.4f}", repr(p.dissonance)]
-        for p in dissonance_curve(contextual, complementary, t_lo, t_hi, steps, params)
-    ]
-    return _csv(["t", "cents", "dissonance"], rows)
-
-
 Params = Mapping[str, object]
 
 
@@ -97,7 +58,8 @@ def _max_den(params: Params, default: int = 60) -> int:
 
 def _fig4_2(params: Params) -> dict[str, str]:
     inh = _inharmonic()
-    return {"fig4_2": _curve_csv(inh, inh, 1.0, 2.3, _steps(params), DissonanceParams())}
+    curve = dissonance_curve(inh, inh, 1.0, 2.3, _steps(params), DissonanceParams())
+    return {"fig4_2": curve_csv(curve)}
 
 
 def _fig4_3(params: Params) -> dict[str, str]:
@@ -105,8 +67,8 @@ def _fig4_3(params: Params) -> dict[str, str]:
     parts = {}
     for chi in (0.24, 0.03, 0.003):
         key = f"fig4_3_chi_{str(chi).replace('.', '_')}"
-        parts[key] = _curve_csv(
-            c4, c4, 1.0, 2.1, _steps(params), DissonanceParams(chi_star=chi)
+        parts[key] = curve_csv(
+            dissonance_curve(c4, c4, 1.0, 2.1, _steps(params), DissonanceParams(chi_star=chi))
         )
     return parts
 
@@ -115,16 +77,16 @@ def _fig5_1(params: Params) -> dict[str, str]:
     c4 = _c4()
     table = affinitive_tuning(c4, c4)
     return {
-        "fig5_1": _table_csv(table),
-        "fig5_1_dissonance": _curve_csv(
-            c4, c4, float(Fraction(1, 6)), 6.0, _steps(params), DissonanceParams()
+        "fig5_1": table_csv(table.entries),
+        "fig5_1_dissonance": curve_csv(
+            dissonance_curve(c4, c4, float(Fraction(1, 6)), 6.0, _steps(params), DissonanceParams())
         ),
     }
 
 
 def _fig5_2(params: Params) -> dict[str, str]:
     c4 = _c4()
-    return {"fig5_2": _table_csv(octave_reduce(affinitive_tuning(c4, c4), c4, c4))}
+    return {"fig5_2": table_csv(octave_reduce(affinitive_tuning(c4, c4), c4, c4).entries)}
 
 
 def _fig5_3(params: Params) -> dict[str, str]:
@@ -134,18 +96,18 @@ def _fig5_3(params: Params) -> dict[str, str]:
         "fig5_3b": c4 | c4.transpose(FIFTH),
         "fig5_3c": c4 | c4.transpose(MAJOR_THIRD) | c4.transpose(FIFTH),
     }
-    return {key: _table_csv(affinitive_tuning(ctx, c4)) for key, ctx in contexts.items()}
+    return {key: table_csv(affinitive_tuning(ctx, c4).entries) for key, ctx in contexts.items()}
 
 
 def _fig5_4(params: Params) -> dict[str, str]:
     inh = _inharmonic()
-    return {"fig5_4": _table_csv(affinitive_tuning(inh, inh))}
+    return {"fig5_4": table_csv(affinitive_tuning(inh, inh).entries)}
 
 
 def _fig5_5(params: Params) -> dict[str, str]:
     single = FrequencySet([C4_FUNDAMENTAL])
     table = harmonic_tuning(single, single, 0, Fraction(1, 8), 8, _max_den(params))
-    return {"fig5_5": _table_csv(table)}
+    return {"fig5_5": table_csv(table.entries)}
 
 
 def _fig5_6(params: Params) -> dict[str, str]:
@@ -160,7 +122,7 @@ def _fig5_6(params: Params) -> dict[str, str]:
         ]
         for e in table.entries
     ]
-    return {"fig5_6": _csv(["interval_ratio", "cents", "total", "thomae_modified"], rows)}
+    return {"fig5_6": csv_text(["interval_ratio", "cents", "total", "thomae_modified"], rows)}
 
 
 def _fig5_7(params: Params) -> dict[str, str]:
@@ -168,9 +130,8 @@ def _fig5_7(params: Params) -> dict[str, str]:
     parts = {}
     for k in counts:  # type: ignore[union-attr]
         spectrum = _c4(int(k))
-        parts[f"fig5_7_k{k}"] = _table_csv(
-            harmonic_tuning(spectrum, spectrum, 0, Fraction(1, 8), Fraction(8), _max_den(params))
-        )
+        table = harmonic_tuning(spectrum, spectrum, 0, Fraction(1, 8), Fraction(8), _max_den(params))
+        parts[f"fig5_7_k{k}"] = table_csv(table.entries)
     return parts
 
 
@@ -185,8 +146,9 @@ def _fig5_8(params: Params) -> dict[str, str]:
         "fig5_8c": c4 | e4 | g4,
         "fig5_8d": c4 | e4 | g4 | bb4,
     }
+    bounds = (Fraction(1, 4), Fraction(4), _max_den(params))
     return {
-        key: _table_csv(harmonic_tuning(ctx, c4, 0, Fraction(1, 4), Fraction(4), _max_den(params)))
+        key: table_csv(harmonic_tuning(ctx, c4, 0, *bounds).entries)
         for key, ctx in contexts.items()
     }
 
@@ -202,8 +164,9 @@ def _fig5_9(params: Params) -> dict[str, str]:
         "fig5_9a": rich | rich.transpose(FIFTH),
         "fig5_9b": rich | rich.transpose(MAJOR_THIRD) | rich.transpose(FIFTH),
     }
+    bounds = (Fraction(1, 4), Fraction(4), _max_den(params))
     return {
-        key: _table_csv(harmonic_tuning(ctx, rich, 0, Fraction(1, 4), Fraction(4), _max_den(params)))
+        key: table_csv(harmonic_tuning(ctx, rich, 0, *bounds).entries)
         for key, ctx in contexts.items()
     }
 
@@ -212,9 +175,8 @@ def _fig5_10(params: Params) -> dict[str, str]:
     parts = {}
     for key, rounded in (("fig5_10_rounded", True), ("fig5_10_original", False)):
         spectrum = _inharmonic(rounded)
-        parts[key] = _table_csv(
-            harmonic_tuning(spectrum, spectrum, 0, Fraction(1, 4), Fraction(4), _max_den(params))
-        )
+        table = harmonic_tuning(spectrum, spectrum, 0, Fraction(1, 4), Fraction(4), _max_den(params))
+        parts[key] = table_csv(table.entries)
     return parts
 
 
@@ -222,18 +184,20 @@ def _fig5_11(params: Params) -> dict[str, str]:
     sparse = FrequencySet(C4_FUNDAMENTAL * n for n in (1, 2, 4))
     bounds = (Fraction(1, 4), Fraction(4), _max_den(params))
     return {
-        "fig5_11a": _table_csv(affinitive_tuning(sparse, sparse)),
-        "fig5_11b": _table_csv(harmonic_tuning(sparse, sparse, 0, *bounds)),
-        "fig5_11c": _table_csv(harmonic_tuning(sparse, sparse, Fraction(23, 100), *bounds)),
+        "fig5_11a": table_csv(affinitive_tuning(sparse, sparse).entries),
+        "fig5_11b": table_csv(harmonic_tuning(sparse, sparse, 0, *bounds).entries),
+        "fig5_11c": table_csv(
+            harmonic_tuning(sparse, sparse, Fraction(23, 100), *bounds).entries
+        ),
     }
 
 
 def _fig5_12(params: Params) -> dict[str, str]:
     single = FrequencySet([C4_FUNDAMENTAL])
     return {
-        "fig5_12a": _table_csv(affinitive_tuning(single, single)),
-        "fig5_12b": _table_csv(superset_tuning(single, single, 2, 2)),
-        "fig5_12c": _table_csv(superset_tuning(single, single, 4, 4)),
+        "fig5_12a": table_csv(affinitive_tuning(single, single).entries),
+        "fig5_12b": table_csv(superset_tuning(single, single, 2, 2).entries),
+        "fig5_12c": table_csv(superset_tuning(single, single, 4, 4).entries),
     }
 
 
@@ -246,16 +210,18 @@ def _fig5_13(params: Params) -> dict[str, str]:
         "fig5_13b": c4 | g4,
         "fig5_13c": c4 | e4 | g4,
     }
-    return {key: _table_csv(superset_tuning(ctx, c4, 0, 0)) for key, ctx in contexts.items()}
+    return {
+        key: table_csv(superset_tuning(ctx, c4, 0, 0).entries) for key, ctx in contexts.items()
+    }
 
 
 def _fig5_14(params: Params) -> dict[str, str]:
     spectrum = _inharmonic(rounded=True)
     return {
-        "fig5_14a": _table_csv(
-            harmonic_tuning(spectrum, spectrum, 0, Fraction(1, 4), 4, _max_den(params, 30))
+        "fig5_14a": table_csv(
+            harmonic_tuning(spectrum, spectrum, 0, Fraction(1, 4), 4, _max_den(params, 30)).entries
         ),
-        "fig5_14b": _table_csv(superset_tuning(spectrum, spectrum, 0, 0)),
+        "fig5_14b": table_csv(superset_tuning(spectrum, spectrum, 0, 0).entries),
     }
 
 
@@ -269,7 +235,7 @@ def _fig8_1(params: Params) -> dict[str, str]:
                 repr(float(thomae_classical(t))),
             ]
         )
-    return {"fig8_1": _csv(["interval_ratio", "cents", "thomae"], rows)}
+    return {"fig8_1": csv_text(["interval_ratio", "cents", "thomae"], rows)}
 
 
 _BUILDERS: dict[str, Callable[[Params], dict[str, str]]] = {

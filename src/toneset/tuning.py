@@ -53,6 +53,7 @@ __all__ = [
 class TuningEntry:
     interval: Fraction
     score: ConsonanceScore
+    note: str | None = None  # note name, set only when a document is annotated
 
 
 @dataclass(frozen=True)

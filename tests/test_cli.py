@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import sys
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from toneset import supported_figures
 from toneset.cli import main
+from toneset.core import MAX_HARMONIC_PARTIALS
 
 
 def run(argv, capsys):
@@ -82,6 +89,16 @@ class TestTuningCommands:
             "1/1", "2/1", "3/1", "4/1", "5/1", "6/1", "7/1", "8/1"
         ]
         assert doc["entries"][2]["total"] == "1/3"
+
+    def test_score_below_float_range_keeps_its_magnitude_in_json(self, capsys):
+        # harmonicity of {2, 10^400} with 2 or 10^400 is 2 / (10^400 / 2)
+        code, out, _ = run(["affinitive", "1e400,2", "3"], capsys)
+        assert code == 0
+        entries = json.loads(out)["entries"]
+        assert [e["harmonicity"] for e in entries] == [f"1/25{'0' * 398}"] * 2
+        assert [e["harmonicity_float"] for e in entries] == ["4.000e-400"] * 2
+        assert [e["affinity_float"] for e in entries] == [1.0, 1.0]
+        assert [e["total_float"] for e in entries] == [0.5, 0.5]
 
     def test_text_format_orders_by_consonance(self, capsys):
         code, out, _ = run(
@@ -244,3 +261,123 @@ class TestExitCodes:
         code, _, err = run(["consonance", "C4_6@440", "262"], capsys)
         assert code == 3
         assert "mismatch" in err
+
+
+def _over_cap_argv(count):
+    """One command per way a partial count reaches FrequencySet.harmonic."""
+    return [
+        ["affinitive", f"262*N{count}", "1"],
+        ["superset", "262", "262", "--n", str(count - 1)],  # singleton: 1 + n partials
+        ["consonance", f"C4_{count}", "262"],
+        ["figure", "fig5_7", "--partials", str(count)],
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    _over_cap_argv(MAX_HARMONIC_PARTIALS + 1) + _over_cap_argv(99_999_999_999),
+    ids=lambda argv: " ".join(argv),
+)
+def test_partial_count_above_cap_is_refused_before_allocating(argv, capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run(argv, capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == ""
+    assert "exceeds the limit of 1048576" in err and "Traceback" not in err
+    assert peak < 2**22  # 2^20 + 1 partials would take tens of MiB
+
+
+# --- fuzzing: whatever the argv, main() exits 0, 2 or 3 and never raises -----
+
+_COUNTS = st.one_of(
+    st.integers(0, 12), st.integers(MAX_HARMONIC_PARTIALS + 1, 10**12)
+).map(str)
+# junk never looks like an option: a prefix of -o/--out or --in would touch files
+_JUNK = st.text(max_size=8).filter(lambda s: not s.startswith("-"))
+_RATIOS = st.sampled_from(["1", "2", "3/2", "5/4", "262", "393", "2.76", "0.5", "1e400",
+                           "0", "-3", "1/0", "x"])
+_INTEGER_LISTS = st.lists(st.integers(1, 64).map(str), min_size=1, max_size=4).map(",".join)
+# integer partials only: harmonic supersets of these stay at most 64 + n partials
+_SMALL_SETS = st.lists(
+    st.one_of(_INTEGER_LISTS, st.builds("{}*N{}".format, st.integers(1, 64), _COUNTS)),
+    min_size=1, max_size=3,
+).map("+".join)
+_TERMS = st.one_of(
+    _INTEGER_LISTS,
+    st.lists(_RATIOS, min_size=1, max_size=4).map(",".join),
+    st.builds("{}*N{}".format, _RATIOS, _COUNTS),
+    st.builds("{}_{}{}".format, st.sampled_from(["C4", "G4", "A4", "Bb3", "C#5", "H2", "C9"]),
+              _COUNTS, st.sampled_from(["", "@262", "@440", "@x"])),
+    _JUNK,
+)
+_SETS = st.lists(_TERMS, min_size=1, max_size=3).map("+".join)
+_BOUNDS = st.sampled_from(["1/4", "1/2", "1", "3/2", "2", "4", "0", "-1", "x"])
+_DEN = st.integers(-1, 24).map(str)
+_STEPS = st.integers(-1, 64).map(str)
+_FLOATS = st.sampled_from(["1", "1.5", "2", "2.1", "0", "-1", "nan", "inf", "x"])
+_DOC_FLAGS = st.lists(st.sampled_from(
+    [["--notes"], ["--format", "text"], ["--format", "json"], ["--order", "consonance"]]
+), max_size=3).map(lambda flags: [token for flag in flags for token in flag])
+# usually nothing; now and then a stray argument or an unknown flag
+_EXTRA = st.sampled_from([0, 0, 0, 1, 2]).flatmap(
+    lambda n: st.lists(_JUNK | st.sampled_from(["--bogus", "--format"]), min_size=n, max_size=n)
+)
+
+
+def _options(*pairs):
+    """Any subset of the given (flag, strategy) options, as argv tokens."""
+    return st.tuples(*(
+        st.one_of(st.just([]), value.map(lambda v, f=flag: [f, v])) for flag, value in pairs
+    )).map(lambda groups: [token for group in groups for token in group])
+
+
+_DOCUMENT = json.dumps({
+    "metadata": {"generator": "affinitive", "context": "262,524", "complement": "262,524"},
+    "entries": [
+        {"interval": "1/2", "affinity": "1/2", "harmonicity": "1/2", "total": "1/2"},
+        {"interval": "1/1", "affinity": "1/1", "harmonicity": "1/1", "note": "C4"},
+        {"interval": "2/1", "affinity": "1/2", "harmonicity": "1/2"},
+    ],
+})
+_STDIN = st.one_of(
+    st.sampled_from([_DOCUMENT, _DOCUMENT.replace('"2/1"', '"1/3"'), "{}", "not json",
+                     '{"metadata": {}, "entries": [3]}', '{"metadata": {}, "entries": []}']),
+    st.text(max_size=20),
+)
+
+_ARGV = st.one_of(
+    st.tuples(st.sampled_from(["consonance", "affinitive"]), _SETS, _SETS, _DOC_FLAGS),
+    st.tuples(st.just("harmonic"), _SETS, _SETS, st.just(["--h"]), _BOUNDS | _JUNK,
+              _options(("--lo", _BOUNDS), ("--hi", _BOUNDS), ("--max-den", _DEN)), _DOC_FLAGS),
+    st.tuples(st.just("superset"), _SMALL_SETS, _SMALL_SETS,
+              _options(("--n", st.integers(-1, 4).map(str) | _COUNTS),
+                       ("--m", st.integers(-1, 4).map(str))), _DOC_FLAGS),
+    st.tuples(st.just("thomae"), st.just(["--max-den"]), _DEN,
+              _options(("--lo", _BOUNDS), ("--hi", _BOUNDS)), _DOC_FLAGS),
+    st.tuples(st.just("curve"), _SETS, _SETS, st.just(["--steps"]), _STEPS,
+              _options(("--lo", _FLOATS), ("--hi", _FLOATS), ("--chi-star", _FLOATS))),
+    st.tuples(st.just("figure"), st.sampled_from(supported_figures()) | _JUNK,
+              st.just(["--max-den"]), _DEN, st.just(["--steps"]), _STEPS,
+              _options(("--partials", st.integers(1, 12).map(str) | _COUNTS))),
+    st.tuples(st.sampled_from(["reduce-octave", "export-scl"]),
+              _options(("--name", _JUNK)), st.sampled_from([[], ["--cents"]])),
+    st.tuples(_JUNK, _JUNK),
+).map(lambda parts: [t for part in parts for t in ([part] if isinstance(part, str) else part)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=_ARGV, extra=_EXTRA, stdin=_STDIN)
+def test_fuzzed_command_lines_exit_cleanly(argv, extra, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    saved_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + extra)
+    finally:
+        sys.stdin = saved_stdin
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -18,6 +18,7 @@ from toneset import (
     total_period,
     transpose,
 )
+from toneset.core import MAX_HARMONIC_PARTIALS, _display_score
 
 ratios = st.fractions(min_value=F(1, 30), max_value=F(50), max_denominator=30)
 freq_sets = st.sets(ratios, min_size=1, max_size=6).map(FrequencySet)
@@ -147,6 +148,27 @@ class TestHarmonicSet:
 
     def test_fundamental_recovered(self):
         assert gcd_set(harmonic_set(F(69, 25), 7)) == F(69, 25)
+
+    def test_count_above_cap_rejected(self):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            harmonic_set(262, MAX_HARMONIC_PARTIALS + 1)
+
+
+class TestDisplayScore:
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            (F(0), 0.0),
+            (F(1), 1.0),
+            (F(1, 3), 0.333),
+            (F(1, 2000), 0.001),  # at the threshold: rounded
+            (F(1, 2001), 1 / 2001),  # would round to 0: kept unrounded
+            (F(11, 3478225), 11 / 3478225),
+            (F(1, 25 * 10**398), "4.000e-400"),  # float() underflows to 0
+        ],
+    )
+    def test_display_rule(self, value, shown):
+        assert _display_score(value) == shown
 
 
 class TestCents:

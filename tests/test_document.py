@@ -42,9 +42,9 @@ class TestJsonRoundTrip:
         data = json.loads(doc.to_json())
         for raw, entry in zip(data["entries"], doc.entries):
             assert parse_ratio(raw["interval"]) == entry.interval
-            assert parse_ratio(raw["affinity"]) == entry.affinity
-            assert parse_ratio(raw["harmonicity"]) == entry.harmonicity
-            assert parse_ratio(raw["total"]) == entry.total
+            assert parse_ratio(raw["affinity"]) == entry.score.affinity
+            assert parse_ratio(raw["harmonicity"]) == entry.score.harmonicity
+            assert parse_ratio(raw["total"]) == entry.score.total
 
     def test_inconsistent_total_rejected(self):
         data = json.loads(c4_document().to_json())
@@ -114,6 +114,15 @@ class TestJsonRoundTrip:
         assert tiny and all(0 < v < 0.0005 or v == round(v, 3) for v in tiny)
         # scientific notation survives in the serialised text
         assert "e-" in doc.to_json()
+
+    def test_unannotated_document_holds_the_table_entries(self):
+        table = affinitive_tuning(C4, C4)
+        expr = canonical_set_expression(C4)
+        assert TuningDocument.from_table(table, expr, expr).entries is table.entries
+        annotated = TuningDocument.from_table(table, expr, expr, annotate_root=F(262))
+        assert [(e.interval, e.score) for e in annotated.entries] == [
+            (e.interval, e.score) for e in table.entries
+        ]
 
     def test_note_annotation(self):
         doc = c4_document(annotate=True)

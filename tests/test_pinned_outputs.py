@@ -1,0 +1,132 @@
+"""Byte-identity pins for figure datasets, tuning documents and text tables.
+
+Every exact output the package writes is pinned by SHA-256, so a change to
+the presentation layer (entry types, CSV and JSON writers, the float display
+rule) that alters a single byte fails here. A change that alters one of
+these outputs on purpose re-pins it and says why. Dissonance curves depend
+on numpy's ``exp`` in their last digits, so instead of a hash the ``curve``
+command is required to print exactly the matching figure part.
+"""
+
+import hashlib
+import io
+from fractions import Fraction
+
+import pytest
+
+from toneset import emit_figure_data, supported_figures
+from toneset.cli import main
+
+FIGURE_PARAMS = {"max_den": 16, "steps": 300}
+CURVE_FIGURES = {"fig4_2", "fig4_3"}
+
+FIGURE_PARTS = {
+    "fig5_1": "12c00d6a2f57506b7ca7e32c0fb10949346fcc3b3281067f9117d445c8c1de85",
+    "fig5_10_rounded": "d8a70f5e44f821afbad1ad967ea76866e090cb60c574dfbc564731efdb97eba0",
+    "fig5_10_original": "0355ca9a4fa6fcd5b57928b3a5f7929f333f27c908e0e058774fbabb3a6e5389",
+    "fig5_11a": "ec8d8abd0ebbb8e202d496f34dee4b222d7f13f84227a7ec9ebb0410c1e34916",
+    "fig5_11b": "d052d2a18aed664aee04d24d0cea570d2b3fd45bc3ca02211350563e6d53d778",
+    "fig5_11c": "eb20fcc0557e308de0e9a848274e538ab32c7ec3ef1080eaa782e6427d44c271",
+    "fig5_12a": "5674288d5cc06b4fda6216a9857d324e5cdc871e651c0ace4b7b071476b28cac",
+    "fig5_12b": "166d739bef7c8c0572e627d3f13ef35ae7ef5fbaa4cc4eefc9188e800d28e1fa",
+    "fig5_12c": "2d7b4463f6cfca4d2c74a3eec3c5c91e07838a58c1bd99ea65f69b876740bcdb",
+    "fig5_13a": "12c00d6a2f57506b7ca7e32c0fb10949346fcc3b3281067f9117d445c8c1de85",
+    "fig5_13b": "5ff0f0cce76dc52c1849c3b6ee78e2cc542a0582100f0c0e0d4a59afb31a7b6a",
+    "fig5_13c": "9991d9ff717d37418264860b46933d8f9196f223cfa8a7faf638e8204bef5411",
+    "fig5_14a": "d8a70f5e44f821afbad1ad967ea76866e090cb60c574dfbc564731efdb97eba0",
+    "fig5_14b": "a831850a4b76fa8c44d6926975f3a7948760a344bd849608eb41b2c8d9dae80b",
+    "fig5_2": "2d8dd75e6e929dfa403617b256442305422cb59d45ca567cff479706821b9f58",
+    "fig5_3a": "12c00d6a2f57506b7ca7e32c0fb10949346fcc3b3281067f9117d445c8c1de85",
+    "fig5_3b": "94b5f8721644d7d6e24f5982c4f6ef0bb51472a320762016b399e1c8b63d5564",
+    "fig5_3c": "cba46a98a2ba294cbdf89c96cb9077b56eaf4cee980f94c6978d83d454fc218b",
+    "fig5_4": "de7a1405b66debf1d3a680a32c5d831da6c734663c049f5a3a07d03b9f4994da",
+    "fig5_5": "3aca95e257522b367dc82f692bc4df237426fb0d8e1bdcbe548554f941f15490",
+    "fig5_6": "f66b20cc5465289a12018764bb4d5817e7979d9d399f661f6c858e1680124fb4",
+    "fig5_7_k1": "3aca95e257522b367dc82f692bc4df237426fb0d8e1bdcbe548554f941f15490",
+    "fig5_7_k6": "1512bca792d6d03a2733a43daf0d480081adf638477c8c9562622406102bd13f",
+    "fig5_7_k256": "178df1b04edc45c1444ab552e6874924df2fdd3175072c86555ee8e94b072063",
+    "fig5_8a": "d22dc48ce4f67f15b952a442b6885d57664b0f9757268c9990691e15deb82c55",
+    "fig5_8b": "2f995c614e84c9be8f43b11852dc3e05d7cc6b82d68df63399510a76a553d596",
+    "fig5_8c": "a94f7ee0a4a246091804264f979dc44adf135550d1d258c6b9d159da11690880",
+    "fig5_8d": "0c2da8ff915d34f62994bc6fccfb75426d95950e0bdd85a48f2f99cff7e29189",
+    "fig5_9a": "5d39ace8fa419cd07a8ae21bd5a1c57e89508a0081698559dcbf03522ee40119",
+    "fig5_9b": "f81151bc1b10794e194da50368b3427f3079b2a164b07542ce729945baf9eb49",
+    "fig8_1": "75f7514ad281e3dc06ca06a17d0d48fa6f434a7874eae7fc8fdc63f4cf147a76",
+}
+
+# the six-partial inharmonic spectrum of fig4_2 and fig5_4, explicitly
+INHARMONIC = "262,723.12,1417.42,2342.28,3497.7,4886.3"
+
+DOCUMENTS = {
+    ("affinitive", "262*N6", "262*N6", "--notes"):
+        "81cc61b888e2df279bd66fa9bf812932ec9fc829edb4888519f132d546e7f6ac",
+    ("harmonic", "262*N6", "262*N6", "--h", "1/10", "--max-den", "16"):
+        "826ff949027b273c3b0c61d8a55d5820bf7a67282f3200ad758870e7c843f00e",
+    ("superset", "262", "262"):
+        "938495b91fce41f219bce6ce35e1aee6cbd8931ba67b9a559f40dde9cdbac180",
+    ("thomae", "--max-den", "12"):
+        "8c9460626d14915e78192932f09aac72f7c338f0c265fa4f2c7d2b52e75180ff",
+    # harmonicity floats below 0.0005, kept unrounded
+    ("affinitive", INHARMONIC, INHARMONIC):
+        "828285fce81cad8813109f9539164c947025cbb79f0fc959832c9720219fa29a",
+    ("affinitive", "262*N6", "262*N6", "--notes", "--format", "text"):
+        "d71476b98c3c382d635ca240b1c82700b3d38233c181829a4e50e340603724c2",
+    ("harmonic", "262*N6", "262*N6", "--h", "1/10", "--max-den", "16", "--format", "text",
+     "--order", "consonance"):
+        "c47f37fde0166409bf29b7a0815db2570a23b494e844e710e9753220bd575e81",
+    ("affinitive", INHARMONIC, INHARMONIC, "--format", "text"):
+        "37e80b9a56bd6d5f4567243cd13d0cf8366eddb3f56cae797a30313ba4af9fcd",
+}
+
+# reduce-octave of the ("affinitive", "262*N6", "262*N6", "--notes") document
+REDUCED_DOCUMENT = "f03d544efb7889da05ddc65414ed03942a16b230cbaf2356957b1fbedd71d0ac"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run(argv, capsys, monkeypatch=None, stdin=None):
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    return captured.out
+
+
+def test_every_table_part_of_every_figure_is_pinned():
+    parts = {}
+    for figure_id in supported_figures():
+        if figure_id not in CURVE_FIGURES:
+            parts.update(emit_figure_data(figure_id, FIGURE_PARAMS))
+    parts.pop("fig5_1_dissonance")
+    assert {name: sha256(text) for name, text in parts.items()} == FIGURE_PARTS
+
+
+@pytest.mark.parametrize("argv", list(DOCUMENTS), ids=" ".join)
+def test_document_bytes_are_pinned(argv, capsys):
+    assert sha256(run(argv, capsys)) == DOCUMENTS[argv]
+
+
+def test_reduced_document_bytes_are_pinned(capsys, monkeypatch):
+    document = run(["affinitive", "262*N6", "262*N6", "--notes"], capsys)
+    reduced = run(["reduce-octave"], capsys, monkeypatch, stdin=document)
+    assert sha256(reduced) == REDUCED_DOCUMENT
+
+
+@pytest.mark.parametrize(
+    "figure_id, part, argv",
+    [
+        ("fig4_2", "fig4_2", [INHARMONIC, INHARMONIC, "--lo", "1", "--hi", "2.3"]),
+        ("fig4_3", "fig4_3_chi_0_24", ["262*N6", "262*N6", "--hi", "2.1", "--chi-star", "0.24"]),
+        ("fig4_3", "fig4_3_chi_0_03", ["262*N6", "262*N6", "--hi", "2.1", "--chi-star", "0.03"]),
+        ("fig4_3", "fig4_3_chi_0_003", ["262*N6", "262*N6", "--hi", "2.1", "--chi-star", "0.003"]),
+        ("fig5_1", "fig5_1_dissonance",
+         ["262*N6", "262*N6", "--lo", repr(float(Fraction(1, 6))), "--hi", "6"]),
+    ],
+    ids=lambda value: value if isinstance(value, str) else None,
+)
+def test_curve_command_prints_the_figure_curve(figure_id, part, argv, capsys):
+    out = run(["curve", *argv, "--steps", "300"], capsys)
+    assert out == emit_figure_data(figure_id, FIGURE_PARAMS)[part]
