@@ -58,15 +58,15 @@ def _score_text(value: Fraction) -> str:
 
 
 def _render_text(doc: TuningDocument, order: str) -> str:
-    entries = list(doc.entries)
+    rows = ((e, e.score.total) for e in doc.entries)
     if order == "consonance":
-        entries.sort(key=lambda e: (-e.score.total, e.interval))
+        rows = sorted(rows, key=lambda row: (-row[1], row[0].interval))
     lines = [f"# {doc.metadata['generator']} tuning  F={doc.metadata['context']}  F'={doc.metadata['complement']}"]
     lines.append(f"{'interval':>10}  {'cents':>10}  {'affinity':>16}  {'harmonicity':>18}  {'total':>16}  note")
-    for e in entries:
+    for e, total in rows:
         scores = "".join(
             f"  {format_ratio(v, always_slash=True):>8} ({_score_text(v)})"
-            for v in (e.score.affinity, e.score.harmonicity, e.score.total)
+            for v in (e.score.affinity, e.score.harmonicity, total)
         )
         lines.append(
             f"{format_ratio(e.interval, always_slash=True):>10}"

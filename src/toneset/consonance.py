@@ -111,16 +111,17 @@ def total_consonance(
     )
 
 
-def _transposition_scorer(
+def _lattice_scorer(
     contextual: FrequencySet, complementary: FrequencySet, threshold: Fraction = Fraction(0)
-) -> Callable[[Fraction], ConsonanceScore | None]:
-    """Exact scorer of ``contextual`` against transpositions of ``complementary``.
+) -> Callable[[int, int], ConsonanceScore | None]:
+    """Exact scorer of ``contextual`` against transpositions of ``complementary``,
+    taking each transposition t as the integers of t*b/a = p/q in lowest terms.
 
-    The returned function maps an interval t > 0 to
+    With F = a*N and G = b*M (fundamentals a, b, integer multipliers N, M
+    with gcd 1), the returned function maps coprime p, q > 0 to
     ``total_consonance(contextual, complementary.transpose(t))``, or to None
     when that pair's harmonicity does not exceed ``threshold``; it never
-    builds the transposed set. With F = a*N and G = b*M (fundamentals a, b,
-    integer multipliers N, M with gcd 1) and t*b/a = p/q in lowest terms:
+    builds the transposed set:
 
     * a*n equals t*b*m iff n*q = p*m, i.e. n = p*k and m = q*k for some k,
       so the overlap is a count of integers;
@@ -133,10 +134,8 @@ def _transposition_scorer(
     threshold 0 keeps every interval.
     """
     _require_nonempty(contextual, complementary)
-    a, n_all, n_set = contextual._lattice_view()
-    b, m_all, m_set = complementary._lattice_view()
-    ratio = b / a
-    rn, rd = ratio.numerator, ratio.denominator
+    _, n_all, n_set = contextual._lattice_view()
+    _, m_all, m_set = complementary._lattice_view()
     hn, hd = threshold.numerator, threshold.denominator
     n_top, m_top = n_all[-1], m_all[-1]
     sizes = len(n_all) + len(m_all)
@@ -149,14 +148,8 @@ def _transposition_scorer(
         shorter, longer_set, by_m = m_all, n_set, True
     else:
         shorter, longer_set, by_m = n_all, m_set, False
-    gcd = math.gcd
 
-    def score(t: Fraction) -> ConsonanceScore | None:
-        p, q = t.numerator * rn, t.denominator * rd
-        g = gcd(p, q)
-        if g != 1:
-            p //= g
-            q //= g
+    def score(p: int, q: int) -> ConsonanceScore | None:
         k_top = min(n_top // p, m_top // q)
         shared = 0
         if k_top <= smaller:
@@ -175,6 +168,24 @@ def _transposition_scorer(
         return ConsonanceScore(affinities[shared], Fraction(union, top))
 
     return score
+
+
+def _transposition_scorer(
+    contextual: FrequencySet, complementary: FrequencySet, threshold: Fraction = Fraction(0)
+) -> Callable[[int, int], ConsonanceScore | None]:
+    """:func:`_lattice_scorer` taking the interval t = c/d > 0 itself, as
+    its numerator c and denominator d in lowest terms."""
+    score = _lattice_scorer(contextual, complementary, threshold)
+    ratio = complementary.fundamental() / contextual.fundamental()
+    rn, rd = ratio.numerator, ratio.denominator
+    gcd = math.gcd
+
+    def score_interval(c: int, d: int) -> ConsonanceScore | None:
+        p, q = c * rn, d * rd
+        g = gcd(p, q)
+        return score(p // g, q // g)
+
+    return score_interval
 
 
 def thomae_modified(interval: RatioLike) -> Fraction:

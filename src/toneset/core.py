@@ -156,9 +156,14 @@ def cents(interval: Union[RatioLike, float]) -> float:
     value = to_ratio(interval)
     if value <= 0:
         raise ValueError("interval must be positive")
+    return _cents_of(value.numerator, value.denominator)
+
+
+def _cents_of(numerator: int, denominator: int) -> float:
+    """:func:`cents` of numerator/denominator, both positive."""
     # log of numerator and denominator separately survives huge ratios that
     # would overflow or underflow a single float conversion
-    return 1200.0 * (math.log2(value.numerator) - math.log2(value.denominator))
+    return 1200.0 * (math.log2(numerator) - math.log2(denominator))
 
 
 class FrequencySet:

@@ -16,11 +16,11 @@ import io
 import json
 from dataclasses import replace
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import __version__
 from .consonance import ConsonanceScore
-from .core import _display_score, cents, format_ratio, parse_ratio
+from .core import _cents_of, _display_score, cents, format_ratio, parse_ratio
 from .dissonance import CurvePoint
 from .notes import note_name
 from .tuning import TuningEntry, TuningTable
@@ -42,18 +42,26 @@ def csv_text(header: list[str], rows: Iterable[list]) -> str:
 def table_csv(entries: Iterable[TuningEntry]) -> str:
     """Tuning entries as CSV: exact interval, cents and the three scores."""
     return csv_text(
-        ["interval_ratio", "cents", "affinity", "harmonicity", "total"],
-        (
-            [
-                format_ratio(e.interval, always_slash=True),
-                f"{cents(e.interval):.4f}",
-                repr(float(e.score.affinity)),
-                repr(float(e.score.harmonicity)),
-                repr(float(e.score.total)),
-            ]
-            for e in entries
-        ),
+        ["interval_ratio", "cents", "affinity", "harmonicity", "total"], _table_rows(entries)
     )
+
+
+def _table_rows(entries: Iterable[TuningEntry]) -> Iterator[list[str]]:
+    """The rows of ``table_csv``, formatted from numerators and denominators
+    alone: an int divided by an int is correctly rounded, so each float
+    equals ``float()`` of its Fraction, the total's included."""
+    for e in entries:
+        t, score = e.interval, e.score
+        n, d = t.numerator, t.denominator
+        an, ad = score.affinity.numerator, score.affinity.denominator
+        hn, hd = score.harmonicity.numerator, score.harmonicity.denominator
+        yield [
+            f"{n}/{d}",
+            f"{_cents_of(n, d):.4f}",
+            repr(an / ad),
+            repr(hn / hd),
+            repr((an * hd + hn * ad) / (2 * ad * hd)),
+        ]
 
 
 def curve_csv(points: Iterable[CurvePoint]) -> str:
@@ -66,15 +74,16 @@ def curve_csv(points: Iterable[CurvePoint]) -> str:
 
 def _entry_dict(entry: TuningEntry) -> dict:
     score = entry.score
+    total = score.total
     data = {
         "interval": format_ratio(entry.interval, always_slash=True),
         "cents": round(cents(entry.interval), 4),
         "affinity": format_ratio(score.affinity, always_slash=True),
         "harmonicity": format_ratio(score.harmonicity, always_slash=True),
-        "total": format_ratio(score.total, always_slash=True),
+        "total": format_ratio(total, always_slash=True),
         "affinity_float": _display_score(score.affinity),
         "harmonicity_float": _display_score(score.harmonicity),
-        "total_float": _display_score(score.total),
+        "total_float": _display_score(total),
     }
     if entry.note is not None:
         data["note"] = entry.note

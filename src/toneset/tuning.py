@@ -13,12 +13,26 @@ a contextual set F and a complementary set F' that is transposed against it:
   misses a high-harmonicity interval.
 
 Every table is scored by one exact path: the consonance layer's private
-transposition scorer compares F with tF' in integer arithmetic on the sets'
-fundamentals and multipliers, so scoring a transposition never materialises
-the transposed set, and the harmonic generator filters and scores each
-candidate in the same pass. The public consonance functions
-(``total_consonance(F, F'.transpose(t))``) compute the same Fractions from
-the sets themselves and serve as the oracle the tests compare against.
+lattice scorer compares F with tF' in integer arithmetic on the sets'
+fundamentals a, b and multipliers, taking t as the reduced integers of
+t*b/a, so scoring a transposition never materialises the transposed set.
+The public consonance functions (``total_consonance(F, F'.transpose(t))``)
+compute the same Fractions from the sets themselves and serve as the oracle
+the tests compare against.
+
+The harmonic and superset generators walk their candidates as integer pairs
+with one Farey next-term rule, ascending and already reduced, so neither
+sorts and a Fraction is built only for an entry that is kept:
+
+* harmonic - the walk runs from the lower bound to the upper one over
+  denominators up to max_den; each candidate is thresholded and scored in
+  the same call.
+* superset - the supersets are a*{1..k} and b*{1..k'}, so their pairwise
+  ratios are exactly (a/b)*p/q over the reduced p/q with p <= k and
+  q <= k': the walk covers that rectangle from 1/k' to k/1, and p/q is
+  already the t*b/a the scorer takes. The table's size is counted exactly
+  first, by Moebius inversion, and a table above ``MAX_TABLE_ENTRIES`` is
+  refused before any entry is built.
 
 Octave reduction folds intervals into [1, 2) and rescores them from scratch;
 consonance is not preserved by octave transposition (4/5 folds to 8/5, which
@@ -30,9 +44,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from itertools import pairwise
+from typing import Iterable, Iterator
 
-from .consonance import ConsonanceScore, _transposition_scorer, harmonic_superset
+from .consonance import (
+    ConsonanceScore,
+    _lattice_scorer,
+    _transposition_scorer,
+    harmonic_superset,
+)
 from .core import FrequencySet, RatioLike, format_ratio, format_set, to_ratio
 
 __all__ = [
@@ -47,6 +67,11 @@ __all__ = [
     "fold_to_octave",
     "octave_reduce",
 ]
+
+# Largest superset table. Larger ones are refused, after an exact count and
+# before any entry is built. The superset table of fig5_4's two-decimal
+# inharmonic spectrum against itself has 2,115,723 entries and fits.
+MAX_TABLE_ENTRIES = 2**22
 
 
 @dataclass(frozen=True)
@@ -65,8 +90,8 @@ class TuningTable:
     context_descriptor: str
 
     def __post_init__(self) -> None:
-        intervals = [e.interval for e in self.entries]
-        if any(b <= a for a, b in zip(intervals, intervals[1:])):
+        pairs = ((e.interval.numerator, e.interval.denominator) for e in self.entries)
+        if any(c * b <= a * d for (a, b), (c, d) in pairwise(pairs)):
             raise ValueError("tuning entries must be strictly increasing by interval")
 
     @property
@@ -74,30 +99,16 @@ class TuningTable:
         return tuple(e.interval for e in self.entries)
 
 
-def _scored(
-    intervals: Iterable[Fraction],
-    contextual: FrequencySet,
-    complementary: FrequencySet,
-    threshold: Fraction = Fraction(0),
-) -> tuple[TuningEntry, ...]:
-    """Entries for the intervals whose harmonicity exceeds the threshold, in order."""
-    score = _transposition_scorer(contextual, complementary, threshold)
-    entries = []
-    for t in intervals:
-        result = score(t)
-        if result is not None:
-            entries.append(TuningEntry(t, result))
-    return tuple(entries)
-
-
 def _table(
-    intervals,
+    intervals: Iterable[Fraction],
     contextual: FrequencySet,
     complementary: FrequencySet,
     generator: str,
     descriptor: str,
 ) -> TuningTable:
-    entries = _scored(sorted(intervals), contextual, complementary)
+    """The intervals, sorted and scored (threshold 0 keeps every one)."""
+    score = _transposition_scorer(contextual, complementary)
+    entries = tuple(TuningEntry(t, score(t.numerator, t.denominator)) for t in sorted(intervals))
     return TuningTable(entries, generator, descriptor)
 
 
@@ -125,28 +136,43 @@ def affinitive_tuning(
 
 
 def enumerate_rationals(lo: RatioLike, hi: RatioLike, max_den: int) -> list[Fraction]:
-    """All reduced fractions p/q with q <= max_den and lo <= p/q <= hi, ascending.
+    """All reduced fractions p/q with q <= max_den and lo <= p/q <= hi, ascending."""
+    return [Fraction(c, d) for c, d in _bounded_walk(lo, hi, max_den)]
 
-    Runs the Farey next-term rule (Graham, Knuth, Patashnik, *Concrete
-    Mathematics* 4.5): consecutive terms a/b < c/d of order n are followed by
-    (k*c - a)/(k*d - b) with k = (n + b) // d. Shifting by an integer keeps
-    denominators, so the rule walks straight across unit intervals; the
-    terms come out reduced and ascending, and only integers are touched
-    until each Fraction is built.
+
+def _bounded_walk(lo: RatioLike, hi: RatioLike, max_den: int) -> Iterator[tuple[int, int]]:
+    """The numerators and denominators of ``enumerate_rationals``, in order.
+
+    Checks the bounds before the first pair is asked for. Every p/q <= hi
+    with q <= max_den has p <= hi*max_den, so that numerator bound on the
+    walk removes nothing.
     """
     low, high = to_ratio(lo), to_ratio(hi)
     if not 0 < low < high:
         raise ValueError(f"invalid range [{format_ratio(low)}, {format_ratio(high)}]")
     if max_den < 1:
         raise ValueError("max_den must be at least 1")
-    a, b, c, d = _farey_bracket(low, max_den)
     hn, hd = high.numerator, high.denominator
-    found: list[Fraction] = []
+    return _farey_walk(*_farey_bracket(low, max_den), hn * max_den // hd, max_den, hn, hd)
+
+
+def _farey_walk(
+    a: int, b: int, c: int, d: int, max_num: int, max_den: int, hn: int, hd: int
+) -> Iterator[tuple[int, int]]:
+    """Yield (c, d) and its successors up to hn/hd among the reduced
+    fractions with numerator <= max_num and denominator <= max_den.
+
+    a/b < c/d must be consecutive in that set. Runs the Farey next-term rule
+    (Graham, Knuth, Patashnik, *Concrete Mathematics* 4.5) on the rectangle:
+    consecutive terms a/b < c/d are followed by (j*c - a)/(j*d - b) with
+    j = min((max_den + b) // d, (max_num + a) // c). The terms come out
+    reduced and ascending; after max_num/1 comes 1/0, which ends any walk
+    whose bound is finite.
+    """
     while c * hd <= hn * d:
-        found.append(Fraction(c, d))
-        k = (max_den + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
-    return found
+        yield c, d
+        j = min((max_den + b) // d, (max_num + a) // c)
+        a, b, c, d = c, d, j * c - a, j * d - b
 
 
 def _farey_bracket(x: Fraction, n: int) -> tuple[int, int, int, int]:
@@ -209,8 +235,13 @@ def harmonic_tuning(
         raise ValueError("harmonicity threshold h must lie in [0, 1)")
     if not contextual or not complementary:
         raise ValueError("empty frequency set")
-    entries = _scored(enumerate_rationals(lo, hi, max_den), contextual, complementary, threshold)
-    return TuningTable(entries, "harmonic", descriptor)
+    score = _transposition_scorer(contextual, complementary, threshold)
+    entries = []
+    for c, d in _bounded_walk(lo, hi, max_den):
+        result = score(c, d)
+        if result is not None:
+            entries.append(TuningEntry(Fraction(c, d), result))
+    return TuningTable(tuple(entries), "harmonic", descriptor)
 
 
 def superset_tuning(
@@ -223,17 +254,51 @@ def superset_tuning(
 
     The supersets (extended by n and m partials) only generate candidate
     intervals; consonance is measured against the real spectra, so entries
-    with zero affinity are normal and kept.
+    with zero affinity are normal and kept. A table of more than
+    ``MAX_TABLE_ENTRIES`` entries is refused before any is built.
     """
     if not contextual or not complementary:
         raise ValueError("empty frequency set")
-    intervals = affinitive_intervals(
-        harmonic_superset(contextual, n), harmonic_superset(complementary, m)
-    )
+    # the supersets are a*{1..k} and b*{1..kk}, so their pairwise ratios
+    # are (a/b)*p/q over the reduced p/q with p <= k and q <= kk
+    a, k_all, _ = harmonic_superset(contextual, n)._lattice_view()
+    b, kk_all, _ = harmonic_superset(complementary, m)._lattice_view()
+    k, kk = k_all[-1], kk_all[-1]
+    count = _coprime_pairs(k, kk)
+    if count > MAX_TABLE_ENTRIES:
+        raise ValueError(
+            f"superset table of {count} entries exceeds the limit of {MAX_TABLE_ENTRIES}"
+        )
     descriptor = (
         f"F={format_set(contextual)}; F'={format_set(complementary)}; n={n}; m={m}"
     )
-    return _table(intervals, contextual, complementary, "superset", descriptor)
+    # the superset fundamentals are the originals', so p/q is exactly the
+    # t*b/a the scorer takes
+    score = _lattice_scorer(contextual, complementary)
+    ratio = a / b
+    rn, rd = ratio.numerator, ratio.denominator
+    entries = tuple(
+        TuningEntry(Fraction(p * rn, q * rd), score(p, q))
+        for p, q in _farey_walk(0, 1, 1, kk, k, kk, k, 1)
+    )
+    return TuningTable(entries, "superset", descriptor)
+
+
+def _coprime_pairs(k: int, kk: int) -> int:
+    """How many reduced p/q have 1 <= p <= k and 1 <= q <= kk.
+
+    Moebius inversion over the common divisor d of p and q:
+    sum of mu(d) * (k // d) * (kk // d) for d <= min(k, kk).
+    """
+    top = min(k, kk)
+    mu = [1] * (top + 1)
+    composite = bytearray(top + 1)
+    for p in range(2, top + 1):
+        if not composite[p]:
+            composite[p::p] = b"\1" * len(range(p, top + 1, p))
+            mu[p::p] = [-x for x in mu[p::p]]
+            mu[p * p :: p * p] = [0] * len(range(p * p, top + 1, p * p))
+    return sum(mu[d] * (k // d) * (kk // d) for d in range(1, top + 1))
 
 
 def fold_to_octave(interval: RatioLike) -> Fraction:

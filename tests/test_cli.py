@@ -291,6 +291,21 @@ def test_partial_count_above_cap_is_refused_before_allocating(argv, capsys):
     assert peak < 2**22  # 2^20 + 1 partials would take tens of MiB
 
 
+def test_superset_table_above_cap_is_refused_before_allocating(capsys):
+    # supersets of 3,000 partials each pair into 5,472,375 reduced intervals
+    tracemalloc.start()
+    try:
+        code, out, err = run(["superset", "1,3000", "1,3000"], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == ""
+    assert "superset table of 5472375 entries exceeds the limit of 4194304" in err
+    assert "Traceback" not in err
+    assert peak < 2**22  # the table would take gigabytes
+
+
 # --- fuzzing: whatever the argv, main() exits 0, 2 or 3 and never raises -----
 
 _COUNTS = st.one_of(

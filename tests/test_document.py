@@ -2,17 +2,23 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toneset import (
+    ConsonanceScore,
     FrequencySet,
     TuningDocument,
+    TuningEntry,
     affinitive_tuning,
     canonical_set_expression,
+    cents,
     export_scl,
+    format_ratio,
     harmonic_set,
     octave_reduce,
     parse_ratio,
 )
+from toneset.document import csv_text, table_csv
 
 C4 = harmonic_set(262, 6)
 
@@ -153,6 +159,51 @@ class TestCsv:
         rows = c4_document().to_csv().splitlines()
         fifth = next(r for r in rows if r.startswith("3/2,"))
         assert fifth.split(",")[1] == "701.9550"
+
+
+def fraction_table_csv(entries):
+    """The reference table_csv: every column through Fraction arithmetic."""
+    return csv_text(
+        ["interval_ratio", "cents", "affinity", "harmonicity", "total"],
+        (
+            [
+                format_ratio(e.interval, always_slash=True),
+                f"{cents(e.interval):.4f}",
+                repr(float(e.score.affinity)),
+                repr(float(e.score.harmonicity)),
+                repr(float(e.score.total)),
+            ]
+            for e in entries
+        ),
+    )
+
+
+# numerators and denominators well past 2^1024, where a float overflows and
+# a quotient can land in the subnormal range or underflow to 0
+_HUGE = st.integers(1, 2**1100)
+_UNIT = st.builds(lambda x, y: F(min(x, y), max(x, y)), st.integers(0, 2**1100), _HUGE)
+_ENTRIES = st.lists(
+    st.builds(
+        lambda t, a, h: TuningEntry(t, ConsonanceScore(a, h)),
+        st.builds(F, _HUGE, _HUGE),
+        _UNIT,
+        _UNIT,
+    ),
+    max_size=20,
+)
+
+
+class TestTableCsvFromIntegers:
+    @settings(max_examples=300, deadline=None)
+    @given(_ENTRIES)
+    def test_rows_equal_the_fraction_formatting(self, entries):
+        assert table_csv(entries) == fraction_table_csv(entries)
+
+    def test_scores_beyond_the_float_range(self):
+        huge = FrequencySet(["1e400", "2", "3e-400"])
+        entries = affinitive_tuning(huge, FrequencySet(["3", "1e-400"])).entries
+        assert max(e.score.harmonicity.denominator for e in entries) > 2**1024
+        assert table_csv(entries) == fraction_table_csv(entries)
 
 
 class TestExportScl:

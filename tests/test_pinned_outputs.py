@@ -1,4 +1,5 @@
-"""Byte-identity pins for figure datasets, tuning documents and text tables.
+"""Byte-identity pins for figure datasets, generator tables, tuning documents
+and text tables.
 
 Every exact output the package writes is pinned by SHA-256, so a change to
 the presentation layer (entry types, CSV and JSON writers, the float display
@@ -14,8 +15,15 @@ from fractions import Fraction
 
 import pytest
 
-from toneset import emit_figure_data, supported_figures
+from toneset import (
+    FrequencySet,
+    emit_figure_data,
+    harmonic_tuning,
+    superset_tuning,
+    supported_figures,
+)
 from toneset.cli import main
+from toneset.document import table_csv
 
 FIGURE_PARAMS = {"max_den": 16, "steps": 300}
 CURVE_FIGURES = {"fig4_2", "fig4_3"}
@@ -82,6 +90,34 @@ DOCUMENTS = {
 REDUCED_DOCUMENT = "f03d544efb7889da05ddc65414ed03942a16b230cbaf2356957b1fbedd71d0ac"
 
 
+# one-decimal inharmonic spectra 262*{1, 2.7, 5.3} and 393*{1, 1.9, 4.1}:
+# supersets of 53 and 41 partials over fundamentals in the ratio 2/3
+ONE_DECIMAL = FrequencySet(["262", "707.4", "1388.6"])
+ONE_DECIMAL_B = FrequencySet(["393", "746.7", "1611.3"])
+SPARSE, SPARSE_B = FrequencySet(["262", "786", "1310"]), FrequencySet(["393", "1179"])
+
+# table_csv of generator calls beyond what the figures and documents reach:
+# extended supersets of inharmonic sets, and thresholds with off-unit bounds
+GENERATOR_TABLES = {
+    "superset n=3 m=2": (
+        lambda: superset_tuning(ONE_DECIMAL, ONE_DECIMAL_B, 3, 2),
+        "50ea367e7916d7ceba0b3bf6ec5a1aba0527f540589d03f9f0249d41eddb376d",
+    ),
+    "harmonic one-decimal h=1/100": (
+        lambda: harmonic_tuning(
+            ONE_DECIMAL, ONE_DECIMAL_B, Fraction(1, 100), Fraction(2, 3), Fraction(7, 5), 40
+        ),
+        "0f17c7c6228ddc659055001f15a90203ce295cc406855fff960defdcda13cf31",
+    ),
+    "harmonic sparse h=1/10": (
+        lambda: harmonic_tuning(
+            SPARSE, SPARSE_B, Fraction(1, 10), Fraction(3, 5), Fraction(5, 2), 24
+        ),
+        "2db62f0c7bc262bca7e7ea7f068a7666eb3a1f7658e20469c3786b543075020b",
+    ),
+}
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -102,6 +138,12 @@ def test_every_table_part_of_every_figure_is_pinned():
             parts.update(emit_figure_data(figure_id, FIGURE_PARAMS))
     parts.pop("fig5_1_dissonance")
     assert {name: sha256(text) for name, text in parts.items()} == FIGURE_PARTS
+
+
+@pytest.mark.parametrize("name", list(GENERATOR_TABLES))
+def test_generator_table_bytes_are_pinned(name):
+    generate, pin = GENERATOR_TABLES[name]
+    assert sha256(table_csv(generate().entries)) == pin
 
 
 @pytest.mark.parametrize("argv", list(DOCUMENTS), ids=" ".join)

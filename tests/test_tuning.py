@@ -18,6 +18,7 @@ from toneset import (
     fold_to_octave,
     harmonic_intervals,
     harmonic_set,
+    harmonic_superset,
     harmonic_tuning,
     octave_reduce,
     superset_tuning,
@@ -25,6 +26,7 @@ from toneset import (
     total_consonance,
 )
 from toneset.consonance import _transposition_scorer
+from toneset.tuning import _coprime_pairs, _table
 
 C4 = harmonic_set(262, 6)
 INHARMONIC = FrequencySet(
@@ -60,6 +62,20 @@ def oracle_rationals(lo, hi, max_den):
                 found.add(F(p, q))
             p += 1
     return sorted(found)
+
+
+def first_difference(got, expected):
+    """Index of the first entry where two tables differ, or None.
+
+    Tables run to thousands of entries, which pytest's own comparison
+    report would spend minutes diffing.
+    """
+    if got == expected:
+        return None
+    return next(
+        (i for i, (a, b) in enumerate(zip(got, expected)) if a != b),
+        min(len(got), len(expected)),
+    )
 
 
 class TestAffinitiveIntervals:
@@ -195,6 +211,13 @@ one_decimal_sets = st.builds(
     st.sets(st.integers(10, 400), min_size=1, max_size=12),
 )
 SMALL_RANGE = enumerate_rationals(F(1, 4), 4, 12)
+# the same with 1-6 partials of at most 6.0 times the fundamental, so that a
+# harmonic superset stays below about 64 partials
+small_one_decimal_sets = st.builds(
+    lambda base, tenths: FrequencySet(F(base, 10) * F(x, 10) for x in tenths),
+    st.integers(550, 4400),
+    st.sets(st.integers(10, 60), min_size=1, max_size=6),
+)
 
 
 class TestTranspositionScorer:
@@ -213,7 +236,7 @@ class TestTranspositionScorer:
     @given(one_decimal_sets, one_decimal_sets, st.data())
     def test_equals_total_consonance(self, contextual, complementary, data):
         t = self.draw_interval(data, contextual, complementary)
-        score = _transposition_scorer(contextual, complementary)(t)
+        score = _transposition_scorer(contextual, complementary)(t.numerator, t.denominator)
         assert score == total_consonance(contextual, complementary.transpose(t))
 
     @settings(max_examples=300, deadline=None)
@@ -225,7 +248,7 @@ class TestTranspositionScorer:
         if exact < 1:  # the boundary itself must be rejected: the test is strict
             thresholds |= st.just(exact)
         h = data.draw(thresholds)
-        score = _transposition_scorer(contextual, complementary, h)(t)
+        score = _transposition_scorer(contextual, complementary, h)(t.numerator, t.denominator)
         assert (score is not None) == (exact > h)
 
     def test_harmonic_sets_of_many_partials(self):
@@ -234,7 +257,9 @@ class TestTranspositionScorer:
         for contextual, complementary in ((big, small), (small, big), (big, big)):
             score = _transposition_scorer(contextual, complementary)
             for t in enumerate_rationals(F(1, 4), 4, 9):
-                assert score(t) == total_consonance(contextual, complementary.transpose(t))
+                assert score(t.numerator, t.denominator) == total_consonance(
+                    contextual, complementary.transpose(t)
+                )
 
 
 class TestHarmonicIntervals:
@@ -294,8 +319,50 @@ class TestHarmonicTuning:
         high = {e.interval for e in harmonic_tuning(sparse, sparse, F(1, 2), F(1, 2), 2, 30).entries}
         assert high < low  # strict: the octave sits exactly at threshold 1/2
 
+    @settings(max_examples=100, deadline=None)
+    @given(small_one_decimal_sets, small_one_decimal_sets, st.data())
+    def test_equals_the_filter_over_enumerate_rationals(self, contextual, complementary, data):
+        lo = data.draw(st.fractions(F(1, 8), 4, max_denominator=12), "lo")
+        hi = data.draw(st.fractions(lo, 8, max_denominator=12).filter(lambda x: x > lo), "hi")
+        max_den = data.draw(st.integers(1, 12), "max_den")
+        candidates = enumerate_rationals(lo, hi, max_den)
+        scores = [total_consonance(contextual, complementary.transpose(t)) for t in candidates]
+        # thresholds equal to a candidate's harmonicity test the strict cut
+        thresholds = st.just(F(0)) | st.fractions(0, F(99, 100), max_denominator=10**4)
+        exact = [s.harmonicity for s in scores if s.harmonicity < 1]
+        if exact:
+            thresholds |= st.sampled_from(exact)
+        h = data.draw(thresholds, "h")
+        expected = tuple(
+            TuningEntry(t, s) for t, s in zip(candidates, scores) if s.harmonicity > h
+        )
+        got = harmonic_tuning(contextual, complementary, h, lo, hi, max_den).entries
+        assert first_difference(got, expected) is None
+
 
 class TestSupersetTuning:
+    @settings(max_examples=100, deadline=None)
+    @given(small_one_decimal_sets, small_one_decimal_sets, st.integers(0, 4), st.integers(0, 4))
+    def test_rectangle_walk_equals_the_sorted_superset_ratios(
+        self, contextual, complementary, n, m
+    ):
+        supersets = harmonic_superset(contextual, n), harmonic_superset(complementary, m)
+        intervals = affinitive_intervals(*supersets)
+        expected = _table(intervals, contextual, complementary, "superset", "")
+        entries = superset_tuning(contextual, complementary, n, m).entries
+        assert first_difference(entries, expected.entries) is None
+        assert _coprime_pairs(*map(len, supersets)) == len(entries)
+
+    def test_coprime_pair_count(self):
+        for k in range(1, 25):
+            for kk in range(1, 25):
+                brute = sum(
+                    math.gcd(p, q) == 1 for p in range(1, k + 1) for q in range(1, kk + 1)
+                )
+                assert _coprime_pairs(k, kk) == brute
+        # the superset table of fig5_4's spectrum against itself
+        assert _coprime_pairs(1865, 1865) == 2_115_723
+
     def test_single_partial_extended_superset(self):
         single = FrequencySet([262])
         table = superset_tuning(single, single, 4, 4)
