@@ -5,6 +5,9 @@ measures (affinity and harmonicity) score how two such sets fit together,
 and three tuning generators turn those scores into interval tables for any
 spectrum, harmonic or not. A Sethares-style roughness module provides the
 floating-point comparison curves; everything else is exact.
+
+The roughness names (``dissonance_curve`` and its kin) are loaded on first
+use, so that importing the package does not import numpy.
 """
 
 __version__ = "0.1.0"
@@ -33,14 +36,6 @@ from .core import (
     to_ratio,
     total_period,
     transpose,
-)
-from .dissonance import (
-    CurvePoint,
-    DEFAULT_PARAMS,
-    DissonanceParams,
-    dissonance_curve,
-    pair_roughness,
-    spectrum_roughness,
 )
 from .document import TuningDocument, export_scl
 from .figures import emit_figure_data, supported_figures
@@ -109,3 +104,27 @@ __all__ = [
     "emit_figure_data",
     "supported_figures",
 ]
+
+# the numpy-backed names, served by ``__getattr__`` on first use
+_DISSONANCE_NAMES = frozenset(
+    {
+        "CurvePoint",
+        "DEFAULT_PARAMS",
+        "DissonanceParams",
+        "dissonance_curve",
+        "pair_roughness",
+        "spectrum_roughness",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _DISSONANCE_NAMES:
+        from . import dissonance
+
+        return getattr(dissonance, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _DISSONANCE_NAMES)

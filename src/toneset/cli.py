@@ -12,6 +12,7 @@ errors (empty sets, invalid ranges, unknown figure ids, ...).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -20,7 +21,6 @@ from typing import Optional
 from . import __version__
 from .consonance import total_consonance
 from .core import FrequencySet, ParseError, _display_score, cents, format_ratio, parse_ratio
-from .dissonance import DissonanceParams, dissonance_curve
 from .document import TuningDocument, curve_csv, export_scl
 from .figures import emit_figure_data
 from .notation import canonical_set_expression, parse_set_expression
@@ -158,6 +158,8 @@ def cmd_thomae(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
+    from .dissonance import DissonanceParams, dissonance_curve  # loads numpy
+
     contextual = parse_set_expression(args.context)
     complementary = parse_set_expression(args.complement)
     params = DissonanceParams(chi_star=args.chi_star)
@@ -308,10 +310,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser serves every main() call in a process: parsing leaves no state
+# in it, and argparse looks up sys.stdout, sys.stderr and COLUMNS when it
+# writes a message, not when the parser is built.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -29,6 +29,7 @@ back into the rational layer.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -77,14 +78,20 @@ DEFAULT_PARAMS = DissonanceParams()
 _CHUNK_ELEMENTS = 1 << 16
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    t: float
-    dissonance: float
+class CurvePoint(namedtuple("CurvePoint", "t dissonance")):
+    """One sample of a sweep: the interval t and the roughness there.
 
-    def __post_init__(self) -> None:
-        if self.dissonance < 0:
+    A tuple, so a sweep of thousands of steps builds its points cheaply;
+    ``dissonance_curve`` checks its totals once, and builds its points with
+    ``_make``, which skips the check here.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, t: float, dissonance: float) -> "CurvePoint":
+        if dissonance < 0:
             raise ValueError("dissonance cannot be negative")
+        return super().__new__(cls, t, dissonance)
 
 
 def pair_roughness(
@@ -203,4 +210,6 @@ def dissonance_curve(
         cross = _roughness_sum(lower, np.abs(swept, out=swept), params)
         totals[start : start + rows] = cross + _roughness_sum(t * moving_min, t * moving_diff, params)
     totals += fixed
-    return [CurvePoint(t, d) for t, d in zip(ts.tolist(), totals.tolist())]
+    if not np.all(totals >= 0):  # NaN fails the comparison too
+        raise ValueError("dissonance cannot be negative or NaN")
+    return list(map(CurvePoint._make, zip(ts.tolist(), totals.tolist())))

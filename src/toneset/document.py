@@ -16,14 +16,16 @@ import io
 import json
 from dataclasses import replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from . import __version__
 from .consonance import ConsonanceScore
 from .core import _cents_of, _display_score, cents, format_ratio, parse_ratio
-from .dissonance import CurvePoint
 from .notes import note_name
 from .tuning import TuningEntry, TuningTable
+
+if TYPE_CHECKING:  # the roughness module loads numpy; only its type is needed
+    from .dissonance import CurvePoint
 
 __all__ = ["TuningDocument", "export_scl"]
 
@@ -73,14 +75,15 @@ def curve_csv(points: Iterable[CurvePoint]) -> str:
 
 
 def _entry_dict(entry: TuningEntry) -> dict:
-    score = entry.score
-    total = score.total
+    t, score = entry.interval, entry.score
+    n, d = t.numerator, t.denominator
+    affinity, harmonicity, total = score.affinity, score.harmonicity, score.total
     data = {
-        "interval": format_ratio(entry.interval, always_slash=True),
-        "cents": round(cents(entry.interval), 4),
-        "affinity": format_ratio(score.affinity, always_slash=True),
-        "harmonicity": format_ratio(score.harmonicity, always_slash=True),
-        "total": format_ratio(total, always_slash=True),
+        "interval": f"{n}/{d}",
+        "cents": round(_cents_of(n, d), 4),
+        "affinity": f"{affinity.numerator}/{affinity.denominator}",
+        "harmonicity": f"{harmonicity.numerator}/{harmonicity.denominator}",
+        "total": f"{total.numerator}/{total.denominator}",
         "affinity_float": _display_score(score.affinity),
         "harmonicity_float": _display_score(score.harmonicity),
         "total_float": _display_score(total),

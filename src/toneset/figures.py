@@ -3,7 +3,8 @@
 Each figure id maps to one or more CSV blocks (a multi-panel scenario emits
 one block per panel, and curve overlays get a sidecar block). CSVs carry
 exact interval ratios plus float columns sufficient to re-plot the scenario;
-plotting itself is out of scope.
+plotting itself is out of scope. The curve builders import the numpy-backed
+roughness module when they run, so the other figures never load numpy.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from typing import Callable, Mapping, Optional
 
 from .consonance import thomae_classical, thomae_modified
 from .core import FrequencySet, cents, format_ratio, harmonic_set
-from .dissonance import DissonanceParams, dissonance_curve
 from .document import csv_text, curve_csv, table_csv
 from .tuning import (
     affinitive_tuning,
@@ -57,12 +57,16 @@ def _max_den(params: Params, default: int = 60) -> int:
 
 
 def _fig4_2(params: Params) -> dict[str, str]:
+    from .dissonance import DissonanceParams, dissonance_curve
+
     inh = _inharmonic()
     curve = dissonance_curve(inh, inh, 1.0, 2.3, _steps(params), DissonanceParams())
     return {"fig4_2": curve_csv(curve)}
 
 
 def _fig4_3(params: Params) -> dict[str, str]:
+    from .dissonance import DissonanceParams, dissonance_curve
+
     c4 = _c4()
     parts = {}
     for chi in (0.24, 0.03, 0.003):
@@ -74,6 +78,8 @@ def _fig4_3(params: Params) -> dict[str, str]:
 
 
 def _fig5_1(params: Params) -> dict[str, str]:
+    from .dissonance import DissonanceParams, dissonance_curve
+
     c4 = _c4()
     table = affinitive_tuning(c4, c4)
     return {

@@ -7,7 +7,8 @@ a contextual set F and a complementary set F' that is transposed against it:
   transpositions with nonzero affinity, so the table is finite and cheap.
 * harmonic - all reduced rationals within enumeration bounds whose
   union-harmonicity clears a threshold h. Rich for sparse spectra but needs
-  explicit bounds (defaults: +-3 octaves, denominators up to 60).
+  explicit bounds (defaults: +-3 octaves, denominators up to 60), and
+  bounds admitting more than ``MAX_TABLE_ENTRIES`` candidates are refused.
 * superset - affinitive intervals of the harmonic supersets of F and F',
   scored on the original sets. Contains the affinitive table and never
   misses a high-harmonicity interval.
@@ -26,7 +27,9 @@ sorts and a Fraction is built only for an entry that is kept:
 
 * harmonic - the walk runs from the lower bound to the upper one over
   denominators up to max_den; each candidate is thresholded and scored in
-  the same call.
+  the same call. Before it starts, (hi - lo)*D*(D+1)/2 + D bounds the
+  candidates for D = max_den; only when that bound exceeds the cap are they
+  counted exactly, by Moebius inversion with the superset count's sieve.
 * superset - the supersets are a*{1..k} and b*{1..k'}, so their pairwise
   ratios are exactly (a/b)*p/q over the reduced p/q with p <= k and
   q <= k': the walk covers that rectangle from 1/k' to k/1, and p/q is
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise
+from itertools import islice, pairwise
 from typing import Iterable, Iterator
 
 from .consonance import (
@@ -68,10 +71,18 @@ __all__ = [
     "octave_reduce",
 ]
 
-# Largest superset table. Larger ones are refused, after an exact count and
-# before any entry is built. The superset table of fig5_4's two-decimal
-# inharmonic spectrum against itself has 2,115,723 entries and fits.
+# Largest superset table, and most candidates a bounded walk (a harmonic
+# table, ``enumerate_rationals``) may visit. Larger ones are refused, after
+# a count and before any entry is built. The superset table of fig5_4's
+# two-decimal inharmonic spectrum against itself has 2,115,723 entries and
+# fits.
 MAX_TABLE_ENTRIES = 2**22
+
+# Largest max_den whose candidates are counted by Moebius inversion, in time
+# and memory linear in max_den. Past it, the count up to _SIEVE_LIMIT is a
+# lower bound; when that does not exceed the cap, the walk itself is counted,
+# stopping after MAX_TABLE_ENTRIES + 1 candidates.
+_SIEVE_LIMIT = 2**16
 
 
 @dataclass(frozen=True)
@@ -143,9 +154,10 @@ def enumerate_rationals(lo: RatioLike, hi: RatioLike, max_den: int) -> list[Frac
 def _bounded_walk(lo: RatioLike, hi: RatioLike, max_den: int) -> Iterator[tuple[int, int]]:
     """The numerators and denominators of ``enumerate_rationals``, in order.
 
-    Checks the bounds before the first pair is asked for. Every p/q <= hi
-    with q <= max_den has p <= hi*max_den, so that numerator bound on the
-    walk removes nothing.
+    Checks the bounds, and refuses a walk of more than ``MAX_TABLE_ENTRIES``
+    candidates, before the first pair is asked for. Every p/q <= hi with
+    q <= max_den has p <= hi*max_den, so that numerator bound on the walk
+    removes nothing.
     """
     low, high = to_ratio(lo), to_ratio(hi)
     if not 0 < low < high:
@@ -153,7 +165,19 @@ def _bounded_walk(lo: RatioLike, hi: RatioLike, max_den: int) -> Iterator[tuple[
     if max_den < 1:
         raise ValueError("max_den must be at least 1")
     hn, hd = high.numerator, high.denominator
-    return _farey_walk(*_farey_bracket(low, max_den), hn * max_den // hd, max_den, hn, hd)
+    walk = (*_farey_bracket(low, max_den), hn * max_den // hd, max_den, hn, hd)
+    # each q <= max_den has at most (high - low)*q + 1 numerators in range
+    if (high - low) * max_den * (max_den + 1) / 2 + max_den > MAX_TABLE_ENTRIES:
+        count = _reduced_in_range(low, high, min(max_den, _SIEVE_LIMIT))
+        if count <= MAX_TABLE_ENTRIES and max_den > _SIEVE_LIMIT:  # q > _SIEVE_LIMIT left out
+            count = sum(1 for _ in islice(_farey_walk(*walk), MAX_TABLE_ENTRIES + 1))
+        if count > MAX_TABLE_ENTRIES:
+            raise ValueError(
+                f"{'at least ' if max_den > _SIEVE_LIMIT else ''}{count} candidate intervals "
+                f"in [{format_ratio(low)}, {format_ratio(high)}] with denominators up to "
+                f"{max_den} exceed the limit of {MAX_TABLE_ENTRIES}"
+            )
+    return _farey_walk(*walk)
 
 
 def _farey_walk(
@@ -235,9 +259,10 @@ def harmonic_tuning(
         raise ValueError("harmonicity threshold h must lie in [0, 1)")
     if not contextual or not complementary:
         raise ValueError("empty frequency set")
+    candidates = _bounded_walk(lo, hi, max_den)
     score = _transposition_scorer(contextual, complementary, threshold)
     entries = []
-    for c, d in _bounded_walk(lo, hi, max_den):
+    for c, d in candidates:
         result = score(c, d)
         if result is not None:
             entries.append(TuningEntry(Fraction(c, d), result))
@@ -284,13 +309,8 @@ def superset_tuning(
     return TuningTable(entries, "superset", descriptor)
 
 
-def _coprime_pairs(k: int, kk: int) -> int:
-    """How many reduced p/q have 1 <= p <= k and 1 <= q <= kk.
-
-    Moebius inversion over the common divisor d of p and q:
-    sum of mu(d) * (k // d) * (kk // d) for d <= min(k, kk).
-    """
-    top = min(k, kk)
+def _mobius(top: int) -> list[int]:
+    """The Moebius function mu(d) at index d, for d <= top."""
     mu = [1] * (top + 1)
     composite = bytearray(top + 1)
     for p in range(2, top + 1):
@@ -298,7 +318,33 @@ def _coprime_pairs(k: int, kk: int) -> int:
             composite[p::p] = b"\1" * len(range(p, top + 1, p))
             mu[p::p] = [-x for x in mu[p::p]]
             mu[p * p :: p * p] = [0] * len(range(p * p, top + 1, p * p))
+    return mu
+
+
+def _coprime_pairs(k: int, kk: int) -> int:
+    """How many reduced p/q have 1 <= p <= k and 1 <= q <= kk.
+
+    Moebius inversion over the common divisor d of p and q:
+    sum of mu(d) * (k // d) * (kk // d) for d <= min(k, kk).
+    """
+    top = min(k, kk)
+    mu = _mobius(top)
     return sum(mu[d] * (k // d) * (kk // d) for d in range(1, top + 1))
+
+
+def _reduced_in_range(low: Fraction, high: Fraction, max_den: int) -> int:
+    """How many reduced p/q with q <= max_den lie in [low, high], low > 0.
+
+    Moebius inversion over the common divisor d of p and q: with S(j) the
+    number of pairs (p, i) with i <= j and low <= p/i <= high, the count is
+    the sum of mu(d) * S(max_den // d) for d <= max_den.
+    """
+    ln, ld, hn, hd = low.numerator, low.denominator, high.numerator, high.denominator
+    pairs = [0]  # pairs[j] = S(j); floor(high*i) - ceil(low*i) + 1 numerators per i
+    for i in range(1, max_den + 1):
+        pairs.append(pairs[-1] + hn * i // hd + (-ln * i) // ld + 1)
+    mu = _mobius(max_den)
+    return sum(mu[d] * pairs[max_den // d] for d in range(1, max_den + 1))
 
 
 def fold_to_octave(interval: RatioLike) -> Fraction:

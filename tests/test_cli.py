@@ -1,13 +1,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import toneset
 from toneset import supported_figures
 from toneset.cli import main
 from toneset.core import MAX_HARMONIC_PARTIALS
@@ -304,6 +308,77 @@ def test_superset_table_above_cap_is_refused_before_allocating(capsys):
     assert "superset table of 5472375 entries exceeds the limit of 4194304" in err
     assert "Traceback" not in err
     assert peak < 2**22  # the table would take gigabytes
+
+
+def test_harmonic_table_above_cap_is_refused_before_allocating(capsys):
+    # about 1.2e12 candidates: the walk would run until memory is gone
+    tracemalloc.start()
+    try:
+        code, out, err = run(
+            ["harmonic", "1", "1", "--h", "0", "--hi", "1000000", "--max-den", "2000"], capsys
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == ""
+    assert "1216587847926 candidate intervals" in err and "limit of 4194304" in err
+    assert "Traceback" not in err
+    assert peak < 2**22
+
+
+# --- one parser per process, numpy only for roughness ------------------------
+
+_SRC = str(Path(toneset.__file__).resolve().parents[1])
+
+
+def _python(code, *args):
+    """Run a fresh interpreter on this source tree; returns its stdout."""
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": _SRC},
+    )
+    return done.stdout
+
+
+def test_numpy_loads_only_for_roughness():
+    out = _python(
+        "import sys\n"
+        "from toneset.cli import main\n"
+        "main(['consonance', '1,2,3', '2,3'])\n"
+        "before = 'numpy' in sys.modules\n"
+        "main(['curve', '1,2,3', '2,3', '--steps', '5'])\n"
+        "print(before, 'numpy' in sys.modules)\n"
+    )
+    assert out.splitlines()[-1] == "False True"
+
+
+def test_parser_reuse_leaks_no_state(capsys):
+    first = ["harmonic", "1", "1", "--h", "1/2", "--lo", "1/2", "--hi", "2", "--max-den", "5"]
+    second = ["harmonic", "1", "1", "--h", "0", "--max-den", "5"]
+    assert run(first, capsys)[0] == 0
+    code, out, _ = run(second, capsys)
+    assert code == 0
+    assert run(["harmonic", "1", "1"], capsys)[0] == 2  # missing --h
+    code, version, _ = run(["--version"], capsys)
+    assert (code, version) == (0, f"toneset {toneset.__version__}\n")
+    fresh = _python("import sys; from toneset.cli import main; main(sys.argv[1:])", *second)
+    assert out == fresh
+    assert json.loads(out)["metadata"]["parameters"] == {
+        "h": "0/1", "lo": "1/8", "hi": "8/1", "max_den": 5
+    }
+
+
+def test_roughness_names_resolve():
+    assert toneset.dissonance_curve.__module__ == "toneset.dissonance"
+    assert toneset.CurvePoint(1.0, 0.5).dissonance == 0.5
+    names = {}
+    exec("from toneset import *", names)
+    assert set(toneset.__all__) <= names.keys()
+    assert set(toneset.__all__) <= set(dir(toneset))
+    with pytest.raises(AttributeError):
+        toneset.no_such_name
 
 
 # --- fuzzing: whatever the argv, main() exits 0, 2 or 3 and never raises -----

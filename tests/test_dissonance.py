@@ -230,6 +230,18 @@ class TestDissonanceCurve:
         with pytest.raises(ValueError):
             dissonance_curve([262.0], [262.0], t_lo, t_hi, 2)
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            DissonanceParams(weight_fast=-5.0, weight_slow=5.0),  # negative roughness
+            DissonanceParams(curve_slope=0.0, curve_offset=0.0),  # inf * 0 at unison
+        ],
+        ids=["negative", "nan"],
+    )
+    def test_negative_or_nan_totals_rejected(self, params):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="negative or NaN"):
+            dissonance_curve([262.0], [262.0], 1.0, 2.0, 3, params)
+
 
 class TestSpectrumRoughness:
     def test_matches_pairwise_sum(self):

@@ -26,7 +26,8 @@ from toneset import (
     total_consonance,
 )
 from toneset.consonance import _transposition_scorer
-from toneset.tuning import _coprime_pairs, _table
+from toneset import tuning
+from toneset.tuning import _coprime_pairs, _reduced_in_range, _table
 
 C4 = harmonic_set(262, 6)
 INHARMONIC = FrequencySet(
@@ -201,6 +202,33 @@ class TestEnumerateRationals:
             enumerate_rationals(0, 1, 10)
         with pytest.raises(ValueError):
             enumerate_rationals(1, 2, 0)
+
+    def test_reduced_count(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            lo = F(rng.randint(1, 40), rng.randint(1, 12))
+            hi = lo + F(rng.randint(1, 40), rng.randint(1, 12))
+            max_den = rng.randint(1, 30)
+            assert _reduced_in_range(lo, hi, max_den) == len(oracle_rationals(lo, hi, max_den))
+
+    def test_walk_above_cap_is_refused(self):
+        # the cheap bound exceeds the cap, so the exact count decides
+        with pytest.raises(ValueError, match="^1216587847926 candidate intervals .* 4194304$"):
+            enumerate_rationals(F(1, 8), 1_000_000, 2000)
+        # max_den past the sieve: the count up to the sieve's end already exceeds it
+        with pytest.raises(ValueError, match="^at least 10280930023 candidate intervals"):
+            enumerate_rationals(F(1, 8), 8, 10**13)
+
+    def test_walk_count_past_the_sieve(self, monkeypatch):
+        # a narrow range with max_den past the sieve is counted by walking it
+        monkeypatch.setattr(tuning, "_SIEVE_LIMIT", 8)
+        lo, hi = F(314159, 100000), F(314160, 100000)
+        expected = oracle_rationals(lo, hi, 20_000)
+        monkeypatch.setattr(tuning, "MAX_TABLE_ENTRIES", len(expected))
+        assert enumerate_rationals(lo, hi, 20_000) == expected
+        monkeypatch.setattr(tuning, "MAX_TABLE_ENTRIES", len(expected) - 1)
+        with pytest.raises(ValueError, match=f"^at least {len(expected)} candidate intervals"):
+            enumerate_rationals(lo, hi, 20_000)
 
 
 # one-decimal partials of a one-decimal fundamental: mostly inharmonic, with
