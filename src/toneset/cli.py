@@ -104,12 +104,15 @@ def cmd_consonance(args: argparse.Namespace) -> int:
     contextual = parse_set_expression(args.context)
     complementary = parse_set_expression(args.complement)
     score = total_consonance(contextual, complementary)
-    for label, value in (
-        ("affinity", score.affinity),
-        ("harmonicity", score.harmonicity),
-        ("total", score.total),
-    ):
-        print(f"{label:<11} = {format_ratio(value, always_slash=True)} ({_score_text(value)})")
+    # every line is formatted before any is written, so a failure prints none
+    sys.stdout.write("".join(
+        f"{label:<11} = {format_ratio(value, always_slash=True)} ({_score_text(value)})\n"
+        for label, value in (
+            ("affinity", score.affinity),
+            ("harmonicity", score.harmonicity),
+            ("total", score.total),
+        )
+    ))
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
@@ -42,6 +43,12 @@ __all__ = [
 # the two-decimal inharmonic spectrum (fig5_4).
 MAX_HARMONIC_PARTIALS = 2**20
 
+# Largest decimal exponent magnitude ``parse_ratio`` accepts: Python's default
+# limit on the digits of an int converted from text, which already caps the
+# mantissa. Fraction("1e3000000") alone spends seconds building 10**3000000.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT_RE = re.compile(r"e[-+]?([\d_]*)$", re.IGNORECASE)
+
 # Frequencies, intervals and consonance scores all share one scalar type.
 Ratio = Fraction
 RatioLike = Union[Fraction, int, str]
@@ -55,9 +62,18 @@ def parse_ratio(text: str) -> Fraction:
     """Parse "p/q" or decimal text ("3/2", "440", "2.76") to an exact ratio.
 
     Decimal strings convert exactly (2.76 becomes 69/25), never through a
-    binary float.
+    binary float. Exponents beyond ``MAX_DECIMAL_EXPONENT`` are refused.
     """
     token = text.strip()
+    exponent = _EXPONENT_RE.search(token)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > 4 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            shown = token if len(token) <= 32 else token[:29] + "..."
+            raise ParseError(
+                f"cannot parse ratio {shown!r}: decimal exponent beyond "
+                f"+-{MAX_DECIMAL_EXPONENT}"
+            )
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):

@@ -37,6 +37,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .core import FrequencySet, _scientific
+from .tuning import MAX_TABLE_ENTRIES
 
 __all__ = [
     "DissonanceParams",
@@ -184,12 +185,16 @@ def dissonance_curve(
     Samples are spaced geometrically (uniform in cents). At each sampled t
     the roughness of the combined spectrum F u tF' is summed over all
     partial pairs, within-set pairs included. Non-finite partials or bounds,
-    and a top that carries a partial past the float range, raise ValueError.
+    a top that carries a partial past the float range, and more than
+    ``MAX_TABLE_ENTRIES`` steps (the row cap of tuning tables) raise
+    ValueError.
     """
     if not (math.isfinite(t_lo) and math.isfinite(t_hi) and 0 < t_lo < t_hi):
         raise ValueError(f"invalid sweep range [{t_lo}, {t_hi}]")
     if steps < 2:
         raise ValueError("steps must be at least 2")
+    if steps > MAX_TABLE_ENTRIES:
+        raise ValueError(f"{steps} steps exceed the limit of {MAX_TABLE_ENTRIES}")
     base = _as_float_array(contextual, "contextual set")
     moving = _as_float_array(complementary, "complementary set")
     if not math.isfinite(t_hi * float(moving.max())):

@@ -31,6 +31,14 @@ __all__ = ["TuningDocument", "export_scl"]
 
 TOOL_NAME = "toneset"
 
+# Types of the metadata fields a document's readers use; each may be absent.
+_METADATA_FIELDS = {
+    "generator": (str, "a string"),
+    "context": (str, "a string"),
+    "complement": (str, "a string"),
+    "parameters": (dict, "an object"),
+}
+
 
 def csv_text(header: list[str], rows: Iterable[list]) -> str:
     """A CSV block: header, rows, bare "\\n" line endings."""
@@ -146,11 +154,7 @@ class TuningDocument:
         return cls(metadata, entries)
 
     def to_table(self) -> TuningTable:
-        return TuningTable(
-            self.entries,
-            self.metadata.get("generator", "unknown"),
-            f"F={self.metadata.get('context', '?')}; F'={self.metadata.get('complement', '?')}",
-        )
+        return TuningTable(self.entries, self.metadata.get("generator", "unknown"))
 
     def as_dict(self) -> dict:
         return {
@@ -173,6 +177,13 @@ class TuningDocument:
             raise ValueError(
                 "invalid tuning document: metadata must be an object and entries a list"
             )
+        for field, (kind, name) in _METADATA_FIELDS.items():
+            value = data["metadata"].get(field, kind())
+            if not isinstance(value, kind):
+                raise ValueError(
+                    f"invalid tuning document: metadata field {field!r} must be "
+                    f"{name}, not {type(value).__name__}"
+                )
         entries = []
         for index, raw in enumerate(data["entries"]):
             if not isinstance(raw, dict):

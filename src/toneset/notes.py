@@ -44,6 +44,7 @@ _LOWEST_MIDI = 12
 _HIGHEST_MIDI = 111
 _A4_MIDI = 69
 _A4_HZ = Fraction(440)
+_SPAN = "the supported note span C0..D#8 (about 15.89 Hz to 5123.9 Hz)"
 
 
 @dataclass(frozen=True)
@@ -119,10 +120,7 @@ def note_name(freq: RatioLike) -> NoteName:
         raise ValueError("frequency must be positive")
     midi = _midi_for(f)
     if not _LOWEST_MIDI <= midi <= _HIGHEST_MIDI:
-        raise ValueError(
-            f"frequency {format_ratio(f)} Hz is outside the supported note span "
-            "C0..D#8 (about 15.89 Hz to 5123.9 Hz)"
-        )
+        raise ValueError(f"frequency {format_ratio(f)} Hz is outside {_SPAN}")
     return NoteName(PITCH_CLASSES[midi % 12], midi // 12 - 1)
 
 
@@ -131,9 +129,11 @@ def grid_frequency(note: Union[NoteName, str]) -> Fraction:
 
     The irrational 12-tet value is rounded to 0.01 Hz so the rational layer
     stays closed; the result is always well inside the note's window.
-    A4 comes out exactly 440.
+    A4 comes out exactly 440. Raises for notes outside the C0..D#8 span.
     """
     name = NoteName.parse(note) if isinstance(note, str) else note
+    if not _LOWEST_MIDI <= name.midi <= _HIGHEST_MIDI:
+        raise ValueError(f"note {name.render()} is outside {_SPAN}")
     value = 440.0 * 2.0 ** ((name.midi - _A4_MIDI) / 12.0)
     return Fraction(f"{value:.2f}")
 

@@ -56,7 +56,7 @@ from .consonance import (
     _transposition_scorer,
     harmonic_superset,
 )
-from .core import FrequencySet, RatioLike, format_ratio, format_set, to_ratio
+from .core import FrequencySet, RatioLike, format_ratio, to_ratio
 
 __all__ = [
     "TuningEntry",
@@ -94,11 +94,12 @@ class TuningEntry:
 
 @dataclass(frozen=True)
 class TuningTable:
-    """Entries sorted by interval, plus a record of how they were generated."""
+    """Entries sorted by interval and the name of the generator that made
+    them; the sets and parameters they came from are the document's
+    metadata."""
 
     entries: tuple[TuningEntry, ...]
     generator: str
-    context_descriptor: str
 
     def __post_init__(self) -> None:
         pairs = ((e.interval.numerator, e.interval.denominator) for e in self.entries)
@@ -115,12 +116,11 @@ def _table(
     contextual: FrequencySet,
     complementary: FrequencySet,
     generator: str,
-    descriptor: str,
 ) -> TuningTable:
     """The intervals, sorted and scored (threshold 0 keeps every one)."""
     score = _transposition_scorer(contextual, complementary)
     entries = tuple(TuningEntry(t, score(t.numerator, t.denominator)) for t in sorted(intervals))
-    return TuningTable(entries, generator, descriptor)
+    return TuningTable(entries, generator)
 
 
 def affinitive_intervals(
@@ -136,13 +136,8 @@ def affinitive_tuning(
     contextual: FrequencySet, complementary: FrequencySet
 ) -> TuningTable:
     """One scored entry per affinitive interval."""
-    descriptor = f"F={format_set(contextual)}; F'={format_set(complementary)}"
     return _table(
-        affinitive_intervals(contextual, complementary),
-        contextual,
-        complementary,
-        "affinitive",
-        descriptor,
+        affinitive_intervals(contextual, complementary), contextual, complementary, "affinitive"
     )
 
 
@@ -250,23 +245,15 @@ def harmonic_tuning(
     One pass: each candidate is thresholded and scored by the same call.
     """
     threshold = to_ratio(h)
-    descriptor = (
-        f"F={format_set(contextual)}; F'={format_set(complementary)}; "
-        f"h={format_ratio(threshold)}; lo={format_ratio(to_ratio(lo))}; "
-        f"hi={format_ratio(to_ratio(hi))}; max_den={max_den}"
-    )
     if not 0 <= threshold < 1:
         raise ValueError("harmonicity threshold h must lie in [0, 1)")
-    if not contextual or not complementary:
-        raise ValueError("empty frequency set")
-    candidates = _bounded_walk(lo, hi, max_den)
-    score = _transposition_scorer(contextual, complementary, threshold)
+    score = _transposition_scorer(contextual, complementary, threshold)  # refuses empty sets
     entries = []
-    for c, d in candidates:
+    for c, d in _bounded_walk(lo, hi, max_den):
         result = score(c, d)
         if result is not None:
             entries.append(TuningEntry(Fraction(c, d), result))
-    return TuningTable(tuple(entries), "harmonic", descriptor)
+    return TuningTable(tuple(entries), "harmonic")
 
 
 def superset_tuning(
@@ -282,8 +269,6 @@ def superset_tuning(
     with zero affinity are normal and kept. A table of more than
     ``MAX_TABLE_ENTRIES`` entries is refused before any is built.
     """
-    if not contextual or not complementary:
-        raise ValueError("empty frequency set")
     # the supersets are a*{1..k} and b*{1..kk}, so their pairwise ratios
     # are (a/b)*p/q over the reduced p/q with p <= k and q <= kk
     a, k_all, _ = harmonic_superset(contextual, n)._lattice_view()
@@ -294,9 +279,6 @@ def superset_tuning(
         raise ValueError(
             f"superset table of {count} entries exceeds the limit of {MAX_TABLE_ENTRIES}"
         )
-    descriptor = (
-        f"F={format_set(contextual)}; F'={format_set(complementary)}; n={n}; m={m}"
-    )
     # the superset fundamentals are the originals', so p/q is exactly the
     # t*b/a the scorer takes
     score = _lattice_scorer(contextual, complementary)
@@ -306,7 +288,7 @@ def superset_tuning(
         TuningEntry(Fraction(p * rn, q * rd), score(p, q))
         for p, q in _farey_walk(0, 1, 1, kk, k, kk, k, 1)
     )
-    return TuningTable(entries, "superset", descriptor)
+    return TuningTable(entries, "superset")
 
 
 def _mobius(top: int) -> list[int]:
@@ -371,10 +353,4 @@ def octave_reduce(
     consonance.
     """
     folded = {fold_to_octave(e.interval) for e in table.entries}
-    return _table(
-        folded,
-        contextual,
-        complementary,
-        table.generator,
-        table.context_descriptor + "; octave-reduced",
-    )
+    return _table(folded, contextual, complementary, table.generator)

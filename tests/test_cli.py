@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -15,6 +16,7 @@ import toneset
 from toneset import supported_figures
 from toneset.cli import main
 from toneset.core import MAX_HARMONIC_PARTIALS
+from toneset.tuning import MAX_TABLE_ENTRIES
 
 
 def run(argv, capsys):
@@ -43,6 +45,22 @@ class TestConsonanceCommand:
         code, out, _ = run(["consonance", "C4_6@262", "G4_6@393"], capsys)
         assert code == 0
         assert "4/9" in out
+
+    def test_report_that_cannot_be_formatted_prints_no_line(self, capsys):
+        # the affinity formats; the harmonicity's 6,000-digit numerator does not
+        code, out, err = run(["consonance", "1e3000,1e-3000", "3"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_huge_decimal_exponent_is_refused_before_the_power(self, capsys, sign):
+        start = time.process_time()
+        code, out, err = run(["consonance", f"1e{sign}10000000", "2"], capsys)
+        assert time.process_time() - start < 0.5  # 10^(10^7) alone takes seconds
+        assert code == 2
+        assert out == ""
+        assert "decimal exponent beyond +-4300" in err and "Traceback" not in err
 
 
 class TestTuningCommands:
@@ -216,6 +234,44 @@ class TestDocumentPipelines:
         assert code == 3
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["reduce-octave", "export-scl"])
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("parameters", 5, "'parameters' must be an object, not int"),
+            ("parameters", [], "'parameters' must be an object, not list"),
+            ("context", 262, "'context' must be a string, not int"),
+            ("complement", None, "'complement' must be a string, not NoneType"),
+            ("generator", ["x"], "'generator' must be a string, not list"),
+        ],
+        ids=["int-parameters", "list-parameters", "int-context", "null-complement",
+             "list-generator"],
+    )
+    def test_wrong_typed_metadata_is_domain_error(
+        self, tmp_path, capsys, command, field, value, message
+    ):
+        _, out, _ = run(["affinitive", "262*N6", "262*N6"], capsys)
+        data = json.loads(out)
+        data["metadata"][field] = value
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(data))
+        code, out, err = run([command, "--in", str(doc_path)], capsys)
+        assert code == 3
+        assert out == ""
+        assert "invalid tuning document: metadata field " + message in err
+        assert "Traceback" not in err
+
+    def test_metadata_fields_may_be_absent(self, tmp_path, capsys):
+        entries = [
+            {"interval": "1/1", "affinity": "1/1", "harmonicity": "1/1"},
+            {"interval": "3/2", "affinity": "1/2", "harmonicity": "1/2"},
+        ]
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps({"metadata": {}, "entries": entries}))
+        code, out, _ = run(["export-scl", "--in", str(doc_path)], capsys)
+        assert code == 0
+        assert out == "! tuning.scl\ntuning tuning; F=?; F'=?\n2\n3/2\n2/1\n"
+
 
 class TestFigureCommand:
     def test_stdout_csv(self, capsys):
@@ -265,6 +321,14 @@ class TestExitCodes:
         code, _, err = run(["consonance", "C4_6@440", "262"], capsys)
         assert code == 3
         assert "mismatch" in err
+
+    @pytest.mark.parametrize("label", ["C9999_6", "C100_6", "E8_2", "B-1_3"])
+    def test_note_outside_the_span_is_domain_error(self, capsys, label):
+        code, out, err = run(["consonance", label, "262"], capsys)
+        assert code == 3
+        assert out == ""
+        assert f"note {label} is outside the supported note span C0..D#8" in err
+        assert "Traceback" not in err
 
 
 def _over_cap_argv(count):
@@ -325,6 +389,24 @@ def test_harmonic_table_above_cap_is_refused_before_allocating(capsys):
     assert "1216587847926 candidate intervals" in err and "limit of 4194304" in err
     assert "Traceback" not in err
     assert peak < 2**22
+
+
+@pytest.mark.parametrize("steps", [MAX_TABLE_ENTRIES + 1, 10**12])
+@pytest.mark.parametrize(
+    "argv",
+    [["curve", "1", "1"], ["figure", "fig4_2"]], ids=["curve", "fig4_2"],
+)
+def test_sweep_steps_above_cap_are_refused_before_allocating(argv, steps, capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run([*argv, "--steps", str(steps)], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == ""
+    assert f"{steps} steps exceed the limit of 4194304" in err and "Traceback" not in err
+    assert peak < 2**22  # the t grid alone would take 32 MiB or more
 
 
 # --- one parser per process, numpy only for roughness ------------------------
@@ -389,7 +471,8 @@ _COUNTS = st.one_of(
 # junk never looks like an option: a prefix of -o/--out or --in would touch files
 _JUNK = st.text(max_size=8).filter(lambda s: not s.startswith("-"))
 _RATIOS = st.sampled_from(["1", "2", "3/2", "5/4", "262", "393", "2.76", "0.5", "1e400",
-                           "0", "-3", "1/0", "x"])
+                           "1e3000", "1e-3000", "1e4301", "1e-10000000", "0", "-3", "1/0",
+                           "x"])
 _INTEGER_LISTS = st.lists(st.integers(1, 64).map(str), min_size=1, max_size=4).map(",".join)
 # integer partials only: harmonic supersets of these stay at most 64 + n partials
 _SMALL_SETS = st.lists(
@@ -400,14 +483,18 @@ _TERMS = st.one_of(
     _INTEGER_LISTS,
     st.lists(_RATIOS, min_size=1, max_size=4).map(",".join),
     st.builds("{}*N{}".format, _RATIOS, _COUNTS),
-    st.builds("{}_{}{}".format, st.sampled_from(["C4", "G4", "A4", "Bb3", "C#5", "H2", "C9"]),
+    # B-1, C9 and beyond lie outside the naming span C0..D#8
+    st.builds("{}_{}{}".format,
+              st.sampled_from(["C4", "G4", "A4", "Bb3", "C#5", "H2", "C9", "B-1", "C9999"]),
               _COUNTS, st.sampled_from(["", "@262", "@440", "@x"])),
     _JUNK,
 )
 _SETS = st.lists(_TERMS, min_size=1, max_size=3).map("+".join)
-_BOUNDS = st.sampled_from(["1/4", "1/2", "1", "3/2", "2", "4", "0", "-1", "x"])
+_BOUNDS = st.sampled_from(["1/4", "1/2", "1", "3/2", "2", "4", "0", "-1", "1e-3000",
+                           "1e10000000", "x"])
 _DEN = st.integers(-1, 24).map(str)
-_STEPS = st.integers(-1, 64).map(str)
+# a sweep of more steps than the cap would allocate gigabytes before the fix
+_STEPS = st.one_of(st.integers(-1, 64), st.integers(MAX_TABLE_ENTRIES + 1, 10**15)).map(str)
 _FLOATS = st.sampled_from(["1", "1.5", "2", "2.1", "0", "-1", "nan", "inf", "x"])
 _DOC_FLAGS = st.lists(st.sampled_from(
     [["--notes"], ["--format", "text"], ["--format", "json"], ["--order", "consonance"]]
@@ -433,9 +520,28 @@ _DOCUMENT = json.dumps({
         {"interval": "2/1", "affinity": "1/2", "harmonicity": "1/2"},
     ],
 })
+# within one octave, so export-scl reaches the metadata
+_REDUCED = json.dumps({
+    "metadata": {"generator": "affinitive", "context": "262,524", "complement": "262,524"},
+    "entries": json.loads(_DOCUMENT)["entries"][1:],
+})
+_GOOD_DOCUMENTS = st.sampled_from([_DOCUMENT, _REDUCED])
 _STDIN = st.one_of(
-    st.sampled_from([_DOCUMENT, _DOCUMENT.replace('"2/1"', '"1/3"'), "{}", "not json",
+    _GOOD_DOCUMENTS,
+    st.sampled_from([_DOCUMENT.replace('"2/1"', '"1/3"'), "{}", "not json",
                      '{"metadata": {}, "entries": [3]}', '{"metadata": {}, "entries": []}']),
+    # a document with one metadata field of the wrong JSON type
+    st.builds(
+        lambda doc, field, value: doc.replace(f'"{field}": "', f'"{field}": {value}, "x": "'),
+        _GOOD_DOCUMENTS,
+        st.sampled_from(["generator", "context", "complement"]),
+        st.sampled_from(["262", "null", "true", '["x"]', "{}"]),
+    ),
+    st.builds(
+        lambda doc, value: doc.replace('"metadata": {', f'"metadata": {{"parameters": {value}, '),
+        _GOOD_DOCUMENTS,
+        st.sampled_from(["5", "null", '"h=1"', "[]", "{}"]),
+    ),
     st.text(max_size=20),
 )
 
@@ -453,21 +559,33 @@ _ARGV = st.one_of(
     st.tuples(st.just("figure"), st.sampled_from(supported_figures()) | _JUNK,
               st.just(["--max-den"]), _DEN, st.just(["--steps"]), _STEPS,
               _options(("--partials", st.integers(1, 12).map(str) | _COUNTS))),
-    st.tuples(st.sampled_from(["reduce-octave", "export-scl"]),
-              _options(("--name", _JUNK)), st.sampled_from([[], ["--cents"]])),
+    st.just(["reduce-octave"]),
+    st.tuples(st.just("export-scl"), _options(("--name", _JUNK)), st.sampled_from([[], ["--cents"]])),
     st.tuples(_JUNK, _JUNK),
 ).map(lambda parts: [t for part in parts for t in ([part] if isinstance(part, str) else part)])
+
+
+def _assert_exits_cleanly(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    saved_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved_stdin
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(argv=_ARGV, extra=_EXTRA, stdin=_STDIN)
 def test_fuzzed_command_lines_exit_cleanly(argv, extra, stdin):
-    out, err = io.StringIO(), io.StringIO()
-    saved_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv + extra)
-    finally:
-        sys.stdin = saved_stdin
-    assert code in (0, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    _assert_exits_cleanly(argv + extra, stdin)
+
+
+# documents read from stdin, without the argv that mostly fails before reading them
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(argv=st.sampled_from([["reduce-octave"], ["export-scl"], ["export-scl", "--cents"]]),
+       stdin=_STDIN)
+def test_fuzzed_documents_exit_cleanly(argv, stdin):
+    _assert_exits_cleanly(argv, stdin)

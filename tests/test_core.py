@@ -18,7 +18,7 @@ from toneset import (
     total_period,
     transpose,
 )
-from toneset.core import MAX_HARMONIC_PARTIALS, _display_score
+from toneset.core import MAX_DECIMAL_EXPONENT, MAX_HARMONIC_PARTIALS, _display_score
 
 ratios = st.fractions(min_value=F(1, 30), max_value=F(50), max_denominator=30)
 freq_sets = st.sets(ratios, min_size=1, max_size=6).map(FrequencySet)
@@ -60,6 +60,19 @@ class TestParseRatio:
     def test_rejects_garbage(self, bad):
         with pytest.raises(ParseError):
             parse_ratio(bad)
+
+    @pytest.mark.parametrize("text", ["1e4300", "1E-4300", "2.5e+4_300", "1e0004300"])
+    def test_exponents_up_to_the_cap(self, text):
+        value = parse_ratio(text)
+        assert value == F(text)
+        assert max(value.numerator, value.denominator) >= 10**MAX_DECIMAL_EXPONENT
+
+    @pytest.mark.parametrize(
+        "text", ["1e4301", "1e-4301", "1e4_301", "1e10000000", "1e" + "9" * 5000]
+    )
+    def test_exponents_beyond_the_cap_rejected(self, text):
+        with pytest.raises(ParseError, match="decimal exponent beyond"):
+            parse_ratio(text)
 
     def test_to_ratio_rejects_floats(self):
         with pytest.raises(TypeError):

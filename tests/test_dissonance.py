@@ -217,6 +217,11 @@ class TestDissonanceCurve:
         with pytest.raises(ValueError):
             dissonance_curve([], C4, 1.0, 2.0, 10)
 
+    def test_steps_above_the_table_cap_rejected(self):
+        dissonance_curve([262.0], [262.0], 1.0, 2.0, 2**16)  # far inside the cap
+        with pytest.raises(ValueError, match="4194305 steps exceed the limit of 4194304"):
+            dissonance_curve([262.0], [262.0], 1.0, 2.0, 2**22 + 1)
+
     @pytest.mark.parametrize(
         "contextual, complementary",
         [([math.inf], [1.0]), ([1.0], [math.nan]), ([F(10) ** 400], [1.0]), ([1.0], [10**400])],

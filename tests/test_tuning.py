@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -376,7 +377,7 @@ class TestSupersetTuning:
     ):
         supersets = harmonic_superset(contextual, n), harmonic_superset(complementary, m)
         intervals = affinitive_intervals(*supersets)
-        expected = _table(intervals, contextual, complementary, "superset", "")
+        expected = _table(intervals, contextual, complementary, "superset")
         entries = superset_tuning(contextual, complementary, n, m).entries
         assert first_difference(entries, expected.entries) is None
         assert _coprime_pairs(*map(len, supersets)) == len(entries)
@@ -486,10 +487,28 @@ class TestTuningTable:
             TuningTable(
                 (TuningEntry(F(2), score), TuningEntry(F(1), score)),
                 "affinitive",
-                "test",
             )
 
-    def test_descriptor_records_parameters(self):
-        table = harmonic_tuning(FrequencySet([262]), FrequencySet([262]), F(1, 4), 1, 2, 10)
-        for token in ("h=1/4", "lo=1", "hi=2", "max_den=10"):
-            assert token in table.context_descriptor
+
+class TestGeneratorRefusals:
+    @pytest.mark.parametrize("sets", [(FrequencySet(), C4), (C4, FrequencySet())])
+    def test_empty_sets(self, sets):
+        with pytest.raises(ValueError, match="empty frequency set"):
+            harmonic_tuning(*sets, 0)
+        with pytest.raises(ValueError, match="empty frequency set"):
+            superset_tuning(*sets)
+
+    def test_threshold_then_empty_set_then_bounds(self):
+        with pytest.raises(ValueError, match="threshold"):
+            harmonic_tuning(FrequencySet(), C4, 1, 2, 1)
+        with pytest.raises(ValueError, match="empty frequency set"):
+            harmonic_tuning(FrequencySet(), C4, 0, 2, 1)
+        with pytest.raises(ValueError, match="invalid range"):
+            harmonic_tuning(C4, C4, 0, 2, 1)
+
+    def test_bad_threshold_costs_nothing_per_partial(self):
+        many = harmonic_set(1, 10**5)
+        start = time.process_time()
+        with pytest.raises(ValueError, match="threshold"):
+            harmonic_tuning(many, many, 2)
+        assert time.process_time() - start < 0.03
