@@ -20,8 +20,16 @@ from typing import Optional
 
 from . import __version__
 from .consonance import total_consonance
-from .core import FrequencySet, ParseError, _display_score, cents, format_ratio, parse_ratio
-from .document import TuningDocument, curve_csv, export_scl
+from .core import (
+    FrequencySet,
+    ParseError,
+    _display_score,
+    _ratio_text,
+    cents,
+    format_ratio,
+    parse_ratio,
+)
+from .document import TuningDocument, _score_fields, curve_csv, export_scl
 from .figures import emit_figure_data
 from .notation import canonical_set_expression, parse_set_expression
 from .tuning import (
@@ -49,8 +57,8 @@ def _read_document(path: Optional[str]) -> TuningDocument:
     return TuningDocument.from_json(text)
 
 
-def _score_text(value: Fraction) -> str:
-    shown = _display_score(value)
+def _score_text(shown: float | str) -> str:
+    """A ``_display_score`` value as text."""
     if isinstance(shown, str):
         return shown
     # a rounded score prints 3 decimals, an unrounded one 4 significant digits
@@ -58,16 +66,14 @@ def _score_text(value: Fraction) -> str:
 
 
 def _render_text(doc: TuningDocument, order: str) -> str:
-    rows = ((e, e.score.total) for e in doc.entries)
+    fields = _score_fields()
+    rows = ((e, fields(e.score)) for e in doc.entries)
     if order == "consonance":
-        rows = sorted(rows, key=lambda row: (-row[1], row[0].interval))
+        rows = sorted(rows, key=lambda row: (-row[1][0], row[0].interval))
     lines = [f"# {doc.metadata['generator']} tuning  F={doc.metadata['context']}  F'={doc.metadata['complement']}"]
     lines.append(f"{'interval':>10}  {'cents':>10}  {'affinity':>16}  {'harmonicity':>18}  {'total':>16}  note")
-    for e, total in rows:
-        scores = "".join(
-            f"  {format_ratio(v, always_slash=True):>8} ({_score_text(v)})"
-            for v in (e.score.affinity, e.score.harmonicity, total)
-        )
+    for e, (_, texts, shown) in rows:
+        scores = "".join(f"  {text:>8} ({_score_text(v)})" for text, v in zip(texts, shown))
         lines.append(
             f"{format_ratio(e.interval, always_slash=True):>10}"
             f"  {cents(e.interval):>10.4f}{scores}  {e.note or ''}"
@@ -106,7 +112,7 @@ def cmd_consonance(args: argparse.Namespace) -> int:
     score = total_consonance(contextual, complementary)
     # every line is formatted before any is written, so a failure prints none
     sys.stdout.write("".join(
-        f"{label:<11} = {format_ratio(value, always_slash=True)} ({_score_text(value)})\n"
+        f"{label:<11} = {_ratio_text(value, label)} ({_score_text(_display_score(value))})\n"
         for label, value in (
             ("affinity", score.affinity),
             ("harmonicity", score.harmonicity),

@@ -131,7 +131,9 @@ def _lattice_scorer(
 
     The threshold test cross-multiplies integers, so rejected candidates
     build no Fraction. Every harmonicity is positive, so the default
-    threshold 0 keeps every interval.
+    threshold 0 keeps every interval. Equal (shared, top) pairs give the
+    same score object: each distinct score is built once per scorer, and
+    the memo goes with the scorer.
     """
     _require_nonempty(contextual, complementary)
     _, n_all, n_set = contextual._lattice_view()
@@ -148,6 +150,8 @@ def _lattice_scorer(
         shorter, longer_set, by_m = m_all, n_set, True
     else:
         shorter, longer_set, by_m = n_all, m_set, False
+    # union = sizes - shared, so (shared, top) determines the score
+    built: dict[tuple[int, int], ConsonanceScore] = {}
 
     def score(p: int, q: int) -> ConsonanceScore | None:
         k_top = min(n_top // p, m_top // q)
@@ -165,7 +169,11 @@ def _lattice_scorer(
         top = max(q * n_top, p * m_top)
         if union * hd <= hn * top:
             return None
-        return ConsonanceScore(affinities[shared], Fraction(union, top))
+        key = (shared, top)
+        result = built.get(key)
+        if result is None:
+            result = built[key] = ConsonanceScore(affinities[shared], Fraction(union, top))
+        return result
 
     return score
 

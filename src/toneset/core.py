@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
@@ -87,6 +88,24 @@ def format_ratio(value: Fraction, always_slash: bool = False) -> str:
     if always_slash or value.denominator != 1:
         return f"{value.numerator}/{value.denominator}"
     return str(value.numerator)
+
+
+def _ratio_text(value: Fraction, label: str) -> str:
+    """``format_ratio(value, always_slash=True)``, or a ValueError naming
+    ``label`` when a term has more digits than Python converts to text
+    (``sys.get_int_max_str_digits()``, 4,300 by default)."""
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        term, n = max(("numerator", value.numerator), ("denominator", value.denominator),
+                      key=lambda pair: pair[1])
+        digits = int(n.bit_length() * math.log10(2)) + 1  # the count, or one above it
+        if n < 10 ** (digits - 1):
+            digits -= 1
+        raise ValueError(
+            f"{label} is too long to print: its {term} has {digits} digits, more than "
+            f"the limit of {sys.get_int_max_str_digits()}"
+        ) from None
 
 
 def _scientific(value: Fraction) -> str:
@@ -232,8 +251,9 @@ class FrequencySet:
                 f"partial count {count} exceeds the limit of {MAX_HARMONIC_PARTIALS}"
             )
         multipliers = tuple(range(1, count + 1))
+        num, den = base.numerator, base.denominator
         return cls._from_sorted(
-            tuple(base * n for n in multipliers),
+            tuple(Fraction(num * n, den) for n in multipliers),
             base,
             (multipliers, frozenset(multipliers)),
         )

@@ -16,11 +16,11 @@ import io
 import json
 from dataclasses import replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from . import __version__
 from .consonance import ConsonanceScore
-from .core import _cents_of, _display_score, cents, format_ratio, parse_ratio
+from .core import _cents_of, _display_score, _ratio_text, cents, format_ratio, parse_ratio
 from .notes import note_name
 from .tuning import TuningEntry, TuningTable
 
@@ -57,21 +57,26 @@ def table_csv(entries: Iterable[TuningEntry]) -> str:
 
 
 def _table_rows(entries: Iterable[TuningEntry]) -> Iterator[list[str]]:
-    """The rows of ``table_csv``, formatted from numerators and denominators
-    alone: an int divided by an int is correctly rounded, so each float
-    equals ``float()`` of its Fraction, the total's included."""
+    """The rows of ``table_csv``. The float cells are formatted once per
+    distinct score in this call, and the memo goes with the call."""
+    cells: dict[tuple[int, int, int, int], tuple[str, str, str]] = {}
     for e in entries:
         t, score = e.interval, e.score
         n, d = t.numerator, t.denominator
-        an, ad = score.affinity.numerator, score.affinity.denominator
-        hn, hd = score.harmonicity.numerator, score.harmonicity.denominator
-        yield [
-            f"{n}/{d}",
-            f"{_cents_of(n, d):.4f}",
-            repr(an / ad),
-            repr(hn / hd),
-            repr((an * hd + hn * ad) / (2 * ad * hd)),
-        ]
+        a, h = score.affinity, score.harmonicity
+        key = (a.numerator, a.denominator, h.numerator, h.denominator)
+        floats = cells.get(key)
+        if floats is None:
+            floats = cells[key] = _float_cells(*key)
+        yield [f"{n}/{d}", f"{_cents_of(n, d):.4f}", *floats]
+
+
+def _float_cells(an: int, ad: int, hn: int, hd: int) -> tuple[str, str, str]:
+    """The affinity, harmonicity and total cells of a CSV row, formatted from
+    numerators and denominators alone: an int divided by an int is correctly
+    rounded, so each float equals ``float()`` of its Fraction, the total's
+    included."""
+    return repr(an / ad), repr(hn / hd), repr((an * hd + hn * ad) / (2 * ad * hd))
 
 
 def curve_csv(points: Iterable[CurvePoint]) -> str:
@@ -82,19 +87,44 @@ def curve_csv(points: Iterable[CurvePoint]) -> str:
     )
 
 
-def _entry_dict(entry: TuningEntry) -> dict:
-    t, score = entry.interval, entry.score
-    n, d = t.numerator, t.denominator
-    affinity, harmonicity, total = score.affinity, score.harmonicity, score.total
+_SCORE_LABELS = ("affinity", "harmonicity", "total")
+
+
+def _score_fields() -> Callable[[ConsonanceScore], tuple[Fraction, tuple, tuple]]:
+    """A memo for one formatting call (a JSON document, a text table): maps a
+    score to its total, the exact "p/q" texts of affinity, harmonicity and
+    total, and their ``_display_score`` values, computing each once per
+    distinct score. Build one per call; it must not outlive it."""
+    fields: dict[tuple[int, int, int, int], tuple[Fraction, tuple, tuple]] = {}
+
+    def lookup(score: ConsonanceScore) -> tuple[Fraction, tuple, tuple]:
+        a, h = score.affinity, score.harmonicity
+        key = (a.numerator, a.denominator, h.numerator, h.denominator)
+        found = fields.get(key)
+        if found is None:
+            values = (a, h, score.total)
+            found = fields[key] = (
+                values[2],
+                tuple(_ratio_text(v, label) for v, label in zip(values, _SCORE_LABELS)),
+                tuple(_display_score(v) for v in values),
+            )
+        return found
+
+    return lookup
+
+
+def _entry_dict(entry: TuningEntry, fields: Callable) -> dict:
+    n, d = entry.interval.numerator, entry.interval.denominator
+    _, (affinity, harmonicity, total), shown = fields(entry.score)
     data = {
         "interval": f"{n}/{d}",
         "cents": round(_cents_of(n, d), 4),
-        "affinity": f"{affinity.numerator}/{affinity.denominator}",
-        "harmonicity": f"{harmonicity.numerator}/{harmonicity.denominator}",
-        "total": f"{total.numerator}/{total.denominator}",
-        "affinity_float": _display_score(score.affinity),
-        "harmonicity_float": _display_score(score.harmonicity),
-        "total_float": _display_score(total),
+        "affinity": affinity,
+        "harmonicity": harmonicity,
+        "total": total,
+        "affinity_float": shown[0],
+        "harmonicity_float": shown[1],
+        "total_float": shown[2],
     }
     if entry.note is not None:
         data["note"] = entry.note
@@ -157,9 +187,10 @@ class TuningDocument:
         return TuningTable(self.entries, self.metadata.get("generator", "unknown"))
 
     def as_dict(self) -> dict:
+        fields = _score_fields()
         return {
             "metadata": self.metadata,
-            "entries": [_entry_dict(e) for e in self.entries],
+            "entries": [_entry_dict(e, fields) for e in self.entries],
         }
 
     def to_json(self) -> str:

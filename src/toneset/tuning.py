@@ -6,9 +6,11 @@ a contextual set F and a complementary set F' that is transposed against it:
 * affinitive - every pairwise frequency ratio f/f'. These are exactly the
   transpositions with nonzero affinity, so the table is finite and cheap.
 * harmonic - all reduced rationals within enumeration bounds whose
-  union-harmonicity clears a threshold h. Rich for sparse spectra but needs
-  explicit bounds (defaults: +-3 octaves, denominators up to 60), and
-  bounds admitting more than ``MAX_TABLE_ENTRIES`` candidates are refused.
+  union-harmonicity clears a threshold h. Rich for sparse spectra. For
+  h = 0 it needs its bounds (defaults: +-3 octaves, denominators up to
+  60); for h > 0 every interval that clears h already lies in a finite
+  rectangle (below). Walks of more than ``MAX_TABLE_ENTRIES`` candidates
+  are refused.
 * superset - affinitive intervals of the harmonic supersets of F and F',
   scored on the original sets. Contains the affinitive table and never
   misses a high-harmonicity interval.
@@ -25,11 +27,28 @@ The harmonic and superset generators walk their candidates as integer pairs
 with one Farey next-term rule, ascending and already reduced, so neither
 sorts and a Fraction is built only for an entry that is kept:
 
-* harmonic - the walk runs from the lower bound to the upper one over
-  denominators up to max_den; each candidate is thresholded and scored in
-  the same call. Before it starts, (hi - lo)*D*(D+1)/2 + D bounds the
-  candidates for D = max_den; only when that bound exceeds the cap are they
-  counted exactly, by Moebius inversion with the superset count's sieve.
+* harmonic - each candidate is thresholded and scored in the same call,
+  and one of two walks supplies them.
+
+  - Bounded walk: the reduced t from the lower bound to the upper one over
+    denominators up to max_den. (hi - lo)*D*(D+1)/2 + D bounds its
+    candidates for D = max_den; only when that bound exceeds the cap are
+    they counted exactly, by Moebius inversion with the superset count's
+    sieve.
+  - Rectangle walk, for h = hn/hd > 0: with F = a*N, G = b*M and
+    t*b/a = p/q reduced, the harmonicity is at most
+    S / max(q*N_top, p*M_top) for S = |N| + |M|, so every interval that
+    clears h has p <= P = (S*hd - 1) // (hn*M_top) and
+    q <= Q = (S*hd - 1) // (hn*N_top). The walk covers the reduced p/q of
+    that rectangle from lo*b/a to hi*b/a; t = p*a/(q*b) rises with p/q,
+    and a t whose denominator exceeds max_den is skipped unscored. P or Q
+    below 1 leaves nothing to walk.
+
+  For h > 0 the rectangle is taken when P*Q is below the bounded walk's
+  bound; a tiny h makes the rectangle huge, and the bounded walk is taken.
+  h = 0 bounds no rectangle and always takes the bounded walk. The cap
+  applies to the walk that is taken: a rectangle with P*Q above it is
+  counted by walking it, at most MAX_TABLE_ENTRIES + 1 steps.
 * superset - the supersets are a*{1..k} and b*{1..k'}, so their pairwise
   ratios are exactly (a/b)*p/q over the reduced p/q with p <= k and
   q <= k': the walk covers that rectangle from 1/k' to k/1, and p/q is
@@ -45,6 +64,7 @@ be wrong.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, pairwise
@@ -146,6 +166,21 @@ def enumerate_rationals(lo: RatioLike, hi: RatioLike, max_den: int) -> list[Frac
     return [Fraction(c, d) for c, d in _bounded_walk(lo, hi, max_den)]
 
 
+def _checked_range(lo: RatioLike, hi: RatioLike, max_den: int) -> tuple[Fraction, Fraction]:
+    low, high = to_ratio(lo), to_ratio(hi)
+    if not 0 < low < high:
+        raise ValueError(f"invalid range [{format_ratio(low)}, {format_ratio(high)}]")
+    if max_den < 1:
+        raise ValueError("max_den must be at least 1")
+    return low, high
+
+
+def _walk_bound(low: Fraction, high: Fraction, max_den: int) -> Fraction:
+    """Cheap upper bound on the candidates of ``_bounded_walk``: each
+    q <= max_den has at most (high - low)*q + 1 numerators in range."""
+    return (high - low) * max_den * (max_den + 1) / 2 + max_den
+
+
 def _bounded_walk(lo: RatioLike, hi: RatioLike, max_den: int) -> Iterator[tuple[int, int]]:
     """The numerators and denominators of ``enumerate_rationals``, in order.
 
@@ -154,15 +189,10 @@ def _bounded_walk(lo: RatioLike, hi: RatioLike, max_den: int) -> Iterator[tuple[
     q <= max_den has p <= hi*max_den, so that numerator bound on the walk
     removes nothing.
     """
-    low, high = to_ratio(lo), to_ratio(hi)
-    if not 0 < low < high:
-        raise ValueError(f"invalid range [{format_ratio(low)}, {format_ratio(high)}]")
-    if max_den < 1:
-        raise ValueError("max_den must be at least 1")
+    low, high = _checked_range(lo, hi, max_den)
     hn, hd = high.numerator, high.denominator
     walk = (*_farey_bracket(low, max_den), hn * max_den // hd, max_den, hn, hd)
-    # each q <= max_den has at most (high - low)*q + 1 numerators in range
-    if (high - low) * max_den * (max_den + 1) / 2 + max_den > MAX_TABLE_ENTRIES:
+    if _walk_bound(low, high, max_den) > MAX_TABLE_ENTRIES:
         count = _reduced_in_range(low, high, min(max_den, _SIEVE_LIMIT))
         if count <= MAX_TABLE_ENTRIES and max_den > _SIEVE_LIMIT:  # q > _SIEVE_LIMIT left out
             count = sum(1 for _ in islice(_farey_walk(*walk), MAX_TABLE_ENTRIES + 1))
@@ -171,6 +201,29 @@ def _bounded_walk(lo: RatioLike, hi: RatioLike, max_den: int) -> Iterator[tuple[
                 f"{'at least ' if max_den > _SIEVE_LIMIT else ''}{count} candidate intervals "
                 f"in [{format_ratio(low)}, {format_ratio(high)}] with denominators up to "
                 f"{max_den} exceed the limit of {MAX_TABLE_ENTRIES}"
+            )
+    return _farey_walk(*walk)
+
+
+def _rectangle_walk(
+    low: Fraction, high: Fraction, max_num: int, max_den: int
+) -> Iterator[tuple[int, int]]:
+    """The reduced p/q in [low, high] with p <= max_num and q <= max_den,
+    ascending; none when either side is below 1.
+
+    A walk of more than ``MAX_TABLE_ENTRIES`` candidates is refused before
+    the first pair is asked for; only when max_num*max_den exceeds the cap
+    are they counted, by walking them, at most MAX_TABLE_ENTRIES + 1 steps.
+    """
+    if max_num < 1 or max_den < 1:
+        return iter(())
+    walk = (*_farey_bracket(low, max_den, max_num), max_num, max_den, high.numerator, high.denominator)
+    if max_num * max_den > MAX_TABLE_ENTRIES:
+        if sum(1 for _ in islice(_farey_walk(*walk), MAX_TABLE_ENTRIES + 1)) > MAX_TABLE_ENTRIES:
+            raise ValueError(
+                f"more than {MAX_TABLE_ENTRIES} candidate intervals p/q in "
+                f"[{format_ratio(low)}, {format_ratio(high)}] with p <= {max_num} and "
+                f"q <= {max_den} exceed the limit of {MAX_TABLE_ENTRIES}"
             )
     return _farey_walk(*walk)
 
@@ -194,27 +247,37 @@ def _farey_walk(
         a, b, c, d = c, d, j * c - a, j * d - b
 
 
-def _farey_bracket(x: Fraction, n: int) -> tuple[int, int, int, int]:
-    """Consecutive terms a/b < x <= c/d among the fractions with denominator <= n.
+def _farey_bracket(
+    x: Fraction, max_den: int, max_num: int | None = None
+) -> tuple[int, int, int, int]:
+    """Consecutive terms a/b < x <= c/d among the reduced fractions with
+    denominator <= max_den and, if given, numerator <= max_num >= 1; c/d is
+    1/0 when every such fraction lies below x.
 
-    Descends the Stern-Brocot tree from the unit interval around x, moving
-    one bound toward x as far as it can go in a single step (a run of the
-    continued fraction), so it takes logarithmically many steps in n.
+    Descends the Stern-Brocot tree from 0/1 and 1/0, moving one bound toward
+    x as far as it can go in a single step (a run of the continued
+    fraction), so it takes logarithmically many steps in the bounds. It
+    stops when the mediant (a + c)/(b + d) leaves the rectangle: every
+    fraction strictly between a/b and c/d has at least that numerator and
+    denominator.
     """
     u, v = x.numerator, x.denominator
-    c = -(-u // v)  # ceil(x), so that c - 1 < x <= c
-    a, b, d = c - 1, 1, 1
+    a, b, c, d = 0, 1, 1, 0
     while True:
         below = u * b - a * v  # > 0: a/b < x
         above = c * v - u * d  # >= 0: x <= c/d
-        # raise a/b to (a + j*c)/(b + j*d) while it stays below x
-        j = (n - b) // d
-        if above:
-            j = min(j, (below - 1) // above)
+        # raise a/b to (a + j*c)/(b + j*d) while it stays below x and inside
+        j = (below - 1) // above if above else max_den
+        if d:
+            j = min(j, (max_den - b) // d)
+        if max_num is not None:
+            j = min(j, (max_num - a) // c)
         a, b = a + j * c, b + j * d
         below = u * b - a * v
-        # lower c/d to (c + i*a)/(d + i*b) while it stays at or above x
-        i = min((n - d) // b, above // below)
+        # lower c/d to (c + i*a)/(d + i*b) while it stays at or above x and inside
+        i = min((max_den - d) // b, above // below)
+        if max_num is not None and a:
+            i = min(i, (max_num - c) // a)
         c, d = c + i * a, d + i * b
         if not (i or j):
             return a, b, c, d
@@ -243,17 +306,53 @@ def harmonic_tuning(
     """Scored table over the harmonicity-thresholded interval set.
 
     One pass: each candidate is thresholded and scored by the same call.
+    For h > 0 the candidates come from the rectangle of ``_rectangle_sides``
+    when its area is below the bounded walk's cheap bound (module docstring).
     """
     threshold = to_ratio(h)
     if not 0 <= threshold < 1:
         raise ValueError("harmonicity threshold h must lie in [0, 1)")
-    score = _transposition_scorer(contextual, complementary, threshold)  # refuses empty sets
+    score = _lattice_scorer(contextual, complementary, threshold)  # refuses empty sets
+    low, high = _checked_range(lo, hi, max_den)
+    # the scorer takes t as p/q = t*b/a, so t = p*rd/(q*rn) for r = b/a = rn/rd
+    ratio = complementary.fundamental() / contextual.fundamental()
+    rn, rd = ratio.numerator, ratio.denominator
+    gcd = math.gcd
     entries = []
-    for c, d in _bounded_walk(lo, hi, max_den):
-        result = score(c, d)
-        if result is not None:
-            entries.append(TuningEntry(Fraction(c, d), result))
+    sides = threshold and _rectangle_sides(contextual, complementary, threshold)
+    if sides and sides[0] * sides[1] < _walk_bound(low, high, max_den):
+        # t rises with p/q, so the entries come out ascending
+        for p, q in _rectangle_walk(low * ratio, high * ratio, *sides):
+            c, d = p * rd, q * rn
+            g = gcd(c, d)
+            if d <= max_den * g:
+                result = score(p, q)
+                if result is not None:
+                    entries.append(TuningEntry(Fraction(c // g, d // g), result))
+    else:
+        for c, d in _bounded_walk(low, high, max_den):
+            p, q = c * rn, d * rd
+            g = gcd(p, q)
+            result = score(p // g, q // g)
+            if result is not None:
+                entries.append(TuningEntry(Fraction(c, d), result))
     return TuningTable(tuple(entries), "harmonic")
+
+
+def _rectangle_sides(
+    contextual: FrequencySet, complementary: FrequencySet, threshold: Fraction
+) -> tuple[int, int]:
+    """Bounds P, Q on the reduced p/q = t*b/a whose harmonicity can exceed
+    ``threshold`` = hn/hd > 0.
+
+    With F = a*N and G = b*M the harmonicity is at most
+    S / max(q*N_top, p*M_top) for S = |N| + |M|, so exceeding hn/hd needs
+    hn*p*M_top <= S*hd - 1 and hn*q*N_top <= S*hd - 1.
+    """
+    _, n_all, _ = contextual._lattice_view()
+    _, m_all, _ = complementary._lattice_view()
+    room = (len(n_all) + len(m_all)) * threshold.denominator - 1
+    return room // (threshold.numerator * m_all[-1]), room // (threshold.numerator * n_all[-1])
 
 
 def superset_tuning(

@@ -46,12 +46,26 @@ class TestConsonanceCommand:
         assert code == 0
         assert "4/9" in out
 
+    # harmonicity 3/10^6000, at every interval; Python prints at most 4,300 digits
+    TOO_LONG = (
+        "error: harmonicity is too long to print: its denominator has 6001 digits, "
+        f"more than the limit of {sys.get_int_max_str_digits()}\n"
+    )
+
     def test_report_that_cannot_be_formatted_prints_no_line(self, capsys):
-        # the affinity formats; the harmonicity's 6,000-digit numerator does not
+        # the affinity formats; the harmonicity's 6,001-digit denominator does not
         code, out, err = run(["consonance", "1e3000,1e-3000", "3"], capsys)
         assert code == 3
         assert out == ""
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err == self.TOO_LONG
+
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_document_score_too_long_to_print_is_named(self, capsys, output):
+        code, out, err = run(["harmonic", "1e3000,1e-3000", "3", "--h", "0", "--lo", "1",
+                              "--hi", "2", "--max-den", "1", "--format", output], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == self.TOO_LONG
 
     @pytest.mark.parametrize("sign", ["", "-"])
     def test_huge_decimal_exponent_is_refused_before_the_power(self, capsys, sign):
@@ -389,6 +403,20 @@ def test_harmonic_table_above_cap_is_refused_before_allocating(capsys):
     assert "1216587847926 candidate intervals" in err and "limit of 4194304" in err
     assert "Traceback" not in err
     assert peak < 2**22
+
+
+def test_harmonic_threshold_bounds_what_the_cap_would_refuse(capsys):
+    # the same bounds with h = 1/12: single partials clear it only for
+    # p, q <= 23, so the rectangle walk serves the request
+    start = time.process_time()
+    code, out, _ = run(
+        ["harmonic", "1", "1", "--h", "1/12", "--hi", "1000000", "--max-den", "2000"], capsys
+    )
+    assert time.process_time() - start < 0.5
+    assert code == 0
+    expected = sorted({F(p, q) for p in range(1, 24) for q in range(1, 24)})
+    intervals = [F(e["interval"]) for e in json.loads(out)["entries"]]
+    assert intervals == [t for t in expected if t >= F(1, 8)]
 
 
 @pytest.mark.parametrize("steps", [MAX_TABLE_ENTRIES + 1, 10**12])

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,7 @@ from toneset import (
     total_period,
     transpose,
 )
-from toneset.core import MAX_DECIMAL_EXPONENT, MAX_HARMONIC_PARTIALS, _display_score
+from toneset.core import MAX_DECIMAL_EXPONENT, MAX_HARMONIC_PARTIALS, _display_score, _ratio_text
 
 ratios = st.fractions(min_value=F(1, 30), max_value=F(50), max_denominator=30)
 freq_sets = st.sets(ratios, min_size=1, max_size=6).map(FrequencySet)
@@ -182,6 +183,33 @@ class TestDisplayScore:
     )
     def test_display_rule(self, value, shown):
         assert _display_score(value) == shown
+
+
+class TestRatioText:
+    def test_printable_ratio(self):
+        assert _ratio_text(F(3, 2), "total") == "3/2" == format_ratio(F(3, 2), always_slash=True)
+
+    @pytest.mark.parametrize(
+        "numerator, denominator",
+        [(1, 10**4300), (1, 10**4301 - 1), (10**5000 + 7, 3), (3, 2**20000), (7 * 10**4400, 10**4400 + 1)],
+        ids=["10^4300", "10^4301-1", "numerator", "2^20000", "both"],
+    )
+    def test_too_long_names_the_value_and_its_digits(self, numerator, denominator):
+        value = F(numerator, denominator)
+        limit = sys.get_int_max_str_digits()
+        term, longer = max(("numerator", value.numerator), ("denominator", value.denominator),
+                           key=lambda pair: pair[1])
+        sys.set_int_max_str_digits(0)
+        try:
+            digits = len(str(longer))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        with pytest.raises(ValueError) as raised:
+            _ratio_text(value, "harmonicity")
+        assert str(raised.value) == (
+            f"harmonicity is too long to print: its {term} has {digits} digits, "
+            f"more than the limit of {limit}"
+        )
 
 
 class TestCents:

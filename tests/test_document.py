@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,9 @@ from toneset import (
     octave_reduce,
     parse_ratio,
 )
+from toneset import document
+from toneset.cli import _render_text
+from toneset.core import _display_score
 from toneset.document import csv_text, table_csv
 
 C4 = harmonic_set(262, 6)
@@ -204,6 +208,78 @@ class TestTableCsvFromIntegers:
         entries = affinitive_tuning(huge, FrequencySet(["3", "1e-400"])).entries
         assert max(e.score.harmonicity.denominator for e in entries) > 2**1024
         assert table_csv(entries) == fraction_table_csv(entries)
+
+
+# a few values shared by the scores of many entries, as in generated tables:
+# equal scores are often distinct objects, and unequal ones share terms
+_REPEATING_ENTRIES = st.lists(
+    _UNIT | st.fractions(0, 1, max_denominator=6), min_size=1, max_size=4
+).flatmap(
+    lambda values: st.lists(
+        st.builds(
+            TuningEntry,
+            st.builds(F, _HUGE, _HUGE),
+            st.builds(ConsonanceScore, st.sampled_from(values), st.sampled_from(values)),
+        ),
+        max_size=20,
+    )
+)
+
+
+def reference_entry_dict(entry):
+    """A JSON document entry, every field formatted from its Fraction."""
+    values = (entry.score.affinity, entry.score.harmonicity, entry.score.total)
+    data = {
+        "interval": format_ratio(entry.interval, always_slash=True),
+        "cents": round(cents(entry.interval), 4),
+    }
+    data.update(zip(("affinity", "harmonicity", "total"),
+                    (format_ratio(v, always_slash=True) for v in values)))
+    data.update(zip(("affinity_float", "harmonicity_float", "total_float"),
+                    (_display_score(v) for v in values)))
+    return data
+
+
+class TestPerCallMemos:
+    """Each distinct score is formatted once per call, and no call sees
+    another's memo."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_REPEATING_ENTRIES)
+    def test_memoised_fields_equal_the_fraction_formatting(self, entries):
+        entries = sorted({e.interval: e for e in entries}.values(), key=lambda e: e.interval)
+        assert table_csv(entries) == fraction_table_csv(entries)
+        doc = TuningDocument({}, tuple(entries))
+        assert doc.as_dict()["entries"] == [reference_entry_dict(e) for e in entries]
+
+    @staticmethod
+    def distinct_scores(doc):
+        count = len({e.score for e in doc.entries})
+        assert count < len(doc.entries)  # the memo has something to share
+        return count
+
+    def test_csv_cells_per_call(self):
+        doc = c4_document()
+        distinct = self.distinct_scores(doc)
+        with mock.patch.object(document, "_float_cells", wraps=document._float_cells) as spy:
+            first = doc.to_csv()
+            assert spy.call_count == distinct
+            assert doc.to_csv() == first
+            assert spy.call_count == 2 * distinct
+
+    @pytest.mark.parametrize("render", [
+        lambda doc: doc.to_json(),
+        lambda doc: _render_text(doc, "interval"),
+        lambda doc: _render_text(doc, "consonance"),
+    ])
+    def test_score_fields_per_call(self, render):
+        doc = c4_document()
+        distinct = self.distinct_scores(doc)
+        with mock.patch.object(document, "_display_score", wraps=_display_score) as spy:
+            first = render(doc)
+            assert spy.call_count == 3 * distinct
+            assert render(doc) == first
+            assert spy.call_count == 6 * distinct
 
 
 class TestExportScl:

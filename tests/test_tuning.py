@@ -2,6 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,6 +250,15 @@ small_one_decimal_sets = st.builds(
 )
 
 
+# sets a*N over small fundamentals a and multipliers N <= 12, so that t*b/a
+# stays small and the rectangle of a drawn threshold stays walkable
+small_lattice_sets = st.builds(
+    lambda base, multipliers: FrequencySet(base * n for n in multipliers),
+    st.fractions(F(1, 4), 4, max_denominator=6),
+    st.sets(st.integers(1, 12), min_size=1, max_size=4),
+)
+
+
 class TestTranspositionScorer:
     """The integer-lattice scorer against the materialising public functions."""
 
@@ -279,6 +289,17 @@ class TestTranspositionScorer:
         h = data.draw(thresholds)
         score = _transposition_scorer(contextual, complementary, h)(t.numerator, t.denominator)
         assert (score is not None) == (exact > h)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_lattice_sets, small_lattice_sets)
+    def test_one_scorer_over_many_intervals(self, contextual, complementary):
+        # a scorer keeps each distinct score it builds; every later interval
+        # must still get its own
+        score = _transposition_scorer(contextual, complementary)
+        for t in sorted(set(SMALL_RANGE) | affinitive_intervals(contextual, complementary)):
+            assert score(t.numerator, t.denominator) == total_consonance(
+                contextual, complementary.transpose(t)
+            )
 
     def test_harmonic_sets_of_many_partials(self):
         # k ranges over many multipliers here, exercising the integer walk
@@ -367,6 +388,105 @@ class TestHarmonicTuning:
         )
         got = harmonic_tuning(contextual, complementary, h, lo, hi, max_den).entries
         assert first_difference(got, expected) is None
+
+
+def forced_walk(walk, *args):
+    """``harmonic_tuning(*args)`` with the walk it takes fixed: the rectangle
+    is taken when its area is below the bounded walk's cheap bound."""
+    bound = math.inf if walk == "rectangle" else 0
+    with mock.patch.object(tuning, "_walk_bound", return_value=bound):
+        return harmonic_tuning(*args)
+
+
+class TestHarmonicWalks:
+    """The rectangle walk for h > 0 against the bounded walk."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_lattice_sets, small_lattice_sets, st.data())
+    def test_both_walks_give_identical_tables(self, contextual, complementary, data):
+        lo = data.draw(st.fractions(F(1, 8), 4, max_denominator=12), "lo")
+        hi = data.draw(st.fractions(lo, 8, max_denominator=12).filter(lambda x: x > lo), "hi")
+        max_den = data.draw(st.integers(1, 16), "max_den")
+        exact = {
+            harmonicity(contextual, complementary.transpose(t))
+            for t in enumerate_rationals(lo, hi, max_den)
+        }
+        # thresholds at a candidate's exact harmonicity test the strict cut;
+        # keep those whose rectangle is small enough to walk
+        walkable = sorted(
+            x for x in exact
+            if 0 < x < 1 and math.prod(tuning._rectangle_sides(contextual, complementary, x)) <= 20_000
+        )
+        thresholds = st.fractions(F(1, 20), F(99, 100), max_denominator=100)
+        if walkable:
+            thresholds |= st.sampled_from(walkable)
+        h = data.draw(thresholds, "h")
+        args = (contextual, complementary, h, lo, hi, max_den)
+        rectangle, bounded = forced_walk("rectangle", *args), forced_walk("bounded", *args)
+        assert first_difference(rectangle.entries, bounded.entries) is None
+        assert rectangle.entries == harmonic_tuning(*args).entries
+
+    def test_rectangle_sides_are_tight(self):
+        # single partials: harmonicity 2/max(p, q) off unison, so the largest
+        # p and q that clear 1/12 are 23 = (2*12 - 1) // 1
+        single = FrequencySet([1])
+        assert tuning._rectangle_sides(single, single, F(1, 12)) == (23, 23)
+        table = forced_walk("rectangle", single, single, F(1, 12), F(1, 8), 23, 60)
+        assert table.entries == forced_walk("bounded", single, single, F(1, 12), F(1, 8), 23, 60).entries
+        assert {F(23), F(23, 22), F(1, 8)} <= set(table.intervals)
+
+    def test_walk_is_chosen_by_the_smaller_bound(self):
+        single = FrequencySet([262])
+        with mock.patch.object(tuning, "_rectangle_walk", wraps=tuning._rectangle_walk) as spy:
+            coarse = harmonic_tuning(single, single, F(1, 12))
+            assert spy.call_count == 1  # 23*23 against about 14,500
+            # (2*10^6 - 1)^2 candidates: the bounded walk is taken, and fits
+            fine = harmonic_tuning(single, single, F(1, 10**6))
+            assert spy.call_count == 1
+            zero = harmonic_tuning(single, single, 0)
+            assert spy.call_count == 1
+        assert len(fine.entries) == len(enumerate_rationals(F(1, 8), 8, 60))
+        assert fine.entries == zero.entries
+        assert coarse.intervals == tuple(t for t in fine.intervals if thomae_modified(t) > F(1, 24))
+
+    @pytest.mark.parametrize(
+        "contextual, complementary, sides",
+        [(FrequencySet([1]), FrequencySet([1, 100]), (0, 5)),
+         (FrequencySet([1, 100]), FrequencySet([1]), (5, 0))],
+    )
+    def test_empty_rectangle_gives_empty_table_unscored(self, contextual, complementary, sides):
+        # harmonicity <= 3/100 < 1/2 everywhere: P or Q is 0, and no candidate is scored
+        assert tuning._rectangle_sides(contextual, complementary, F(1, 2)) == sides
+        calls, scorer = [], tuning._lattice_scorer
+
+        def counting_scorer(*args):
+            score = scorer(*args)
+            return lambda p, q: calls.append((p, q)) or score(p, q)
+
+        with mock.patch.object(tuning, "_lattice_scorer", counting_scorer):
+            table = harmonic_tuning(contextual, complementary, F(1, 2), F(1, 8), 8, 60)
+        assert table.entries == () and calls == []
+        assert forced_walk("bounded", contextual, complementary, F(1, 2), F(1, 8), 8, 60).entries == ()
+
+    def test_rectangle_above_the_cap_is_counted(self, monkeypatch):
+        single = FrequencySet([1])
+        expected = forced_walk("bounded", single, single, F(1, 12), F(1, 8), 8, 60).entries
+        walked = len(list(tuning._rectangle_walk(F(1, 8), F(8), 23, 23)))
+        monkeypatch.setattr(tuning, "MAX_TABLE_ENTRIES", walked)
+        assert forced_walk("rectangle", single, single, F(1, 12), F(1, 8), 8, 60).entries == expected
+        monkeypatch.setattr(tuning, "MAX_TABLE_ENTRIES", walked - 1)
+        with pytest.raises(ValueError, match=f"^more than {walked - 1} candidate intervals p/q"):
+            forced_walk("rectangle", single, single, F(1, 12), F(1, 8), 8, 60)
+
+    def test_consecutive_calls_share_no_scores(self):
+        single = FrequencySet([262])
+        first = harmonic_tuning(single, single, 0, F(1, 2), 2, 12)
+        second = harmonic_tuning(single, single, 0, F(1, 2), 2, 12)
+        assert first.entries == second.entries
+        assert all(a.score is not b.score for a, b in zip(first.entries, second.entries))
+        # within one call, equal scores are one object: 3/2 and 2/3 both score (0, 1/3)
+        by_interval = {e.interval: e.score for e in first.entries}
+        assert by_interval[F(3, 2)] is by_interval[F(2, 3)]
 
 
 class TestSupersetTuning:
