@@ -24,7 +24,6 @@ from .core import (
     FrequencySet,
     ParseError,
     _display_score,
-    _ratio_text,
     cents,
     format_ratio,
     parse_ratio,
@@ -75,7 +74,7 @@ def _render_text(doc: TuningDocument, order: str) -> str:
     for e, (_, texts, shown) in rows:
         scores = "".join(f"  {text:>8} ({_score_text(v)})" for text, v in zip(texts, shown))
         lines.append(
-            f"{format_ratio(e.interval, always_slash=True):>10}"
+            f"{format_ratio(e.interval, True, 'interval'):>10}"
             f"  {cents(e.interval):>10.4f}{scores}  {e.note or ''}"
         )
     return "\n".join(lines) + "\n"
@@ -112,7 +111,7 @@ def cmd_consonance(args: argparse.Namespace) -> int:
     score = total_consonance(contextual, complementary)
     # every line is formatted before any is written, so a failure prints none
     sys.stdout.write("".join(
-        f"{label:<11} = {_ratio_text(value, label)} ({_score_text(_display_score(value))})\n"
+        f"{label:<11} = {format_ratio(value, True, label)} ({_score_text(_display_score(value))})\n"
         for label, value in (
             ("affinity", score.affinity),
             ("harmonicity", score.harmonicity),
@@ -134,9 +133,9 @@ def cmd_harmonic(args: argparse.Namespace) -> int:
     complementary = parse_set_expression(args.complement)
     table = harmonic_tuning(contextual, complementary, args.h, args.lo, args.hi, args.max_den)
     parameters = {
-        "h": format_ratio(args.h, always_slash=True),
-        "lo": format_ratio(args.lo, always_slash=True),
-        "hi": format_ratio(args.hi, always_slash=True),
+        "h": format_ratio(args.h, True, "h"),
+        "lo": format_ratio(args.lo, True, "lo"),
+        "hi": format_ratio(args.hi, True, "hi"),
         "max_den": args.max_den,
     }
     return _emit_document(table, contextual, complementary, parameters, args)
@@ -160,8 +159,8 @@ def cmd_thomae(args: argparse.Namespace) -> int:
     table = harmonic_tuning(single, single, 0, args.lo, args.hi, args.max_den)
     parameters = {
         "max_den": args.max_den,
-        "lo": format_ratio(args.lo, always_slash=True),
-        "hi": format_ratio(args.hi, always_slash=True),
+        "lo": format_ratio(args.lo, True, "lo"),
+        "hi": format_ratio(args.hi, True, "hi"),
     }
     return _emit_document(table, single, single, parameters, args, label="thomae")
 

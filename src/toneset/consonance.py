@@ -16,7 +16,6 @@ p/q between them, which ties consonance directly to ratio complexity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -142,7 +141,6 @@ def _lattice_scorer(
     n_top, m_top = n_all[-1], m_all[-1]
     sizes = len(n_all) + len(m_all)
     smaller = min(len(n_all), len(m_all))
-    affinities = [Fraction(shared, smaller) for shared in range(smaller + 1)]
     # when k ranges further than the shorter multiplier list is long, walk
     # that list instead: m in M is shared iff q | m and p*m/q is in N
     # (symmetrically for n in N)
@@ -172,28 +170,10 @@ def _lattice_scorer(
         key = (shared, top)
         result = built.get(key)
         if result is None:
-            result = built[key] = ConsonanceScore(affinities[shared], Fraction(union, top))
+            result = built[key] = ConsonanceScore(Fraction(shared, smaller), Fraction(union, top))
         return result
 
     return score
-
-
-def _transposition_scorer(
-    contextual: FrequencySet, complementary: FrequencySet, threshold: Fraction = Fraction(0)
-) -> Callable[[int, int], ConsonanceScore | None]:
-    """:func:`_lattice_scorer` taking the interval t = c/d > 0 itself, as
-    its numerator c and denominator d in lowest terms."""
-    score = _lattice_scorer(contextual, complementary, threshold)
-    ratio = complementary.fundamental() / contextual.fundamental()
-    rn, rd = ratio.numerator, ratio.denominator
-    gcd = math.gcd
-
-    def score_interval(c: int, d: int) -> ConsonanceScore | None:
-        p, q = c * rn, d * rd
-        g = gcd(p, q)
-        return score(p // g, q // g)
-
-    return score_interval
 
 
 def thomae_modified(interval: RatioLike) -> Fraction:

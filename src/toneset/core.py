@@ -83,27 +83,26 @@ def parse_ratio(text: str) -> Fraction:
         ) from None
 
 
-def format_ratio(value: Fraction, always_slash: bool = False) -> str:
-    """Render a ratio as "p/q", or bare "p" for integers unless forced."""
-    if always_slash or value.denominator != 1:
-        return f"{value.numerator}/{value.denominator}"
-    return str(value.numerator)
+def format_ratio(value: Fraction, always_slash: bool = False, label: str = "ratio") -> str:
+    """Render a ratio as "p/q", or bare "p" for integers unless forced.
 
-
-def _ratio_text(value: Fraction, label: str) -> str:
-    """``format_ratio(value, always_slash=True)``, or a ValueError naming
-    ``label`` when a term has more digits than Python converts to text
-    (``sys.get_int_max_str_digits()``, 4,300 by default)."""
+    A term with more digits than Python converts to text
+    (``sys.get_int_max_str_digits()``, 4,300 by default) raises a ValueError
+    that names ``label`` and the term's digit count.
+    """
     try:
-        return f"{value.numerator}/{value.denominator}"
+        if always_slash or value.denominator != 1:
+            return f"{value.numerator}/{value.denominator}"
+        return str(value.numerator)
     except ValueError:
-        term, n = max(("numerator", value.numerator), ("denominator", value.denominator),
+        term, n = max(("numerator", abs(value.numerator)), ("denominator", value.denominator),
                       key=lambda pair: pair[1])
         digits = int(n.bit_length() * math.log10(2)) + 1  # the count, or one above it
         if n < 10 ** (digits - 1):
             digits -= 1
+        whose = f"its {term}" if always_slash or value.denominator != 1 else "it"
         raise ValueError(
-            f"{label} is too long to print: its {term} has {digits} digits, more than "
+            f"{label} is too long to print: {whose} has {digits} digits, more than "
             f"the limit of {sys.get_int_max_str_digits()}"
         ) from None
 
@@ -215,7 +214,7 @@ class FrequencySet:
     def __init__(self, frequencies: Iterable[RatioLike] = ()):
         freqs = sorted({to_ratio(f) for f in frequencies})
         if freqs and freqs[0] <= 0:
-            raise ValueError(f"non-positive frequency {freqs[0]}")
+            raise ValueError(f"non-positive frequency {format_ratio(freqs[0], label='frequency')}")
         self._freqs: tuple[Fraction, ...] = tuple(freqs)
         # lazy caches; safe because the value is immutable
         self._element_set: frozenset[Fraction] | None = None
@@ -248,7 +247,8 @@ class FrequencySet:
             raise ValueError("partial count must be at least 1")
         if count > MAX_HARMONIC_PARTIALS:
             raise ValueError(
-                f"partial count {count} exceeds the limit of {MAX_HARMONIC_PARTIALS}"
+                f"partial count {format_ratio(count, label='partial count')} exceeds the limit of "
+                f"{MAX_HARMONIC_PARTIALS}"
             )
         multipliers = tuple(range(1, count + 1))
         num, den = base.numerator, base.denominator

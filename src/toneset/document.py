@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from . import __version__
 from .consonance import ConsonanceScore
-from .core import _cents_of, _display_score, _ratio_text, cents, format_ratio, parse_ratio
+from .core import _cents_of, _display_score, cents, format_ratio, parse_ratio
 from .notes import note_name
 from .tuning import TuningEntry, TuningTable
 
@@ -68,7 +68,7 @@ def _table_rows(entries: Iterable[TuningEntry]) -> Iterator[list[str]]:
         floats = cells.get(key)
         if floats is None:
             floats = cells[key] = _float_cells(*key)
-        yield [f"{n}/{d}", f"{_cents_of(n, d):.4f}", *floats]
+        yield [format_ratio(t, True, "interval"), f"{_cents_of(n, d):.4f}", *floats]
 
 
 def _float_cells(an: int, ad: int, hn: int, hd: int) -> tuple[str, str, str]:
@@ -105,7 +105,7 @@ def _score_fields() -> Callable[[ConsonanceScore], tuple[Fraction, tuple, tuple]
             values = (a, h, score.total)
             found = fields[key] = (
                 values[2],
-                tuple(_ratio_text(v, label) for v, label in zip(values, _SCORE_LABELS)),
+                tuple(format_ratio(v, True, label) for v, label in zip(values, _SCORE_LABELS)),
                 tuple(_display_score(v) for v in values),
             )
         return found
@@ -117,7 +117,7 @@ def _entry_dict(entry: TuningEntry, fields: Callable) -> dict:
     n, d = entry.interval.numerator, entry.interval.denominator
     _, (affinity, harmonicity, total), shown = fields(entry.score)
     data = {
-        "interval": f"{n}/{d}",
+        "interval": format_ratio(entry.interval, True, "interval"),
         "cents": round(_cents_of(n, d), 4),
         "affinity": affinity,
         "harmonicity": harmonicity,
@@ -270,5 +270,5 @@ def export_scl(
         if cents_lines:
             lines.append(f"{cents(t):.4f}")
         else:
-            lines.append(format_ratio(t, always_slash=True))
+            lines.append(format_ratio(t, True, "interval"))
     return "\n".join(lines) + "\n"

@@ -11,6 +11,8 @@ Grammar shared by the command line and document metadata:
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 
 from .core import FrequencySet, ParseError, format_ratio, parse_ratio
@@ -47,12 +49,10 @@ def parse_set_expression(text: str) -> FrequencySet:
     expr = text.strip()
     if not expr:
         raise ParseError("empty frequency-set expression")
-    result = FrequencySet()
-    for part in expr.split("+"):
-        result = result | _parse_term(part)
-    return result
+    # a one-term expression is its term, not a rebuilt copy of it
+    return functools.reduce(operator.or_, map(_parse_term, expr.split("+")))
 
 
 def canonical_set_expression(freq_set: FrequencySet) -> str:
     """Explicit-list form that parses back to the identical set."""
-    return ",".join(format_ratio(f) for f in freq_set)
+    return ",".join(format_ratio(f, label="frequency") for f in freq_set)

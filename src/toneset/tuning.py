@@ -9,8 +9,7 @@ a contextual set F and a complementary set F' that is transposed against it:
   union-harmonicity clears a threshold h. Rich for sparse spectra. For
   h = 0 it needs its bounds (defaults: +-3 octaves, denominators up to
   60); for h > 0 every interval that clears h already lies in a finite
-  rectangle (below). Walks of more than ``MAX_TABLE_ENTRIES`` candidates
-  are refused.
+  rectangle (below).
 * superset - affinitive intervals of the harmonic supersets of F and F',
   scored on the original sets. Contains the affinitive table and never
   misses a high-harmonicity interval.
@@ -23,38 +22,34 @@ The public consonance functions (``total_consonance(F, F'.transpose(t))``)
 compute the same Fractions from the sets themselves and serve as the oracle
 the tests compare against.
 
-The harmonic and superset generators walk their candidates as integer pairs
-with one Farey next-term rule, ascending and already reduced, so neither
-sorts and a Fraction is built only for an entry that is kept:
+The harmonic and superset generators and ``enumerate_rationals`` take their
+candidates from one walk, ``_walk(low, high, max_num, max_den)``: the
+reduced p/q in [low, high] with p <= max_num and q <= max_den, as integer
+pairs in ascending order (one Farey next-term rule), so nothing sorts and a
+Fraction is built only for an entry that is kept.
 
-* harmonic - each candidate is thresholded and scored in the same call,
-  and one of two walks supplies them.
-
-  - Bounded walk: the reduced t from the lower bound to the upper one over
-    denominators up to max_den. (hi - lo)*D*(D+1)/2 + D bounds its
-    candidates for D = max_den; only when that bound exceeds the cap are
-    they counted exactly, by Moebius inversion with the superset count's
-    sieve.
-  - Rectangle walk, for h = hn/hd > 0: with F = a*N, G = b*M and
-    t*b/a = p/q reduced, the harmonicity is at most
-    S / max(q*N_top, p*M_top) for S = |N| + |M|, so every interval that
-    clears h has p <= P = (S*hd - 1) // (hn*M_top) and
-    q <= Q = (S*hd - 1) // (hn*N_top). The walk covers the reduced p/q of
-    that rectangle from lo*b/a to hi*b/a; t = p*a/(q*b) rises with p/q,
-    and a t whose denominator exceeds max_den is skipped unscored. P or Q
-    below 1 leaves nothing to walk.
-
-  For h > 0 the rectangle is taken when P*Q is below the bounded walk's
-  bound; a tiny h makes the rectangle huge, and the bounded walk is taken.
-  h = 0 bounds no rectangle and always takes the bounded walk. The cap
-  applies to the walk that is taken: a rectangle with P*Q above it is
-  counted by walking it, at most MAX_TABLE_ENTRIES + 1 steps.
+* harmonic, bounded - the reduced t in [lo, hi] with denominators up to
+  D = max_den: ``_walk(lo, hi, floor(hi*D), D)``, whose numerator bound
+  removes nothing. ``enumerate_rationals`` is the same walk.
+* harmonic, rectangle, for h = hn/hd > 0: with F = a*N, G = b*M and
+  t*b/a = p/q reduced, the harmonicity is at most
+  S / max(q*N_top, p*M_top) for S = |N| + |M|, so every interval that
+  clears h has p <= P = (S*hd - 1) // (hn*M_top) and
+  q <= Q = (S*hd - 1) // (hn*N_top): ``_walk(lo*b/a, hi*b/a, P, Q)``.
+  t = p*a/(q*b) rises with p/q, and a t whose denominator exceeds max_den
+  is skipped unscored. It is taken when P*Q is below the bounded walk's
+  bound (hi - lo)*D*(D+1)/2 + D; a tiny h makes the rectangle huge, and
+  the bounded walk is taken, as it always is for h = 0.
 * superset - the supersets are a*{1..k} and b*{1..k'}, so their pairwise
   ratios are exactly (a/b)*p/q over the reduced p/q with p <= k and
-  q <= k': the walk covers that rectangle from 1/k' to k/1, and p/q is
-  already the t*b/a the scorer takes. The table's size is counted exactly
-  first, by Moebius inversion, and a table above ``MAX_TABLE_ENTRIES`` is
-  refused before any entry is built.
+  q <= k': ``_walk(1/k', k, k, k')``, whose p/q is already the t*b/a the
+  scorer takes.
+
+One refusal rule serves every walk: more than ``MAX_TABLE_ENTRIES``
+candidates are refused before the first is built. They are counted only
+when both max_num*max_den and (high - low)*max_den*(max_den + 1)/2 + max_den
+bound them above the cap, exactly, by Moebius inversion over the shorter
+side of the box (``_reduced_count``).
 
 Octave reduction folds intervals into [1, 2) and rescores them from scratch;
 consonance is not preserved by octave transposition (4/5 folds to 8/5, which
@@ -70,12 +65,7 @@ from fractions import Fraction
 from itertools import islice, pairwise
 from typing import Iterable, Iterator
 
-from .consonance import (
-    ConsonanceScore,
-    _lattice_scorer,
-    _transposition_scorer,
-    harmonic_superset,
-)
+from .consonance import ConsonanceScore, _lattice_scorer, harmonic_superset
 from .core import FrequencySet, RatioLike, format_ratio, to_ratio
 
 __all__ = [
@@ -91,17 +81,17 @@ __all__ = [
     "octave_reduce",
 ]
 
-# Largest superset table, and most candidates a bounded walk (a harmonic
-# table, ``enumerate_rationals``) may visit. Larger ones are refused, after
-# a count and before any entry is built. The superset table of fig5_4's
-# two-decimal inharmonic spectrum against itself has 2,115,723 entries and
-# fits.
+# Most candidates a walk (a harmonic or superset table,
+# ``enumerate_rationals``) may visit. Larger walks are refused, after a count
+# and before any entry is built. The superset table of fig5_4's two-decimal
+# inharmonic spectrum against itself has 2,115,723 entries and fits.
 MAX_TABLE_ENTRIES = 2**22
 
-# Largest max_den whose candidates are counted by Moebius inversion, in time
-# and memory linear in max_den. Past it, the count up to _SIEVE_LIMIT is a
-# lower bound; when that does not exceed the cap, the walk itself is counted,
-# stopping after MAX_TABLE_ENTRIES + 1 candidates.
+# Longest shorter side of a walk's box whose candidates are counted by
+# Moebius inversion, in time and memory linear in that side. Past it, the
+# count up to _SIEVE_LIMIT is a lower bound; when that does not exceed the
+# cap, the walk itself is counted, stopping after MAX_TABLE_ENTRIES + 1
+# candidates.
 _SIEVE_LIMIT = 2**16
 
 
@@ -138,8 +128,12 @@ def _table(
     generator: str,
 ) -> TuningTable:
     """The intervals, sorted and scored (threshold 0 keeps every one)."""
-    score = _transposition_scorer(contextual, complementary)
-    entries = tuple(TuningEntry(t, score(t.numerator, t.denominator)) for t in sorted(intervals))
+    score = _lattice_scorer(contextual, complementary)
+    # the scorer takes t as the integers of t*b/a in lowest terms
+    ratio = complementary.fundamental() / contextual.fundamental()
+    entries = tuple(
+        TuningEntry(t, score(*(t * ratio).as_integer_ratio())) for t in sorted(intervals)
+    )
     return TuningTable(entries, generator)
 
 
@@ -163,67 +157,59 @@ def affinitive_tuning(
 
 def enumerate_rationals(lo: RatioLike, hi: RatioLike, max_den: int) -> list[Fraction]:
     """All reduced fractions p/q with q <= max_den and lo <= p/q <= hi, ascending."""
-    return [Fraction(c, d) for c, d in _bounded_walk(lo, hi, max_den)]
+    low, high = _checked_range(lo, hi, max_den)
+    # every p/q <= high with q <= max_den has p <= high*max_den
+    top = high.numerator * max_den // high.denominator
+    return [Fraction(c, d) for c, d in _walk(low, high, top, max_den)]
 
 
 def _checked_range(lo: RatioLike, hi: RatioLike, max_den: int) -> tuple[Fraction, Fraction]:
     low, high = to_ratio(lo), to_ratio(hi)
     if not 0 < low < high:
-        raise ValueError(f"invalid range [{format_ratio(low)}, {format_ratio(high)}]")
+        raise ValueError(
+            f"invalid range [{format_ratio(low, label='lo')}, {format_ratio(high, label='hi')}]"
+        )
     if max_den < 1:
         raise ValueError("max_den must be at least 1")
     return low, high
 
 
 def _walk_bound(low: Fraction, high: Fraction, max_den: int) -> Fraction:
-    """Cheap upper bound on the candidates of ``_bounded_walk``: each
-    q <= max_den has at most (high - low)*q + 1 numerators in range."""
+    """Cheap upper bound on the p/q in [low, high] with q <= max_den: each
+    q has at most (high - low)*q + 1 numerators in range."""
     return (high - low) * max_den * (max_den + 1) / 2 + max_den
 
 
-def _bounded_walk(lo: RatioLike, hi: RatioLike, max_den: int) -> Iterator[tuple[int, int]]:
-    """The numerators and denominators of ``enumerate_rationals``, in order.
-
-    Checks the bounds, and refuses a walk of more than ``MAX_TABLE_ENTRIES``
-    candidates, before the first pair is asked for. Every p/q <= hi with
-    q <= max_den has p <= hi*max_den, so that numerator bound on the walk
-    removes nothing.
-    """
-    low, high = _checked_range(lo, hi, max_den)
-    hn, hd = high.numerator, high.denominator
-    walk = (*_farey_bracket(low, max_den), hn * max_den // hd, max_den, hn, hd)
-    if _walk_bound(low, high, max_den) > MAX_TABLE_ENTRIES:
-        count = _reduced_in_range(low, high, min(max_den, _SIEVE_LIMIT))
-        if count <= MAX_TABLE_ENTRIES and max_den > _SIEVE_LIMIT:  # q > _SIEVE_LIMIT left out
-            count = sum(1 for _ in islice(_farey_walk(*walk), MAX_TABLE_ENTRIES + 1))
-        if count > MAX_TABLE_ENTRIES:
-            raise ValueError(
-                f"{'at least ' if max_den > _SIEVE_LIMIT else ''}{count} candidate intervals "
-                f"in [{format_ratio(low)}, {format_ratio(high)}] with denominators up to "
-                f"{max_den} exceed the limit of {MAX_TABLE_ENTRIES}"
-            )
-    return _farey_walk(*walk)
-
-
-def _rectangle_walk(
-    low: Fraction, high: Fraction, max_num: int, max_den: int
-) -> Iterator[tuple[int, int]]:
-    """The reduced p/q in [low, high] with p <= max_num and q <= max_den,
-    ascending; none when either side is below 1.
+def _walk(low: Fraction, high: Fraction, max_num: int, max_den: int) -> Iterator[tuple[int, int]]:
+    """The reduced p/q in [low, high], 0 < low, with p <= max_num and
+    q <= max_den, ascending; none when max_num or max_den is below 1.
 
     A walk of more than ``MAX_TABLE_ENTRIES`` candidates is refused before
-    the first pair is asked for; only when max_num*max_den exceeds the cap
-    are they counted, by walking them, at most MAX_TABLE_ENTRIES + 1 steps.
+    the first pair is asked for. The candidates are counted only when both
+    max_num*max_den and ``_walk_bound`` exceed the cap: exactly by
+    ``_reduced_count``, or, when both sides exceed ``_SIEVE_LIMIT`` and that
+    count's lower bound does not exceed the cap, by walking them, at most
+    MAX_TABLE_ENTRIES + 1 steps.
     """
     if max_num < 1 or max_den < 1:
         return iter(())
-    walk = (*_farey_bracket(low, max_den, max_num), max_num, max_den, high.numerator, high.denominator)
-    if max_num * max_den > MAX_TABLE_ENTRIES:
-        if sum(1 for _ in islice(_farey_walk(*walk), MAX_TABLE_ENTRIES + 1)) > MAX_TABLE_ENTRIES:
+    hn, hd = high.numerator, high.denominator
+    walk = (*_farey_bracket(low, max_num, max_den), max_num, max_den, hn, hd)
+    if min(max_num * max_den, _walk_bound(low, high, max_den)) > MAX_TABLE_ENTRIES:
+        partial = min(max_num, max_den) > _SIEVE_LIMIT
+        count = _reduced_count(low, high, max_num, max_den)
+        if partial and count <= MAX_TABLE_ENTRIES:
+            count = sum(1 for _ in islice(_farey_walk(*walk), MAX_TABLE_ENTRIES + 1))
+        if count > MAX_TABLE_ENTRIES:
+            count, low, high, max_num = (
+                format_ratio(x, label=label)
+                for x, label in ((count, "candidate count"), (low, "lower bound"),
+                                 (high, "upper bound"), (max_num, "numerator bound"))
+            )
             raise ValueError(
-                f"more than {MAX_TABLE_ENTRIES} candidate intervals p/q in "
-                f"[{format_ratio(low)}, {format_ratio(high)}] with p <= {max_num} and "
-                f"q <= {max_den} exceed the limit of {MAX_TABLE_ENTRIES}"
+                f"{'at least ' if partial else ''}{count} candidate intervals p/q in "
+                f"[{low}, {high}] with p <= {max_num} and q <= {max_den} exceed the limit "
+                f"of {MAX_TABLE_ENTRIES}"
             )
     return _farey_walk(*walk)
 
@@ -247,12 +233,10 @@ def _farey_walk(
         a, b, c, d = c, d, j * c - a, j * d - b
 
 
-def _farey_bracket(
-    x: Fraction, max_den: int, max_num: int | None = None
-) -> tuple[int, int, int, int]:
+def _farey_bracket(x: Fraction, max_num: int, max_den: int) -> tuple[int, int, int, int]:
     """Consecutive terms a/b < x <= c/d among the reduced fractions with
-    denominator <= max_den and, if given, numerator <= max_num >= 1; c/d is
-    1/0 when every such fraction lies below x.
+    numerator <= max_num and denominator <= max_den, both at least 1; c/d
+    is 1/0 when every such fraction lies below x.
 
     Descends the Stern-Brocot tree from 0/1 and 1/0, moving one bound toward
     x as far as it can go in a single step (a run of the continued
@@ -267,16 +251,14 @@ def _farey_bracket(
         below = u * b - a * v  # > 0: a/b < x
         above = c * v - u * d  # >= 0: x <= c/d
         # raise a/b to (a + j*c)/(b + j*d) while it stays below x and inside
-        j = (below - 1) // above if above else max_den
+        j = min((below - 1) // above if above else max_den, (max_num - a) // c)
         if d:
             j = min(j, (max_den - b) // d)
-        if max_num is not None:
-            j = min(j, (max_num - a) // c)
         a, b = a + j * c, b + j * d
         below = u * b - a * v
         # lower c/d to (c + i*a)/(d + i*b) while it stays at or above x and inside
         i = min((max_den - d) // b, above // below)
-        if max_num is not None and a:
+        if a:
             i = min(i, (max_num - c) // a)
         c, d = c + i * a, d + i * b
         if not (i or j):
@@ -322,7 +304,7 @@ def harmonic_tuning(
     sides = threshold and _rectangle_sides(contextual, complementary, threshold)
     if sides and sides[0] * sides[1] < _walk_bound(low, high, max_den):
         # t rises with p/q, so the entries come out ascending
-        for p, q in _rectangle_walk(low * ratio, high * ratio, *sides):
+        for p, q in _walk(low * ratio, high * ratio, *sides):
             c, d = p * rd, q * rn
             g = gcd(c, d)
             if d <= max_den * g:
@@ -330,7 +312,7 @@ def harmonic_tuning(
                 if result is not None:
                     entries.append(TuningEntry(Fraction(c // g, d // g), result))
     else:
-        for c, d in _bounded_walk(low, high, max_den):
+        for c, d in _walk(low, high, high.numerator * max_den // high.denominator, max_den):
             p, q = c * rn, d * rd
             g = gcd(p, q)
             result = score(p // g, q // g)
@@ -373,20 +355,13 @@ def superset_tuning(
     a, k_all, _ = harmonic_superset(contextual, n)._lattice_view()
     b, kk_all, _ = harmonic_superset(complementary, m)._lattice_view()
     k, kk = k_all[-1], kk_all[-1]
-    count = _coprime_pairs(k, kk)
-    if count > MAX_TABLE_ENTRIES:
-        raise ValueError(
-            f"superset table of {count} entries exceeds the limit of {MAX_TABLE_ENTRIES}"
-        )
+    walk = _walk(Fraction(1, kk), Fraction(k), k, kk)
     # the superset fundamentals are the originals', so p/q is exactly the
     # t*b/a the scorer takes
     score = _lattice_scorer(contextual, complementary)
     ratio = a / b
     rn, rd = ratio.numerator, ratio.denominator
-    entries = tuple(
-        TuningEntry(Fraction(p * rn, q * rd), score(p, q))
-        for p, q in _farey_walk(0, 1, 1, kk, k, kk, k, 1)
-    )
+    entries = tuple(TuningEntry(Fraction(p * rn, q * rd), score(p, q)) for p, q in walk)
     return TuningTable(entries, "superset")
 
 
@@ -402,30 +377,39 @@ def _mobius(top: int) -> list[int]:
     return mu
 
 
-def _coprime_pairs(k: int, kk: int) -> int:
-    """How many reduced p/q have 1 <= p <= k and 1 <= q <= kk.
+def _reduced_count(low: Fraction, high: Fraction, max_num: int, max_den: int) -> int:
+    """How many reduced p/q in [low, high], 0 < low, have p <= max_num and
+    q <= max_den; when both bounds exceed ``_SIEVE_LIMIT``, a lower bound.
 
-    Moebius inversion over the common divisor d of p and q:
-    sum of mu(d) * (k // d) * (kk // d) for d <= min(k, kk).
+    Moebius inversion over the common divisor d of p and q, summed over the
+    shorter side: p/q lies in [low, high] iff q/p lies in [1/high, 1/low],
+    so the bounds are swapped to make max_den the smaller, and it is cut to
+    ``_SIEVE_LIMIT``. With S(x, y) the pairs (p, q), p <= x and q <= y, in
+    range, the count is the sum of mu(d) * S(max_num // d, max_den // d)
+    for d <= max_den. Each S takes constant time from prefix sums over q of
+    floor(high*q) and ceil(low*q), the numerators' range at q before the
+    cut at x.
     """
-    top = min(k, kk)
-    mu = _mobius(top)
-    return sum(mu[d] * (k // d) * (kk // d) for d in range(1, top + 1))
-
-
-def _reduced_in_range(low: Fraction, high: Fraction, max_den: int) -> int:
-    """How many reduced p/q with q <= max_den lie in [low, high], low > 0.
-
-    Moebius inversion over the common divisor d of p and q: with S(j) the
-    number of pairs (p, i) with i <= j and low <= p/i <= high, the count is
-    the sum of mu(d) * S(max_den // d) for d <= max_den.
-    """
+    if max_num < max_den:
+        low, high, max_num, max_den = 1 / high, 1 / low, max_den, max_num
+    max_den = min(max_den, _SIEVE_LIMIT)
     ln, ld, hn, hd = low.numerator, low.denominator, high.numerator, high.denominator
-    pairs = [0]  # pairs[j] = S(j); floor(high*i) - ceil(low*i) + 1 numerators per i
-    for i in range(1, max_den + 1):
-        pairs.append(pairs[-1] + hn * i // hd + (-ln * i) // ld + 1)
+    floors, ceils = [0], [0]
+    for q in range(1, max_den + 1):
+        floors.append(floors[-1] + hn * q // hd)
+        ceils.append(ceils[-1] - (-ln * q // ld))
+
+    def pairs(x: int, y: int) -> int:
+        # up to q = free, floor(high*q) <= x; up to q = cut, ceil(low*q) <= x
+        free = min(y, ((x + 1) * hd - 1) // hn)
+        cut = min(y, x * ld // ln)
+        found = floors[free] - ceils[free] + free
+        if cut > free:
+            found += (x + 1) * (cut - free) - (ceils[cut] - ceils[free])
+        return found
+
     mu = _mobius(max_den)
-    return sum(mu[d] * pairs[max_den // d] for d in range(1, max_den + 1))
+    return sum(mu[d] * pairs(max_num // d, max_den // d) for d in range(1, max_den + 1) if mu[d])
 
 
 def fold_to_octave(interval: RatioLike) -> Fraction:

@@ -67,6 +67,28 @@ class TestConsonanceCommand:
         assert out == ""
         assert err == self.TOO_LONG
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # set metadata, JSON and text intervals, parameters, a refusal's count
+            (["affinitive", "1e4300", "1"], "frequency is too long to print: it has 4301 digits"),
+            (["affinitive", "1e2200", "1e-2200"], "interval is too long to print: its numerator has 4401"),
+            (["affinitive", "3e2200", "7e-2200", "--format", "text"],
+             "interval is too long to print: its numerator has 4401"),
+            (["harmonic", "1", "1", "--h", "0", "--lo", "1e-4300", "--hi", "1e-4299", "--max-den", "1"],
+             "lo is too long to print: its denominator has 4301"),
+            (["superset", "1e3000,1e-3000", "3"], "partial count is too long to print: it has 6001"),
+            (["harmonic", "1", "1", "--h", "0", "--hi", "1e4300"], "candidate count is too long to print"),
+        ],
+        ids=["set", "json", "text", "parameter", "partial-count", "refusal"],
+    )
+    def test_every_exact_value_too_long_to_print_is_named(self, capsys, argv, message):
+        code, out, err = run(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+        assert "set_int_max_str_digits" not in err
+
     @pytest.mark.parametrize("sign", ["", "-"])
     def test_huge_decimal_exponent_is_refused_before_the_power(self, capsys, sign):
         start = time.process_time()
@@ -383,7 +405,10 @@ def test_superset_table_above_cap_is_refused_before_allocating(capsys):
         tracemalloc.stop()
     assert code == 3
     assert out == ""
-    assert "superset table of 5472375 entries exceeds the limit of 4194304" in err
+    assert (
+        "5472375 candidate intervals p/q in [1/3000, 3000] with p <= 3000 and q <= 3000 "
+        "exceed the limit of 4194304"
+    ) in err
     assert "Traceback" not in err
     assert peak < 2**22  # the table would take gigabytes
 
@@ -603,6 +628,7 @@ def _assert_exits_cleanly(argv, stdin):
         sys.stdin = saved_stdin
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+    assert "set_int_max_str_digits" not in err.getvalue()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -19,7 +19,7 @@ from toneset import (
     total_period,
     transpose,
 )
-from toneset.core import MAX_DECIMAL_EXPONENT, MAX_HARMONIC_PARTIALS, _display_score, _ratio_text
+from toneset.core import MAX_DECIMAL_EXPONENT, MAX_HARMONIC_PARTIALS, _display_score
 
 ratios = st.fractions(min_value=F(1, 30), max_value=F(50), max_denominator=30)
 freq_sets = st.sets(ratios, min_size=1, max_size=6).map(FrequencySet)
@@ -187,7 +187,7 @@ class TestDisplayScore:
 
 class TestRatioText:
     def test_printable_ratio(self):
-        assert _ratio_text(F(3, 2), "total") == "3/2" == format_ratio(F(3, 2), always_slash=True)
+        assert format_ratio(F(3, 2), True, "total") == "3/2" == format_ratio(F(3, 2), always_slash=True)
 
     @pytest.mark.parametrize(
         "numerator, denominator",
@@ -205,7 +205,7 @@ class TestRatioText:
         finally:
             sys.set_int_max_str_digits(limit)
         with pytest.raises(ValueError) as raised:
-            _ratio_text(value, "harmonicity")
+            format_ratio(value, True, "harmonicity")
         assert str(raised.value) == (
             f"harmonicity is too long to print: its {term} has {digits} digits, "
             f"more than the limit of {limit}"

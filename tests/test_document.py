@@ -203,6 +203,12 @@ class TestTableCsvFromIntegers:
     def test_rows_equal_the_fraction_formatting(self, entries):
         assert table_csv(entries) == fraction_table_csv(entries)
 
+    def test_interval_too_long_to_print_is_named(self):
+        entry = TuningEntry(F(10**4400), ConsonanceScore(F(1), F(1)))
+        for text in (table_csv, lambda entries: document._entry_dict(entries[0], document._score_fields())):
+            with pytest.raises(ValueError, match="^interval is too long to print: its numerator has 4401"):
+                text([entry])
+
     def test_scores_beyond_the_float_range(self):
         huge = FrequencySet(["1e400", "2", "3e-400"])
         entries = affinitive_tuning(huge, FrequencySet(["3", "1e-400"])).entries

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
@@ -33,6 +34,12 @@ class TestParseSetExpression:
 
     def test_note_with_grid_default(self):
         assert parse_set_expression("A4_5") == harmonic_set(440, 5)
+
+    def test_one_term_is_not_rebuilt(self):
+        # the term's own set comes back: no union copies its partials
+        with mock.patch.object(FrequencySet, "__init__", side_effect=AssertionError("rebuilt")):
+            got = parse_set_expression("262*N6")
+        assert got == harmonic_set(262, 6)
 
     def test_union(self):
         got = parse_set_expression("C4_6@262+G4_6@393")

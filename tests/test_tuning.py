@@ -27,9 +27,9 @@ from toneset import (
     thomae_modified,
     total_consonance,
 )
-from toneset.consonance import _transposition_scorer
+from toneset.consonance import _lattice_scorer
 from toneset import tuning
-from toneset.tuning import _coprime_pairs, _reduced_in_range, _table
+from toneset.tuning import _reduced_count, _table
 
 C4 = harmonic_set(262, 6)
 INHARMONIC = FrequencySet(
@@ -206,12 +206,24 @@ class TestEnumerateRationals:
             enumerate_rationals(1, 2, 0)
 
     def test_reduced_count(self):
+        # boxes of either shape: the count sums over the shorter side
         rng = random.Random(5)
         for _ in range(200):
             lo = F(rng.randint(1, 40), rng.randint(1, 12))
             hi = lo + F(rng.randint(1, 40), rng.randint(1, 12))
-            max_den = rng.randint(1, 30)
-            assert _reduced_in_range(lo, hi, max_den) == len(oracle_rationals(lo, hi, max_den))
+            max_num, max_den = rng.randint(1, 60), rng.randint(1, 30)
+            expected = [t for t in oracle_rationals(lo, hi, max_den) if t.numerator <= max_num]
+            assert _reduced_count(lo, hi, max_num, max_den) == len(expected)
+            top = hi.numerator * max_den // hi.denominator  # the numerator bound that removes nothing
+            assert _reduced_count(lo, hi, top, max_den) == len(oracle_rationals(lo, hi, max_den))
+
+    def test_reduced_count_sieves_the_shorter_side(self, monkeypatch):
+        # one side past the sieve is still counted exactly, over the other
+        monkeypatch.setattr(tuning, "_SIEVE_LIMIT", 8)
+        lo, hi = F(1, 10), F(10)
+        for max_num, max_den in ((5, 30), (30, 5)):
+            expected = [t for t in oracle_rationals(lo, hi, max_den) if t.numerator <= max_num]
+            assert _reduced_count(lo, hi, max_num, max_den) == len(expected)
 
     def test_walk_above_cap_is_refused(self):
         # the cheap bound exceeds the cap, so the exact count decides
@@ -259,6 +271,13 @@ small_lattice_sets = st.builds(
 )
 
 
+def transposition_scorer(contextual, complementary, threshold=F(0)):
+    """The lattice scorer taking the interval t itself, as t*b/a in lowest terms."""
+    score = _lattice_scorer(contextual, complementary, threshold)
+    ratio = complementary.fundamental() / contextual.fundamental()
+    return lambda t: score(*(t * ratio).as_integer_ratio())
+
+
 class TestTranspositionScorer:
     """The integer-lattice scorer against the materialising public functions."""
 
@@ -275,7 +294,7 @@ class TestTranspositionScorer:
     @given(one_decimal_sets, one_decimal_sets, st.data())
     def test_equals_total_consonance(self, contextual, complementary, data):
         t = self.draw_interval(data, contextual, complementary)
-        score = _transposition_scorer(contextual, complementary)(t.numerator, t.denominator)
+        score = transposition_scorer(contextual, complementary)(t)
         assert score == total_consonance(contextual, complementary.transpose(t))
 
     @settings(max_examples=300, deadline=None)
@@ -287,7 +306,7 @@ class TestTranspositionScorer:
         if exact < 1:  # the boundary itself must be rejected: the test is strict
             thresholds |= st.just(exact)
         h = data.draw(thresholds)
-        score = _transposition_scorer(contextual, complementary, h)(t.numerator, t.denominator)
+        score = transposition_scorer(contextual, complementary, h)(t)
         assert (score is not None) == (exact > h)
 
     @settings(max_examples=100, deadline=None)
@@ -295,21 +314,25 @@ class TestTranspositionScorer:
     def test_one_scorer_over_many_intervals(self, contextual, complementary):
         # a scorer keeps each distinct score it builds; every later interval
         # must still get its own
-        score = _transposition_scorer(contextual, complementary)
+        score = transposition_scorer(contextual, complementary)
         for t in sorted(set(SMALL_RANGE) | affinitive_intervals(contextual, complementary)):
-            assert score(t.numerator, t.denominator) == total_consonance(
-                contextual, complementary.transpose(t)
-            )
+            assert score(t) == total_consonance(contextual, complementary.transpose(t))
+
+    def test_set_up_costs_nothing_per_partial(self):
+        # an affinity is built when a score first needs it, not for every
+        # shared count up front
+        many, other = harmonic_set(1, 2**20), harmonic_set(3, 2**20)
+        start = time.process_time()
+        _lattice_scorer(many, other)
+        assert time.process_time() - start < 0.05
 
     def test_harmonic_sets_of_many_partials(self):
         # k ranges over many multipliers here, exercising the integer walk
         big, small = harmonic_set(262, 256), harmonic_set(393, 5)
         for contextual, complementary in ((big, small), (small, big), (big, big)):
-            score = _transposition_scorer(contextual, complementary)
+            score = transposition_scorer(contextual, complementary)
             for t in enumerate_rationals(F(1, 4), 4, 9):
-                assert score(t.numerator, t.denominator) == total_consonance(
-                    contextual, complementary.transpose(t)
-                )
+                assert score(t) == total_consonance(contextual, complementary.transpose(t))
 
 
 class TestHarmonicIntervals:
@@ -437,14 +460,15 @@ class TestHarmonicWalks:
 
     def test_walk_is_chosen_by_the_smaller_bound(self):
         single = FrequencySet([262])
-        with mock.patch.object(tuning, "_rectangle_walk", wraps=tuning._rectangle_walk) as spy:
+        with mock.patch.object(tuning, "_walk", wraps=tuning._walk) as spy:
             coarse = harmonic_tuning(single, single, F(1, 12))
-            assert spy.call_count == 1  # 23*23 against about 14,500
+            assert spy.call_args.args[2:] == (23, 23)  # 23*23 against about 14,500
             # (2*10^6 - 1)^2 candidates: the bounded walk is taken, and fits
             fine = harmonic_tuning(single, single, F(1, 10**6))
-            assert spy.call_count == 1
+            assert spy.call_args.args[2:] == (480, 60)
             zero = harmonic_tuning(single, single, 0)
-            assert spy.call_count == 1
+            assert spy.call_args.args[2:] == (480, 60)
+            assert spy.call_count == 3
         assert len(fine.entries) == len(enumerate_rationals(F(1, 8), 8, 60))
         assert fine.entries == zero.entries
         assert coarse.intervals == tuple(t for t in fine.intervals if thomae_modified(t) > F(1, 24))
@@ -471,11 +495,11 @@ class TestHarmonicWalks:
     def test_rectangle_above_the_cap_is_counted(self, monkeypatch):
         single = FrequencySet([1])
         expected = forced_walk("bounded", single, single, F(1, 12), F(1, 8), 8, 60).entries
-        walked = len(list(tuning._rectangle_walk(F(1, 8), F(8), 23, 23)))
+        walked = len(list(tuning._walk(F(1, 8), F(8), 23, 23)))
         monkeypatch.setattr(tuning, "MAX_TABLE_ENTRIES", walked)
         assert forced_walk("rectangle", single, single, F(1, 12), F(1, 8), 8, 60).entries == expected
         monkeypatch.setattr(tuning, "MAX_TABLE_ENTRIES", walked - 1)
-        with pytest.raises(ValueError, match=f"^more than {walked - 1} candidate intervals p/q"):
+        with pytest.raises(ValueError, match=f"^{walked} candidate intervals p/q .* 23 .* 23 exceed"):
             forced_walk("rectangle", single, single, F(1, 12), F(1, 8), 8, 60)
 
     def test_consecutive_calls_share_no_scores(self):
@@ -500,7 +524,8 @@ class TestSupersetTuning:
         expected = _table(intervals, contextual, complementary, "superset")
         entries = superset_tuning(contextual, complementary, n, m).entries
         assert first_difference(entries, expected.entries) is None
-        assert _coprime_pairs(*map(len, supersets)) == len(entries)
+        k, kk = map(len, supersets)
+        assert _reduced_count(F(1, kk), F(k), k, kk) == len(entries)
 
     def test_coprime_pair_count(self):
         for k in range(1, 25):
@@ -508,9 +533,9 @@ class TestSupersetTuning:
                 brute = sum(
                     math.gcd(p, q) == 1 for p in range(1, k + 1) for q in range(1, kk + 1)
                 )
-                assert _coprime_pairs(k, kk) == brute
+                assert _reduced_count(F(1, kk), F(k), k, kk) == brute
         # the superset table of fig5_4's spectrum against itself
-        assert _coprime_pairs(1865, 1865) == 2_115_723
+        assert _reduced_count(F(1, 1865), F(1865), 1865, 1865) == 2_115_723
 
     def test_single_partial_extended_superset(self):
         single = FrequencySet([262])
