@@ -4,52 +4,55 @@ Three generators, each producing a table of (interval, consonance) pairs for
 a contextual set F and a complementary set F' that is transposed against it:
 
 * affinitive - every pairwise frequency ratio f/f'. These are exactly the
-  transpositions with nonzero affinity, so the table is finite and cheap.
+  transpositions with nonzero affinity, so the table is finite.
 * harmonic - all reduced rationals within enumeration bounds whose
   union-harmonicity clears a threshold h. Rich for sparse spectra. For
   h = 0 it needs its bounds (defaults: +-3 octaves, denominators up to
   60); for h > 0 every interval that clears h already lies in a finite
   rectangle (below).
 * superset - affinitive intervals of the harmonic supersets of F and F',
-  scored on the original sets. Contains the affinitive table and never
-  misses a high-harmonicity interval.
+  scored on the original sets. Contains the affinitive table (its entries
+  with nonzero affinity) and never misses a high-harmonicity interval.
 
-Every table is scored by one exact path: the consonance layer's private
-lattice scorer compares F with tF' in integer arithmetic on the sets'
-fundamentals a, b and multipliers, taking t as the reduced integers of
-t*b/a, so scoring a transposition never materialises the transposed set.
-The public consonance functions (``total_consonance(F, F'.transpose(t))``)
+Every table is made by one builder, ``_scored``, in one coordinate
+system. With F = a*N and G = b*M (fundamentals a, b, integer multipliers),
+a generator hands it the transpositions t as the ascending reduced integer
+pairs p/q = t*b/a; the consonance layer's private lattice scorer compares F
+with tF' on those integers without materialising the transposed set, and
+t = p*a/(q*b) is built only for an entry that clears the threshold. The
+public consonance functions (``total_consonance(F, F'.transpose(t))``)
 compute the same Fractions from the sets themselves and serve as the oracle
-the tests compare against.
+the tests compare against. The generators differ only in their pairs; all
+but affinitive take them from ``_walk(low, high, max_num, max_den)``, the
+reduced p/q in [low, high] with p <= max_num and q <= max_den, ascending
+(one Farey next-term rule), so nothing else sorts:
 
-The harmonic and superset generators and ``enumerate_rationals`` take their
-candidates from one walk, ``_walk(low, high, max_num, max_den)``: the
-reduced p/q in [low, high] with p <= max_num and q <= max_den, as integer
-pairs in ascending order (one Farey next-term rule), so nothing sorts and a
-Fraction is built only for an entry that is kept.
-
-* harmonic, bounded - the reduced t in [lo, hi] with denominators up to
-  D = max_den: ``_walk(lo, hi, floor(hi*D), D)``, whose numerator bound
-  removes nothing. ``enumerate_rationals`` is the same walk.
-* harmonic, rectangle, for h = hn/hd > 0: with F = a*N, G = b*M and
-  t*b/a = p/q reduced, the harmonicity is at most
+* affinitive - f/f' = a*n/(b*m) is t with t*b/a = n/m, so the pairs are
+  the reduced n/m over the multipliers, deduplicated as integer tuples and
+  sorted by the exact integer key floor(p*2^s/q), 2^s > M_top^2: reduced
+  fractions with denominators up to M_top differ by at least 1/M_top^2.
+* harmonic, bounded - the reduced c/d in [lo, hi] with d <= D = max_den,
+  ``_walk(lo, hi, floor(hi*D), D)`` (``enumerate_rationals`` is the same
+  walk), each mapped to c*b/(d*a) in lowest terms.
+* harmonic, rectangle, for h = hn/hd > 0: the harmonicity is at most
   S / max(q*N_top, p*M_top) for S = |N| + |M|, so every interval that
   clears h has p <= P = (S*hd - 1) // (hn*M_top) and
-  q <= Q = (S*hd - 1) // (hn*N_top): ``_walk(lo*b/a, hi*b/a, P, Q)``.
-  t = p*a/(q*b) rises with p/q, and a t whose denominator exceeds max_den
-  is skipped unscored. It is taken when P*Q is below the bounded walk's
-  bound (hi - lo)*D*(D+1)/2 + D; a tiny h makes the rectangle huge, and
-  the bounded walk is taken, as it always is for h = 0.
+  q <= Q = (S*hd - 1) // (hn*N_top): ``_walk(lo*b/a, hi*b/a, P, Q)``,
+  skipping unscored a t whose denominator exceeds max_den. It is taken
+  when P*Q is below the bounded walk's bound (hi - lo)*D*(D+1)/2 + D; a
+  tiny h makes the rectangle huge, and the bounded walk is taken, as it
+  always is for h = 0.
 * superset - the supersets are a*{1..k} and b*{1..k'}, so their pairwise
-  ratios are exactly (a/b)*p/q over the reduced p/q with p <= k and
-  q <= k': ``_walk(1/k', k, k, k')``, whose p/q is already the t*b/a the
-  scorer takes.
+  ratios are exactly the t with t*b/a = p/q reduced, p <= k, q <= k':
+  ``_walk(1/k', k, k, k')``.
+* ``octave_reduce`` - the folded intervals, sorted, each as t*b/a.
 
-One refusal rule serves every walk: more than ``MAX_TABLE_ENTRIES``
-candidates are refused before the first is built. They are counted only
-when both max_num*max_den and (high - low)*max_den*(max_den + 1)/2 + max_den
-bound them above the cap, exactly, by Moebius inversion over the shorter
-side of the box (``_reduced_count``).
+No table holds more than ``MAX_TABLE_ENTRIES`` candidates; a larger one is
+refused before the first is built. The affinitive candidates are the
+|N|*|M| partial pairs. A walk's are counted only when both max_num*max_den
+and (high - low)*max_den*(max_den + 1)/2 + max_den bound them above the
+cap, exactly, by Moebius inversion over the shorter side of the box
+(``_reduced_count``).
 
 Octave reduction folds intervals into [1, 2) and rescores them from scratch;
 consonance is not preserved by octave transposition (4/5 folds to 8/5, which
@@ -121,20 +124,26 @@ class TuningTable:
         return tuple(e.interval for e in self.entries)
 
 
-def _table(
-    intervals: Iterable[Fraction],
+def _scored(
     contextual: FrequencySet,
     complementary: FrequencySet,
+    pairs: Iterable[tuple[int, int]],
     generator: str,
+    threshold: Fraction = Fraction(0),
 ) -> TuningTable:
-    """The intervals, sorted and scored (threshold 0 keeps every one)."""
-    score = _lattice_scorer(contextual, complementary)
-    # the scorer takes t as the integers of t*b/a in lowest terms
-    ratio = complementary.fundamental() / contextual.fundamental()
-    entries = tuple(
-        TuningEntry(t, score(*(t * ratio).as_integer_ratio())) for t in sorted(intervals)
-    )
-    return TuningTable(entries, generator)
+    """The table of every t whose harmonicity exceeds ``threshold`` (0 keeps
+    every one), with t given as the ascending reduced integer pairs
+    p/q = t*b/a that the lattice scorer takes; t = p*a/(q*b) is built only
+    for an entry that is kept."""
+    score = _lattice_scorer(contextual, complementary, threshold)
+    ratio = contextual.fundamental() / complementary.fundamental()
+    rn, rd = ratio.numerator, ratio.denominator
+    entries = []
+    for p, q in pairs:
+        result = score(p, q)
+        if result is not None:
+            entries.append(TuningEntry(Fraction(p * rn, q * rd), result))
+    return TuningTable(tuple(entries), generator)
 
 
 def affinitive_intervals(
@@ -149,10 +158,24 @@ def affinitive_intervals(
 def affinitive_tuning(
     contextual: FrequencySet, complementary: FrequencySet
 ) -> TuningTable:
-    """One scored entry per affinitive interval."""
-    return _table(
-        affinitive_intervals(contextual, complementary), contextual, complementary, "affinitive"
-    )
+    """One scored entry per affinitive interval; more than
+    ``MAX_TABLE_ENTRIES`` partial pairs are refused before any is built."""
+    _, n_all, _ = contextual._lattice_view()  # refuses empty sets
+    _, m_all, _ = complementary._lattice_view()
+    count = len(n_all) * len(m_all)
+    if count > MAX_TABLE_ENTRIES:
+        raise ValueError(
+            f"{format_ratio(count, label='candidate count')} candidate intervals f/f' from "
+            f"{format_ratio(len(n_all))} x {format_ratio(len(m_all))} partials exceed the limit "
+            f"of {MAX_TABLE_ENTRIES}"
+        )
+    gcd = math.gcd
+    pairs = {(n // g, m // g) for n in n_all for m in m_all for g in (gcd(n, m),)}
+    # reduced p/q with q <= m_top differ by at least 1/m_top^2 > 2^-shift, so
+    # floor(p*2^shift/q) orders them exactly
+    shift = 2 * m_all[-1].bit_length()
+    ordered = sorted(pairs, key=lambda pq: (pq[0] << shift) // pq[1])
+    return _scored(contextual, complementary, ordered, "affinitive")
 
 
 def enumerate_rationals(lo: RatioLike, hi: RatioLike, max_den: int) -> list[Fraction]:
@@ -294,31 +317,21 @@ def harmonic_tuning(
     threshold = to_ratio(h)
     if not 0 <= threshold < 1:
         raise ValueError("harmonicity threshold h must lie in [0, 1)")
-    score = _lattice_scorer(contextual, complementary, threshold)  # refuses empty sets
+    # the scorer takes t as p/q = t*b/a, with b/a = rn/rd
+    ratio = complementary.fundamental() / contextual.fundamental()  # refuses empty sets
     low, high = _checked_range(lo, hi, max_den)
-    # the scorer takes t as p/q = t*b/a, so t = p*rd/(q*rn) for r = b/a = rn/rd
-    ratio = complementary.fundamental() / contextual.fundamental()
     rn, rd = ratio.numerator, ratio.denominator
     gcd = math.gcd
-    entries = []
     sides = threshold and _rectangle_sides(contextual, complementary, threshold)
     if sides and sides[0] * sides[1] < _walk_bound(low, high, max_den):
-        # t rises with p/q, so the entries come out ascending
-        for p, q in _walk(low * ratio, high * ratio, *sides):
-            c, d = p * rd, q * rn
-            g = gcd(c, d)
-            if d <= max_den * g:
-                result = score(p, q)
-                if result is not None:
-                    entries.append(TuningEntry(Fraction(c // g, d // g), result))
+        # t = p*rd/(q*rn) rises with p/q; one whose denominator exceeds
+        # max_den is skipped unscored
+        walk = _walk(low * ratio, high * ratio, *sides)
+        pairs = ((p, q) for p, q in walk if q * rn <= max_den * gcd(p * rd, q * rn))
     else:
-        for c, d in _walk(low, high, high.numerator * max_den // high.denominator, max_den):
-            p, q = c * rn, d * rd
-            g = gcd(p, q)
-            result = score(p // g, q // g)
-            if result is not None:
-                entries.append(TuningEntry(Fraction(c, d), result))
-    return TuningTable(tuple(entries), "harmonic")
+        walk = _walk(low, high, high.numerator * max_den // high.denominator, max_den)
+        pairs = ((c * rn // g, d * rd // g) for c, d in walk for g in (gcd(c * rn, d * rd),))
+    return _scored(contextual, complementary, pairs, "harmonic", threshold)
 
 
 def _rectangle_sides(
@@ -351,18 +364,12 @@ def superset_tuning(
     ``MAX_TABLE_ENTRIES`` entries is refused before any is built.
     """
     # the supersets are a*{1..k} and b*{1..kk}, so their pairwise ratios
-    # are (a/b)*p/q over the reduced p/q with p <= k and q <= kk
-    a, k_all, _ = harmonic_superset(contextual, n)._lattice_view()
-    b, kk_all, _ = harmonic_superset(complementary, m)._lattice_view()
-    k, kk = k_all[-1], kk_all[-1]
+    # are (a/b)*p/q over the reduced p/q with p <= k and q <= kk; their
+    # fundamentals are the originals', so p/q is already the t*b/a scored
+    k = harmonic_superset(contextual, n)._lattice_view()[1][-1]
+    kk = harmonic_superset(complementary, m)._lattice_view()[1][-1]
     walk = _walk(Fraction(1, kk), Fraction(k), k, kk)
-    # the superset fundamentals are the originals', so p/q is exactly the
-    # t*b/a the scorer takes
-    score = _lattice_scorer(contextual, complementary)
-    ratio = a / b
-    rn, rd = ratio.numerator, ratio.denominator
-    entries = tuple(TuningEntry(Fraction(p * rn, q * rd), score(p, q)) for p, q in walk)
-    return TuningTable(entries, "superset")
+    return _scored(contextual, complementary, walk, "superset")
 
 
 def _mobius(top: int) -> list[int]:
@@ -435,5 +442,7 @@ def octave_reduce(
     an interval and its octave transposition generally have different
     consonance.
     """
-    folded = {fold_to_octave(e.interval) for e in table.entries}
-    return _table(folded, contextual, complementary, table.generator)
+    folded = sorted({fold_to_octave(e.interval) for e in table.entries})
+    ratio = complementary.fundamental() / contextual.fundamental()
+    pairs = ((t * ratio).as_integer_ratio() for t in folded)
+    return _scored(contextual, complementary, pairs, table.generator)

@@ -413,6 +413,25 @@ def test_superset_table_above_cap_is_refused_before_allocating(capsys):
     assert peak < 2**22  # the table would take gigabytes
 
 
+def test_affinitive_table_above_cap_is_refused_before_allocating(capsys):
+    # 3,000 x 3,000 partial pairs: the pairs alone would take about a GiB
+    start = time.process_time()
+    tracemalloc.start()
+    try:
+        code, out, err = run(["affinitive", "1*N3000", "1*N3000"], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.process_time() - start < 1
+    assert code == 3
+    assert out == ""
+    assert (
+        "9000000 candidate intervals f/f' from 3000 x 3000 partials exceed the limit of 4194304"
+    ) in err
+    assert "Traceback" not in err
+    assert peak < 2**22
+
+
 def test_harmonic_table_above_cap_is_refused_before_allocating(capsys):
     # about 1.2e12 candidates: the walk would run until memory is gone
     tracemalloc.start()
@@ -450,6 +469,7 @@ def test_harmonic_threshold_bounds_what_the_cap_would_refuse(capsys):
     [["curve", "1", "1"], ["figure", "fig4_2"]], ids=["curve", "fig4_2"],
 )
 def test_sweep_steps_above_cap_are_refused_before_allocating(argv, steps, capsys):
+    import toneset.dissonance  # noqa: F401  numpy's first import is not the sweep's
     tracemalloc.start()
     try:
         code, out, err = run([*argv, "--steps", str(steps)], capsys)

@@ -29,7 +29,7 @@ from toneset import (
 )
 from toneset.consonance import _lattice_scorer
 from toneset import tuning
-from toneset.tuning import _reduced_count, _table
+from toneset.tuning import _reduced_count
 
 C4 = harmonic_set(262, 6)
 INHARMONIC = FrequencySet(
@@ -65,6 +65,18 @@ def oracle_rationals(lo, hi, max_den):
                 found.add(F(p, q))
             p += 1
     return sorted(found)
+
+
+def scored_oracle(intervals, contextual, complementary):
+    """The intervals, sorted and scored by the materialising public functions."""
+    return tuple(
+        TuningEntry(t, total_consonance(contextual, complementary.transpose(t)))
+        for t in sorted(intervals)
+    )
+
+
+def affinitive_oracle(contextual, complementary):
+    return scored_oracle(affinitive_intervals(contextual, complementary), contextual, complementary)
 
 
 def first_difference(got, expected):
@@ -152,6 +164,43 @@ class TestAffinitiveTuning:
             )
             grown = affinitive_intervals(C4 | extra, C4)
             assert affinitive_intervals(C4, C4) <= grown
+
+    # sparse sets of huge multipliers: ratios such as (K+1)/K and (K+2)/(K+1)
+    # differ by about 1/K^2, below a float's resolution past K = 2^27
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            st.builds(
+                lambda base, offsets: FrequencySet(base + o for o in offsets),
+                st.integers(2**54, 2**90),
+                st.sets(st.integers(0, 6), min_size=1, max_size=5),
+            ),
+            st.builds(
+                lambda base, multipliers: FrequencySet(base * n for n in multipliers),
+                st.fractions(F(1, 4), 4, max_denominator=6),
+                st.sets(st.integers(1, 40), min_size=1, max_size=24),
+            ),
+        ),
+        st.data(),
+    )
+    def test_equals_the_materialising_oracle(self, contextual, data):
+        complementary = data.draw(st.sampled_from([contextual, C4, contextual.transpose(F(3, 2))]))
+        got = affinitive_tuning(contextual, complementary).entries
+        assert first_difference(got, affinitive_oracle(contextual, complementary)) is None
+
+    def test_ratios_a_float_cannot_tell_apart(self):
+        k = 2**60
+        near = FrequencySet([k, k + 1, k + 2])
+        assert float(F(k + 1, k)) == float(F(k + 2, k + 1))
+        assert affinitive_tuning(near, near).entries == affinitive_oracle(near, near)
+
+    def test_partial_pairs_above_the_cap_are_refused(self, monkeypatch):
+        monkeypatch.setattr(tuning, "MAX_TABLE_ENTRIES", 12)
+        assert len(affinitive_tuning(harmonic_set(1, 3), harmonic_set(1, 4)).entries) == 9
+        with pytest.raises(
+            ValueError, match="^13 candidate intervals f/f' from 13 x 1 partials exceed the limit of 12$"
+        ):
+            affinitive_tuning(harmonic_set(1, 13), FrequencySet([1]))
 
     def test_gap_sampling_has_zero_affinity(self):
         intervals = sorted(affinitive_intervals(C4, C4))
@@ -520,12 +569,26 @@ class TestSupersetTuning:
         self, contextual, complementary, n, m
     ):
         supersets = harmonic_superset(contextual, n), harmonic_superset(complementary, m)
-        intervals = affinitive_intervals(*supersets)
-        expected = _table(intervals, contextual, complementary, "superset")
+        expected = scored_oracle(affinitive_intervals(*supersets), contextual, complementary)
         entries = superset_tuning(contextual, complementary, n, m).entries
-        assert first_difference(entries, expected.entries) is None
+        assert first_difference(entries, expected) is None
         k, kk = map(len, supersets)
         assert _reduced_count(F(1, kk), F(k), k, kk) == len(entries)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_lattice_sets, small_lattice_sets, st.fractions(F(1, 100), F(3, 10), max_denominator=100))
+    def test_contains_the_affinitive_and_every_harmonic_table(self, contextual, complementary, h):
+        superset = superset_tuning(contextual, complementary).entries
+        positive = tuple(e for e in superset if e.score.affinity > 0)
+        assert affinitive_tuning(contextual, complementary).entries == positive
+        # every t clearing h has t*b/a = p/q with p <= P and q <= Q
+        p_top, q_top = map(max, tuning._rectangle_sides(contextual, complementary, h), (1, 1))
+        ratio = contextual.fundamental() / complementary.fundamental()
+        box = (ratio / (q_top + 1), ratio * (p_top + 1), q_top * ratio.denominator)
+        n_top, m_top = contextual._lattice_view()[1][-1], complementary._lattice_view()[1][-1]
+        widened = superset_tuning(contextual, complementary, max(0, p_top - n_top), max(0, q_top - m_top))
+        expected = tuple(e for e in widened.entries if e.score.harmonicity > h)
+        assert harmonic_tuning(contextual, complementary, h, *box).entries == expected
 
     def test_coprime_pair_count(self):
         for k in range(1, 25):
