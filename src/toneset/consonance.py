@@ -12,13 +12,16 @@ Two complementary exact quantities, both rationals in [0, 1]:
 Total consonance is their arithmetic mean. For single-partial sounds the
 total collapses to the modified Thomae value 1/max(p, q) of the interval
 p/q between them, which ties consonance directly to ratio complexity.
+
+These functions compute from the sets themselves and are the oracle:
+``tuning`` scores whole tables on integer multipliers instead, and the tests
+compare its entries with ``total_consonance(F, F'.transpose(t))``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .core import FrequencySet, RatioLike, rational_gcd, to_ratio
 
@@ -108,72 +111,6 @@ def total_consonance(
         affinity=affinity(contextual, complementary),
         harmonicity=harmonicity(contextual, complementary),
     )
-
-
-def _lattice_scorer(
-    contextual: FrequencySet, complementary: FrequencySet, threshold: Fraction = Fraction(0)
-) -> Callable[[int, int], ConsonanceScore | None]:
-    """Exact scorer of ``contextual`` against transpositions of ``complementary``,
-    taking each transposition t as the integers of t*b/a = p/q in lowest terms.
-
-    With F = a*N and G = b*M (fundamentals a, b, integer multipliers N, M
-    with gcd 1), the returned function maps coprime p, q > 0 to
-    ``total_consonance(contextual, complementary.transpose(t))``, or to None
-    when that pair's harmonicity does not exceed ``threshold``; it never
-    builds the transposed set:
-
-    * a*n equals t*b*m iff n*q = p*m, i.e. n = p*k and m = q*k for some k,
-      so the overlap is a count of integers;
-    * the union's gcd is gcd(a, a*p/q) = a/q and its top partial is
-      a*max(N[-1], p*M[-1]/q), so harmonicity = |F u tG| / max(q*N[-1], p*M[-1]),
-      free of a and b.
-
-    The threshold test cross-multiplies integers, so rejected candidates
-    build no Fraction. Every harmonicity is positive, so the default
-    threshold 0 keeps every interval. Equal (shared, top) pairs give the
-    same score object: each distinct score is built once per scorer, and
-    the memo goes with the scorer.
-    """
-    _require_nonempty(contextual, complementary)
-    _, n_all, n_set = contextual._lattice_view()
-    _, m_all, m_set = complementary._lattice_view()
-    hn, hd = threshold.numerator, threshold.denominator
-    n_top, m_top = n_all[-1], m_all[-1]
-    sizes = len(n_all) + len(m_all)
-    smaller = min(len(n_all), len(m_all))
-    # when k ranges further than the shorter multiplier list is long, walk
-    # that list instead: m in M is shared iff q | m and p*m/q is in N
-    # (symmetrically for n in N)
-    if len(m_all) <= len(n_all):
-        shorter, longer_set, by_m = m_all, n_set, True
-    else:
-        shorter, longer_set, by_m = n_all, m_set, False
-    # union = sizes - shared, so (shared, top) determines the score
-    built: dict[tuple[int, int], ConsonanceScore] = {}
-
-    def score(p: int, q: int) -> ConsonanceScore | None:
-        k_top = min(n_top // p, m_top // q)
-        shared = 0
-        if k_top <= smaller:
-            for k in range(1, k_top + 1):
-                if p * k in n_set and q * k in m_set:
-                    shared += 1
-        else:
-            div, mul = (q, p) if by_m else (p, q)
-            for x in shorter:
-                if x % div == 0 and x // div * mul in longer_set:
-                    shared += 1
-        union = sizes - shared
-        top = max(q * n_top, p * m_top)
-        if union * hd <= hn * top:
-            return None
-        key = (shared, top)
-        result = built.get(key)
-        if result is None:
-            result = built[key] = ConsonanceScore(Fraction(shared, smaller), Fraction(union, top))
-        return result
-
-    return score
 
 
 def thomae_modified(interval: RatioLike) -> Fraction:

@@ -97,12 +97,16 @@ class NoteName:
 
 
 def _midi_for(freq: Fraction) -> int:
-    # Exact window test on the 24th power avoids all float boundary trouble.
-    x = (freq / _A4_HZ) ** 24
     estimate = 12.0 * (
         math.log2(freq.numerator) - math.log2(freq.denominator) - math.log2(440.0)
     )
     i = round(estimate)
+    # The estimate lies within a semitone of the exact index, so one further
+    # outside the span is out of it without raising freq to the 24th power.
+    if not _LOWEST_MIDI - 1 <= i + _A4_MIDI <= _HIGHEST_MIDI + 1:
+        return i + _A4_MIDI
+    # Exact window test on the 24th power avoids all float boundary trouble.
+    x = (freq / _A4_HZ) ** 24
     while x < Fraction(2) ** (2 * i - 1):
         i -= 1
     while x >= Fraction(2) ** (2 * i + 1):

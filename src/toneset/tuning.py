@@ -14,18 +14,17 @@ a contextual set F and a complementary set F' that is transposed against it:
   scored on the original sets. Contains the affinitive table (its entries
   with nonzero affinity) and never misses a high-harmonicity interval.
 
-Every table is made by one builder, ``_scored``, in one coordinate
+Every table is made by one function, ``_scored``, in one coordinate
 system. With F = a*N and G = b*M (fundamentals a, b, integer multipliers),
 a generator hands it the transpositions t as the ascending reduced integer
-pairs p/q = t*b/a; the consonance layer's private lattice scorer compares F
-with tF' on those integers without materialising the transposed set, and
-t = p*a/(q*b) is built only for an entry that clears the threshold. The
-public consonance functions (``total_consonance(F, F'.transpose(t))``)
-compute the same Fractions from the sets themselves and serve as the oracle
-the tests compare against. The generators differ only in their pairs; all
-but affinitive take them from ``_walk(low, high, max_num, max_den)``, the
-reduced p/q in [low, high] with p <= max_num and q <= max_den, ascending
-(one Farey next-term rule), so nothing else sorts:
+pairs p/q = t*b/a, and ``_scored`` is the one place where the overlap of F
+and tF', the threshold test and the score are computed, on those integers.
+The public consonance functions compute the same Fractions from the sets
+themselves and are the oracle the tests compare against. The generators
+differ only in their pairs; all but affinitive take them from
+``_walk(low, high, max_num, max_den)``, the reduced p/q in [low, high] with
+p <= max_num and q <= max_den, ascending (one Farey next-term rule), so
+nothing else sorts:
 
 * affinitive - f/f' = a*n/(b*m) is t with t*b/a = n/m, so the pairs are
   the reduced n/m over the multipliers, deduplicated as integer tuples and
@@ -68,7 +67,7 @@ from fractions import Fraction
 from itertools import islice, pairwise
 from typing import Iterable, Iterator
 
-from .consonance import ConsonanceScore, _lattice_scorer, harmonic_superset
+from .consonance import ConsonanceScore, harmonic_superset
 from .core import FrequencySet, RatioLike, format_ratio, to_ratio
 
 __all__ = [
@@ -132,17 +131,51 @@ def _scored(
     threshold: Fraction = Fraction(0),
 ) -> TuningTable:
     """The table of every t whose harmonicity exceeds ``threshold`` (0 keeps
-    every one), with t given as the ascending reduced integer pairs
-    p/q = t*b/a that the lattice scorer takes; t = p*a/(q*b) is built only
-    for an entry that is kept."""
-    score = _lattice_scorer(contextual, complementary, threshold)
-    ratio = contextual.fundamental() / complementary.fundamental()
-    rn, rd = ratio.numerator, ratio.denominator
+    every one), t given as the ascending reduced integer pairs p/q = t*b/a.
+
+    Each score is ``total_consonance(F, G.transpose(t))`` for F = a*N and
+    G = b*M (integer multipliers with gcd 1), computed without building tG:
+    a*n = t*b*m iff n = p*k and m = q*k for some k, so the overlap is a
+    count of integers; the union's gcd is a/q and its top partial
+    a*max(N_top, p*M_top/q), so harmonicity = |F u tG| / max(q*N_top, p*M_top).
+    The threshold test cross-multiplies integers; t = p*a/(q*b) and its entry
+    are built only for a kept candidate, and each distinct score once a call.
+    """
+    a, n_all, n_set = contextual._lattice_view()  # refuses empty sets
+    b, m_all, m_set = complementary._lattice_view()
+    rn, rd = (a / b).as_integer_ratio()
+    hn, hd = threshold.numerator, threshold.denominator
+    n_top, m_top = n_all[-1], m_all[-1]
+    sizes = len(n_all) + len(m_all)
+    smaller = min(len(n_all), len(m_all))
+    # when k ranges further than the shorter multiplier list is long, walk
+    # that list instead: m in M is shared iff q | m and p*m/q is in N
+    # (symmetrically for n in N)
+    by_m = len(m_all) <= len(n_all)
+    shorter, longer_set = (m_all, n_set) if by_m else (n_all, m_set)
+    # union = sizes - shared, so (shared, top) determines the score
+    built: dict[tuple[int, int], ConsonanceScore] = {}
     entries = []
     for p, q in pairs:
-        result = score(p, q)
-        if result is not None:
-            entries.append(TuningEntry(Fraction(p * rn, q * rd), result))
+        k_top = min(n_top // p, m_top // q)
+        shared = 0
+        if k_top <= smaller:
+            for k in range(1, k_top + 1):
+                if p * k in n_set and q * k in m_set:
+                    shared += 1
+        else:
+            div, mul = (q, p) if by_m else (p, q)
+            for x in shorter:
+                if x % div == 0 and x // div * mul in longer_set:
+                    shared += 1
+        union = sizes - shared
+        top = max(q * n_top, p * m_top)
+        if union * hd <= hn * top:
+            continue
+        key = (shared, top)
+        if key not in built:
+            built[key] = ConsonanceScore(Fraction(shared, smaller), Fraction(union, top))
+        entries.append(TuningEntry(Fraction(p * rn, q * rd), built[key]))
     return TuningTable(tuple(entries), generator)
 
 
@@ -170,11 +203,13 @@ def affinitive_tuning(
             f"of {MAX_TABLE_ENTRIES}"
         )
     gcd = math.gcd
-    pairs = {(n // g, m // g) for n in n_all for m in m_all for g in (gcd(n, m),)}
     # reduced p/q with q <= m_top differ by at least 1/m_top^2 > 2^-shift, so
-    # floor(p*2^shift/q) orders them exactly
+    # floor(p*2^shift/q) orders them exactly; the set dies inside sorted()
     shift = 2 * m_all[-1].bit_length()
-    ordered = sorted(pairs, key=lambda pq: (pq[0] << shift) // pq[1])
+    ordered = sorted(
+        {(n // g, m // g) for n in n_all for m in m_all for g in (gcd(n, m),)},
+        key=lambda pq: (pq[0] << shift) // pq[1],
+    )
     return _scored(contextual, complementary, ordered, "affinitive")
 
 
@@ -424,11 +459,9 @@ def fold_to_octave(interval: RatioLike) -> Fraction:
     t = to_ratio(interval)
     if t <= 0:
         raise ValueError("interval must be positive")
-    while t < 1:
-        t *= 2
-    while t >= 2:
-        t /= 2
-    return t
+    # dividing by 2 to the gap in bit lengths lands in (1/2, 2)
+    t /= Fraction(2) ** (t.numerator.bit_length() - t.denominator.bit_length())
+    return t if t >= 1 else 2 * t
 
 
 def octave_reduce(

@@ -158,6 +158,16 @@ class TestTuningCommands:
         assert [e["affinity_float"] for e in entries] == [1.0, 1.0]
         assert [e["total_float"] for e in entries] == [0.5, 0.5]
 
+    def test_notes_far_outside_the_span_leave_the_document_unannotated(self, capsys):
+        # every note lies about 26,000 octaves above D#8; testing each
+        # window exactly took about 29 ms an entry
+        _, plain, _ = run(["affinitive", "1e4000*N40", "1*N40"], capsys)
+        start = time.process_time()
+        code, noted, _ = run(["affinitive", "1e4000*N40", "1*N40", "--notes"], capsys)
+        assert time.process_time() - start < 1
+        assert code == 0
+        assert noted == plain
+
     def test_text_format_orders_by_consonance(self, capsys):
         code, out, _ = run(
             ["affinitive", "262*N6", "262*N6", "--format", "text", "--order", "consonance"],
@@ -296,6 +306,25 @@ class TestDocumentPipelines:
         assert out == ""
         assert "invalid tuning document: metadata field " + message in err
         assert "Traceback" not in err
+
+    def test_reduce_folds_intervals_of_thousands_of_octaves_quickly(self, tmp_path, capsys):
+        # 200 intervals i*10^4300, about 14,300 octaves up: folding one
+        # octave at a time took 26 s of CPU
+        _, out, _ = run(["affinitive", "262*N6", "262*N6"], capsys)
+        data = json.loads(out)
+        data["entries"] = [
+            {"interval": f"{i}e4300", "affinity": "1/1", "harmonicity": "1/1"}
+            for i in range(1, 201)
+        ]
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(data))
+        start = time.process_time()
+        code, reduced, _ = run(["reduce-octave", "--in", str(doc_path)], capsys)
+        assert time.process_time() - start < 1
+        assert code == 0
+        intervals = [F(e["interval"]) for e in json.loads(reduced)["entries"]]
+        # i and 2i fold onto one interval: one entry per odd i
+        assert len(intervals) == 100 and all(1 <= t < 2 for t in intervals)
 
     def test_metadata_fields_may_be_absent(self, tmp_path, capsys):
         entries = [

@@ -25,6 +25,7 @@ class TestNoteName:
         assert note_name(110) == NoteName("A", 2)
         assert note_name(550) == NoteName("C#", 5)
         assert note_name(440) == NoteName("A", 4)
+        assert note_name(F(10**4000 + 1, 10**3998)) == NoteName("G", 2)  # about 100 Hz
 
     def test_every_grid_pitch_names_itself(self):
         for midi in ALL_MIDI:
@@ -41,9 +42,18 @@ class TestNoteName:
                 assert note_name(freq) == expected
 
     def test_out_of_range_names_span(self):
-        for bad in (F(5), F(9000)):
+        for bad in (F(5), F(9000), F(10**4000), F(1, 10**4000)):
             with pytest.raises(ValueError, match="C0..D#8"):
                 note_name(bad)
+
+    @pytest.mark.parametrize("edge, inner", [(11.5, 12), (111.5, 111)], ids=["C0", "D#8"])
+    def test_span_edges_are_decided_exactly(self, edge, inner):
+        # a thousandth of a cent either side of the outer window edge
+        grid = 440.0 * 2.0 ** ((edge - 69) / 12.0)
+        step = 2 ** ((inner - edge) * 0.002 / 1200)
+        assert note_name(F(grid * step)) == _name_for_midi(inner)
+        with pytest.raises(ValueError, match="C0..D#8"):
+            note_name(F(grid / step))
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):

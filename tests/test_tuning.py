@@ -27,7 +27,6 @@ from toneset import (
     thomae_modified,
     total_consonance,
 )
-from toneset.consonance import _lattice_scorer
 from toneset import tuning
 from toneset.tuning import _reduced_count
 
@@ -320,15 +319,35 @@ small_lattice_sets = st.builds(
 )
 
 
-def transposition_scorer(contextual, complementary, threshold=F(0)):
-    """The lattice scorer taking the interval t itself, as t*b/a in lowest terms."""
-    score = _lattice_scorer(contextual, complementary, threshold)
+def scored_over(contextual, complementary, intervals, threshold=F(0)):
+    """``tuning._scored`` in one call over the ascending intervals t, each
+    handed over as t*b/a in lowest terms."""
     ratio = complementary.fundamental() / contextual.fundamental()
-    return lambda t: score(*(t * ratio).as_integer_ratio())
+    pairs = [(t * ratio).as_integer_ratio() for t in intervals]
+    return tuning._scored(contextual, complementary, pairs, "test", threshold)
+
+
+def transposition_scorer(contextual, complementary, threshold=F(0)):
+    """The score ``tuning._scored`` gives the one interval t, or None when
+    its entry is not kept."""
+
+    def score(t):
+        entries = scored_over(contextual, complementary, [t], threshold).entries
+        return entries[0].score if entries else None
+
+    return score
+
+
+def assert_one_call_matches_the_oracle(contextual, complementary, intervals):
+    table = scored_over(contextual, complementary, intervals)
+    assert table.intervals == tuple(intervals)
+    for entry in table.entries:
+        assert entry.score == total_consonance(contextual, complementary.transpose(entry.interval))
 
 
 class TestTranspositionScorer:
-    """The integer-lattice scorer against the materialising public functions."""
+    """The integer-lattice scoring of ``tuning._scored`` against the
+    materialising public functions."""
 
     @staticmethod
     def draw_interval(data, contextual, complementary):
@@ -361,27 +380,25 @@ class TestTranspositionScorer:
     @settings(max_examples=100, deadline=None)
     @given(small_lattice_sets, small_lattice_sets)
     def test_one_scorer_over_many_intervals(self, contextual, complementary):
-        # a scorer keeps each distinct score it builds; every later interval
+        # a call keeps each distinct score it builds; every later interval
         # must still get its own
-        score = transposition_scorer(contextual, complementary)
-        for t in sorted(set(SMALL_RANGE) | affinitive_intervals(contextual, complementary)):
-            assert score(t) == total_consonance(contextual, complementary.transpose(t))
+        intervals = sorted(set(SMALL_RANGE) | affinitive_intervals(contextual, complementary))
+        assert_one_call_matches_the_oracle(contextual, complementary, intervals)
 
     def test_set_up_costs_nothing_per_partial(self):
         # an affinity is built when a score first needs it, not for every
         # shared count up front
         many, other = harmonic_set(1, 2**20), harmonic_set(3, 2**20)
         start = time.process_time()
-        _lattice_scorer(many, other)
+        tuning._scored(many, other, (), "test")
         assert time.process_time() - start < 0.05
 
     def test_harmonic_sets_of_many_partials(self):
         # k ranges over many multipliers here, exercising the integer walk
         big, small = harmonic_set(262, 256), harmonic_set(393, 5)
         for contextual, complementary in ((big, small), (small, big), (big, big)):
-            score = transposition_scorer(contextual, complementary)
-            for t in enumerate_rationals(F(1, 4), 4, 9):
-                assert score(t) == total_consonance(contextual, complementary.transpose(t))
+            intervals = enumerate_rationals(F(1, 4), 4, 9)
+            assert_one_call_matches_the_oracle(contextual, complementary, intervals)
 
 
 class TestHarmonicIntervals:
@@ -530,15 +547,16 @@ class TestHarmonicWalks:
     def test_empty_rectangle_gives_empty_table_unscored(self, contextual, complementary, sides):
         # harmonicity <= 3/100 < 1/2 everywhere: P or Q is 0, and no candidate is scored
         assert tuning._rectangle_sides(contextual, complementary, F(1, 2)) == sides
-        calls, scorer = [], tuning._lattice_scorer
+        walked, walk = [], tuning._walk
 
-        def counting_scorer(*args):
-            score = scorer(*args)
-            return lambda p, q: calls.append((p, q)) or score(p, q)
+        def recording_walk(*args):
+            for pair in walk(*args):
+                walked.append(pair)
+                yield pair
 
-        with mock.patch.object(tuning, "_lattice_scorer", counting_scorer):
+        with mock.patch.object(tuning, "_walk", recording_walk):
             table = harmonic_tuning(contextual, complementary, F(1, 2), F(1, 8), 8, 60)
-        assert table.entries == () and calls == []
+        assert table.entries == () and walked == []
         assert forced_walk("bounded", contextual, complementary, F(1, 2), F(1, 8), 8, 60).entries == ()
 
     def test_rectangle_above_the_cap_is_counted(self, monkeypatch):
@@ -660,6 +678,28 @@ class TestOctaveReduce:
             # the fold factor is a (possibly negative) power of two
             assert quotient.numerator & (quotient.numerator - 1) == 0
             assert quotient.denominator & (quotient.denominator - 1) == 0
+
+    @staticmethod
+    def folded_by_loop(t):
+        while t < 1:
+            t *= 2
+        while t >= 2:
+            t /= 2
+        return t
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.builds(F, st.integers(1, 2**90), st.integers(1, 2**90))
+        # powers of two and their near neighbours, where the fold turns over
+        | st.builds(
+            lambda e, n, d: F(2) ** e * F(n, d),
+            st.integers(-120, 120),
+            st.integers(2**20 - 2, 2**20 + 2),
+            st.sampled_from([1, 2**20 - 1, 2**20, 2**20 + 1]),
+        )
+    )
+    def test_fold_equals_the_octave_loop(self, t):
+        assert fold_to_octave(t) == self.folded_by_loop(t)
 
     def test_reduced_c4_table(self):
         table = octave_reduce(affinitive_tuning(C4, C4), C4, C4)
