@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import FrequencySet, RatioLike, rational_gcd, to_ratio
+from .core import FrequencySet, RatioLike, _checked_count, rational_gcd, to_ratio
 
 __all__ = [
     "ConsonanceScore",
@@ -71,13 +71,15 @@ def harmonic_superset(freq_set: FrequencySet, extra: int = 0) -> FrequencySet:
     With extra = 0 this is fundamental * {1..k} where k = max/fundamental;
     larger ``extra`` appends further partials above the set.
     """
-    _require_nonempty(freq_set)
+    return FrequencySet.harmonic(freq_set.fundamental(), _superset_count(freq_set, extra))
+
+
+def _superset_count(freq_set: FrequencySet, extra: int) -> int:
+    """The checked partial count of ``harmonic_superset``, without building it."""
+    top = freq_set._lattice_view()[1][-1]  # refuses empty sets
     if extra < 0:
         raise ValueError("extra partial count must be non-negative")
-    base = freq_set.fundamental()
-    k = max(freq_set.elements) / base
-    assert k.denominator == 1  # every element is an integer multiple of the gcd
-    return FrequencySet.harmonic(base, int(k) + extra)
+    return _checked_count(top + extra)
 
 
 def harmonicity(

@@ -1,13 +1,15 @@
 """Frequency sets over exact rational arithmetic.
 
-A sound is modelled as a finite set of partial frequencies in Hz. All
+A sound is modelled as a finite set of partial frequencies in Hz, held as
+its fundamental a times its integer multipliers N (F = a*N, the view every
+generator works in); its sorted elements are built on first use. All
 frequencies and intervals are ``fractions.Fraction`` values, so set algebra,
-common fundamentals and wave periods come out exact regardless of how the
-sets were built. Floating point appears only at the display edge (``cents``)
-and in the roughness model (:mod:`toneset.dissonance`); it never feeds back
-into the rational layer. Tiny deviations from exact ratios collapse the
-common fundamental, so binary floats are rejected rather than silently
-converted: pass decimals as strings ("2.76") to keep them exact.
+common fundamentals and wave periods come out exact. Floating point appears
+only at the display edge (``cents``) and in the roughness model
+(:mod:`toneset.dissonance`); it never feeds back into the rational layer.
+Tiny deviations from exact ratios collapse the common fundamental, so binary
+floats are rejected rather than silently converted: pass decimals as
+strings ("2.76") to keep them exact.
 
 Everything here is an immutable value; all operations are pure functions and
 safe for unrestricted concurrent use.
@@ -201,40 +203,40 @@ def _cents_of(numerator: int, denominator: int) -> float:
 
 
 class FrequencySet:
-    """Finite set of positive rational frequencies in Hz.
+    """Finite set of positive rational frequencies in Hz, held as ``a * N``.
 
-    Stored sorted ascending with duplicates removed. Supports the small
-    algebra tuning work needs: union, intersection, transposition by a
-    rational interval (``t * fs`` or ``fs.transpose(t)``), the common
-    fundamental (gcd of the elements) and the period of the summed wave.
+    ``a`` is the gcd of the elements and ``N`` their ascending integer
+    multipliers (gcd 1), also kept as a frozenset. The form is canonical, so
+    equality and hashing compare ``(a, N)``, and transposition scales ``a``
+    alone; the sorted elements are built on first use. Supports union,
+    intersection, transposition by a rational interval (``t * fs`` or
+    ``fs.transpose(t)``), the common fundamental and the summed wave's period.
     """
 
-    __slots__ = ("_freqs", "_element_set", "_fundamental", "_lattice")
+    __slots__ = ("_fundamental", "_multipliers", "_multiplier_set", "_freqs", "_element_set")
 
     def __init__(self, frequencies: Iterable[RatioLike] = ()):
         freqs = sorted({to_ratio(f) for f in frequencies})
         if freqs and freqs[0] <= 0:
             raise ValueError(f"non-positive frequency {format_ratio(freqs[0], label='frequency')}")
-        self._freqs: tuple[Fraction, ...] = tuple(freqs)
-        # lazy caches; safe because the value is immutable
+        # gcd of reduced numerators over lcm of denominators is already in
+        # lowest terms: a prime of the gcd divides no denominator (0 if empty)
+        a = Fraction(math.gcd(*(f.numerator for f in freqs)), math.lcm(*(f.denominator for f in freqs)))
+        num, den = a.numerator, a.denominator
+        multipliers = tuple(f.numerator * den // (f.denominator * num) for f in freqs)
+        self._fundamental, self._multipliers = a, multipliers
+        self._multiplier_set = frozenset(multipliers)
+        self._freqs: tuple[Fraction, ...] | None = tuple(freqs)
         self._element_set: frozenset[Fraction] | None = None
-        self._fundamental: Fraction | None = None
-        self._lattice: tuple[tuple[int, ...], frozenset[int]] | None = None
 
     @classmethod
-    def _from_sorted(
-        cls,
-        freqs: tuple[Fraction, ...],
-        fundamental: Fraction | None = None,
-        lattice: tuple[tuple[int, ...], frozenset[int]] | None = None,
+    def _lattice(
+        cls, a: Fraction, multipliers: tuple[int, ...], multiplier_set: frozenset[int]
     ) -> "FrequencySet":
-        # internal: caller guarantees sorted, deduplicated, positive elements,
-        # and that any cache it passes is the one the elements would produce
+        # internal: the set a * multipliers (ascending, positive, gcd 1)
         obj = cls.__new__(cls)
-        obj._freqs = freqs
-        obj._element_set = None
-        obj._fundamental = fundamental
-        obj._lattice = lattice
+        obj._fundamental, obj._multipliers, obj._multiplier_set = a, multipliers, multiplier_set
+        obj._freqs = obj._element_set = None
         return obj
 
     @classmethod
@@ -243,38 +245,29 @@ class FrequencySet:
         base = to_ratio(fundamental)
         if base <= 0:
             raise ValueError("fundamental must be positive")
-        if count < 1:
-            raise ValueError("partial count must be at least 1")
-        if count > MAX_HARMONIC_PARTIALS:
-            raise ValueError(
-                f"partial count {format_ratio(count, label='partial count')} exceeds the limit of "
-                f"{MAX_HARMONIC_PARTIALS}"
-            )
-        multipliers = tuple(range(1, count + 1))
-        num, den = base.numerator, base.denominator
-        return cls._from_sorted(
-            tuple(Fraction(num * n, den) for n in multipliers),
-            base,
-            (multipliers, frozenset(multipliers)),
-        )
+        multipliers = tuple(range(1, _checked_count(count) + 1))
+        return cls._lattice(base, multipliers, frozenset(multipliers))
 
     @property
     def elements(self) -> tuple[Fraction, ...]:
+        if self._freqs is None:
+            num, den = self._fundamental.numerator, self._fundamental.denominator
+            self._freqs = tuple(Fraction(num * n, den) for n in self._multipliers)
         return self._freqs
 
     def element_set(self) -> frozenset[Fraction]:
         if self._element_set is None:
-            self._element_set = frozenset(self._freqs)
+            self._element_set = frozenset(self.elements)
         return self._element_set
 
     def __len__(self) -> int:
-        return len(self._freqs)
+        return len(self._multipliers)
 
     def __iter__(self) -> Iterator[Fraction]:
-        return iter(self._freqs)
+        return iter(self.elements)
 
     def __bool__(self) -> bool:
-        return bool(self._freqs)
+        return bool(self._multipliers)
 
     def __contains__(self, value: RatioLike) -> bool:
         return to_ratio(value) in self.element_set()
@@ -282,16 +275,16 @@ class FrequencySet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FrequencySet):
             return NotImplemented
-        return self._freqs == other._freqs
+        return self._fundamental == other._fundamental and self._multipliers == other._multipliers
 
     def __hash__(self) -> int:
-        return hash(self._freqs)
+        return hash((self._fundamental, self._multipliers))
 
     def __repr__(self) -> str:
         return f"FrequencySet({format_set(self)})"
 
     def __or__(self, other: "FrequencySet") -> "FrequencySet":
-        return FrequencySet(self._freqs + other._freqs)
+        return FrequencySet(self.elements + other.elements)
 
     def __and__(self, other: "FrequencySet") -> "FrequencySet":
         return FrequencySet(self.element_set() & other.element_set())
@@ -303,21 +296,14 @@ class FrequencySet:
         return self & other
 
     def transpose(self, interval: RatioLike) -> "FrequencySet":
-        """Multiply every frequency by a positive rational interval."""
+        """Multiply every frequency by a positive rational interval: the
+        fundamental scales by it and the multipliers stay."""
         t = to_ratio(interval)
         if t <= 0:
             raise ValueError("transposition interval must be positive")
-        if not self._freqs:
+        if not self:
             return self
-        # multiplying distinct sorted values by t > 0 keeps them distinct
-        # and sorted, so the canonical form survives without re-sorting; the
-        # fundamental scales by t and the integer multipliers do not change
-        fundamental, multipliers, multiplier_set = self._lattice_view()
-        return FrequencySet._from_sorted(
-            tuple(t * f for f in self._freqs),
-            t * fundamental,
-            (multipliers, multiplier_set),
-        )
+        return FrequencySet._lattice(t * self._fundamental, self._multipliers, self._multiplier_set)
 
     def __mul__(self, interval: RatioLike) -> "FrequencySet":
         return self.transpose(interval)
@@ -330,33 +316,14 @@ class FrequencySet:
         Every frequency in the set is an integer multiple of this value; it
         need not itself belong to the set.
         """
-        if not self._freqs:
+        if not self:
             raise ValueError("empty frequency set")
-        if self._fundamental is None:
-            # gcd of reduced numerators over lcm of denominators is already
-            # in lowest terms: a prime of the gcd divides no denominator
-            self._fundamental = Fraction(
-                math.gcd(*(f.numerator for f in self._freqs)),
-                math.lcm(*(f.denominator for f in self._freqs)),
-            )
         return self._fundamental
 
     def _lattice_view(self) -> tuple[Fraction, tuple[int, ...], frozenset[int]]:
-        """The set as ``fundamental * multipliers``.
-
-        Returns the fundamental ``a``, the ascending integer multipliers
-        ``n = f / a`` of the elements (their gcd is 1) and the same
-        multipliers as a frozenset. Lets consonance code test partials for
-        coincidence with integer arithmetic instead of building sets.
-        """
-        fundamental = self.fundamental()
-        if self._lattice is None:
-            num, den = fundamental.numerator, fundamental.denominator
-            multipliers = tuple(
-                f.numerator * den // (f.denominator * num) for f in self._freqs
-            )
-            self._lattice = (multipliers, frozenset(multipliers))
-        return (fundamental, *self._lattice)
+        """The set as ``a``, ``N`` and ``N`` as a frozenset, for scoring
+        with integer arithmetic instead of building sets."""
+        return self.fundamental(), self._multipliers, self._multiplier_set
 
     def total_period(self) -> Fraction:
         """Period in seconds of the summed wave: 1 / fundamental.
@@ -364,6 +331,18 @@ class FrequencySet:
         Equals the lcm of the individual partial periods.
         """
         return 1 / self.fundamental()
+
+
+def _checked_count(count: int) -> int:
+    """``count``, or a ValueError unless a harmonic set may have that many partials."""
+    if count < 1:
+        raise ValueError("partial count must be at least 1")
+    if count > MAX_HARMONIC_PARTIALS:
+        raise ValueError(
+            f"partial count {format_ratio(count, label='partial count')} exceeds the limit of "
+            f"{MAX_HARMONIC_PARTIALS}"
+        )
+    return count
 
 
 def gcd_set(freq_set: FrequencySet) -> Fraction:

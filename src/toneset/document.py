@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 from . import __version__
 from .consonance import ConsonanceScore
 from .core import _cents_of, _display_score, cents, format_ratio, parse_ratio
-from .notes import note_name
+from .notes import _note_in_span
 from .tuning import TuningEntry, TuningTable
 
 if TYPE_CHECKING:  # the roughness module loads numpy; only its type is needed
@@ -68,7 +68,11 @@ def _table_rows(entries: Iterable[TuningEntry]) -> Iterator[list[str]]:
         floats = cells.get(key)
         if floats is None:
             floats = cells[key] = _float_cells(*key)
-        yield [format_ratio(t, True, "interval"), f"{_cents_of(n, d):.4f}", *floats]
+        try:
+            ratio = f"{n}/{d}"
+        except ValueError:  # a term too long to print; the message names it
+            ratio = format_ratio(t, True, "interval")
+        yield [ratio, f"{_cents_of(n, d):.4f}", *floats]
 
 
 def _float_cells(an: int, ad: int, hn: int, hd: int) -> tuple[str, str, str]:
@@ -143,13 +147,6 @@ def _ratio_field(raw: dict, index: int, field: str) -> Fraction:
     return parse_ratio(value)
 
 
-def _note(frequency: Fraction) -> Optional[str]:
-    try:
-        return note_name(frequency).render()
-    except ValueError:
-        return None  # outside the naming span; leave unannotated
-
-
 class TuningDocument:
     """A tuning table plus the metadata needed to regenerate and rescore it.
 
@@ -172,7 +169,9 @@ class TuningDocument:
     ) -> "TuningDocument":
         entries = table.entries
         if annotate_root is not None:
-            entries = tuple(replace(e, note=_note(annotate_root * e.interval)) for e in entries)
+            # an entry outside the naming span is left unannotated
+            notes = (_note_in_span(annotate_root * e.interval) for e in entries)
+            entries = tuple(replace(e, note=n and n.render()) for e, n in zip(entries, notes))
         metadata = {
             "tool": TOOL_NAME,
             "version": __version__,

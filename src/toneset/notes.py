@@ -96,7 +96,9 @@ class NoteName:
         return self.midi == other.midi
 
 
-def _midi_for(freq: Fraction) -> int:
+def _note_in_span(freq: Fraction) -> Optional[NoteName]:
+    """:func:`note_name` of a positive ``freq``, or None outside the span,
+    decided before any text is built."""
     estimate = 12.0 * (
         math.log2(freq.numerator) - math.log2(freq.denominator) - math.log2(440.0)
     )
@@ -104,14 +106,17 @@ def _midi_for(freq: Fraction) -> int:
     # The estimate lies within a semitone of the exact index, so one further
     # outside the span is out of it without raising freq to the 24th power.
     if not _LOWEST_MIDI - 1 <= i + _A4_MIDI <= _HIGHEST_MIDI + 1:
-        return i + _A4_MIDI
+        return None
     # Exact window test on the 24th power avoids all float boundary trouble.
     x = (freq / _A4_HZ) ** 24
     while x < Fraction(2) ** (2 * i - 1):
         i -= 1
     while x >= Fraction(2) ** (2 * i + 1):
         i += 1
-    return i + _A4_MIDI
+    midi = i + _A4_MIDI
+    if not _LOWEST_MIDI <= midi <= _HIGHEST_MIDI:
+        return None
+    return NoteName(PITCH_CLASSES[midi % 12], midi // 12 - 1)
 
 
 def note_name(freq: RatioLike) -> NoteName:
@@ -122,10 +127,10 @@ def note_name(freq: RatioLike) -> NoteName:
     f = to_ratio(freq)
     if f <= 0:
         raise ValueError("frequency must be positive")
-    midi = _midi_for(f)
-    if not _LOWEST_MIDI <= midi <= _HIGHEST_MIDI:
+    note = _note_in_span(f)
+    if note is None:
         raise ValueError(f"frequency {format_ratio(f)} Hz is outside {_SPAN}")
-    return NoteName(PITCH_CLASSES[midi % 12], midi // 12 - 1)
+    return note
 
 
 def grid_frequency(note: Union[NoteName, str]) -> Fraction:

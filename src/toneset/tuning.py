@@ -67,7 +67,7 @@ from fractions import Fraction
 from itertools import islice, pairwise
 from typing import Iterable, Iterator
 
-from .consonance import ConsonanceScore, harmonic_superset
+from .consonance import ConsonanceScore, _superset_count
 from .core import FrequencySet, RatioLike, format_ratio, to_ratio
 
 __all__ = [
@@ -401,8 +401,7 @@ def superset_tuning(
     # the supersets are a*{1..k} and b*{1..kk}, so their pairwise ratios
     # are (a/b)*p/q over the reduced p/q with p <= k and q <= kk; their
     # fundamentals are the originals', so p/q is already the t*b/a scored
-    k = harmonic_superset(contextual, n)._lattice_view()[1][-1]
-    kk = harmonic_superset(complementary, m)._lattice_view()[1][-1]
+    k, kk = _superset_count(contextual, n), _superset_count(complementary, m)
     walk = _walk(Fraction(1, kk), Fraction(k), k, kk)
     return _scored(contextual, complementary, walk, "superset")
 

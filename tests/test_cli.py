@@ -442,6 +442,26 @@ def test_superset_table_above_cap_is_refused_before_allocating(capsys):
     assert peak < 2**22  # the table would take gigabytes
 
 
+def test_superset_refusal_builds_no_superset(capsys):
+    # k and k' come from the sets' top multipliers: supersets of 1,000,001
+    # partials each would take seconds and hundreds of MiB to build
+    argv = ["superset", "1", "1", "--n", "1000000", "--m", "1000000"]
+    start = time.process_time()
+    code, out, err = run(argv, capsys)
+    assert time.process_time() - start < 1
+    tracemalloc.start()
+    try:
+        assert run(argv, capsys) == (code, out, err)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == ""
+    assert "error: at least " in err and "candidate intervals p/q in [1/1000001, 1000001]" in err
+    assert "Traceback" not in err
+    assert peak < 2**24
+
+
 def test_affinitive_table_above_cap_is_refused_before_allocating(capsys):
     # 3,000 x 3,000 partial pairs: the pairs alone would take about a GiB
     start = time.process_time()

@@ -256,8 +256,8 @@ class TestInvariants:
 
     @given(freq_sets, ratios)
     def test_transposed_caches_match_a_fresh_set(self, fs, t):
-        # transpose carries the fundamental and multipliers instead of
-        # recomputing them; a set built from the same elements recomputes both
+        # transpose scales the fundamental and keeps the multipliers; a set
+        # built from the same elements computes both from them
         moved = transpose(fs, t)
         fresh = FrequencySet(moved.elements)
         assert moved._lattice_view() == fresh._lattice_view()
@@ -268,6 +268,29 @@ class TestInvariants:
         assert tuple(fundamental * n for n in multipliers) == fs.elements
         assert math.gcd(*multipliers) == 1
         assert multiplier_set == frozenset(multipliers)
+
+    @given(freq_sets, ratios)
+    def test_transposed_elements_are_the_scaled_elements(self, fs, t):
+        assert transpose(fs, t).elements == tuple(t * f for f in fs.elements)
+
+    @given(freq_sets, ratios)
+    def test_transposed_set_equals_and_hashes_as_a_fresh_set(self, fs, t):
+        moved = transpose(fs, t)
+        fresh = FrequencySet(moved.elements)
+        assert moved == fresh and hash(moved) == hash(fresh)
+
+    @given(ratios, st.integers(1, 40), ratios)
+    def test_harmonic_set_equals_and_hashes_as_its_multiples(self, a, count, t):
+        multiples = FrequencySet(a * n for n in range(1, count + 1))
+        assert harmonic_set(a, count) == multiples
+        assert hash(harmonic_set(a, count)) == hash(multiples)
+        assert harmonic_set(a, count).elements == multiples.elements
+        assert transpose(harmonic_set(a, count), t).elements == tuple(t * f for f in multiples)
+
+    def test_empty_set_refuses_its_lattice(self):
+        for view in (FrequencySet().fundamental, FrequencySet()._lattice_view):
+            with pytest.raises(ValueError, match="^empty frequency set$"):
+                view()
 
     def test_harmonic_set_lattice(self):
         assert harmonic_set(262, 4)._lattice_view() == FrequencySet([262, 524, 786, 1048])._lattice_view()

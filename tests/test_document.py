@@ -150,6 +150,15 @@ class TestJsonRoundTrip:
         assert notes["3"] is None  # 6000 Hz is above the naming span
         assert notes["1"] == "B6"
 
+    def test_annotation_outside_span_formats_no_frequency(self):
+        # a frequency is formatted only into an error that is raised
+        table = affinitive_tuning(C4, C4)
+        expr = canonical_set_expression(C4)
+        with mock.patch("toneset.notes.format_ratio", wraps=format_ratio) as spy:
+            doc = TuningDocument.from_table(table, expr, expr, annotate_root=F(7 * 10**4000, 13))
+        assert spy.call_count == 0
+        assert all(e.note is None for e in doc.entries)
+
 
 class TestCsv:
     def test_header_and_line_endings(self):
