@@ -20,15 +20,9 @@ from typing import Optional
 
 from . import __version__
 from .consonance import total_consonance
-from .core import (
-    FrequencySet,
-    ParseError,
-    _display_score,
-    cents,
-    format_ratio,
-    parse_ratio,
-)
-from .document import TuningDocument, _score_fields, curve_csv, export_scl
+from .core import FrequencySet, ParseError, format_ratio, parse_ratio
+from .document import TuningDocument, curve_csv, export_scl
+from .document import _SCORE_LABELS, _render_text, _score_fields, _score_text
 from .figures import emit_figure_data
 from .notation import canonical_set_expression, parse_set_expression
 from .tuning import (
@@ -54,30 +48,6 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _read_document(path: Optional[str]) -> TuningDocument:
     text = sys.stdin.read() if path is None else Path(path).read_text()
     return TuningDocument.from_json(text)
-
-
-def _score_text(shown: float | str) -> str:
-    """A ``_display_score`` value as text."""
-    if isinstance(shown, str):
-        return shown
-    # a rounded score prints 3 decimals, an unrounded one 4 significant digits
-    return f"{shown:.3f}" if shown == round(shown, 3) else f"{shown:.3e}"
-
-
-def _render_text(doc: TuningDocument, order: str) -> str:
-    fields = _score_fields()
-    rows = ((e, fields(e.score)) for e in doc.entries)
-    if order == "consonance":
-        rows = sorted(rows, key=lambda row: (-row[1][0], row[0].interval))
-    lines = [f"# {doc.metadata['generator']} tuning  F={doc.metadata['context']}  F'={doc.metadata['complement']}"]
-    lines.append(f"{'interval':>10}  {'cents':>10}  {'affinity':>16}  {'harmonicity':>18}  {'total':>16}  note")
-    for e, (_, texts, shown) in rows:
-        scores = "".join(f"  {text:>8} ({_score_text(v)})" for text, v in zip(texts, shown))
-        lines.append(
-            f"{format_ratio(e.interval, True, 'interval'):>10}"
-            f"  {cents(e.interval):>10.4f}{scores}  {e.note or ''}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def _emit_document(
@@ -108,15 +78,11 @@ def _emit_document(
 def cmd_consonance(args: argparse.Namespace) -> int:
     contextual = parse_set_expression(args.context)
     complementary = parse_set_expression(args.complement)
-    score = total_consonance(contextual, complementary)
+    _, texts, shown = _score_fields(total_consonance(contextual, complementary))
     # every line is formatted before any is written, so a failure prints none
     sys.stdout.write("".join(
-        f"{label:<11} = {format_ratio(value, True, label)} ({_score_text(_display_score(value))})\n"
-        for label, value in (
-            ("affinity", score.affinity),
-            ("harmonicity", score.harmonicity),
-            ("total", score.total),
-        )
+        f"{label:<11} = {text} ({_score_text(v)})\n"
+        for label, text, v in zip(_SCORE_LABELS, texts, shown)
     ))
     return EXIT_OK
 

@@ -32,11 +32,11 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sized, Union
 
 import numpy as np
 
-from .core import FrequencySet, _scientific
+from .core import FrequencySet, _scientific, format_ratio
 from .tuning import MAX_TABLE_ENTRIES
 
 __all__ = [
@@ -155,6 +155,10 @@ def _as_float_array(freqs: Union[FrequencySet, Iterable[float]], role: str) -> n
             ) from None
         if not math.isfinite(x):
             raise ValueError(f"partial {index} of the {role} is {x}, not a finite frequency")
+        if x == 0 and f > 0:
+            raise ValueError(
+                f"partial {index} of the {role} ({_scientific(Fraction(f))}) is below the float range"
+            )
         values.append(x)
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
@@ -164,11 +168,32 @@ def _as_float_array(freqs: Union[FrequencySet, Iterable[float]], role: str) -> n
     return arr
 
 
+def _sized(freqs: Union[FrequencySet, Iterable[float]]) -> Union[FrequencySet, Sized]:
+    """``freqs``, or its items in a list when it cannot tell its length."""
+    return freqs if isinstance(freqs, Sized) else list(freqs)
+
+
+def _check_pairs(n: int, m: int = 0) -> None:
+    """Refuse a sum over more than ``MAX_TABLE_ENTRIES`` partial pairs (n
+    fixed and m moving partials, or one spectrum of n when m is 0); the
+    callers ask before building any array."""
+    count = n * m + n * (n - 1) // 2 + m * (m - 1) // 2
+    if count > MAX_TABLE_ENTRIES:
+        sizes = format_ratio(n) + (f" + {format_ratio(m)}" if m else "")
+        raise ValueError(
+            f"{format_ratio(count, label='pair count')} partial pairs from {sizes} partials "
+            f"exceed the limit of {MAX_TABLE_ENTRIES}"
+        )
+
+
 def spectrum_roughness(
     freqs: Union[FrequencySet, Iterable[float]],
     params: DissonanceParams = DEFAULT_PARAMS,
 ) -> float:
-    """Total roughness of one spectrum: sum over all unordered partial pairs."""
+    """Total roughness of one spectrum: sum over all unordered partial pairs,
+    of which more than ``MAX_TABLE_ENTRIES`` raise ValueError."""
+    freqs = _sized(freqs)
+    _check_pairs(len(freqs))
     return float(_roughness_sum(*_upper_pairs(_as_float_array(freqs, "spectrum")), params))
 
 
@@ -186,8 +211,8 @@ def dissonance_curve(
     the roughness of the combined spectrum F u tF' is summed over all
     partial pairs, within-set pairs included. Non-finite partials or bounds,
     a top that carries a partial past the float range, and more than
-    ``MAX_TABLE_ENTRIES`` steps (the row cap of tuning tables) raise
-    ValueError.
+    ``MAX_TABLE_ENTRIES`` steps or partial pairs (the row cap of tuning
+    tables) raise ValueError.
     """
     if not (math.isfinite(t_lo) and math.isfinite(t_hi) and 0 < t_lo < t_hi):
         raise ValueError(f"invalid sweep range [{t_lo}, {t_hi}]")
@@ -195,6 +220,8 @@ def dissonance_curve(
         raise ValueError("steps must be at least 2")
     if steps > MAX_TABLE_ENTRIES:
         raise ValueError(f"{steps} steps exceed the limit of {MAX_TABLE_ENTRIES}")
+    contextual, complementary = _sized(contextual), _sized(complementary)
+    _check_pairs(len(contextual), len(complementary))
     base = _as_float_array(contextual, "contextual set")
     moving = _as_float_array(complementary, "complementary set")
     if not math.isfinite(t_hi * float(moving.max())):

@@ -4,7 +4,10 @@ A tuning document is a table's ``TuningEntry`` values (with note names, on
 request) plus the metadata needed to regenerate and rescore them; it is the
 interchange format between subcommands. Exact rational strings are
 authoritative; cents and float columns are derived on export, so import ->
-export is byte-identical. Score floats are shown by the one display rule,
+export is byte-identical. One per-call pass, ``_formatted``, turns entries
+into interval text, cents and score cells for every table writer: the CSV of
+``table_csv``, the JSON of ``TuningDocument`` and the text table the CLI
+prints. Score floats are shown by the one display rule,
 ``core._display_score``. Every CSV the package writes goes through
 ``csv_text``, with the rows of ``table_csv`` and ``curve_csv``.
 """
@@ -20,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from . import __version__
 from .consonance import ConsonanceScore
-from .core import _cents_of, _display_score, cents, format_ratio, parse_ratio
+from .core import _cents_of, _display_score, _scientific, cents, format_ratio, parse_ratio
 from .notes import _note_in_span
 from .tuning import TuningEntry, TuningTable
 
@@ -52,35 +55,49 @@ def csv_text(header: list[str], rows: Iterable[list]) -> str:
 def table_csv(entries: Iterable[TuningEntry]) -> str:
     """Tuning entries as CSV: exact interval, cents and the three scores."""
     return csv_text(
-        ["interval_ratio", "cents", "affinity", "harmonicity", "total"], _table_rows(entries)
+        ["interval_ratio", "cents", "affinity", "harmonicity", "total"],
+        ([ratio, f"{c:.4f}", *cells] for _, ratio, c, cells in _formatted(entries, _float_cells)),
     )
 
 
-def _table_rows(entries: Iterable[TuningEntry]) -> Iterator[list[str]]:
-    """The rows of ``table_csv``. The float cells are formatted once per
-    distinct score in this call, and the memo goes with the call."""
-    cells: dict[tuple[int, int, int, int], tuple[str, str, str]] = {}
+def _formatted(
+    entries: Iterable[TuningEntry], cells: Callable[[ConsonanceScore], tuple]
+) -> Iterator[tuple[TuningEntry, str, float, tuple]]:
+    """The one pass behind every table writer (CSV, JSON, text): each entry
+    with its "n/d" interval text, its cents and ``cells(score)``. The cells
+    are computed once per distinct score in this call, and the memo goes
+    with the call."""
+    memo: dict[tuple[int, int, int, int], tuple] = {}
     for e in entries:
         t, score = e.interval, e.score
         n, d = t.numerator, t.denominator
         a, h = score.affinity, score.harmonicity
         key = (a.numerator, a.denominator, h.numerator, h.denominator)
-        floats = cells.get(key)
-        if floats is None:
-            floats = cells[key] = _float_cells(*key)
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = cells(score)
         try:
             ratio = f"{n}/{d}"
         except ValueError:  # a term too long to print; the message names it
             ratio = format_ratio(t, True, "interval")
-        yield [ratio, f"{_cents_of(n, d):.4f}", *floats]
+        yield e, ratio, _cents_of(n, d), found
 
 
-def _float_cells(an: int, ad: int, hn: int, hd: int) -> tuple[str, str, str]:
+def _float_cells(score: ConsonanceScore) -> tuple[str, str, str]:
     """The affinity, harmonicity and total cells of a CSV row, formatted from
     numerators and denominators alone: an int divided by an int is correctly
     rounded, so each float equals ``float()`` of its Fraction, the total's
     included."""
-    return repr(an / ad), repr(hn / hd), repr((an * hd + hn * ad) / (2 * ad * hd))
+    a, h = score.affinity, score.harmonicity
+    an, ad, hn, hd = a.numerator, a.denominator, h.numerator, h.denominator
+    return _float_cell(an, ad), _float_cell(hn, hd), _float_cell(an * hd + hn * ad, 2 * ad * hd)
+
+
+def _float_cell(n: int, d: int) -> str:
+    """``repr`` of the float n/d, or its ``_scientific`` text where that
+    float reads 0 for a nonzero value."""
+    x = n / d
+    return repr(x) if x or not n else _scientific(Fraction(n, d))
 
 
 def curve_csv(points: Iterable[CurvePoint]) -> str:
@@ -94,45 +111,47 @@ def curve_csv(points: Iterable[CurvePoint]) -> str:
 _SCORE_LABELS = ("affinity", "harmonicity", "total")
 
 
-def _score_fields() -> Callable[[ConsonanceScore], tuple[Fraction, tuple, tuple]]:
-    """A memo for one formatting call (a JSON document, a text table): maps a
-    score to its total, the exact "p/q" texts of affinity, harmonicity and
-    total, and their ``_display_score`` values, computing each once per
-    distinct score. Build one per call; it must not outlive it."""
-    fields: dict[tuple[int, int, int, int], tuple[Fraction, tuple, tuple]] = {}
-
-    def lookup(score: ConsonanceScore) -> tuple[Fraction, tuple, tuple]:
-        a, h = score.affinity, score.harmonicity
-        key = (a.numerator, a.denominator, h.numerator, h.denominator)
-        found = fields.get(key)
-        if found is None:
-            values = (a, h, score.total)
-            found = fields[key] = (
-                values[2],
-                tuple(format_ratio(v, True, label) for v, label in zip(values, _SCORE_LABELS)),
-                tuple(_display_score(v) for v in values),
-            )
-        return found
-
-    return lookup
+def _score_fields(score: ConsonanceScore) -> tuple[Fraction, tuple, tuple]:
+    """A score's total, the exact "p/q" texts of affinity, harmonicity and
+    total, and their ``_display_score`` values (JSON and text alike)."""
+    values = (score.affinity, score.harmonicity, score.total)
+    return (
+        values[2],
+        tuple(format_ratio(v, True, label) for v, label in zip(values, _SCORE_LABELS)),
+        tuple(_display_score(v) for v in values),
+    )
 
 
-def _entry_dict(entry: TuningEntry, fields: Callable) -> dict:
-    n, d = entry.interval.numerator, entry.interval.denominator
-    _, (affinity, harmonicity, total), shown = fields(entry.score)
+def _score_text(shown: float | str) -> str:
+    """A ``_display_score`` value as text."""
+    if isinstance(shown, str):
+        return shown
+    # a rounded score prints 3 decimals, an unrounded one 4 significant digits
+    return f"{shown:.3f}" if shown == round(shown, 3) else f"{shown:.3e}"
+
+
+def _entry_dict(entry: TuningEntry, ratio: str, cents_: float, fields: tuple) -> dict:
+    _, (a, h, t), (a_shown, h_shown, t_shown) = fields
     data = {
-        "interval": format_ratio(entry.interval, True, "interval"),
-        "cents": round(_cents_of(n, d), 4),
-        "affinity": affinity,
-        "harmonicity": harmonicity,
-        "total": total,
-        "affinity_float": shown[0],
-        "harmonicity_float": shown[1],
-        "total_float": shown[2],
+        "interval": ratio, "cents": round(cents_, 4), "affinity": a, "harmonicity": h, "total": t,
+        "affinity_float": a_shown, "harmonicity_float": h_shown, "total_float": t_shown,
     }
     if entry.note is not None:
         data["note"] = entry.note
     return data
+
+
+def _render_text(doc: TuningDocument, order: str) -> str:
+    """A document as a text table, in interval or consonance order."""
+    rows: Iterable = _formatted(doc.entries, _score_fields)
+    if order == "consonance":
+        rows = sorted(rows, key=lambda row: (-row[3][0], row[0].interval))
+    lines = [f"# {doc.metadata['generator']} tuning  F={doc.metadata['context']}  F'={doc.metadata['complement']}"]
+    lines.append(f"{'interval':>10}  {'cents':>10}  {'affinity':>16}  {'harmonicity':>18}  {'total':>16}  note")
+    for e, ratio, c, (_, texts, shown) in rows:
+        scores = "".join(f"  {text:>8} ({_score_text(v)})" for text, v in zip(texts, shown))
+        lines.append(f"{ratio:>10}  {c:>10.4f}{scores}  {e.note or ''}")
+    return "\n".join(lines) + "\n"
 
 
 def _ratio_field(raw: dict, index: int, field: str) -> Fraction:
@@ -186,10 +205,9 @@ class TuningDocument:
         return TuningTable(self.entries, self.metadata.get("generator", "unknown"))
 
     def as_dict(self) -> dict:
-        fields = _score_fields()
         return {
             "metadata": self.metadata,
-            "entries": [_entry_dict(e, fields) for e in self.entries],
+            "entries": [_entry_dict(*row) for row in _formatted(self.entries, _score_fields)],
         }
 
     def to_json(self) -> str:
@@ -201,6 +219,8 @@ class TuningDocument:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid tuning document JSON: {exc}") from None
+        except RecursionError:
+            raise ValueError("invalid tuning document JSON: nested too deeply") from None
         if not isinstance(data, dict) or "metadata" not in data or "entries" not in data:
             raise ValueError("invalid tuning document: missing metadata or entries")
         if not isinstance(data["metadata"], dict) or not isinstance(data["entries"], list):
@@ -218,13 +238,19 @@ class TuningDocument:
         for index, raw in enumerate(data["entries"]):
             if not isinstance(raw, dict):
                 raise ValueError(f"invalid tuning document: entry {index} is not an object")
+            note = raw.get("note")
+            if not isinstance(note, (str, type(None))):
+                raise ValueError(
+                    f"invalid tuning document: entry {index} field 'note' must be a string, "
+                    f"not {type(note).__name__}"
+                )
             entry = TuningEntry(
                 _ratio_field(raw, index, "interval"),
                 ConsonanceScore(
                     _ratio_field(raw, index, "affinity"),
                     _ratio_field(raw, index, "harmonicity"),
                 ),
-                raw.get("note"),
+                note,
             )
             if "total" in raw and _ratio_field(raw, index, "total") != entry.score.total:
                 raise ValueError(
@@ -247,8 +273,16 @@ def export_scl(
 
     Entries must already sit inside one octave. Pitches are written as exact
     "p/q" lines (or cents with ``cents_lines``), excluding 1/1 and ending on
-    the octave 2/1.
+    the octave 2/1. A line break in the name or in the generator, context
+    or complement would split a header line, and is refused.
     """
+    headers = [("scale name", name)] + [
+        (f"metadata field {field!r}", doc.metadata.get(field))
+        for field in ("generator", "context", "complement")
+    ]
+    for what, text in headers:
+        if isinstance(text, str) and ("\n" in text or "\r" in text):
+            raise ValueError(f"{what} holds a line break, which would split a Scala header line")
     intervals = [e.interval for e in doc.entries]
     if any(t < 1 or t > 2 for t in intervals):
         raise ValueError(

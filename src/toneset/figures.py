@@ -14,7 +14,7 @@ from typing import Callable, Mapping, Optional
 
 from .consonance import thomae_classical, thomae_modified
 from .core import FrequencySet, cents, format_ratio, harmonic_set
-from .document import csv_text, curve_csv, table_csv
+from .document import _float_cells, _formatted, csv_text, curve_csv, table_csv
 from .tuning import (
     affinitive_tuning,
     enumerate_rationals,
@@ -120,13 +120,8 @@ def _fig5_6(params: Params) -> dict[str, str]:
     single = FrequencySet([C4_FUNDAMENTAL])
     table = harmonic_tuning(single, single, 0, Fraction(1, 8), 8, _max_den(params))
     rows = [
-        [
-            format_ratio(e.interval, always_slash=True),
-            f"{cents(e.interval):.4f}",
-            repr(float(e.score.total)),
-            repr(float(thomae_modified(e.interval))),
-        ]
-        for e in table.entries
+        [ratio, f"{c:.4f}", cells[2], repr(float(thomae_modified(e.interval)))]
+        for e, ratio, c, cells in _formatted(table.entries, _float_cells)
     ]
     return {"fig5_6": csv_text(["interval_ratio", "cents", "total", "thomae_modified"], rows)}
 

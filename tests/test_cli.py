@@ -201,9 +201,11 @@ class TestCurveCommand:
             (["262", "262", "--hi", "1e308"], "past the float range"),
             (["262", "262", "--chi-star", "nan"], "chi_star"),
             (["262", "262", "--chi-star", "inf"], "chi_star"),
+            (["1e-400,1", "1"],
+             "partial 1 of the contextual set (1.000e-400) is below the float range"),
         ],
         ids=["huge-context", "huge-complement", "hi-inf", "hi-nan", "lo-nan", "hi-overflows",
-             "chi-nan", "chi-inf"],
+             "chi-nan", "chi-inf", "tiny-context"],
     )
     def test_non_finite_input_is_domain_error(self, capsys, argv, message):
         code, out, err = run(["curve", *argv, "--steps", "5"], capsys)
@@ -306,6 +308,51 @@ class TestDocumentPipelines:
         assert out == ""
         assert "invalid tuning document: metadata field " + message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["reduce-octave", "export-scl"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000,
+            '{"metadata": {"parameters": ' + '{"a": ' * 991 + "1" + "}" * 991
+            + '}, "entries": []}',
+        ],
+        ids=["open-brackets", "deep-parameters"],
+    )
+    def test_deeply_nested_document_is_domain_error(self, tmp_path, capsys, command, text):
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(text)
+        code, out, err = run([command, "--in", str(doc_path)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "error: invalid tuning document JSON: nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "field, value, extra",
+        [
+            ("context", "1\n2", []),
+            ("complement", "1\r2", []),
+            ("generator", "a\nb", []),
+            (None, None, ["--name", "c4\nx"]),
+        ],
+        ids=["context", "complement", "generator", "name"],
+    )
+    def test_export_scl_refuses_a_line_break_in_its_header(
+        self, tmp_path, capsys, field, value, extra
+    ):
+        _, out, _ = run(["affinitive", "262*N6", "262*N6"], capsys)
+        reduced_path = tmp_path / "doc.json"
+        reduced_path.write_text(out)
+        _, out, _ = run(["reduce-octave", "--in", str(reduced_path)], capsys)
+        data = json.loads(out)
+        if field is not None:
+            data["metadata"][field] = value
+        reduced_path.write_text(json.dumps(data))
+        code, out, err = run(["export-scl", "--in", str(reduced_path), *extra], capsys)
+        assert code == 3
+        assert out == ""
+        what = f"metadata field {field!r}" if field else "scale name"
+        assert err == f"error: {what} holds a line break, which would split a Scala header line\n"
 
     def test_reduce_folds_intervals_of_thousands_of_octaves_quickly(self, tmp_path, capsys):
         # 200 intervals i*10^4300, about 14,300 octaves up: folding one
@@ -529,6 +576,31 @@ def test_sweep_steps_above_cap_are_refused_before_allocating(argv, steps, capsys
     assert out == ""
     assert f"{steps} steps exceed the limit of 4194304" in err and "Traceback" not in err
     assert peak < 2**22  # the t grid alone would take 32 MiB or more
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # 1,400 + 1,400 partials (3,918,600 pairs) are served
+        (["1*N1700", "1*N1700"], "5778300 partial pairs from 1700 + 1700 partials"),
+        (["1*N2900", "1"], "4206450 partial pairs from 2900 + 1 partials"),
+    ],
+    ids=["1700+1700", "2900+1"],
+)
+def test_sweep_pairs_above_cap_are_refused_before_allocating(argv, message, capsys):
+    import toneset.dissonance  # noqa: F401  numpy's first import is not the sweep's
+    start = time.process_time()
+    tracemalloc.start()
+    try:
+        code, out, err = run(["curve", *argv, "--steps", "2"], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.process_time() - start < 1
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message} exceed the limit of 4194304\n"
+    assert peak < 2**24  # the pair arrays would take hundreds of MiB
 
 
 # --- one parser per process, numpy only for roughness ------------------------

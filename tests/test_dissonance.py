@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from toneset import (
     pair_roughness,
     spectrum_roughness,
 )
-from toneset.dissonance import _chunk_rows
+from toneset.dissonance import _check_pairs, _chunk_rows
 
 C4 = harmonic_set(262, 6)
 
@@ -259,6 +260,23 @@ class TestSpectrumRoughness:
     def test_non_finite_partial_rejected(self):
         with pytest.raises(ValueError, match="partial 2 of the spectrum"):
             spectrum_roughness([1.0, math.nan])
+
+    def test_partial_below_the_float_range_is_named(self):
+        with pytest.raises(ValueError, match=r"^partial 1 of the spectrum \(3\.000e-400\) is below"):
+            spectrum_roughness(harmonic_set(F(3, 10**400), 1) | harmonic_set(1, 1))
+
+    def test_pairs_above_cap_are_refused(self):
+        # 2,897 partials make 4,194,856 pairs, just above the cap; no
+        # partial is converted to a float before the refusal
+        with mock.patch("toneset.dissonance._as_float_array") as spy:
+            with pytest.raises(ValueError, match="^4194856 partial pairs from 2897 partials exceed"):
+                spectrum_roughness(harmonic_set(1, 2897))
+            with pytest.raises(ValueError, match="^4206450 partial pairs from 2900 [+] 1 partials"):
+                dissonance_curve(harmonic_set(1, 2900), iter([1.0]))
+        assert spy.call_count == 0
+        assert _check_pairs(2896) is None and _check_pairs(1400, 1400) is None
+        with pytest.raises(ValueError, match="^5778300 partial pairs from 1700 [+] 1700"):
+            _check_pairs(1700, 1700)
 
     def test_curvepoint_rejects_negative(self):
         with pytest.raises(ValueError):

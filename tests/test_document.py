@@ -20,9 +20,8 @@ from toneset import (
     parse_ratio,
 )
 from toneset import document
-from toneset.cli import _render_text
-from toneset.core import _display_score
-from toneset.document import csv_text, table_csv
+from toneset.core import _display_score, _scientific
+from toneset.document import _render_text, csv_text, table_csv
 
 C4 = harmonic_set(262, 6)
 
@@ -94,6 +93,17 @@ class TestJsonRoundTrip:
     def test_malformed_structure_rejected(self, text):
         with pytest.raises(ValueError, match="invalid tuning document"):
             TuningDocument.from_json(text)
+
+    @pytest.mark.parametrize("note", [5, {"x": [1]}, ["C4"], True])
+    def test_non_string_note_names_entry_and_field(self, note):
+        data = json.loads(c4_document(annotate=True).to_json())
+        data["entries"][2]["note"] = note
+        with pytest.raises(
+            ValueError, match=f"entry 2 field 'note' must be a string, not {type(note).__name__}"
+        ):
+            TuningDocument.from_json(json.dumps(data))
+        data["entries"][2]["note"] = None
+        assert TuningDocument.from_json(json.dumps(data)).entries[2].note is None
 
     def test_missing_sections_rejected(self):
         with pytest.raises(ValueError):
@@ -174,6 +184,12 @@ class TestCsv:
         assert fifth.split(",")[1] == "701.9550"
 
 
+def float_cell(value):
+    """A score cell: its float, or its scientific text where the float reads
+    0 for a nonzero score."""
+    return repr(float(value)) if float(value) or not value else _scientific(value)
+
+
 def fraction_table_csv(entries):
     """The reference table_csv: every column through Fraction arithmetic."""
     return csv_text(
@@ -182,9 +198,9 @@ def fraction_table_csv(entries):
             [
                 format_ratio(e.interval, always_slash=True),
                 f"{cents(e.interval):.4f}",
-                repr(float(e.score.affinity)),
-                repr(float(e.score.harmonicity)),
-                repr(float(e.score.total)),
+                float_cell(e.score.affinity),
+                float_cell(e.score.harmonicity),
+                float_cell(e.score.total),
             ]
             for e in entries
         ),
@@ -214,7 +230,7 @@ class TestTableCsvFromIntegers:
 
     def test_interval_too_long_to_print_is_named(self):
         entry = TuningEntry(F(10**4400), ConsonanceScore(F(1), F(1)))
-        for text in (table_csv, lambda entries: document._entry_dict(entries[0], document._score_fields())):
+        for text in (table_csv, lambda entries: TuningDocument({}, tuple(entries)).to_json()):
             with pytest.raises(ValueError, match="^interval is too long to print: its numerator has 4401"):
                 text([entry])
 
@@ -223,6 +239,10 @@ class TestTableCsvFromIntegers:
         entries = affinitive_tuning(huge, FrequencySet(["3", "1e-400"])).entries
         assert max(e.score.harmonicity.denominator for e in entries) > 2**1024
         assert table_csv(entries) == fraction_table_csv(entries)
+        # no nonzero score reads 0.0: the cell is the JSON document's text
+        cells = [row.split(",")[3] for row in table_csv(entries).splitlines()[1:]]
+        shown = [e["harmonicity_float"] for e in TuningDocument({}, entries).as_dict()["entries"]]
+        assert cells == shown
 
 
 # a few values shared by the scores of many entries, as in generated tables:
@@ -297,6 +317,35 @@ class TestPerCallMemos:
             assert spy.call_count == 6 * distinct
 
 
+def text_rows(text):
+    """The interval, cents and exact score texts of each row of a text table."""
+    rows = []
+    for line in text.splitlines()[2:]:
+        ratio, c, a, _, h, _, t, *_ = line.split()
+        rows.append((ratio, c, (a, h, t)))
+    return rows
+
+
+class TestOneFormatter:
+    """CSV, JSON and text tables agree, row by row, on the interval text,
+    the cents and the exact score texts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ENTRIES | _REPEATING_ENTRIES)
+    def test_formats_agree(self, entries):
+        doc = TuningDocument(
+            {"generator": "g", "context": "1", "complement": "1"}, tuple(entries)
+        )
+        csv_rows = [row.split(",") for row in doc.to_csv().splitlines()[1:]]
+        json_rows = doc.as_dict()["entries"]
+        text = text_rows(_render_text(doc, "interval"))
+        assert len(csv_rows) == len(json_rows) == len(text) == len(entries)
+        for csv_row, json_row, (ratio, c, exact) in zip(csv_rows, json_rows, text):
+            assert csv_row[0] == json_row["interval"] == ratio
+            assert float(csv_row[1]) == json_row["cents"] == float(c)
+            assert exact == (json_row["affinity"], json_row["harmonicity"], json_row["total"])
+
+
 class TestExportScl:
     def test_reduced_c4_table(self):
         text = export_scl(reduced_document(), name="c4-affinitive")
@@ -312,6 +361,16 @@ class TestExportScl:
             "5/3\n"
             "2/1\n"
         )
+
+    @pytest.mark.parametrize("field", ["generator", "context", "complement"])
+    @pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
+    def test_line_break_in_a_header_field_is_refused(self, field, brk):
+        doc = reduced_document()
+        doc.metadata[field] = f"1{brk}2"
+        with pytest.raises(ValueError, match=f"^metadata field '{field}' holds a line break"):
+            export_scl(doc)
+        with pytest.raises(ValueError, match="^scale name holds a line break"):
+            export_scl(reduced_document(), name=f"a{brk}b")
 
     def test_rational_lines_always_carry_denominator(self):
         text = export_scl(reduced_document())
