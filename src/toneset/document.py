@@ -7,18 +7,21 @@ authoritative; cents and float columns are derived on export, so import ->
 export is byte-identical. One per-call pass, ``_formatted``, turns entries
 into interval text, cents and score cells for every table writer: the CSV of
 ``table_csv``, the JSON of ``TuningDocument`` and the text table the CLI
-prints. Score floats are shown by the one display rule,
-``core._display_score``. Every CSV the package writes goes through
-``csv_text``, with the rows of ``table_csv`` and ``curve_csv``.
+prints. It formats each score object once a call, keyed by its identity:
+a generated table shares one ``ConsonanceScore`` per distinct score, and
+``TuningDocument.from_json`` builds one per distinct score text. Score
+floats are shown by the one display rule, ``core._display_score``. Every
+CSV the package writes goes through ``csv_text``, which joins the cells of
+each row with "," (no cell the package writes needs quoting); the rows come
+from ``table_csv`` and ``curve_csv``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from . import __version__
@@ -43,44 +46,53 @@ _METADATA_FIELDS = {
 }
 
 
-def csv_text(header: list[str], rows: Iterable[list]) -> str:
-    """A CSV block: header, rows, bare "\\n" line endings."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+def csv_text(header: list[str], rows: Iterable[Iterable[str]]) -> str:
+    """A CSV block: header, rows, bare "\\n" line endings.
+
+    Cells are joined with "," as they are: every cell the package writes is
+    a number, an "n/d" text, a ``_scientific`` text or a header, and none
+    needs quoting.
+    """
+    return "\n".join(map(",".join, chain([header], rows))) + "\n"
 
 
 def table_csv(entries: Iterable[TuningEntry]) -> str:
     """Tuning entries as CSV: exact interval, cents and the three scores."""
     return csv_text(
         ["interval_ratio", "cents", "affinity", "harmonicity", "total"],
-        ([ratio, f"{c:.4f}", *cells] for _, ratio, c, cells in _formatted(entries, _float_cells)),
+        ((ratio, f"{c:.4f}", cells) for _, ratio, c, cells in _formatted(entries, _joined_cells)),
     )
 
 
 def _formatted(
-    entries: Iterable[TuningEntry], cells: Callable[[ConsonanceScore], tuple]
-) -> Iterator[tuple[TuningEntry, str, float, tuple]]:
+    entries: Iterable[TuningEntry], cells: Callable[[ConsonanceScore], tuple | str]
+) -> Iterator[tuple[TuningEntry, str, float, tuple | str]]:
     """The one pass behind every table writer (CSV, JSON, text): each entry
-    with its "n/d" interval text, its cents and ``cells(score)``. The cells
-    are computed once per distinct score in this call, and the memo goes
-    with the call."""
-    memo: dict[tuple[int, int, int, int], tuple] = {}
+    with its "n/d" interval text, its cents and ``cells(score)``.
+
+    The cells are computed once per score object in this call: generated
+    tables share one object per distinct score. The memo holds each score
+    it has seen, so no id is reused while it lives, and it goes with the
+    call.
+    """
+    memo: dict[int, tuple] = {}
     for e in entries:
-        t, score = e.interval, e.score
-        n, d = t.numerator, t.denominator
-        a, h = score.affinity, score.harmonicity
-        key = (a.numerator, a.denominator, h.numerator, h.denominator)
-        found = memo.get(key)
+        score = e.score
+        found = memo.get(id(score))
         if found is None:
-            found = memo[key] = cells(score)
+            found = memo[id(score)] = (cells(score), score)
+        n, d = e.interval.as_integer_ratio()
         try:
             ratio = f"{n}/{d}"
         except ValueError:  # a term too long to print; the message names it
-            ratio = format_ratio(t, True, "interval")
-        yield e, ratio, _cents_of(n, d), found
+            ratio = format_ratio(e.interval, True, "interval")
+        yield e, ratio, _cents_of(n, d), found[0]
+
+
+def _joined_cells(score: ConsonanceScore) -> str:
+    """The three score cells of a CSV row, joined the way ``csv_text``
+    joins cells."""
+    return ",".join(_float_cells(score))
 
 
 def _float_cells(score: ConsonanceScore) -> tuple[str, str, str]:
@@ -154,6 +166,12 @@ def _render_text(doc: TuningDocument, order: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _refuse_constant(name: str) -> None:
+    """Refuse the ``NaN``, ``Infinity`` and ``-Infinity`` that Python's JSON
+    reader accepts and strict readers do not."""
+    raise ValueError(f"invalid tuning document JSON: {name} is not a JSON value")
+
+
 def _ratio_field(raw: dict, index: int, field: str) -> Fraction:
     if field not in raw:
         raise ValueError(f"invalid tuning document: entry {index} lacks {field!r}")
@@ -216,7 +234,7 @@ class TuningDocument:
     @classmethod
     def from_json(cls, text: str) -> "TuningDocument":
         try:
-            data = json.loads(text)
+            data = json.loads(text, parse_constant=_refuse_constant)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid tuning document JSON: {exc}") from None
         except RecursionError:
@@ -234,6 +252,9 @@ class TuningDocument:
                     f"invalid tuning document: metadata field {field!r} must be "
                     f"{name}, not {type(value).__name__}"
                 )
+        # one score per distinct (affinity, harmonicity, total) text triple,
+        # parsed and checked once, so the writers' memo serves read documents
+        scores: dict[tuple, ConsonanceScore] = {}
         entries = []
         for index, raw in enumerate(data["entries"]):
             if not isinstance(raw, dict):
@@ -244,20 +265,20 @@ class TuningDocument:
                     f"invalid tuning document: entry {index} field 'note' must be a string, "
                     f"not {type(note).__name__}"
                 )
-            entry = TuningEntry(
-                _ratio_field(raw, index, "interval"),
-                ConsonanceScore(
-                    _ratio_field(raw, index, "affinity"),
-                    _ratio_field(raw, index, "harmonicity"),
-                ),
-                note,
-            )
-            if "total" in raw and _ratio_field(raw, index, "total") != entry.score.total:
-                raise ValueError(
-                    f"inconsistent entry: total {raw['total']} is not the mean of "
-                    f"affinity and harmonicity at interval {raw['interval']}"
+            interval = _ratio_field(raw, index, "interval")
+            texts = tuple(raw.get(field) for field in _SCORE_LABELS)
+            score = scores.get(texts) if all(type(t) is str for t in texts) else None
+            if score is None:
+                score = ConsonanceScore(
+                    _ratio_field(raw, index, "affinity"), _ratio_field(raw, index, "harmonicity")
                 )
-            entries.append(entry)
+                if "total" in raw and _ratio_field(raw, index, "total") != score.total:
+                    raise ValueError(
+                        f"inconsistent entry: total {raw['total']} is not the mean of "
+                        f"affinity and harmonicity at interval {raw['interval']}"
+                    )
+                scores[texts] = score
+            entries.append(TuningEntry(interval, score, note))
         doc = cls(data["metadata"], tuple(entries))
         doc.to_table()  # rejects entries out of interval order
         return doc
@@ -274,7 +295,9 @@ def export_scl(
     Entries must already sit inside one octave. Pitches are written as exact
     "p/q" lines (or cents with ``cents_lines``), excluding 1/1 and ending on
     the octave 2/1. A line break in the name or in the generator, context
-    or complement would split a header line, and is refused.
+    or complement would split a header line, and is refused; so is a
+    generator starting with "!", which would turn the description line
+    into a comment.
     """
     headers = [("scale name", name)] + [
         (f"metadata field {field!r}", doc.metadata.get(field))
@@ -283,6 +306,12 @@ def export_scl(
     for what, text in headers:
         if isinstance(text, str) and ("\n" in text or "\r" in text):
             raise ValueError(f"{what} holds a line break, which would split a Scala header line")
+    generator = doc.metadata.get("generator", "tuning")
+    if isinstance(generator, str) and generator.startswith("!"):
+        raise ValueError(
+            "metadata field 'generator' starts with '!', which would make the Scala "
+            "description line a comment"
+        )
     intervals = [e.interval for e in doc.entries]
     if any(t < 1 or t > 2 for t in intervals):
         raise ValueError(
@@ -293,9 +322,9 @@ def export_scl(
         raise ValueError("nothing to export: no entries besides unison 1/1")
     if pitches[-1] != 2:
         pitches.append(Fraction(2))
-    title = name or doc.metadata.get("generator", "tuning")
+    title = name or generator
     description = (
-        f"{doc.metadata.get('generator', 'tuning')} tuning; "
+        f"{generator} tuning; "
         f"F={doc.metadata.get('context', '?')}; F'={doc.metadata.get('complement', '?')}"
     )
     lines = [f"! {title}.scl", description, str(len(pitches))]

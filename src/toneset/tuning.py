@@ -97,7 +97,7 @@ MAX_TABLE_ENTRIES = 2**22
 _SIEVE_LIMIT = 2**16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TuningEntry:
     interval: Fraction
     score: ConsonanceScore
@@ -117,6 +117,14 @@ class TuningTable:
         pairs = ((e.interval.numerator, e.interval.denominator) for e in self.entries)
         if any(c * b <= a * d for (a, b), (c, d) in pairwise(pairs)):
             raise ValueError("tuning entries must be strictly increasing by interval")
+
+    @classmethod
+    def _ordered(cls, entries: tuple[TuningEntry, ...], generator: str) -> "TuningTable":
+        """A table of entries the caller built in ascending order, without
+        ``__post_init__``'s check of that order."""
+        table = object.__new__(cls)
+        table.__dict__.update(entries=entries, generator=generator)
+        return table
 
     @property
     def intervals(self) -> tuple[Fraction, ...]:
@@ -176,7 +184,8 @@ def _scored(
         if key not in built:
             built[key] = ConsonanceScore(Fraction(shared, smaller), Fraction(union, top))
         entries.append(TuningEntry(Fraction(p * rn, q * rd), built[key]))
-    return TuningTable(tuple(entries), generator)
+    # the pairs ascend, and t = p*a/(q*b) with them
+    return TuningTable._ordered(tuple(entries), generator)
 
 
 def affinitive_intervals(

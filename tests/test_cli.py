@@ -354,6 +354,33 @@ class TestDocumentPipelines:
         what = f"metadata field {field!r}" if field else "scale name"
         assert err == f"error: {what} holds a line break, which would split a Scala header line\n"
 
+    def test_export_scl_refuses_a_generator_read_as_a_comment(self, tmp_path, capsys):
+        _, out, _ = run(["affinitive", "262*N6", "262*N6"], capsys)
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(out)
+        _, out, _ = run(["reduce-octave", "--in", str(doc_path)], capsys)
+        data = json.loads(out)
+        data["metadata"]["generator"] = "!x"
+        doc_path.write_text(json.dumps(data))
+        code, out, err = run(["export-scl", "--in", str(doc_path)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: metadata field 'generator' starts with '!', which would make the Scala "
+            "description line a comment\n"
+        )
+
+    @pytest.mark.parametrize("command", ["reduce-octave", "export-scl"])
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_standard_json_constant_is_domain_error(self, tmp_path, capsys, command, constant):
+        _, out, _ = run(["affinitive", "262*N6", "262*N6"], capsys)
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(out.replace('"parameters": {}', f'"parameters": {{"x": {constant}}}'))
+        code, out, err = run([command, "--in", str(doc_path)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: invalid tuning document JSON: {constant} is not a JSON value\n"
+
     def test_reduce_folds_intervals_of_thousands_of_octaves_quickly(self, tmp_path, capsys):
         # 200 intervals i*10^4300, about 14,300 octaves up: folding one
         # octave at a time took 26 s of CPU

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from fractions import Fraction as F
 from unittest import mock
@@ -111,6 +113,24 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             TuningDocument.from_json("not json")
 
+    def test_one_score_per_distinct_score_text(self):
+        text = c4_document().to_json()
+        with mock.patch.object(document, "parse_ratio", wraps=parse_ratio) as spy:
+            doc = TuningDocument.from_json(text)
+        triples = {(e["affinity"], e["harmonicity"], e["total"]) for e in json.loads(text)["entries"]}
+        assert len({id(e.score) for e in doc.entries}) == len(triples) < len(doc.entries)
+        # each interval once, each distinct triple's three texts once
+        assert spy.call_count == len(doc.entries) + 3 * len(triples)
+        assert doc.entries == c4_document().entries
+        assert doc.to_json() == text
+
+    def test_repeated_score_text_is_checked_where_it_differs(self):
+        data = json.loads(c4_document().to_json())
+        first, second = data["entries"][3], data["entries"][4]
+        second.update(affinity=first["affinity"], harmonicity=first["harmonicity"], total="2/1")
+        with pytest.raises(ValueError, match="^inconsistent entry: total 2/1 is not the mean"):
+            TuningDocument.from_json(json.dumps(data))
+
     def test_metadata_contents(self):
         doc = c4_document()
         assert doc.metadata["generator"] == "affinitive"
@@ -182,6 +202,40 @@ class TestCsv:
         rows = c4_document().to_csv().splitlines()
         fifth = next(r for r in rows if r.startswith("3/2,"))
         assert fifth.split(",")[1] == "701.9550"
+
+
+def csv_writer_text(header, rows):
+    """The reference csv_text: the standard library's CSV writer."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+_HEADER_CELLS = st.sampled_from(
+    ["interval_ratio", "cents", "affinity", "harmonicity", "total", "t", "dissonance",
+     "thomae", "thomae_modified"]
+)
+# every kind of cell the package writes: float reprs, 4-decimal cents,
+# "n/d" texts, scientific texts and header names
+_PACKAGE_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map(lambda c: f"{c:.4f}"),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(0, 2**200), st.integers(1, 2**200)),
+    st.fractions().map(_scientific),
+    _HEADER_CELLS,
+)
+
+
+class TestCsvText:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(_HEADER_CELLS, min_size=1, max_size=5),
+        st.lists(st.lists(_PACKAGE_CELLS, min_size=1, max_size=6), max_size=8),
+    )
+    def test_equals_the_csv_writer(self, header, rows):
+        assert csv_text(header, rows) == csv_writer_text(header, rows)
 
 
 def float_cell(value):
@@ -287,6 +341,17 @@ class TestPerCallMemos:
         doc = TuningDocument({}, tuple(entries))
         assert doc.as_dict()["entries"] == [reference_entry_dict(e) for e in entries]
 
+    @settings(max_examples=200, deadline=None)
+    @given(_REPEATING_ENTRIES)
+    def test_fresh_score_per_entry_equals_the_listed_entries(self, entries):
+        # each score object dies once its row is written, so a memo that did
+        # not hold it could see its id again on a different score
+        fresh = (
+            TuningEntry(e.interval, ConsonanceScore(e.score.affinity, e.score.harmonicity))
+            for e in entries
+        )
+        assert table_csv(fresh) == table_csv(entries) == fraction_table_csv(entries)
+
     @staticmethod
     def distinct_scores(doc):
         count = len({e.score for e in doc.entries})
@@ -371,6 +436,16 @@ class TestExportScl:
             export_scl(doc)
         with pytest.raises(ValueError, match="^scale name holds a line break"):
             export_scl(reduced_document(), name=f"a{brk}b")
+
+    def test_generator_read_as_a_comment_is_refused(self):
+        doc = reduced_document()
+        doc.metadata["generator"] = "!x"
+        with pytest.raises(ValueError, match="^metadata field 'generator' starts with '!'"):
+            export_scl(doc)
+        # a "!" later in the generator, or in the name, leaves the line intact
+        doc.metadata["generator"] = "x!"
+        title, description = export_scl(doc, name="!c4").splitlines()[:2]
+        assert title == "! !c4.scl" and description.startswith("x! tuning; F=262,")
 
     def test_rational_lines_always_carry_denominator(self):
         text = export_scl(reduced_document())

@@ -737,6 +737,29 @@ class TestTuningTable:
                 "affinitive",
             )
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        small_lattice_sets,
+        small_lattice_sets,
+        st.fractions(F(1, 10), F(9, 10), max_denominator=20),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    )
+    def test_every_generated_table_passes_the_public_check(self, contextual, complementary, h, n, m):
+        # generators build their tables without the order check; each table
+        # must still pass it when built through the public constructor
+        args = (contextual, complementary, h, F(1, 4), 4, 12)
+        tables = [
+            affinitive_tuning(contextual, complementary),
+            forced_walk("rectangle", *args),
+            forced_walk("bounded", *args),
+            harmonic_tuning(contextual, complementary, 0, F(1, 4), 4, 12),
+            superset_tuning(contextual, complementary, n, m),
+        ]
+        tables.append(octave_reduce(tables[-1], contextual, complementary))
+        for table in tables:
+            assert TuningTable(table.entries, table.generator) == table
+
 
 class TestGeneratorRefusals:
     @pytest.mark.parametrize("sets", [(FrequencySet(), C4), (C4, FrequencySet())])
