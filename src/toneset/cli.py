@@ -152,8 +152,7 @@ def cmd_reduce_octave(args: argparse.Namespace) -> int:
     reduced = octave_reduce(doc.to_table(), contextual, complementary)
     parameters = dict(metadata.get("parameters", {}))
     parameters["octave_reduced"] = True
-    annotate = any(e.note is not None for e in doc.entries)
-    root = min(contextual.elements) if annotate else None
+    root = min(contextual.elements) if doc._notes is not None else None
     out_doc = TuningDocument.from_table(
         reduced,
         context_expr=metadata["context"],

@@ -1,34 +1,37 @@
 """Serialisation: JSON tuning documents, CSV tables and curves, Scala scales.
 
-A tuning document is a table's ``TuningEntry`` values (with note names, on
-request) plus the metadata needed to regenerate and rescore them; it is the
-interchange format between subcommands. Exact rational strings are
-authoritative; cents and float columns are derived on export, so import ->
-export is byte-identical. One per-call pass, ``_formatted``, turns entries
-into interval text, cents and score cells for every table writer: the CSV of
-``table_csv``, the JSON of ``TuningDocument`` and the text table the CLI
-prints. It formats each score object once a call, keyed by its identity:
-a generated table shares one ``ConsonanceScore`` per distinct score, and
-``TuningDocument.from_json`` builds one per distinct score text. Score
-floats are shown by the one display rule, ``core._display_score``. Every
-CSV the package writes goes through ``csv_text``, which joins the cells of
-each row with "," (no cell the package writes needs quoting); the rows come
-from ``table_csv`` and ``curve_csv``.
+A tuning document is a table's rows (with note names, on request) plus the
+metadata needed to regenerate and rescore them; it is the interchange
+format between subcommands. Exact rational strings are authoritative; cents
+and float columns are derived on export, so import -> export is
+byte-identical. One per-call pass, ``_formatted``, turns a table's integer
+rows (``tuning.TuningTable``) into interval text, cents and score cells for
+every table writer: the CSV of ``table_csv``, the JSON of ``TuningDocument``
+and the text table the CLI prints. No writer builds a ``TuningEntry``;
+entries handed to a writer are read as rows over 1/1. It formats each score
+object once a call, keyed by its identity: a generated table shares one
+``ConsonanceScore`` per distinct score, and ``TuningDocument.from_json``
+builds one per distinct score text. Score floats are shown by the one
+display rule, ``core._display_score``. Every CSV the package writes goes
+through ``csv_text``, which joins the cells of each row with "," (no cell
+the package writes needs quoting); the rows come from ``table_csv`` and
+``curve_csv``. Each writer still builds its whole output as one string, and
+``from_json`` reads a whole document into memory.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+import math
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from . import __version__
 from .consonance import ConsonanceScore
 from .core import _cents_of, _display_score, _scientific, cents, format_ratio, parse_ratio
 from .notes import _note_in_span
-from .tuning import TuningEntry, TuningTable
+from .tuning import TuningEntry, TuningTable, _check_order, _entry_rows
 
 if TYPE_CHECKING:  # the roughness module loads numpy; only its type is needed
     from .dissonance import CurvePoint
@@ -56,37 +59,55 @@ def csv_text(header: list[str], rows: Iterable[Iterable[str]]) -> str:
     return "\n".join(map(",".join, chain([header], rows))) + "\n"
 
 
-def table_csv(entries: Iterable[TuningEntry]) -> str:
-    """Tuning entries as CSV: exact interval, cents and the three scores."""
+def table_csv(source: TuningTable | TuningDocument | Iterable[TuningEntry]) -> str:
+    """A table's entries as CSV: exact interval, cents and the three scores."""
     return csv_text(
         ["interval_ratio", "cents", "affinity", "harmonicity", "total"],
-        ((ratio, f"{c:.4f}", cells) for _, ratio, c, cells in _formatted(entries, _joined_cells)),
+        ((ratio, f"{c:.4f}", cells) for _, _, ratio, c, cells, _ in _formatted(source, _joined_cells)),
     )
 
 
 def _formatted(
-    entries: Iterable[TuningEntry], cells: Callable[[ConsonanceScore], tuple | str]
-) -> Iterator[tuple[TuningEntry, str, float, tuple | str]]:
-    """The one pass behind every table writer (CSV, JSON, text): each entry
-    with its "n/d" interval text, its cents and ``cells(score)``.
+    source: TuningTable | TuningDocument | Iterable[TuningEntry],
+    cells: Callable[[ConsonanceScore], tuple | str]
+) -> Iterator[tuple[int, int, str, float, tuple | str, Optional[str]]]:
+    """The one pass behind every table writer (CSV, JSON, text): each row's
+    interval n/d in lowest terms, its "n/d" text, its cents,
+    ``cells(score)`` and its note name (None for a table).
+
+    It reads the rows (p, q, score) over rn/rd of the table behind
+    ``source`` (entries are read as a document of them) and, unless rn/rd
+    is 1/1, reduces p*rn/(q*rd) with two gcds: p/q and rn/rd are in lowest
+    terms, so g1 = gcd(p, rd) and g2 = gcd(q, rn) are all that divide out.
 
     The cells are computed once per score object in this call: generated
-    tables share one object per distinct score. The memo holds each score
-    it has seen, so no id is reused while it lives, and it goes with the
+    tables share one object per distinct score. The rows hold every score
+    while the call lives, so no id is reused, and the memo goes with the
     call.
     """
-    memo: dict[int, tuple] = {}
-    for e in entries:
-        score = e.score
+    if isinstance(source, TuningTable):
+        table, notes = source, None
+    else:
+        if not isinstance(source, TuningDocument):
+            source = TuningDocument({}, tuple(source))
+        table, notes = source._table, source._notes
+    rn, rd = table._ratio
+    scaled = (rn, rd) != (1, 1)
+    gcd = math.gcd
+    memo: dict[int, tuple | str] = {}
+    for (p, q, score), note in zip(table._rows, notes or repeat(None)):
         found = memo.get(id(score))
         if found is None:
-            found = memo[id(score)] = (cells(score), score)
-        n, d = e.interval.as_integer_ratio()
+            found = memo[id(score)] = cells(score)
+        n, d = p, q
+        if scaled:
+            g1, g2 = gcd(p, rd), gcd(q, rn)
+            n, d = p // g1 * (rn // g2), q // g2 * (rd // g1)
         try:
             ratio = f"{n}/{d}"
         except ValueError:  # a term too long to print; the message names it
-            ratio = format_ratio(e.interval, True, "interval")
-        yield e, ratio, _cents_of(n, d), found[0]
+            ratio = format_ratio(Fraction(n, d), True, "interval")
+        yield n, d, ratio, _cents_of(n, d), found, note
 
 
 def _joined_cells(score: ConsonanceScore) -> str:
@@ -142,27 +163,27 @@ def _score_text(shown: float | str) -> str:
     return f"{shown:.3f}" if shown == round(shown, 3) else f"{shown:.3e}"
 
 
-def _entry_dict(entry: TuningEntry, ratio: str, cents_: float, fields: tuple) -> dict:
+def _entry_dict(n: int, d: int, ratio: str, cents_: float, fields: tuple, note: Optional[str]) -> dict:
     _, (a, h, t), (a_shown, h_shown, t_shown) = fields
     data = {
         "interval": ratio, "cents": round(cents_, 4), "affinity": a, "harmonicity": h, "total": t,
         "affinity_float": a_shown, "harmonicity_float": h_shown, "total_float": t_shown,
     }
-    if entry.note is not None:
-        data["note"] = entry.note
+    if note is not None:
+        data["note"] = note
     return data
 
 
 def _render_text(doc: TuningDocument, order: str) -> str:
     """A document as a text table, in interval or consonance order."""
-    rows: Iterable = _formatted(doc.entries, _score_fields)
+    rows: Iterable = _formatted(doc, _score_fields)
     if order == "consonance":
-        rows = sorted(rows, key=lambda row: (-row[3][0], row[0].interval))
+        rows = sorted(rows, key=lambda row: (-row[4][0], Fraction(row[0], row[1])))
     lines = [f"# {doc.metadata['generator']} tuning  F={doc.metadata['context']}  F'={doc.metadata['complement']}"]
     lines.append(f"{'interval':>10}  {'cents':>10}  {'affinity':>16}  {'harmonicity':>18}  {'total':>16}  note")
-    for e, ratio, c, (_, texts, shown) in rows:
+    for _, _, ratio, c, (_, texts, shown), note in rows:
         scores = "".join(f"  {text:>8} ({_score_text(v)})" for text, v in zip(texts, shown))
-        lines.append(f"{ratio:>10}  {c:>10.4f}{scores}  {e.note or ''}")
+        lines.append(f"{ratio:>10}  {c:>10.4f}{scores}  {note or ''}")
     return "\n".join(lines) + "\n"
 
 
@@ -187,13 +208,32 @@ def _ratio_field(raw: dict, index: int, field: str) -> Fraction:
 class TuningDocument:
     """A tuning table plus the metadata needed to regenerate and rescore it.
 
-    ``entries`` are in a ``TuningTable``'s order: ``from_table`` takes them
-    from a table, and ``from_json`` checks them by building one.
+    A document holds a table's rows, which the writers read, and the note
+    names of an annotated one (one per row, None outside the naming span).
+    ``entries`` is a view of them, built on first read: for a document
+    without note names, the table's own entries. ``from_table`` takes the
+    rows of a table, ``from_json`` checks that the rows it reads ascend, and
+    the constructor takes entries in any order as rows over 1/1.
     """
 
     def __init__(self, metadata: dict, entries: tuple[TuningEntry, ...]):
-        self.metadata = metadata
-        self.entries = entries
+        table = TuningTable._of_rows(_entry_rows(entries), (1, 1), metadata.get("generator", "unknown"))
+        self._hold(metadata, table, [e.note for e in entries], entries)
+
+    def _hold(self, metadata: dict, table: TuningTable, notes: Iterable, entries=None) -> None:
+        notes = tuple(notes)
+        self.metadata, self._table, self._entries = metadata, table, entries
+        self._notes = notes if any(n is not None for n in notes) else None
+
+    @property
+    def entries(self) -> tuple[TuningEntry, ...]:
+        if self._entries is None:
+            table, notes = self._table, self._notes
+            self._entries = table.entries if notes is None else tuple(
+                TuningEntry(t, score, note)
+                for t, (_, _, score), note in zip(table.intervals, table._rows, notes)
+            )
+        return self._entries
 
     @classmethod
     def from_table(
@@ -204,11 +244,11 @@ class TuningDocument:
         parameters: Optional[dict] = None,
         annotate_root: Optional[Fraction] = None,
     ) -> "TuningDocument":
-        entries = table.entries
+        notes = ()
         if annotate_root is not None:
             # an entry outside the naming span is left unannotated
-            notes = (_note_in_span(annotate_root * e.interval) for e in entries)
-            entries = tuple(replace(e, note=n and n.render()) for e, n in zip(entries, notes))
+            notes = (_note_in_span(annotate_root * t) for t in table.intervals)
+            notes = [n and n.render() for n in notes]
         metadata = {
             "tool": TOOL_NAME,
             "version": __version__,
@@ -217,15 +257,21 @@ class TuningDocument:
             "complement": complement_expr,
             "parameters": dict(parameters or {}),
         }
-        return cls(metadata, entries)
+        doc = cls.__new__(cls)
+        doc._hold(metadata, table, notes)
+        return doc
 
     def to_table(self) -> TuningTable:
-        return TuningTable(self.entries, self.metadata.get("generator", "unknown"))
+        """The document's rows as a table under its metadata's generator,
+        checked for order; the note names stay with the document."""
+        table = self._table
+        _check_order(table._rows)
+        return TuningTable._of_rows(table._rows, table._ratio, self.metadata.get("generator", "unknown"))
 
     def as_dict(self) -> dict:
         return {
             "metadata": self.metadata,
-            "entries": [_entry_dict(*row) for row in _formatted(self.entries, _score_fields)],
+            "entries": [_entry_dict(*row) for row in _formatted(self, _score_fields)],
         }
 
     def to_json(self) -> str:
@@ -255,7 +301,7 @@ class TuningDocument:
         # one score per distinct (affinity, harmonicity, total) text triple,
         # parsed and checked once, so the writers' memo serves read documents
         scores: dict[tuple, ConsonanceScore] = {}
-        entries = []
+        rows, notes = [], []
         for index, raw in enumerate(data["entries"]):
             if not isinstance(raw, dict):
                 raise ValueError(f"invalid tuning document: entry {index} is not an object")
@@ -278,13 +324,16 @@ class TuningDocument:
                         f"affinity and harmonicity at interval {raw['interval']}"
                     )
                 scores[texts] = score
-            entries.append(TuningEntry(interval, score, note))
-        doc = cls(data["metadata"], tuple(entries))
-        doc.to_table()  # rejects entries out of interval order
+            rows.append((interval.numerator, interval.denominator, score))
+            notes.append(note)
+        _check_order(rows)
+        doc = cls.__new__(cls)
+        generator = data["metadata"].get("generator", "unknown")
+        doc._hold(data["metadata"], TuningTable._of_rows(tuple(rows), (1, 1), generator), notes)
         return doc
 
     def to_csv(self) -> str:
-        return table_csv(self.entries)
+        return table_csv(self)
 
 
 def export_scl(
@@ -312,7 +361,7 @@ def export_scl(
             "metadata field 'generator' starts with '!', which would make the Scala "
             "description line a comment"
         )
-    intervals = [e.interval for e in doc.entries]
+    intervals = doc._table.intervals
     if any(t < 1 or t > 2 for t in intervals):
         raise ValueError(
             "document spans more than one octave; apply reduce-octave first"

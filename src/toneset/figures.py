@@ -83,7 +83,7 @@ def _fig5_1(params: Params) -> dict[str, str]:
     c4 = _c4()
     table = affinitive_tuning(c4, c4)
     return {
-        "fig5_1": table_csv(table.entries),
+        "fig5_1": table_csv(table),
         "fig5_1_dissonance": curve_csv(
             dissonance_curve(c4, c4, float(Fraction(1, 6)), 6.0, _steps(params), DissonanceParams())
         ),
@@ -92,7 +92,7 @@ def _fig5_1(params: Params) -> dict[str, str]:
 
 def _fig5_2(params: Params) -> dict[str, str]:
     c4 = _c4()
-    return {"fig5_2": table_csv(octave_reduce(affinitive_tuning(c4, c4), c4, c4).entries)}
+    return {"fig5_2": table_csv(octave_reduce(affinitive_tuning(c4, c4), c4, c4))}
 
 
 def _fig5_3(params: Params) -> dict[str, str]:
@@ -102,26 +102,26 @@ def _fig5_3(params: Params) -> dict[str, str]:
         "fig5_3b": c4 | c4.transpose(FIFTH),
         "fig5_3c": c4 | c4.transpose(MAJOR_THIRD) | c4.transpose(FIFTH),
     }
-    return {key: table_csv(affinitive_tuning(ctx, c4).entries) for key, ctx in contexts.items()}
+    return {key: table_csv(affinitive_tuning(ctx, c4)) for key, ctx in contexts.items()}
 
 
 def _fig5_4(params: Params) -> dict[str, str]:
     inh = _inharmonic()
-    return {"fig5_4": table_csv(affinitive_tuning(inh, inh).entries)}
+    return {"fig5_4": table_csv(affinitive_tuning(inh, inh))}
 
 
 def _fig5_5(params: Params) -> dict[str, str]:
     single = FrequencySet([C4_FUNDAMENTAL])
     table = harmonic_tuning(single, single, 0, Fraction(1, 8), 8, _max_den(params))
-    return {"fig5_5": table_csv(table.entries)}
+    return {"fig5_5": table_csv(table)}
 
 
 def _fig5_6(params: Params) -> dict[str, str]:
     single = FrequencySet([C4_FUNDAMENTAL])
     table = harmonic_tuning(single, single, 0, Fraction(1, 8), 8, _max_den(params))
     rows = [
-        [ratio, f"{c:.4f}", cells[2], repr(float(thomae_modified(e.interval)))]
-        for e, ratio, c, cells in _formatted(table.entries, _float_cells)
+        [ratio, f"{c:.4f}", cells[2], repr(float(thomae_modified(Fraction(n, d))))]
+        for n, d, ratio, c, cells, _ in _formatted(table, _float_cells)
     ]
     return {"fig5_6": csv_text(["interval_ratio", "cents", "total", "thomae_modified"], rows)}
 
@@ -132,7 +132,7 @@ def _fig5_7(params: Params) -> dict[str, str]:
     for k in counts:  # type: ignore[union-attr]
         spectrum = _c4(int(k))
         table = harmonic_tuning(spectrum, spectrum, 0, Fraction(1, 8), Fraction(8), _max_den(params))
-        parts[f"fig5_7_k{k}"] = table_csv(table.entries)
+        parts[f"fig5_7_k{k}"] = table_csv(table)
     return parts
 
 
@@ -149,7 +149,7 @@ def _fig5_8(params: Params) -> dict[str, str]:
     }
     bounds = (Fraction(1, 4), Fraction(4), _max_den(params))
     return {
-        key: table_csv(harmonic_tuning(ctx, c4, 0, *bounds).entries)
+        key: table_csv(harmonic_tuning(ctx, c4, 0, *bounds))
         for key, ctx in contexts.items()
     }
 
@@ -167,7 +167,7 @@ def _fig5_9(params: Params) -> dict[str, str]:
     }
     bounds = (Fraction(1, 4), Fraction(4), _max_den(params))
     return {
-        key: table_csv(harmonic_tuning(ctx, rich, 0, *bounds).entries)
+        key: table_csv(harmonic_tuning(ctx, rich, 0, *bounds))
         for key, ctx in contexts.items()
     }
 
@@ -177,7 +177,7 @@ def _fig5_10(params: Params) -> dict[str, str]:
     for key, rounded in (("fig5_10_rounded", True), ("fig5_10_original", False)):
         spectrum = _inharmonic(rounded)
         table = harmonic_tuning(spectrum, spectrum, 0, Fraction(1, 4), Fraction(4), _max_den(params))
-        parts[key] = table_csv(table.entries)
+        parts[key] = table_csv(table)
     return parts
 
 
@@ -185,20 +185,18 @@ def _fig5_11(params: Params) -> dict[str, str]:
     sparse = FrequencySet(C4_FUNDAMENTAL * n for n in (1, 2, 4))
     bounds = (Fraction(1, 4), Fraction(4), _max_den(params))
     return {
-        "fig5_11a": table_csv(affinitive_tuning(sparse, sparse).entries),
-        "fig5_11b": table_csv(harmonic_tuning(sparse, sparse, 0, *bounds).entries),
-        "fig5_11c": table_csv(
-            harmonic_tuning(sparse, sparse, Fraction(23, 100), *bounds).entries
-        ),
+        "fig5_11a": table_csv(affinitive_tuning(sparse, sparse)),
+        "fig5_11b": table_csv(harmonic_tuning(sparse, sparse, 0, *bounds)),
+        "fig5_11c": table_csv(harmonic_tuning(sparse, sparse, Fraction(23, 100), *bounds)),
     }
 
 
 def _fig5_12(params: Params) -> dict[str, str]:
     single = FrequencySet([C4_FUNDAMENTAL])
     return {
-        "fig5_12a": table_csv(affinitive_tuning(single, single).entries),
-        "fig5_12b": table_csv(superset_tuning(single, single, 2, 2).entries),
-        "fig5_12c": table_csv(superset_tuning(single, single, 4, 4).entries),
+        "fig5_12a": table_csv(affinitive_tuning(single, single)),
+        "fig5_12b": table_csv(superset_tuning(single, single, 2, 2)),
+        "fig5_12c": table_csv(superset_tuning(single, single, 4, 4)),
     }
 
 
@@ -212,7 +210,7 @@ def _fig5_13(params: Params) -> dict[str, str]:
         "fig5_13c": c4 | e4 | g4,
     }
     return {
-        key: table_csv(superset_tuning(ctx, c4, 0, 0).entries) for key, ctx in contexts.items()
+        key: table_csv(superset_tuning(ctx, c4, 0, 0)) for key, ctx in contexts.items()
     }
 
 
@@ -220,9 +218,9 @@ def _fig5_14(params: Params) -> dict[str, str]:
     spectrum = _inharmonic(rounded=True)
     return {
         "fig5_14a": table_csv(
-            harmonic_tuning(spectrum, spectrum, 0, Fraction(1, 4), 4, _max_den(params, 30)).entries
+            harmonic_tuning(spectrum, spectrum, 0, Fraction(1, 4), 4, _max_den(params, 30))
         ),
-        "fig5_14b": table_csv(superset_tuning(spectrum, spectrum, 0, 0).entries),
+        "fig5_14b": table_csv(superset_tuning(spectrum, spectrum, 0, 0)),
     }
 
 

@@ -19,6 +19,9 @@ system. With F = a*N and G = b*M (fundamentals a, b, integer multipliers),
 a generator hands it the transpositions t as the ascending reduced integer
 pairs p/q = t*b/a, and ``_scored`` is the one place where the overlap of F
 and tF', the threshold test and the score are computed, on those integers.
+A kept candidate stays a row (p, q, score) of a ``TuningTable`` over the
+one ratio a/b; its interval p*a/(q*b) is built only when a library caller
+reads ``entries`` or ``intervals``, and the writers read the rows.
 The public consonance functions compute the same Fractions from the sets
 themselves and are the oracle the tests compare against. The generators
 differ only in their pairs; all but affinitive take them from
@@ -63,6 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import islice, pairwise
 from typing import Iterable, Iterator
@@ -108,27 +112,60 @@ class TuningEntry:
 class TuningTable:
     """Entries sorted by interval and the name of the generator that made
     them; the sets and parameters they came from are the document's
-    metadata."""
+    metadata.
+
+    A table holds its entries as rows ``(p, q, score)`` and one ratio
+    ``rn/rd``: each row is the interval ``p*rn/(q*rd)``, with p/q and
+    rn/rd in lowest terms. A generated table has the rows alone, in the
+    t*b/a coordinates its generator scored them in, and builds ``entries``
+    and ``intervals`` on first read; one made from entries has them as rows
+    over 1/1.
+    """
 
     entries: tuple[TuningEntry, ...]
     generator: str
 
     def __post_init__(self) -> None:
-        pairs = ((e.interval.numerator, e.interval.denominator) for e in self.entries)
-        if any(c * b <= a * d for (a, b), (c, d) in pairwise(pairs)):
-            raise ValueError("tuning entries must be strictly increasing by interval")
+        rows = _entry_rows(self.entries)
+        _check_order(rows)
+        self.__dict__.update(_rows=rows, _ratio=(1, 1))
 
     @classmethod
-    def _ordered(cls, entries: tuple[TuningEntry, ...], generator: str) -> "TuningTable":
-        """A table of entries the caller built in ascending order, without
-        ``__post_init__``'s check of that order."""
+    def _of_rows(cls, rows: tuple, ratio: tuple[int, int], generator: str) -> "TuningTable":
+        """A table of rows over ``ratio``, its entries unbuilt; the caller
+        vouches for the rows' order."""
         table = object.__new__(cls)
-        table.__dict__.update(entries=entries, generator=generator)
+        table.__dict__.update(generator=generator, _rows=rows, _ratio=ratio)
         return table
 
-    @property
+    def __getattr__(self, name: str):
+        # reached only while a table made from rows has not built its entries
+        state = self.__dict__
+        if name != "entries" or "_rows" not in state:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rn, rd = state["_ratio"]
+        entries = state["entries"] = tuple(
+            TuningEntry(Fraction(p * rn, q * rd), score) for p, q, score in state["_rows"]
+        )
+        return entries
+
+    @cached_property
     def intervals(self) -> tuple[Fraction, ...]:
-        return tuple(e.interval for e in self.entries)
+        if "entries" in self.__dict__:
+            return tuple(e.interval for e in self.entries)
+        rn, rd = self._ratio
+        return tuple(Fraction(p * rn, q * rd) for p, q, _ in self._rows)
+
+
+def _entry_rows(entries: Iterable[TuningEntry]) -> tuple[tuple[int, int, ConsonanceScore], ...]:
+    """Entries as the rows of a table over 1/1."""
+    return tuple((e.interval.numerator, e.interval.denominator, e.score) for e in entries)
+
+
+def _check_order(rows: Iterable[tuple[int, int, ConsonanceScore]]) -> None:
+    """Refuse rows that are not strictly increasing by p/q."""
+    if any(c * b <= a * d for (a, b, _), (c, d, _) in pairwise(rows)):
+        raise ValueError("tuning entries must be strictly increasing by interval")
 
 
 def _scored(
@@ -146,8 +183,9 @@ def _scored(
     a*n = t*b*m iff n = p*k and m = q*k for some k, so the overlap is a
     count of integers; the union's gcd is a/q and its top partial
     a*max(N_top, p*M_top/q), so harmonicity = |F u tG| / max(q*N_top, p*M_top).
-    The threshold test cross-multiplies integers; t = p*a/(q*b) and its entry
-    are built only for a kept candidate, and each distinct score once a call.
+    The threshold test cross-multiplies integers. A kept candidate becomes
+    the row (p, q, score) of a table over rn/rd = a/b, with each distinct
+    score built once a call; no interval or entry is built here.
     """
     a, n_all, n_set = contextual._lattice_view()  # refuses empty sets
     b, m_all, m_set = complementary._lattice_view()
@@ -163,7 +201,7 @@ def _scored(
     shorter, longer_set = (m_all, n_set) if by_m else (n_all, m_set)
     # union = sizes - shared, so (shared, top) determines the score
     built: dict[tuple[int, int], ConsonanceScore] = {}
-    entries = []
+    rows = []
     for p, q in pairs:
         k_top = min(n_top // p, m_top // q)
         shared = 0
@@ -183,9 +221,9 @@ def _scored(
         key = (shared, top)
         if key not in built:
             built[key] = ConsonanceScore(Fraction(shared, smaller), Fraction(union, top))
-        entries.append(TuningEntry(Fraction(p * rn, q * rd), built[key]))
+        rows.append((p, q, built[key]))
     # the pairs ascend, and t = p*a/(q*b) with them
-    return TuningTable._ordered(tuple(entries), generator)
+    return TuningTable._of_rows(tuple(rows), (rn, rd), generator)
 
 
 def affinitive_intervals(
@@ -483,7 +521,7 @@ def octave_reduce(
     an interval and its octave transposition generally have different
     consonance.
     """
-    folded = sorted({fold_to_octave(e.interval) for e in table.entries})
+    folded = sorted({fold_to_octave(t) for t in table.intervals})
     ratio = complementary.fundamental() / contextual.fundamental()
     pairs = ((t * ratio).as_integer_ratio() for t in folded)
     return _scored(contextual, complementary, pairs, table.generator)

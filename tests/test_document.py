@@ -12,16 +12,22 @@ from toneset import (
     FrequencySet,
     TuningDocument,
     TuningEntry,
+    TuningTable,
     affinitive_tuning,
     canonical_set_expression,
     cents,
+    emit_figure_data,
     export_scl,
     format_ratio,
     harmonic_set,
+    harmonic_tuning,
     octave_reduce,
     parse_ratio,
+    superset_tuning,
+    supported_figures,
 )
 from toneset import document
+from toneset.cli import main
 from toneset.core import _display_score, _scientific
 from toneset.document import _render_text, csv_text, table_csv
 
@@ -47,6 +53,23 @@ class TestJsonRoundTrip:
         first = c4_document(annotate=True).to_json()
         second = TuningDocument.from_json(first).to_json()
         assert first == second
+
+    def test_to_table_checks_the_order(self):
+        entries = c4_document().entries
+        swapped = TuningDocument({"generator": "g"}, (entries[1], entries[0]) + entries[2:])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            swapped.to_table()
+        table = TuningDocument({"generator": "g"}, entries).to_table()
+        assert table == TuningTable(entries, "g")
+
+    def test_empty_note_is_kept(self):
+        # an empty note name is a note: the document stays annotated
+        data = json.loads(c4_document().to_json())
+        data["entries"][4]["note"] = ""
+        text = json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+        doc = TuningDocument.from_json(text)
+        assert doc.to_json() == text
+        assert [e.note for e in doc.entries] == [None] * 4 + [""] + [None] * 18
 
     def test_exact_fields_parse_back_identically(self):
         doc = c4_document()
@@ -409,6 +432,72 @@ class TestOneFormatter:
             assert csv_row[0] == json_row["interval"] == ratio
             assert float(csv_row[1]) == json_row["cents"] == float(c)
             assert exact == (json_row["affinity"], json_row["harmonicity"], json_row["total"])
+
+
+class TestWritersBuildNoEntry:
+    """Generated tables are written from their rows: no writer, figure or
+    command builds a ``TuningEntry``; reading ``entries`` builds them once."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        init = TuningEntry.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TuningEntry, "__init__", counting)
+        return calls
+
+    def test_documents_and_csv(self, built):
+        single = FrequencySet([262])
+        tables = [
+            affinitive_tuning(C4, C4),
+            harmonic_tuning(C4, C4, F(1, 3)),
+            harmonic_tuning(C4, C4, 0, F(1, 2), 2, 12),
+            superset_tuning(single, C4, 4, 0),
+            octave_reduce(affinitive_tuning(C4, C4), C4, C4),
+        ]
+        expr = canonical_set_expression(C4)
+        for table in tables:
+            table_csv(table)
+            for root in (None, F(262)):
+                doc = TuningDocument.from_table(table, expr, expr, annotate_root=root)
+                doc.to_csv(), _render_text(doc, "interval"), _render_text(doc, "consonance")
+                read = TuningDocument.from_json(doc.to_json())
+                read.to_json(), read.to_table()
+        export_scl(TuningDocument.from_json(reduced_document().to_json()))
+        assert built == []
+
+    def test_figures(self, built):
+        for figure_id in supported_figures():
+            emit_figure_data(figure_id, {"max_den": 12, "steps": 20})
+        assert built == []
+
+    def test_commands(self, built, tmp_path, capsys):
+        first, reduced = str(tmp_path / "a.json"), str(tmp_path / "r.json")
+        commands = [
+            ["affinitive", "C4_6@262", "G4_3@393", "--notes", "-o", first],
+            ["reduce-octave", "--in", first, "-o", reduced],
+            ["export-scl", "--in", reduced],
+            ["superset", "262,393", "524", "--notes", "--format", "text", "--order", "consonance"],
+            ["harmonic", "262*N6", "262*N6", "--h", "1/4"],
+            ["thomae", "--max-den", "8"],
+        ]
+        for argv in commands:
+            assert main(argv) == 0, capsys.readouterr().err
+        assert built == []
+
+    def test_entries_are_built_once_on_first_read(self, built):
+        table = affinitive_tuning(C4, C4)
+        entries = table.entries
+        assert len(built) == len(entries) == 23
+        assert table.entries is entries and len(built) == 23
+        doc = TuningDocument.from_table(table, "F", "G", annotate_root=F(262))
+        annotated = doc.entries
+        assert len(built) == 2 * 23
+        assert doc.entries is annotated and len(built) == 2 * 23
 
 
 class TestExportScl:

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 from unittest import mock
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from toneset import (
     FrequencySet,
+    TuningDocument,
     TuningTable,
     TuningEntry,
     ConsonanceScore,
@@ -28,6 +30,7 @@ from toneset import (
     total_consonance,
 )
 from toneset import tuning
+from toneset.document import _render_text, table_csv
 from toneset.tuning import _reduced_count
 
 C4 = harmonic_set(262, 6)
@@ -728,6 +731,21 @@ class TestOctaveReduce:
         assert once.entries == twice.entries
 
 
+def generated_tables(contextual, complementary, h, n, m):
+    """A table from each generator and walk: affinitive, the rectangle and
+    bounded harmonic walks for h, harmonic at h = 0, superset, and the
+    superset table octave-reduced."""
+    args = (contextual, complementary, h, F(1, 4), 4, 12)
+    tables = [
+        affinitive_tuning(contextual, complementary),
+        forced_walk("rectangle", *args),
+        forced_walk("bounded", *args),
+        harmonic_tuning(contextual, complementary, 0, F(1, 4), 4, 12),
+        superset_tuning(contextual, complementary, n, m),
+    ]
+    return tables + [octave_reduce(tables[-1], contextual, complementary)]
+
+
 class TestTuningTable:
     def test_rejects_unsorted_entries(self):
         score = ConsonanceScore(F(1), F(1))
@@ -748,17 +766,74 @@ class TestTuningTable:
     def test_every_generated_table_passes_the_public_check(self, contextual, complementary, h, n, m):
         # generators build their tables without the order check; each table
         # must still pass it when built through the public constructor
-        args = (contextual, complementary, h, F(1, 4), 4, 12)
-        tables = [
-            affinitive_tuning(contextual, complementary),
-            forced_walk("rectangle", *args),
-            forced_walk("bounded", *args),
-            harmonic_tuning(contextual, complementary, 0, F(1, 4), 4, 12),
-            superset_tuning(contextual, complementary, n, m),
-        ]
-        tables.append(octave_reduce(tables[-1], contextual, complementary))
-        for table in tables:
+        for table in generated_tables(contextual, complementary, h, n, m):
             assert TuningTable(table.entries, table.generator) == table
+
+
+def eager_entries(table):
+    """The entries a generator built before tables were rows: one
+    ``TuningEntry(Fraction(p*rn, q*rd), score)`` a row."""
+    rn, rd = table._ratio
+    return tuple(TuningEntry(F(p * rn, q * rd), score) for p, q, score in table._rows)
+
+
+def written(doc):
+    """Every table writer's bytes for a document, or the message it raises."""
+    outputs = []
+    for write in (doc.to_csv, doc.to_json, lambda: _render_text(doc, "interval"),
+                  lambda: _render_text(doc, "consonance")):
+        try:
+            outputs.append(write())
+        except ValueError as exc:
+            outputs.append(f"ValueError: {exc}")
+    return outputs
+
+
+class TestTableRows:
+    """Generated tables hold integer rows; their entries, intervals and
+    written bytes equal those of the entries generators used to build."""
+
+    _draws = (
+        small_lattice_sets,
+        small_lattice_sets,
+        st.fractions(F(1, 10), F(9, 10), max_denominator=20),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(*_draws)
+    def test_lazy_views_equal_the_eager_entries(self, contextual, complementary, h, n, m):
+        for table in generated_tables(contextual, complementary, h, n, m):
+            eager = eager_entries(table)
+            reference = TuningTable(eager, table.generator)
+            # compared before the lazy table has built anything
+            assert hash(table) == hash(reference)
+            assert table == reference and repr(table) == repr(reference)
+            assert table.entries == eager and table.intervals == reference.intervals
+            for change in ({"generator": "x"}, {"entries": eager[:1]}):
+                assert replace(table, **change) == replace(reference, **change)
+
+    @settings(max_examples=60, deadline=None)
+    @given(*_draws, st.booleans())
+    def test_writers_equal_those_of_the_eager_entries(self, contextual, complementary, h, n, m, notes):
+        root = F(262) if notes else None  # a C4 root names most intervals
+        for table in generated_tables(contextual, complementary, h, n, m):
+            doc = TuningDocument.from_table(table, "F", "G", {"h": "x"}, annotate_root=root)
+            by_entries = TuningDocument(doc.metadata, doc.entries)
+            assert table_csv(table) == table_csv(eager_entries(table)) == by_entries.to_csv()
+            assert written(doc) == written(by_entries)
+            assert written(TuningDocument.from_json(doc.to_json())) == written(doc)
+
+    def test_term_too_long_to_print_is_named_alike(self):
+        # the table's ratio holds the 4,401-digit term; no row does
+        huge, unit = FrequencySet([10**4400]), FrequencySet([1])
+        table = affinitive_tuning(huge, unit)
+        assert table._ratio == (10**4400, 1) and table._rows[0][:2] == (1, 1)
+        doc = TuningDocument.from_table(table, "F", "G")
+        message = "ValueError: interval is too long to print: its numerator has 4401 digits"
+        assert all(text.startswith(message) for text in written(doc))
+        assert written(doc) == written(TuningDocument(doc.metadata, table.entries))
 
 
 class TestGeneratorRefusals:
