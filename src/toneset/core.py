@@ -72,17 +72,21 @@ def parse_ratio(text: str) -> Fraction:
     if exponent:
         digits = exponent[1].replace("_", "").lstrip("0")
         if len(digits) > 4 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
-            shown = token if len(token) <= 32 else token[:29] + "..."
             raise ParseError(
-                f"cannot parse ratio {shown!r}: decimal exponent beyond "
+                f"cannot parse ratio {_excerpt(token)!r}: decimal exponent beyond "
                 f"+-{MAX_DECIMAL_EXPONENT}"
             )
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(
-            f"cannot parse ratio {token!r} (expected 'p/q' or a decimal)"
+            f"cannot parse ratio {_excerpt(token)!r} (expected 'p/q' or a decimal)"
         ) from None
+
+
+def _excerpt(text: str) -> str:
+    """``text`` as a refusal quotes it: past 32 characters, its first 29 and "..."."""
+    return text if len(text) <= 32 else text[:29] + "..."
 
 
 def format_ratio(value: Fraction, always_slash: bool = False, label: str = "ratio") -> str:
@@ -343,6 +347,15 @@ def _checked_count(count: int) -> int:
             f"{MAX_HARMONIC_PARTIALS}"
         )
     return count
+
+
+def _count_of(digits: str) -> int:
+    """A partial count from decimal digits; one longer than the limit is
+    refused before ``int()``, whose own refusal starts at 4,300 digits."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_HARMONIC_PARTIALS)):
+        raise ValueError(f"partial count {_excerpt(digits)} exceeds the limit of {MAX_HARMONIC_PARTIALS}")
+    return int(digits)
 
 
 def gcd_set(freq_set: FrequencySet) -> Fraction:

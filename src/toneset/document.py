@@ -4,25 +4,25 @@ A tuning document is a table's rows (with note names, on request) plus the
 metadata needed to regenerate and rescore them; it is the interchange
 format between subcommands. Exact rational strings are authoritative; cents
 and float columns are derived on export, so import -> export is
-byte-identical. One per-call pass, ``_formatted``, turns a table's integer
-rows (``tuning.TuningTable``) into interval text, cents and score cells for
-every table writer: the CSV of ``table_csv``, the JSON of ``TuningDocument``
-and the text table the CLI prints. No writer builds a ``TuningEntry``;
-entries handed to a writer are read as rows over 1/1. It formats each score
-object once a call, keyed by its identity: a generated table shares one
-``ConsonanceScore`` per distinct score, and ``TuningDocument.from_json``
-builds one per distinct score text. Score floats are shown by the one
-display rule, ``core._display_score``. Every CSV the package writes goes
-through ``csv_text``, which joins the cells of each row with "," (no cell
-the package writes needs quoting); the rows come from ``table_csv`` and
-``curve_csv``. Each writer still builds its whole output as one string, and
-``from_json`` reads a whole document into memory.
+byte-identical. One per-call pass, ``_formatted``, turns a table's rows
+(``tuning.TuningTable``: reduced intervals n/d and their scores) into
+interval text, cents and score cells for every table writer: the CSV of
+``table_csv``, the JSON of ``TuningDocument`` and the text table the CLI
+prints. No writer builds a ``TuningEntry``; entries handed to a writer are
+read as rows. It formats each score object once a call, keyed by its
+identity: a generated table shares one ``ConsonanceScore`` per distinct
+score, and ``TuningDocument.from_json`` builds one per distinct score text.
+Score floats are shown by the one display rule, ``core._display_score``.
+Every CSV the package writes goes through ``csv_text``, which joins the
+cells of each row with "," (no cell the package writes needs quoting); the
+rows come from ``table_csv`` and ``curve_csv``. Each writer still builds
+its whole output as one string, and ``from_json`` reads a whole document
+into memory.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
@@ -73,36 +73,22 @@ def _formatted(
 ) -> Iterator[tuple[int, int, str, float, tuple | str, Optional[str]]]:
     """The one pass behind every table writer (CSV, JSON, text): each row's
     interval n/d in lowest terms, its "n/d" text, its cents,
-    ``cells(score)`` and its note name (None for a table).
-
-    It reads the rows (p, q, score) over rn/rd of the table behind
-    ``source`` (entries are read as a document of them) and, unless rn/rd
-    is 1/1, reduces p*rn/(q*rd) with two gcds: p/q and rn/rd are in lowest
-    terms, so g1 = gcd(p, rd) and g2 = gcd(q, rn) are all that divide out.
+    ``cells(score)`` and its note name (None but in an annotated document).
 
     The cells are computed once per score object in this call: generated
     tables share one object per distinct score. The rows hold every score
     while the call lives, so no id is reused, and the memo goes with the
     call.
     """
-    if isinstance(source, TuningTable):
-        table, notes = source, None
+    if isinstance(source, TuningDocument):
+        rows, notes = source._table._rows, source._notes
     else:
-        if not isinstance(source, TuningDocument):
-            source = TuningDocument({}, tuple(source))
-        table, notes = source._table, source._notes
-    rn, rd = table._ratio
-    scaled = (rn, rd) != (1, 1)
-    gcd = math.gcd
+        rows, notes = (source._rows if isinstance(source, TuningTable) else _entry_rows(source)), None
     memo: dict[int, tuple | str] = {}
-    for (p, q, score), note in zip(table._rows, notes or repeat(None)):
+    for (n, d, score), note in zip(rows, notes or repeat(None)):
         found = memo.get(id(score))
         if found is None:
             found = memo[id(score)] = cells(score)
-        n, d = p, q
-        if scaled:
-            g1, g2 = gcd(p, rd), gcd(q, rn)
-            n, d = p // g1 * (rn // g2), q // g2 * (rd // g1)
         try:
             ratio = f"{n}/{d}"
         except ValueError:  # a term too long to print; the message names it
@@ -212,12 +198,12 @@ class TuningDocument:
     names of an annotated one (one per row, None outside the naming span).
     ``entries`` is a view of them, built on first read: for a document
     without note names, the table's own entries. ``from_table`` takes the
-    rows of a table, ``from_json`` checks that the rows it reads ascend, and
-    the constructor takes entries in any order as rows over 1/1.
+    rows of a table; the constructor and ``from_json`` refuse entries that
+    do not strictly ascend by interval, so every document reads back.
     """
 
     def __init__(self, metadata: dict, entries: tuple[TuningEntry, ...]):
-        table = TuningTable._of_rows(_entry_rows(entries), (1, 1), metadata.get("generator", "unknown"))
+        table = TuningTable(entries, metadata.get("generator", "unknown"))  # checks the order
         self._hold(metadata, table, [e.note for e in entries], entries)
 
     def _hold(self, metadata: dict, table: TuningTable, notes: Iterable, entries=None) -> None:
@@ -262,11 +248,9 @@ class TuningDocument:
         return doc
 
     def to_table(self) -> TuningTable:
-        """The document's rows as a table under its metadata's generator,
-        checked for order; the note names stay with the document."""
-        table = self._table
-        _check_order(table._rows)
-        return TuningTable._of_rows(table._rows, table._ratio, self.metadata.get("generator", "unknown"))
+        """The document's rows as a table under its metadata's generator;
+        the note names stay with the document."""
+        return TuningTable._of_rows(self._table._rows, self.metadata.get("generator", "unknown"))
 
     def as_dict(self) -> dict:
         return {
@@ -329,7 +313,7 @@ class TuningDocument:
         _check_order(rows)
         doc = cls.__new__(cls)
         generator = data["metadata"].get("generator", "unknown")
-        doc._hold(data["metadata"], TuningTable._of_rows(tuple(rows), (1, 1), generator), notes)
+        doc._hold(data["metadata"], TuningTable._of_rows(tuple(rows), generator), notes)
         return doc
 
     def to_csv(self) -> str:

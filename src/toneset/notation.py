@@ -15,7 +15,7 @@ import functools
 import operator
 import re
 
-from .core import FrequencySet, ParseError, format_ratio, parse_ratio
+from .core import FrequencySet, ParseError, _count_of, _excerpt, format_ratio, parse_ratio
 from .notes import NoteName, note_set
 
 __all__ = ["parse_set_expression", "canonical_set_expression"]
@@ -30,9 +30,9 @@ def _parse_term(token: str) -> FrequencySet:
         raise ParseError("empty frequency-set term")
     match = _HARMONIC_RE.match(term)
     if match is not None:
-        count = int(match.group("count"))
+        count = _count_of(match.group("count"))
         if count < 1:
-            raise ParseError(f"harmonic shorthand {term!r} needs at least 1 partial")
+            raise ParseError(f"harmonic shorthand {_excerpt(term)!r} needs at least 1 partial")
         return FrequencySet.harmonic(parse_ratio(match.group("fund")), count)
     match = _NOTE_RE.match(term)
     if match is not None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .core import FrequencySet, ParseError, RatioLike, format_ratio, to_ratio
+from .core import FrequencySet, ParseError, RatioLike, _count_of, _excerpt, format_ratio, to_ratio
 
 __all__ = [
     "PITCH_CLASSES",
@@ -67,13 +67,16 @@ class NoteName:
         match = _NOTE_RE.match(token)
         if match is None:
             raise ParseError(
-                f"cannot parse note name {token!r} (expected e.g. 'C#5' or 'C#5_3')"
+                f"cannot parse note name {_excerpt(token)!r} (expected e.g. 'C#5' or 'C#5_3')"
             )
-        partials = match.group("partials")
+        octave, partials = match.group("octave", "partials")
+        # no octave of the span has two digits; int() reads no long run
+        if len(octave.lstrip("-0")) > 4:
+            raise ValueError(f"note {_excerpt(token)} is outside {_SPAN}")
         return cls(
             pitch_class=match.group("pc"),
-            octave=int(match.group("octave")),
-            partials=int(partials) if partials is not None else None,
+            octave=int(octave),
+            partials=_count_of(partials) if partials is not None else None,
         )
 
     def render(self) -> str:
@@ -129,7 +132,7 @@ def note_name(freq: RatioLike) -> NoteName:
         raise ValueError("frequency must be positive")
     note = _note_in_span(f)
     if note is None:
-        raise ValueError(f"frequency {format_ratio(f)} Hz is outside {_SPAN}")
+        raise ValueError(f"frequency {_excerpt(format_ratio(f))} Hz is outside {_SPAN}")
     return note
 
 
@@ -142,7 +145,7 @@ def grid_frequency(note: Union[NoteName, str]) -> Fraction:
     """
     name = NoteName.parse(note) if isinstance(note, str) else note
     if not _LOWEST_MIDI <= name.midi <= _HIGHEST_MIDI:
-        raise ValueError(f"note {name.render()} is outside {_SPAN}")
+        raise ValueError(f"note {_excerpt(name.render())} is outside {_SPAN}")
     value = 440.0 * 2.0 ** ((name.midi - _A4_MIDI) / 12.0)
     return Fraction(f"{value:.2f}")
 
@@ -157,12 +160,12 @@ def note_set(
     """
     note = NoteName.parse(name) if isinstance(name, str) else name
     if note.partials is None:
-        raise ValueError(f"note {note.render()!r} carries no partial count")
+        raise ValueError(f"note {_excerpt(note.render())!r} carries no partial count")
     reference = grid_frequency(note) if reference_freq is None else to_ratio(reference_freq)
     actual = note_name(reference)
     if not actual.same_pitch(note):
         raise ValueError(
-            f"frequency/name mismatch: {format_ratio(reference)} Hz falls in "
+            f"frequency/name mismatch: {_excerpt(format_ratio(reference))} Hz falls in "
             f"{actual.render()}, not {NoteName(note.pitch_class, note.octave).render()}"
         )
     return FrequencySet.harmonic(reference, note.partials)

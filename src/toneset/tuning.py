@@ -19,8 +19,9 @@ system. With F = a*N and G = b*M (fundamentals a, b, integer multipliers),
 a generator hands it the transpositions t as the ascending reduced integer
 pairs p/q = t*b/a, and ``_scored`` is the one place where the overlap of F
 and tF', the threshold test and the score are computed, on those integers.
-A kept candidate stays a row (p, q, score) of a ``TuningTable`` over the
-one ratio a/b; its interval p*a/(q*b) is built only when a library caller
+A kept candidate leaves ``_scored`` as a row (n, d, score) of a
+``TuningTable``, n/d = p*a/(q*b) in lowest terms, so no other code knows
+these coordinates; a ``Fraction`` is built only when a library caller
 reads ``entries`` or ``intervals``, and the writers read the rows.
 The public consonance functions compute the same Fractions from the sets
 themselves and are the oracle the tests compare against. The generators
@@ -114,12 +115,9 @@ class TuningTable:
     them; the sets and parameters they came from are the document's
     metadata.
 
-    A table holds its entries as rows ``(p, q, score)`` and one ratio
-    ``rn/rd``: each row is the interval ``p*rn/(q*rd)``, with p/q and
-    rn/rd in lowest terms. A generated table has the rows alone, in the
-    t*b/a coordinates its generator scored them in, and builds ``entries``
-    and ``intervals`` on first read; one made from entries has them as rows
-    over 1/1.
+    A table holds its entries as rows ``(n, d, score)``, each interval n/d
+    in lowest terms. A generated table has the rows alone and builds
+    ``entries`` and ``intervals`` on first read.
     """
 
     entries: tuple[TuningEntry, ...]
@@ -128,14 +126,13 @@ class TuningTable:
     def __post_init__(self) -> None:
         rows = _entry_rows(self.entries)
         _check_order(rows)
-        self.__dict__.update(_rows=rows, _ratio=(1, 1))
+        self.__dict__["_rows"] = rows
 
     @classmethod
-    def _of_rows(cls, rows: tuple, ratio: tuple[int, int], generator: str) -> "TuningTable":
-        """A table of rows over ``ratio``, its entries unbuilt; the caller
-        vouches for the rows' order."""
+    def _of_rows(cls, rows: tuple, generator: str) -> "TuningTable":
+        """A table of rows, its entries unbuilt; the caller vouches for their order."""
         table = object.__new__(cls)
-        table.__dict__.update(generator=generator, _rows=rows, _ratio=ratio)
+        table.__dict__.update(generator=generator, _rows=rows)
         return table
 
     def __getattr__(self, name: str):
@@ -143,22 +140,18 @@ class TuningTable:
         state = self.__dict__
         if name != "entries" or "_rows" not in state:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        rn, rd = state["_ratio"]
         entries = state["entries"] = tuple(
-            TuningEntry(Fraction(p * rn, q * rd), score) for p, q, score in state["_rows"]
+            TuningEntry(Fraction(n, d), score) for n, d, score in state["_rows"]
         )
         return entries
 
     @cached_property
     def intervals(self) -> tuple[Fraction, ...]:
-        if "entries" in self.__dict__:
-            return tuple(e.interval for e in self.entries)
-        rn, rd = self._ratio
-        return tuple(Fraction(p * rn, q * rd) for p, q, _ in self._rows)
+        return tuple(Fraction(n, d) for n, d, _ in self._rows)
 
 
 def _entry_rows(entries: Iterable[TuningEntry]) -> tuple[tuple[int, int, ConsonanceScore], ...]:
-    """Entries as the rows of a table over 1/1."""
+    """Entries as the rows of a table."""
     return tuple((e.interval.numerator, e.interval.denominator, e.score) for e in entries)
 
 
@@ -184,12 +177,15 @@ def _scored(
     count of integers; the union's gcd is a/q and its top partial
     a*max(N_top, p*M_top/q), so harmonicity = |F u tG| / max(q*N_top, p*M_top).
     The threshold test cross-multiplies integers. A kept candidate becomes
-    the row (p, q, score) of a table over rn/rd = a/b, with each distinct
-    score built once a call; no interval or entry is built here.
+    the row (n, d, score), n/d = p*rn/(q*rd) reduced by g1 = gcd(p, rd) and
+    g2 = gcd(q, rn) alone, as p/q and rn/rd = a/b are in lowest terms; each
+    distinct score is built once a call, and no interval or entry.
     """
     a, n_all, n_set = contextual._lattice_view()  # refuses empty sets
     b, m_all, m_set = complementary._lattice_view()
     rn, rd = (a / b).as_integer_ratio()
+    scaled = rn != rd
+    gcd = math.gcd
     hn, hd = threshold.numerator, threshold.denominator
     n_top, m_top = n_all[-1], m_all[-1]
     sizes = len(n_all) + len(m_all)
@@ -221,9 +217,12 @@ def _scored(
         key = (shared, top)
         if key not in built:
             built[key] = ConsonanceScore(Fraction(shared, smaller), Fraction(union, top))
+        if scaled:
+            g1, g2 = gcd(p, rd), gcd(q, rn)
+            p, q = p // g1 * (rn // g2), q // g2 * (rd // g1)
         rows.append((p, q, built[key]))
     # the pairs ascend, and t = p*a/(q*b) with them
-    return TuningTable._of_rows(tuple(rows), (rn, rd), generator)
+    return TuningTable._of_rows(tuple(rows), generator)
 
 
 def affinitive_intervals(

@@ -498,6 +498,37 @@ def test_partial_count_above_cap_is_refused_before_allocating(argv, capsys):
     assert peak < 2**22  # 2^20 + 1 partials would take tens of MiB
 
 
+_SPAN = "the supported note span C0..D#8 (about 15.89 Hz to 5123.9 Hz)"
+
+
+@pytest.mark.parametrize(
+    "term, code, message",
+    [
+        ("262*N" + "9" * 5000, 3, "partial count 99999999999999999999999999999... exceeds the limit of 1048576"),
+        ("C4_" + "9" * 5000, 3, "partial count 99999999999999999999999999999... exceeds the limit of 1048576"),
+        ("C" + "9" * 5000 + "_6", 3, f"note C9999999999999999999999999999... is outside {_SPAN}"),
+        ("C-" + "9" * 5000 + "_6", 3, f"note C-999999999999999999999999999... is outside {_SPAN}"),
+        ("1/" + "7" * 200_000, 2, "cannot parse ratio '1/777777777777777777777777777...' (expected 'p/q' or a decimal)"),
+        ("7" * 100 + "*N0", 2, "harmonic shorthand '77777777777777777777777777777...' needs at least 1 partial"),
+        ("C4_6@300." + "0" * 100 + "1", 3,
+         f"frequency/name mismatch: 3{'0' * 28}... Hz falls in D4, not C4"),
+        ("C4_6@1" + "0" * 100, 3, f"frequency 1{'0' * 28}... Hz is outside {_SPAN}"),
+    ],
+    ids=["count", "note-count", "octave", "negative-octave", "ratio", "shorthand", "mismatch", "span"],
+)
+def test_long_notation_is_refused_in_one_short_line(term, code, message, capsys):
+    # no more than 32 characters of the offending text are quoted, and no
+    # digit run reaches int()'s own 4,300-digit message
+    assert run(["consonance", term, "262"], capsys) == (code, "", f"error: {message}\n")
+
+
+def test_leading_zeros_of_a_count_are_read_past_the_digit_limit(capsys):
+    # the count is 6 however many zeros lead it
+    padded = run(["consonance", "262*N" + "0" * 5000 + "6", "C4_" + "0" * 5000 + "6"], capsys)
+    assert padded == run(["consonance", "262*N6", "C4_6"], capsys)
+    assert padded[0] == 0
+
+
 def test_superset_table_above_cap_is_refused_before_allocating(capsys):
     # supersets of 3,000 partials each pair into 5,472,375 reduced intervals
     tracemalloc.start()

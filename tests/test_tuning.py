@@ -3,6 +3,7 @@ import random
 import time
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import pairwise
 from unittest import mock
 
 import pytest
@@ -770,11 +771,13 @@ class TestTuningTable:
             assert TuningTable(table.entries, table.generator) == table
 
 
-def eager_entries(table):
-    """The entries a generator built before tables were rows: one
-    ``TuningEntry(Fraction(p*rn, q*rd), score)`` a row."""
-    rn, rd = table._ratio
-    return tuple(TuningEntry(F(p * rn, q * rd), score) for p, q, score in table._rows)
+def eager_entries(table, contextual, complementary):
+    """The entries of the intervals a table lists, each scored by the public
+    oracle."""
+    return tuple(
+        TuningEntry(t, total_consonance(contextual, complementary.transpose(t)))
+        for t in table.intervals
+    )
 
 
 def written(doc):
@@ -790,8 +793,9 @@ def written(doc):
 
 
 class TestTableRows:
-    """Generated tables hold integer rows; their entries, intervals and
-    written bytes equal those of the entries generators used to build."""
+    """Generated tables hold rows of ascending reduced intervals; their
+    entries, intervals and written bytes equal those of the same intervals
+    scored by the public oracle."""
 
     _draws = (
         small_lattice_sets,
@@ -803,9 +807,16 @@ class TestTableRows:
 
     @settings(max_examples=100, deadline=None)
     @given(*_draws)
+    def test_rows_are_ascending_reduced_intervals(self, contextual, complementary, h, n, m):
+        for table in generated_tables(contextual, complementary, h, n, m):
+            assert all(math.gcd(num, den) == 1 for num, den, _ in table._rows)
+            assert all(a * d < c * b for (a, b, _), (c, d, _) in pairwise(table._rows))
+
+    @settings(max_examples=100, deadline=None)
+    @given(*_draws)
     def test_lazy_views_equal_the_eager_entries(self, contextual, complementary, h, n, m):
         for table in generated_tables(contextual, complementary, h, n, m):
-            eager = eager_entries(table)
+            eager = eager_entries(table, contextual, complementary)
             reference = TuningTable(eager, table.generator)
             # compared before the lazy table has built anything
             assert hash(table) == hash(reference)
@@ -821,15 +832,16 @@ class TestTableRows:
         for table in generated_tables(contextual, complementary, h, n, m):
             doc = TuningDocument.from_table(table, "F", "G", {"h": "x"}, annotate_root=root)
             by_entries = TuningDocument(doc.metadata, doc.entries)
-            assert table_csv(table) == table_csv(eager_entries(table)) == by_entries.to_csv()
+            eager = eager_entries(table, contextual, complementary)
+            assert table_csv(table) == table_csv(eager) == by_entries.to_csv()
             assert written(doc) == written(by_entries)
             assert written(TuningDocument.from_json(doc.to_json())) == written(doc)
 
     def test_term_too_long_to_print_is_named_alike(self):
-        # the table's ratio holds the 4,401-digit term; no row does
+        # the row holds the 4,401-digit term
         huge, unit = FrequencySet([10**4400]), FrequencySet([1])
         table = affinitive_tuning(huge, unit)
-        assert table._ratio == (10**4400, 1) and table._rows[0][:2] == (1, 1)
+        assert table._rows[0][:2] == (10**4400, 1)
         doc = TuningDocument.from_table(table, "F", "G")
         message = "ValueError: interval is too long to print: its numerator has 4401 digits"
         assert all(text.startswith(message) for text in written(doc))
