@@ -16,11 +16,11 @@ import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import __version__
 from .consonance import total_consonance
-from .core import FrequencySet, ParseError, format_ratio, parse_ratio
+from .core import FrequencySet, ParseError, _excerpt, format_ratio, parse_ratio
 from .document import TuningDocument, curve_csv, export_scl
 from .document import _SCORE_LABELS, _render_text, _score_fields, _score_text
 from .figures import emit_figure_data
@@ -36,6 +36,22 @@ from .tuning import (
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
+
+def _typed(convert: Callable[[str], object]) -> Callable[[str], object]:
+    """An argparse ``type=`` for ``convert`` whose refusal quotes at most 32
+    characters of the value: ``parse_ratio``'s own message, or argparse's
+    "invalid int value: '...'" wording for ``int`` and ``float``."""
+
+    def parse(text: str) -> object:
+        try:
+            return convert(text)
+        except ValueError as exc:
+            message = str(exc) if isinstance(exc, ParseError) else (
+                f"invalid {convert.__name__} value: {_excerpt(text)!r}"
+            )
+            raise argparse.ArgumentTypeError(message) from None
+
+    return parse
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -230,33 +246,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("harmonic", help="tuning from harmonicity-thresholded rationals")
     _add_set_arguments(p)
-    p.add_argument("--h", type=parse_ratio, required=True, help="harmonicity threshold in [0,1)")
-    p.add_argument("--lo", type=parse_ratio, default=Fraction(1, 8))
-    p.add_argument("--hi", type=parse_ratio, default=Fraction(8))
-    p.add_argument("--max-den", type=int, default=60)
+    p.add_argument("--h", type=_typed(parse_ratio), required=True, help="harmonicity threshold in [0,1)")
+    p.add_argument("--lo", type=_typed(parse_ratio), default=Fraction(1, 8))
+    p.add_argument("--hi", type=_typed(parse_ratio), default=Fraction(8))
+    p.add_argument("--max-den", type=_typed(int), default=60)
     _add_document_arguments(p)
     p.set_defaults(func=cmd_harmonic)
 
     p = sub.add_parser("superset", help="tuning from harmonic-superset intervals")
     _add_set_arguments(p)
-    p.add_argument("--n", type=int, default=None, help="extra superset partials for F (default: 4 if F is a singleton)")
-    p.add_argument("--m", type=int, default=None, help="extra superset partials for F'")
+    p.add_argument("--n", type=_typed(int), default=None, help="extra superset partials for F (default: 4 if F is a singleton)")
+    p.add_argument("--m", type=_typed(int), default=None, help="extra superset partials for F'")
     _add_document_arguments(p)
     p.set_defaults(func=cmd_superset)
 
     p = sub.add_parser("thomae", help="consonance distribution of bare intervals p/q")
-    p.add_argument("--max-den", type=int, required=True)
-    p.add_argument("--lo", type=parse_ratio, default=Fraction(1, 8))
-    p.add_argument("--hi", type=parse_ratio, default=Fraction(8))
+    p.add_argument("--max-den", type=_typed(int), required=True)
+    p.add_argument("--lo", type=_typed(parse_ratio), default=Fraction(1, 8))
+    p.add_argument("--hi", type=_typed(parse_ratio), default=Fraction(8))
     _add_document_arguments(p)
     p.set_defaults(func=cmd_thomae)
 
     p = sub.add_parser("curve", help="dissonance-curve sweep as CSV")
     _add_set_arguments(p)
-    p.add_argument("--chi-star", type=float, default=0.24)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--lo", type=float, default=1.0)
-    p.add_argument("--hi", type=float, default=2.1)
+    p.add_argument("--chi-star", type=_typed(float), default=0.24)
+    p.add_argument("--steps", type=_typed(int), default=2000)
+    p.add_argument("--lo", type=_typed(float), default=1.0)
+    p.add_argument("--hi", type=_typed(float), default=2.1)
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_curve)
 
@@ -275,9 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="emit the dataset behind a documented scenario")
     p.add_argument("figure_id")
     p.add_argument("--out-dir", help="write each CSV part to this directory")
-    p.add_argument("--max-den", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--partials", type=int, nargs="+", default=None)
+    p.add_argument("--max-den", type=_typed(int), default=None)
+    p.add_argument("--steps", type=_typed(int), default=None)
+    p.add_argument("--partials", type=_typed(int), nargs="+", default=None)
     p.set_defaults(func=cmd_figure)
 
     return parser

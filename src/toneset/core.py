@@ -66,9 +66,14 @@ def parse_ratio(text: str) -> Fraction:
 
     Decimal strings convert exactly (2.76 becomes 69/25), never through a
     binary float. Exponents beyond ``MAX_DECIMAL_EXPONENT`` are refused.
+    Plain ASCII digits "n" or "n/d", the form every document writes, go
+    straight to ``int()``; any other text is read by ``Fraction``. Both
+    refuse alike.
     """
     token = text.strip()
-    exponent = _EXPONENT_RE.search(token)
+    num, slash, den = token.partition("/")
+    plain = num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit())
+    exponent = None if plain else _EXPONENT_RE.search(token)
     if exponent:
         digits = exponent[1].replace("_", "").lstrip("0")
         if len(digits) > 4 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
@@ -77,7 +82,7 @@ def parse_ratio(text: str) -> Fraction:
                 f"+-{MAX_DECIMAL_EXPONENT}"
             )
     try:
-        return Fraction(token)
+        return Fraction(int(num), int(den) if slash else 1) if plain else Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(
             f"cannot parse ratio {_excerpt(token)!r} (expected 'p/q' or a decimal)"
@@ -133,16 +138,18 @@ def _scientific(value: Fraction) -> str:
     return f"{sign}{digits // 1000}.{digits % 1000:03d}e{exponent:+03d}"
 
 
-def _display_score(value: Fraction) -> float | str:
-    """How a score is shown beside its exact ratio (JSON and text alike).
+def _display_score(numerator: int, denominator: int) -> float | str:
+    """How the score numerator/denominator is shown beside its exact ratio
+    (JSON and text alike).
 
     A float rounded to 3 decimals; the unrounded float when rounding would
     show a nonzero score as 0; and the :func:`_scientific` text when even
-    ``float()`` gives 0 for a nonzero score.
+    the float gives 0 for a nonzero score. An int divided by an int is
+    correctly rounded, so the float is ``float()`` of the Fraction.
     """
-    x = float(value)
-    if x == 0.0 and value != 0:
-        return _scientific(value)
+    x = numerator / denominator
+    if x == 0.0 and numerator:
+        return _scientific(Fraction(numerator, denominator))
     if x == 0.0 or abs(x) >= 0.0005:
         return round(x, 3)
     return x

@@ -12,7 +12,12 @@ prints. No writer builds a ``TuningEntry``; entries handed to a writer are
 read as rows. It formats each score object once a call, keyed by its
 identity: a generated table shares one ``ConsonanceScore`` per distinct
 score, and ``TuningDocument.from_json`` builds one per distinct score text.
-Score floats are shown by the one display rule, ``core._display_score``.
+Every cell is formatted from numerators and denominators, with no Fraction
+arithmetic; score floats are shown by the one display rule,
+``core._display_score``. There is one JSON writer, ``to_json``: its bytes
+are those of ``json.dumps(..., indent=2, ensure_ascii=False)``, but only the
+metadata goes through ``json.dumps``, and each entry is filled into one
+template, with no dict per entry (``as_dict`` reads that text back).
 Every CSV the package writes goes through ``csv_text``, which joins the
 cells of each row with "," (no cell the package writes needs quoting); the
 rows come from ``table_csv`` and ``curve_csv``. Each writer still builds
@@ -23,8 +28,10 @@ into memory.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from itertools import chain, repeat
+from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from . import __version__
@@ -96,6 +103,15 @@ def _formatted(
         yield n, d, ratio, _cents_of(n, d), found, note
 
 
+def _ratio_text(n: int, d: int, label: str) -> str:
+    """The "n/d" text of a ratio in lowest terms, or ``format_ratio``'s
+    refusal, which names ``label``, for a term too long to print."""
+    try:
+        return f"{n}/{d}"
+    except ValueError:
+        return format_ratio(Fraction(n, d), True, label)
+
+
 def _joined_cells(score: ConsonanceScore) -> str:
     """The three score cells of a CSV row, joined the way ``csv_text``
     joins cells."""
@@ -130,14 +146,20 @@ def curve_csv(points: Iterable[CurvePoint]) -> str:
 _SCORE_LABELS = ("affinity", "harmonicity", "total")
 
 
-def _score_fields(score: ConsonanceScore) -> tuple[Fraction, tuple, tuple]:
-    """A score's total, the exact "p/q" texts of affinity, harmonicity and
-    total, and their ``_display_score`` values (JSON and text alike)."""
-    values = (score.affinity, score.harmonicity, score.total)
+def _score_fields(score: ConsonanceScore) -> tuple[tuple[int, int], tuple, tuple]:
+    """A score's total as (numerator, denominator) in lowest terms, the exact
+    "p/q" texts of affinity, harmonicity and total, and their
+    ``_display_score`` values (JSON and text alike), from numerators and
+    denominators alone: the total (a + h) / 2 takes one gcd."""
+    a, h = score.affinity, score.harmonicity
+    an, ad, hn, hd = a.numerator, a.denominator, h.numerator, h.denominator
+    tn, td = an * hd + hn * ad, 2 * ad * hd
+    g = math.gcd(tn, td)
+    terms = ((an, ad), (hn, hd), (tn // g, td // g))
     return (
-        values[2],
-        tuple(format_ratio(v, True, label) for v, label in zip(values, _SCORE_LABELS)),
-        tuple(_display_score(v) for v in values),
+        terms[2],
+        tuple(_ratio_text(n, d, label) for (n, d), label in zip(terms, _SCORE_LABELS)),
+        tuple(_display_score(n, d) for n, d in terms),
     )
 
 
@@ -149,26 +171,37 @@ def _score_text(shown: float | str) -> str:
     return f"{shown:.3f}" if shown == round(shown, 3) else f"{shown:.3e}"
 
 
-def _entry_dict(n: int, d: int, ratio: str, cents_: float, fields: tuple, note: Optional[str]) -> dict:
-    _, (a, h, t), (a_shown, h_shown, t_shown) = fields
-    data = {
-        "interval": ratio, "cents": round(cents_, 4), "affinity": a, "harmonicity": h, "total": t,
-        "affinity_float": a_shown, "harmonicity_float": h_shown, "total_float": t_shown,
-    }
-    if note is not None:
-        data["note"] = note
-    return data
+def _json_scores(score: ConsonanceScore) -> str:
+    """The score fields of a JSON document entry, as ``json.dumps`` with
+    ``indent=2`` writes them inside an entry."""
+    _, texts, shown = _score_fields(score)
+    # a shown score is a float, or the _scientific text of one that reads 0
+    return _JSON_SCORES.format(
+        *texts, *(encode_basestring(v) if isinstance(v, str) else repr(v) for v in shown)
+    )
+
+
+_JSON_SCORES = (
+    '      "affinity": "{}",\n      "harmonicity": "{}",\n      "total": "{}",\n'
+    '      "affinity_float": {},\n      "harmonicity_float": {},\n      "total_float": {}'
+)
+
+
+def _text_scores(score: ConsonanceScore) -> tuple[tuple[int, int], str]:
+    """A score's total and the score columns of its text table row."""
+    total, texts, shown = _score_fields(score)
+    return total, "".join(f"  {text:>8} ({_score_text(v)})" for text, v in zip(texts, shown))
 
 
 def _render_text(doc: TuningDocument, order: str) -> str:
     """A document as a text table, in interval or consonance order."""
-    rows: Iterable = _formatted(doc, _score_fields)
+    rows: Iterable = _formatted(doc, _text_scores)
     if order == "consonance":
-        rows = sorted(rows, key=lambda row: (-row[4][0], Fraction(row[0], row[1])))
+        # rows ascend by interval, and the sort is stable: equal totals keep that order
+        rows = sorted(rows, key=lambda row: -Fraction(*row[4][0]))
     lines = [f"# {doc.metadata['generator']} tuning  F={doc.metadata['context']}  F'={doc.metadata['complement']}"]
     lines.append(f"{'interval':>10}  {'cents':>10}  {'affinity':>16}  {'harmonicity':>18}  {'total':>16}  note")
-    for _, _, ratio, c, (_, texts, shown), note in rows:
-        scores = "".join(f"  {text:>8} ({_score_text(v)})" for text, v in zip(texts, shown))
+    for _, _, ratio, c, (_, scores), note in rows:
         lines.append(f"{ratio:>10}  {c:>10.4f}{scores}  {note or ''}")
     return "\n".join(lines) + "\n"
 
@@ -233,7 +266,8 @@ class TuningDocument:
         notes = ()
         if annotate_root is not None:
             # an entry outside the naming span is left unannotated
-            notes = (_note_in_span(annotate_root * t) for t in table.intervals)
+            rn, rd = annotate_root.numerator, annotate_root.denominator
+            notes = (_note_in_span(rn * n, rd * d) for n, d, _ in table._rows)
             notes = [n and n.render() for n in notes]
         metadata = {
             "tool": TOOL_NAME,
@@ -253,13 +287,21 @@ class TuningDocument:
         return TuningTable._of_rows(self._table._rows, self.metadata.get("generator", "unknown"))
 
     def as_dict(self) -> dict:
-        return {
-            "metadata": self.metadata,
-            "entries": [_entry_dict(*row) for row in _formatted(self, _score_fields)],
-        }
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, ensure_ascii=False) + "\n"
+        """The bytes of ``json.dumps(..., indent=2, ensure_ascii=False) + "\\n"``
+        for the document: ``json.dumps`` writes the metadata, and each entry
+        fills one template."""
+        head = json.dumps({"metadata": self.metadata, "entries": []}, indent=2, ensure_ascii=False)
+        entries = ",\n".join(
+            f'    {{\n      "interval": "{ratio}",\n      "cents": {round(c, 4)!r},\n{scores}'
+            + ("" if note is None else f',\n      "note": {encode_basestring(note)}')
+            + "\n    }"
+            for _, _, ratio, c, scores, note in _formatted(self, _json_scores)
+        )
+        # the head ends '"entries": []\n}'
+        return f"{head[:-4]}[\n{entries}\n  ]\n}}\n" if entries else head + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "TuningDocument":
@@ -299,14 +341,17 @@ class TuningDocument:
             texts = tuple(raw.get(field) for field in _SCORE_LABELS)
             score = scores.get(texts) if all(type(t) is str for t in texts) else None
             if score is None:
-                score = ConsonanceScore(
-                    _ratio_field(raw, index, "affinity"), _ratio_field(raw, index, "harmonicity")
-                )
-                if "total" in raw and _ratio_field(raw, index, "total") != score.total:
-                    raise ValueError(
-                        f"inconsistent entry: total {raw['total']} is not the mean of "
-                        f"affinity and harmonicity at interval {raw['interval']}"
-                    )
+                a, h = _ratio_field(raw, index, "affinity"), _ratio_field(raw, index, "harmonicity")
+                score = ConsonanceScore(a, h)
+                if "total" in raw:
+                    t = _ratio_field(raw, index, "total")
+                    # t == (a + h) / 2, cross-multiplied
+                    an, ad, hn, hd = a.numerator, a.denominator, h.numerator, h.denominator
+                    if 2 * t.numerator * ad * hd != t.denominator * (an * hd + hn * ad):
+                        raise ValueError(
+                            f"inconsistent entry: total {raw['total']} is not the mean of "
+                            f"affinity and harmonicity at interval {raw['interval']}"
+                        )
                 scores[texts] = score
             rows.append((interval.numerator, interval.denominator, score))
             notes.append(note)
@@ -345,25 +390,22 @@ def export_scl(
             "metadata field 'generator' starts with '!', which would make the Scala "
             "description line a comment"
         )
-    intervals = doc._table.intervals
-    if any(t < 1 or t > 2 for t in intervals):
+    rows = doc._table._rows
+    if any(n < d or n > 2 * d for n, d, _ in rows):
         raise ValueError(
             "document spans more than one octave; apply reduce-octave first"
         )
-    pitches = [t for t in intervals if t != 1]
+    pitches = [(n, d) for n, d, _ in rows if n != d]
     if not pitches:
         raise ValueError("nothing to export: no entries besides unison 1/1")
-    if pitches[-1] != 2:
-        pitches.append(Fraction(2))
+    if pitches[-1] != (2, 1):
+        pitches.append((2, 1))
     title = name or generator
     description = (
         f"{generator} tuning; "
         f"F={doc.metadata.get('context', '?')}; F'={doc.metadata.get('complement', '?')}"
     )
     lines = [f"! {title}.scl", description, str(len(pitches))]
-    for t in pitches:
-        if cents_lines:
-            lines.append(f"{cents(t):.4f}")
-        else:
-            lines.append(format_ratio(t, True, "interval"))
+    for n, d in pitches:
+        lines.append(f"{_cents_of(n, d):.4f}" if cents_lines else _ratio_text(n, d, "interval"))
     return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
 from .consonance import thomae_classical, thomae_modified
-from .core import FrequencySet, cents, format_ratio, harmonic_set
+from .core import FrequencySet, _excerpt, cents, format_ratio, harmonic_set
 from .document import _float_cells, _formatted, csv_text, curve_csv, table_csv
 from .tuning import (
     affinitive_tuning,
@@ -268,6 +268,6 @@ def emit_figure_data(figure_id: str, params: Optional[Params] = None) -> dict[st
         builder = _BUILDERS[figure_id]
     except KeyError:
         raise ValueError(
-            f"unknown figure id {figure_id!r}; supported: {', '.join(supported_figures())}"
+            f"unknown figure id {_excerpt(figure_id)!r}; supported: {', '.join(supported_figures())}"
         ) from None
     return builder(params or {})

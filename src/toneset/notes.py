@@ -2,13 +2,15 @@
 
 A note label covers the half-open window of +-50 cents around its grid
 pitch, so every positive frequency in the supported span C0..D#8 gets
-exactly one name. Window membership is decided exactly: f falls in the
-window of the pitch 440 * 2^(i/12) iff
+exactly one name. Window membership is decided exactly: f = u/v falls in
+the window of the pitch 440 * 2^(i/12) iff
 
-    2^(2i-1) <= (f / 440)^24 < 2^(2i+1)
+    2^(2i-1) <= (u / (440 v))^24 < 2^(2i+1)
 
-and a rational frequency can never land on a boundary (the bounds are
-irrational), so the half-open convention never actually has to break a tie.
+which is tested on the integers u^24 and (440 v)^24 with shifts, never on
+floats or Fractions; a rational frequency can never land on a boundary (the
+bounds are irrational), so the half-open convention never actually has to
+break a tie.
 
 Labels carry an optional partial count: "A2_4" is the A2 note built from
 4 harmonic partials.
@@ -43,7 +45,7 @@ _NOTE_RE = re.compile(r"^(?P<pc>[A-G][#b]?)(?P<octave>-?\d+)(?:_(?P<partials>\d+
 _LOWEST_MIDI = 12
 _HIGHEST_MIDI = 111
 _A4_MIDI = 69
-_A4_HZ = Fraction(440)
+_A4_HZ = 440
 _SPAN = "the supported note span C0..D#8 (about 15.89 Hz to 5123.9 Hz)"
 
 
@@ -99,27 +101,32 @@ class NoteName:
         return self.midi == other.midi
 
 
-def _note_in_span(freq: Fraction) -> Optional[NoteName]:
-    """:func:`note_name` of a positive ``freq``, or None outside the span,
-    decided before any text is built."""
-    estimate = 12.0 * (
-        math.log2(freq.numerator) - math.log2(freq.denominator) - math.log2(440.0)
-    )
+def _note_in_span(numerator: int, denominator: int) -> Optional[NoteName]:
+    """:func:`note_name` of the positive frequency numerator/denominator
+    (in any terms), or None outside the span, decided on integers before
+    any text is built."""
+    estimate = 12.0 * (math.log2(numerator) - math.log2(denominator) - math.log2(440.0))
     i = round(estimate)
     # The estimate lies within a semitone of the exact index, so one further
     # outside the span is out of it without raising freq to the 24th power.
     if not _LOWEST_MIDI - 1 <= i + _A4_MIDI <= _HIGHEST_MIDI + 1:
         return None
-    # Exact window test on the 24th power avoids all float boundary trouble.
-    x = (freq / _A4_HZ) ** 24
-    while x < Fraction(2) ** (2 * i - 1):
+    # The exact window test of the module docstring, on integers: the power
+    # of 2 is a shift of whichever side keeps it whole.
+    u, v = numerator**24, (_A4_HZ * denominator) ** 24
+    while not _at_least(u, v, 2 * i - 1):
         i -= 1
-    while x >= Fraction(2) ** (2 * i + 1):
+    while _at_least(u, v, 2 * i + 1):
         i += 1
     midi = i + _A4_MIDI
     if not _LOWEST_MIDI <= midi <= _HIGHEST_MIDI:
         return None
     return NoteName(PITCH_CLASSES[midi % 12], midi // 12 - 1)
+
+
+def _at_least(u: int, v: int, k: int) -> bool:
+    """Whether u >= 2^k * v, for positive u and v."""
+    return u >= v << k if k >= 0 else u << -k >= v
 
 
 def note_name(freq: RatioLike) -> NoteName:
@@ -130,7 +137,7 @@ def note_name(freq: RatioLike) -> NoteName:
     f = to_ratio(freq)
     if f <= 0:
         raise ValueError("frequency must be positive")
-    note = _note_in_span(f)
+    note = _note_in_span(f.numerator, f.denominator)
     if note is None:
         raise ValueError(f"frequency {_excerpt(format_ratio(f))} Hz is outside {_SPAN}")
     return note

@@ -522,6 +522,34 @@ def test_long_notation_is_refused_in_one_short_line(term, code, message, capsys)
     assert run(["consonance", term, "262"], capsys) == (code, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["figure", "x" * 5000], 3,
+         f"error: unknown figure id '{'x' * 29}...'; supported: {', '.join(supported_figures())}"),
+        (["harmonic", "1", "1", "--h", "0", "--max-den", "9" * 5000], 2,
+         f"toneset harmonic: error: argument --max-den: invalid int value: '{'9' * 29}...'"),
+        (["harmonic", "1", "1", "--h", "1/" + "7" * 5000], 2,
+         f"toneset harmonic: error: argument --h: cannot parse ratio '1/{'7' * 27}...' "
+         "(expected 'p/q' or a decimal)"),
+        (["curve", "1", "1", "--steps", "9" * 5000], 2,
+         f"toneset curve: error: argument --steps: invalid int value: '{'9' * 29}...'"),
+        (["curve", "1", "1", "--chi-star", "x" * 5000], 2,
+         f"toneset curve: error: argument --chi-star: invalid float value: '{'x' * 29}...'"),
+        (["thomae", "--max-den", "12", "--lo", "1e99999"], 2,
+         "toneset thomae: error: argument --lo: cannot parse ratio '1e99999': decimal exponent "
+         "beyond +-4300"),
+    ],
+    ids=["figure", "max-den", "h", "steps", "chi-star", "exponent"],
+)
+def test_long_option_values_are_refused_in_one_short_line(argv, code, message, capsys):
+    # argparse prints its usage lines, then the one error line
+    status, out, err = run(argv, capsys)
+    assert (status, out, err.splitlines()[-1]) == (code, "", message)
+    assert all("error" not in line for line in err.splitlines()[:-1])
+    assert max(map(len, err.splitlines())) <= 220
+
+
 def test_leading_zeros_of_a_count_are_read_past_the_digit_limit(capsys):
     # the count is 6 however many zeros lead it
     padded = run(["consonance", "262*N" + "0" * 5000 + "6", "C4_" + "0" * 5000 + "6"], capsys)

@@ -19,7 +19,7 @@ from toneset import (
     total_period,
     transpose,
 )
-from toneset.core import MAX_DECIMAL_EXPONENT, MAX_HARMONIC_PARTIALS, _display_score
+from toneset.core import MAX_DECIMAL_EXPONENT, MAX_HARMONIC_PARTIALS, _display_score, _excerpt
 
 ratios = st.fractions(min_value=F(1, 30), max_value=F(50), max_denominator=30)
 freq_sets = st.sets(ratios, min_size=1, max_size=6).map(FrequencySet)
@@ -83,6 +83,46 @@ class TestParseRatio:
         for value in (F(3, 2), F(5), F(-7, 3)):
             assert parse_ratio(format_ratio(value)) == value
             assert parse_ratio(format_ratio(value, always_slash=True)) == value
+
+
+def parsed_or_refusal(text):
+    """``parse_ratio``'s value, or its refusal message."""
+    try:
+        return parse_ratio(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+def fraction_or_refusal(text):
+    """The reference reader for text without an exponent: ``Fraction``
+    reads the stripped text, and every failure is the one refusal."""
+    token = text.strip()
+    try:
+        return F(token)
+    except (ValueError, ZeroDivisionError):
+        return f"cannot parse ratio {_excerpt(token)!r} (expected 'p/q' or a decimal)"
+
+
+class TestParseRatioDigits:
+    """Plain digits "n" and "n/d" are read by ``int()``; every text reads
+    and is refused as ``Fraction`` reads and refuses it."""
+
+    @pytest.mark.parametrize("text", [
+        "007/0003", "0", "000", "0/5", "5/0", "0/0", "+3/2", "-3/2", "1_000/3", "1/1_000",
+        "²", "3/²", "١٢", "١٢/7", "3/١٢", " 3/2 ", "3 / 2", "3/", "/2", "3//2", "1" * 4301,
+        "1" * 4301 + "/3", "3/" + "7" * 4301, "4" * 4300 + "/" + "6" * 4300,
+    ])
+    def test_agrees_with_fraction(self, text):
+        assert parsed_or_refusal(text) == fraction_or_refusal(text)
+
+    def test_long_numerator_is_refused_in_one_short_line(self):
+        assert parsed_or_refusal("1" * 4301) == (
+            f"cannot parse ratio '{'1' * 29}...' (expected 'p/q' or a decimal)"
+        )
+
+    @given(st.text(alphabet="0123456789/+-._ .²١", max_size=12))
+    def test_random_text_agrees_with_fraction(self, text):
+        assert parsed_or_refusal(text) == fraction_or_refusal(text)
 
 
 class TestGcdSet:
@@ -182,7 +222,7 @@ class TestDisplayScore:
         ],
     )
     def test_display_rule(self, value, shown):
-        assert _display_score(value) == shown
+        assert _display_score(value.numerator, value.denominator) == shown
 
 
 class TestRatioText:

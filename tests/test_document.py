@@ -341,7 +341,8 @@ _REPEATING_ENTRIES = st.lists(
 
 
 def reference_entry_dict(entry):
-    """A JSON document entry, every field formatted from its Fraction."""
+    """A JSON document entry, every field formatted from its Fraction, as
+    the dict ``json.dumps`` writes."""
     values = (entry.score.affinity, entry.score.harmonicity, entry.score.total)
     data = {
         "interval": format_ratio(entry.interval, always_slash=True),
@@ -350,7 +351,9 @@ def reference_entry_dict(entry):
     data.update(zip(("affinity", "harmonicity", "total"),
                     (format_ratio(v, always_slash=True) for v in values)))
     data.update(zip(("affinity_float", "harmonicity_float", "total_float"),
-                    (_display_score(v) for v in values)))
+                    (_display_score(v.numerator, v.denominator) for v in values)))
+    if entry.note is not None:
+        data["note"] = entry.note
     return data
 
 
@@ -405,6 +408,79 @@ class TestPerCallMemos:
             assert spy.call_count == 3 * distinct
             assert render(doc) == first
             assert spy.call_count == 6 * distinct
+
+
+# note texts JSON must escape, or must not: quotes, backslashes, control
+# characters, non-ASCII text and the empty string
+_NOTES = st.none() | st.sampled_from(['"', "\\", "\x00\x1f\x7f\n\t ", "é ♯ 音", ""]) | st.text(max_size=8)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12,
+)
+_METADATA = st.fixed_dictionaries({}, optional={
+    "tool": st.text(max_size=8),
+    "generator": st.text(max_size=8),
+    "context": st.text(max_size=8),
+    "complement": st.text(max_size=8),
+    "parameters": st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=4),
+})
+# scores whose float reads 0, shown as scientific text
+_TINY = st.builds(lambda n, k: F(n, 10**k), st.integers(1, 99), st.integers(330, 400))
+_NOTED_ENTRIES = st.lists(
+    st.builds(
+        lambda t, a, h, note: TuningEntry(t, ConsonanceScore(a, h), note),
+        st.builds(F, _HUGE, _HUGE),
+        _UNIT | _TINY,
+        _UNIT | _TINY,
+        _NOTES,
+    ),
+    max_size=12,
+)
+
+
+class TestJsonWriter:
+    """``to_json`` writes the bytes ``json.dumps`` writes for the document's
+    dict, without building it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_METADATA, _NOTED_ENTRIES | _REPEATING_ENTRIES)
+    def test_bytes_equal_json_dumps(self, metadata, entries):
+        entries = sorted({e.interval: e for e in entries}.values(), key=lambda e: e.interval)
+        doc = TuningDocument(metadata, tuple(entries))
+        reference = {"metadata": metadata, "entries": [reference_entry_dict(e) for e in entries]}
+        assert doc.to_json() == json.dumps(reference, indent=2, ensure_ascii=False) + "\n"
+
+    def test_empty_metadata_and_entries(self):
+        assert TuningDocument({}, ()).to_json() == '{\n  "metadata": {},\n  "entries": []\n}\n'
+
+    @pytest.mark.parametrize("label, interval, affinity, harmonicity", [
+        ("interval", F(10**4300), F(1), F(1)),
+        ("affinity", F(3, 2), F(1, 10**4300), F(1)),
+        ("harmonicity", F(3, 2), F(1), F(1, 10**4300 + 1)),
+        ("total", F(3, 2), F(1, 10**2200 + 1), F(1, 10**2200 + 3)),
+    ])
+    def test_term_too_long_to_print_is_refused_as_before(self, label, interval, affinity, harmonicity):
+        score = ConsonanceScore(affinity, harmonicity)
+        value = {"interval": interval, "affinity": affinity, "harmonicity": harmonicity,
+                 "total": score.total}[label]
+        with pytest.raises(ValueError) as refusal:
+            format_ratio(value, True, label)
+        metadata = {"generator": "g", "context": "1", "complement": "1"}
+        doc = TuningDocument(metadata, (TuningEntry(interval, score),))
+        writers = [doc.to_json, lambda: _render_text(doc, "interval")]
+        if label == "interval":  # CSV score cells are floats, never exact texts
+            writers.append(doc.to_csv)
+        for write in writers:
+            with pytest.raises(ValueError) as written:
+                write()
+            assert str(written.value) == str(refusal.value)
+
+    def test_refused_document_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "a.json"
+        code = main(["affinitive", "1,1e4299", "1e-1", "-o", str(out)])
+        assert (code, capsys.readouterr().out, out.exists()) == (3, "", False)
 
 
 def text_rows(text):

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from toneset import (
     FrequencySet,
@@ -11,7 +11,7 @@ from toneset import (
     note_name,
     note_set,
 )
-from toneset.notes import PITCH_CLASSES
+from toneset.notes import PITCH_CLASSES, _note_in_span
 
 ALL_MIDI = range(12, 112)  # C0 .. D#8
 
@@ -118,3 +118,57 @@ class TestNoteSet:
     def test_partial_count_required(self):
         with pytest.raises(ValueError, match="partial count"):
             note_set("C4", 262)
+
+
+def fraction_midi_in_span(freq):
+    """The reference window rule on Fraction powers: the semitone index i
+    with 2^(2i-1) <= (freq/440)^24 < 2^(2i+1), or None outside C0..D#8."""
+    x = (freq / 440) ** 24
+    for midi in ALL_MIDI:
+        i = midi - 69
+        if F(2) ** (2 * i - 1) <= x < F(2) ** (2 * i + 1):
+            return midi
+    return None
+
+
+def integer_midi_in_span(numerator, denominator):
+    note = _note_in_span(numerator, denominator)
+    return None if note is None else note.midi
+
+
+def window_edge(half_semitone):
+    """The float nearest 440 * 2^((h/2 - 69) / 12), h = half_semitone: for
+    odd h, close to a window's irrational edge."""
+    return F(440.0 * 2.0 ** ((half_semitone / 2 - 69) / 12.0))
+
+
+class TestWindowOnIntegers:
+    """``_note_in_span`` decides the window on integers as the Fraction
+    24th-power rule does, in lowest terms or not."""
+
+    @given(st.fractions(min_value=F(1, 10**4), max_value=F(10**5), max_denominator=10**9),
+           st.integers(1, 10**6))
+    def test_random_rationals(self, freq, scale):
+        expected = fraction_midi_in_span(freq)
+        assert integer_midi_in_span(freq.numerator, freq.denominator) == expected
+        assert integer_midi_in_span(freq.numerator * scale, freq.denominator * scale) == expected
+
+    @given(st.integers(2 * 11, 2 * 112), st.integers(1, 18), st.sampled_from([-1, 1]))
+    @example(23, 12, -1)
+    @example(23, 12, 1)
+    @example(223, 12, -1)
+    @example(223, 12, 1)
+    def test_window_edges_nudged(self, half_semitone, k, sign):
+        # odd half-semitones are edges: C0's lower one at 23, D#8's upper one at 223
+        freq = window_edge(half_semitone) + sign * F(1, 10**k)
+        assert integer_midi_in_span(freq.numerator, freq.denominator) == fraction_midi_in_span(freq)
+
+    @given(st.sampled_from(ALL_MIDI), st.integers(1, 18), st.sampled_from([-1, 1]))
+    def test_grid_pitches_nudged(self, midi, k, sign):
+        freq = grid_frequency(_name_for_midi(midi)) + sign * F(1, 10**k)
+        assert integer_midi_in_span(freq.numerator, freq.denominator) == midi == fraction_midi_in_span(freq)
+
+    @pytest.mark.parametrize("freq", [F(1, 10**k) for k in (1, 3, 60)] + [F(10**k) for k in (4, 60, 4000)]
+                             + [F(15), F(16), F(5123), F(5125), F(10**4000 + 1, 10**3998)])
+    def test_far_outside_and_near_the_span(self, freq):
+        assert integer_midi_in_span(freq.numerator, freq.denominator) == fraction_midi_in_span(freq)

@@ -89,6 +89,18 @@ DOCUMENTS = {
 # reduce-octave of the ("affinitive", "262*N6", "262*N6", "--notes") document
 REDUCED_DOCUMENT = "f03d544efb7889da05ddc65414ed03942a16b230cbaf2356957b1fbedd71d0ac"
 
+# the benchmark's session shape: a union of a harmonic term, a decimal list
+# and a note term with an "@" reference, against a note term and decimals
+SESSION_F = "131*N3+65.5,196.5+G3_3@196.5"
+SESSION_G = "C3_3@131+327.5,458.5"
+SESSION_DOCUMENT = "94abbda0b63f0021b30044cbef48b2d1266088785579d20c90f1aec1df0d7ce5"
+SESSION_OUTPUTS = {
+    ("reduce-octave",): "66b28648a5b0f23c8bd9c76ae2f533a594dcfa4bb0afd3b185f789d6e58c9bed",
+    ("reduce-octave", "export-scl"): "cf70d3b0418dd1585a22e21e43fe33ad28a7b5a28b507753c04ed0be839a2fa0",
+    ("reduce-octave", "export-scl --cents"): "452503d759ad9509144161676a102d15b90cdbd165dad85b21a97e23d591fc18",
+}
+SESSION_TEXT_TABLE = "ab45b489bcae8d82219c19ad7d355db997133dd8a3755879f3adf8037b604e5c"
+
 
 # one-decimal inharmonic spectra 262*{1, 2.7, 5.3} and 393*{1, 1.9, 4.1}:
 # supersets of 53 and 41 partials over fundamentals in the ratio 2/3
@@ -155,6 +167,20 @@ def test_reduced_document_bytes_are_pinned(capsys, monkeypatch):
     document = run(["affinitive", "262*N6", "262*N6", "--notes"], capsys)
     reduced = run(["reduce-octave"], capsys, monkeypatch, stdin=document)
     assert sha256(reduced) == REDUCED_DOCUMENT
+
+
+def test_session_documents_are_pinned(capsys, monkeypatch):
+    text = run(["affinitive", SESSION_F, SESSION_G, "--notes"], capsys)
+    assert sha256(text) == SESSION_DOCUMENT
+    outputs = {}
+    for steps in SESSION_OUTPUTS:
+        out = text
+        for step in steps:
+            out = run(step.split(), capsys, monkeypatch, stdin=out)
+        outputs[steps] = sha256(out)
+    assert outputs == SESSION_OUTPUTS
+    table = run(["superset", SESSION_F, SESSION_G, "--format", "text"], capsys)
+    assert sha256(table) == SESSION_TEXT_TABLE
 
 
 @pytest.mark.parametrize(
