@@ -66,6 +66,12 @@ def _read_document(path: Optional[str]) -> TuningDocument:
     return TuningDocument.from_json(text)
 
 
+def _lowest(freq_set: FrequencySet) -> Fraction:
+    """The lowest partial a*N[0] of a non-empty set, the root of its note names."""
+    a, multipliers, _ = freq_set._lattice_view()
+    return a * multipliers[0]
+
+
 def _emit_document(
     table: TuningTable,
     context: FrequencySet,
@@ -74,7 +80,7 @@ def _emit_document(
     args: argparse.Namespace,
     label: Optional[str] = None,
 ) -> int:
-    root = min(context.elements) if args.notes else None
+    root = _lowest(context) if args.notes else None
     doc = TuningDocument.from_table(
         table,
         context_expr=canonical_set_expression(context),
@@ -168,7 +174,7 @@ def cmd_reduce_octave(args: argparse.Namespace) -> int:
     reduced = octave_reduce(doc.to_table(), contextual, complementary)
     parameters = dict(metadata.get("parameters", {}))
     parameters["octave_reduced"] = True
-    root = min(contextual.elements) if doc._notes is not None else None
+    root = _lowest(contextual) if doc._notes is not None else None
     out_doc = TuningDocument.from_table(
         reduced,
         context_expr=metadata["context"],

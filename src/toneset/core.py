@@ -71,9 +71,8 @@ def parse_ratio(text: str) -> Fraction:
     refuse alike.
     """
     token = text.strip()
-    num, slash, den = token.partition("/")
-    plain = num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit())
-    exponent = None if plain else _EXPONENT_RE.search(token)
+    terms = _plain_terms(token)
+    exponent = None if terms else _EXPONENT_RE.search(token)
     if exponent:
         digits = exponent[1].replace("_", "").lstrip("0")
         if len(digits) > 4 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
@@ -82,11 +81,24 @@ def parse_ratio(text: str) -> Fraction:
                 f"+-{MAX_DECIMAL_EXPONENT}"
             )
     try:
-        return Fraction(int(num), int(den) if slash else 1) if plain else Fraction(token)
+        return Fraction(*terms) if terms else Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(
             f"cannot parse ratio {_excerpt(token)!r} (expected 'p/q' or a decimal)"
         ) from None
+
+
+def _plain_terms(token: str) -> tuple[int, int] | None:
+    """The integers n, d of plain ASCII digits "n" or "n/d" (d = 1 for "n"),
+    not reduced and d possibly 0; None for any other text, and for digits
+    too long for ``int()``, which ``Fraction`` refuses alike."""
+    num, slash, den = token.partition("/")
+    if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
+        try:
+            return int(num), int(den) if slash else 1
+        except ValueError:
+            pass
+    return None
 
 
 def _excerpt(text: str) -> str:
@@ -101,17 +113,23 @@ def format_ratio(value: Fraction, always_slash: bool = False, label: str = "rati
     (``sys.get_int_max_str_digits()``, 4,300 by default) raises a ValueError
     that names ``label`` and the term's digit count.
     """
+    return _ratio_text(value.numerator, value.denominator, always_slash, label)
+
+
+def _ratio_text(numerator: int, denominator: int, always_slash: bool = False, label: str = "ratio") -> str:
+    """:func:`format_ratio` of numerator/denominator, given in lowest terms,
+    without building the Fraction."""
     try:
-        if always_slash or value.denominator != 1:
-            return f"{value.numerator}/{value.denominator}"
-        return str(value.numerator)
+        if always_slash or denominator != 1:
+            return f"{numerator}/{denominator}"
+        return str(numerator)
     except ValueError:
-        term, n = max(("numerator", abs(value.numerator)), ("denominator", value.denominator),
+        term, n = max(("numerator", abs(numerator)), ("denominator", denominator),
                       key=lambda pair: pair[1])
         digits = int(n.bit_length() * math.log10(2)) + 1  # the count, or one above it
         if n < 10 ** (digits - 1):
             digits -= 1
-        whose = f"its {term}" if always_slash or value.denominator != 1 else "it"
+        whose = f"its {term}" if always_slash or denominator != 1 else "it"
         raise ValueError(
             f"{label} is too long to print: {whose} has {digits} digits, more than "
             f"the limit of {sys.get_int_max_str_digits()}"
@@ -229,7 +247,7 @@ class FrequencySet:
     def __init__(self, frequencies: Iterable[RatioLike] = ()):
         freqs = sorted({to_ratio(f) for f in frequencies})
         if freqs and freqs[0] <= 0:
-            raise ValueError(f"non-positive frequency {format_ratio(freqs[0], label='frequency')}")
+            raise ValueError(f"non-positive frequency {_excerpt(format_ratio(freqs[0], label='frequency'))}")
         # gcd of reduced numerators over lcm of denominators is already in
         # lowest terms: a prime of the gcd divides no denominator (0 if empty)
         a = Fraction(math.gcd(*(f.numerator for f in freqs)), math.lcm(*(f.denominator for f in freqs)))
@@ -295,7 +313,19 @@ class FrequencySet:
         return f"FrequencySet({format_set(self)})"
 
     def __or__(self, other: "FrequencySet") -> "FrequencySet":
-        return FrequencySet(self.elements + other.elements)
+        if not other:
+            return self
+        if not self:
+            return other
+        # with g = gcd(a, b), the union is g * ((a/g)*N u (b/g)*M), whose
+        # multipliers have gcd gcd(a/g, b/g) = 1
+        a, b = self._fundamental, other._fundamental
+        gn = math.gcd(a.numerator, b.numerator)
+        gd = math.lcm(a.denominator, b.denominator)
+        x = a.numerator // gn * (gd // a.denominator)
+        y = b.numerator // gn * (gd // b.denominator)
+        merged = frozenset([x * n for n in self._multipliers] + [y * m for m in other._multipliers])
+        return FrequencySet._lattice(Fraction(gn, gd), tuple(sorted(merged)), merged)
 
     def __and__(self, other: "FrequencySet") -> "FrequencySet":
         return FrequencySet(self.element_set() & other.element_set())
@@ -350,7 +380,7 @@ def _checked_count(count: int) -> int:
         raise ValueError("partial count must be at least 1")
     if count > MAX_HARMONIC_PARTIALS:
         raise ValueError(
-            f"partial count {format_ratio(count, label='partial count')} exceeds the limit of "
+            f"partial count {_excerpt(format_ratio(count, label='partial count'))} exceeds the limit of "
             f"{MAX_HARMONIC_PARTIALS}"
         )
     return count

@@ -36,7 +36,7 @@ from typing import Iterable, Sized, Union
 
 import numpy as np
 
-from .core import FrequencySet, _scientific, format_ratio
+from .core import FrequencySet, _excerpt, _scientific, format_ratio
 from .tuning import MAX_TABLE_ENTRIES
 
 __all__ = [
@@ -219,7 +219,10 @@ def dissonance_curve(
     if steps < 2:
         raise ValueError("steps must be at least 2")
     if steps > MAX_TABLE_ENTRIES:
-        raise ValueError(f"{steps} steps exceed the limit of {MAX_TABLE_ENTRIES}")
+        raise ValueError(
+            f"{_excerpt(format_ratio(steps, label='step count'))} steps exceed the limit of "
+            f"{MAX_TABLE_ENTRIES}"
+        )
     contextual, complementary = _sized(contextual), _sized(complementary)
     _check_pairs(len(contextual), len(complementary))
     base = _as_float_array(contextual, "contextual set")

@@ -5,22 +5,26 @@ metadata needed to regenerate and rescore them; it is the interchange
 format between subcommands. Exact rational strings are authoritative; cents
 and float columns are derived on export, so import -> export is
 byte-identical. One per-call pass, ``_formatted``, turns a table's rows
-(``tuning.TuningTable``: reduced intervals n/d and their scores) into
-interval text, cents and score cells for every table writer: the CSV of
-``table_csv``, the JSON of ``TuningDocument`` and the text table the CLI
-prints. No writer builds a ``TuningEntry``; entries handed to a writer are
-read as rows. It formats each score object once a call, keyed by its
-identity: a generated table shares one ``ConsonanceScore`` per distinct
-score, and ``TuningDocument.from_json`` builds one per distinct score text.
+(``tuning.TuningTable``: reduced intervals n/d and their scores) into the
+rows of every table writer: the CSV of ``table_csv``, the JSON of
+``TuningDocument`` and the text table the CLI prints. Each writer hands it
+a row function that takes the interval's terms, its cents, the score's
+cells and the note name; a ``table_csv`` row is one fill of the template
+"{n}/{d},{cents:.4f},{cells}". No writer builds a ``TuningEntry``; entries
+handed to a writer are read as rows. It formats each score object once a
+call, keyed by its identity: a generated table shares one
+``ConsonanceScore`` per distinct score, and ``TuningDocument.from_json``
+builds one per distinct score text and reads each interval's plain "n/d"
+digits as integers.
 Every cell is formatted from numerators and denominators, with no Fraction
 arithmetic; score floats are shown by the one display rule,
 ``core._display_score``. There is one JSON writer, ``to_json``: its bytes
 are those of ``json.dumps(..., indent=2, ensure_ascii=False)``, but only the
 metadata goes through ``json.dumps``, and each entry is filled into one
 template, with no dict per entry (``as_dict`` reads that text back).
-Every CSV the package writes goes through ``csv_text``, which joins the
-cells of each row with "," (no cell the package writes needs quoting); the
-rows come from ``table_csv`` and ``curve_csv``. Each writer still builds
+The other CSVs the package writes go through ``csv_text``, which joins the
+cells of each row with "," (no cell the package writes needs quoting);
+``table_csv`` writes the same bytes from its template. Each writer still builds
 its whole output as one string, and ``from_json`` reads a whole document
 into memory.
 """
@@ -32,11 +36,11 @@ import math
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, TypeVar
 
 from . import __version__
 from .consonance import ConsonanceScore
-from .core import _cents_of, _display_score, _scientific, cents, format_ratio, parse_ratio
+from .core import _cents_of, _display_score, _plain_terms, _ratio_text, _scientific, cents, parse_ratio
 from .notes import _note_in_span
 from .tuning import TuningEntry, TuningTable, _check_order, _entry_rows
 
@@ -44,6 +48,8 @@ if TYPE_CHECKING:  # the roughness module loads numpy; only its type is needed
     from .dissonance import CurvePoint
 
 __all__ = ["TuningDocument", "export_scl"]
+
+_Row = TypeVar("_Row")
 
 TOOL_NAME = "toneset"
 
@@ -66,50 +72,48 @@ def csv_text(header: list[str], rows: Iterable[Iterable[str]]) -> str:
     return "\n".join(map(",".join, chain([header], rows))) + "\n"
 
 
+_TABLE_HEADER = "interval_ratio,cents,affinity,harmonicity,total"
+
+# A table_csv row: interval n/d, its cents and the joined score cells.
+_table_row = "{}/{},{:.4f},{}".format
+
+
 def table_csv(source: TuningTable | TuningDocument | Iterable[TuningEntry]) -> str:
-    """A table's entries as CSV: exact interval, cents and the three scores."""
-    return csv_text(
-        ["interval_ratio", "cents", "affinity", "harmonicity", "total"],
-        ((ratio, f"{c:.4f}", cells) for _, _, ratio, c, cells, _ in _formatted(source, _joined_cells)),
-    )
+    """A table's entries as CSV: exact interval, cents and the three scores,
+    each row one fill of a template, as ``csv_text`` would join its cells."""
+    return "\n".join(chain([_TABLE_HEADER], _formatted(source, _joined_cells, _table_row))) + "\n"
 
 
 def _formatted(
     source: TuningTable | TuningDocument | Iterable[TuningEntry],
-    cells: Callable[[ConsonanceScore], tuple | str]
-) -> Iterator[tuple[int, int, str, float, tuple | str, Optional[str]]]:
-    """The one pass behind every table writer (CSV, JSON, text): each row's
-    interval n/d in lowest terms, its "n/d" text, its cents,
-    ``cells(score)`` and its note name (None but in an annotated document).
+    cells: Callable[[ConsonanceScore], Any],
+    row: Callable[[int, int, float, Any, Optional[str]], _Row],
+) -> Iterator[_Row]:
+    """The one pass behind every table writer (CSV, JSON, text): for each
+    row, ``row(n, d, cents, cells(score), note)`` with its interval n/d in
+    lowest terms and its note name (None but in an annotated document).
 
     The cells are computed once per score object in this call: generated
     tables share one object per distinct score. The rows hold every score
     while the call lives, so no id is reused, and the memo goes with the
-    call.
+    call. A ``row`` that prints an interval term too long for ``int`` text
+    gets ``format_ratio``'s refusal, which names the interval.
     """
     if isinstance(source, TuningDocument):
         rows, notes = source._table._rows, source._notes
     else:
         rows, notes = (source._rows if isinstance(source, TuningTable) else _entry_rows(source)), None
-    memo: dict[int, tuple | str] = {}
+    memo: dict[int, Any] = {}
     for (n, d, score), note in zip(rows, notes or repeat(None)):
         found = memo.get(id(score))
         if found is None:
             found = memo[id(score)] = cells(score)
         try:
-            ratio = f"{n}/{d}"
-        except ValueError:  # a term too long to print; the message names it
-            ratio = format_ratio(Fraction(n, d), True, "interval")
-        yield n, d, ratio, _cents_of(n, d), found, note
-
-
-def _ratio_text(n: int, d: int, label: str) -> str:
-    """The "n/d" text of a ratio in lowest terms, or ``format_ratio``'s
-    refusal, which names ``label``, for a term too long to print."""
-    try:
-        return f"{n}/{d}"
-    except ValueError:
-        return format_ratio(Fraction(n, d), True, label)
+            line = row(n, d, _cents_of(n, d), found, note)
+        except ValueError:
+            _ratio_text(n, d, True, "interval")  # raises for a term too long to print
+            raise
+        yield line
 
 
 def _joined_cells(score: ConsonanceScore) -> str:
@@ -158,7 +162,7 @@ def _score_fields(score: ConsonanceScore) -> tuple[tuple[int, int], tuple, tuple
     terms = ((an, ad), (hn, hd), (tn // g, td // g))
     return (
         terms[2],
-        tuple(_ratio_text(n, d, label) for (n, d), label in zip(terms, _SCORE_LABELS)),
+        tuple(_ratio_text(n, d, True, label) for (n, d), label in zip(terms, _SCORE_LABELS)),
         tuple(_display_score(n, d) for n, d in terms),
     )
 
@@ -181,6 +185,15 @@ def _json_scores(score: ConsonanceScore) -> str:
     )
 
 
+def _json_entry(n: int, d: int, c: float, scores: str, note: Optional[str]) -> str:
+    """A JSON document entry, as ``json.dumps`` with ``indent=2`` writes it."""
+    return (
+        f'    {{\n      "interval": "{n}/{d}",\n      "cents": {round(c, 4)!r},\n{scores}'
+        + ("" if note is None else f',\n      "note": {encode_basestring(note)}')
+        + "\n    }"
+    )
+
+
 _JSON_SCORES = (
     '      "affinity": "{}",\n      "harmonicity": "{}",\n      "total": "{}",\n'
     '      "affinity_float": {},\n      "harmonicity_float": {},\n      "total_float": {}'
@@ -193,17 +206,23 @@ def _text_scores(score: ConsonanceScore) -> tuple[tuple[int, int], str]:
     return total, "".join(f"  {text:>8} ({_score_text(v)})" for text, v in zip(texts, shown))
 
 
+def _text_row(n: int, d: int, c: float, scores: tuple[tuple[int, int], str], note: Optional[str]):
+    """A text table row and its score's total, the consonance order's key."""
+    total, cells = scores
+    return total, f"{f'{n}/{d}':>10}  {c:>10.4f}{cells}  {note or ''}"
+
+
 def _render_text(doc: TuningDocument, order: str) -> str:
     """A document as a text table, in interval or consonance order."""
-    rows: Iterable = _formatted(doc, _text_scores)
+    rows: Iterable = _formatted(doc, _text_scores, _text_row)
     if order == "consonance":
         # rows ascend by interval, and the sort is stable: equal totals keep that order
-        rows = sorted(rows, key=lambda row: -Fraction(*row[4][0]))
-    lines = [f"# {doc.metadata['generator']} tuning  F={doc.metadata['context']}  F'={doc.metadata['complement']}"]
-    lines.append(f"{'interval':>10}  {'cents':>10}  {'affinity':>16}  {'harmonicity':>18}  {'total':>16}  note")
-    for _, _, ratio, c, (_, scores), note in rows:
-        lines.append(f"{ratio:>10}  {c:>10.4f}{scores}  {note or ''}")
-    return "\n".join(lines) + "\n"
+        rows = sorted(rows, key=lambda row: -Fraction(*row[0]))
+    head = (
+        f"# {doc.metadata['generator']} tuning  F={doc.metadata['context']}  F'={doc.metadata['complement']}\n"
+        f"{'interval':>10}  {'cents':>10}  {'affinity':>16}  {'harmonicity':>18}  {'total':>16}  note"
+    )
+    return "\n".join(chain([head], (line for _, line in rows))) + "\n"
 
 
 def _refuse_constant(name: str) -> None:
@@ -213,6 +232,23 @@ def _refuse_constant(name: str) -> None:
 
 
 def _ratio_field(raw: dict, index: int, field: str) -> Fraction:
+    return parse_ratio(_text_field(raw, index, field))
+
+
+def _interval_field(raw: dict, index: int) -> tuple[int, int]:
+    """An entry's interval as n, d in lowest terms: plain digits "n/d", the
+    form every document writes, are read as integers, and any other text by
+    ``parse_ratio``, which accepts and refuses as it does for every field."""
+    text = _text_field(raw, index, "interval")
+    terms = _plain_terms(text)
+    if terms is None or not terms[1]:
+        return parse_ratio(text).as_integer_ratio()
+    n, d = terms
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+def _text_field(raw: dict, index: int, field: str) -> str:
     if field not in raw:
         raise ValueError(f"invalid tuning document: entry {index} lacks {field!r}")
     value = raw[field]
@@ -221,7 +257,7 @@ def _ratio_field(raw: dict, index: int, field: str) -> Fraction:
             f"invalid tuning document: entry {index} field {field!r} must be a "
             f"'p/q' string, not {type(value).__name__}"
         )
-    return parse_ratio(value)
+    return value
 
 
 class TuningDocument:
@@ -294,12 +330,7 @@ class TuningDocument:
         for the document: ``json.dumps`` writes the metadata, and each entry
         fills one template."""
         head = json.dumps({"metadata": self.metadata, "entries": []}, indent=2, ensure_ascii=False)
-        entries = ",\n".join(
-            f'    {{\n      "interval": "{ratio}",\n      "cents": {round(c, 4)!r},\n{scores}'
-            + ("" if note is None else f',\n      "note": {encode_basestring(note)}')
-            + "\n    }"
-            for _, _, ratio, c, scores, note in _formatted(self, _json_scores)
-        )
+        entries = ",\n".join(_formatted(self, _json_scores, _json_entry))
         # the head ends '"entries": []\n}'
         return f"{head[:-4]}[\n{entries}\n  ]\n}}\n" if entries else head + "\n"
 
@@ -337,7 +368,7 @@ class TuningDocument:
                     f"invalid tuning document: entry {index} field 'note' must be a string, "
                     f"not {type(note).__name__}"
                 )
-            interval = _ratio_field(raw, index, "interval")
+            n, d = _interval_field(raw, index)
             texts = tuple(raw.get(field) for field in _SCORE_LABELS)
             score = scores.get(texts) if all(type(t) is str for t in texts) else None
             if score is None:
@@ -353,7 +384,7 @@ class TuningDocument:
                             f"affinity and harmonicity at interval {raw['interval']}"
                         )
                 scores[texts] = score
-            rows.append((interval.numerator, interval.denominator, score))
+            rows.append((n, d, score))
             notes.append(note)
         _check_order(rows)
         doc = cls.__new__(cls)
@@ -407,5 +438,5 @@ def export_scl(
     )
     lines = [f"! {title}.scl", description, str(len(pitches))]
     for n, d in pitches:
-        lines.append(f"{_cents_of(n, d):.4f}" if cents_lines else _ratio_text(n, d, "interval"))
+        lines.append(f"{_cents_of(n, d):.4f}" if cents_lines else _ratio_text(n, d, True, "interval"))
     return "\n".join(lines) + "\n"

@@ -119,10 +119,13 @@ def _fig5_5(params: Params) -> dict[str, str]:
 def _fig5_6(params: Params) -> dict[str, str]:
     single = FrequencySet([C4_FUNDAMENTAL])
     table = harmonic_tuning(single, single, 0, Fraction(1, 8), 8, _max_den(params))
-    rows = [
-        [ratio, f"{c:.4f}", cells[2], repr(float(thomae_modified(Fraction(n, d))))]
-        for n, d, ratio, c, cells, _ in _formatted(table, _float_cells)
-    ]
+    rows = _formatted(
+        table,
+        _float_cells,
+        lambda n, d, c, cells, _: [
+            f"{n}/{d}", f"{c:.4f}", cells[2], repr(float(thomae_modified(Fraction(n, d))))
+        ],
+    )
     return {"fig5_6": csv_text(["interval_ratio", "cents", "total", "thomae_modified"], rows)}
 
 

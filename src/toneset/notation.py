@@ -12,10 +12,11 @@ Grammar shared by the command line and document metadata:
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import re
 
-from .core import FrequencySet, ParseError, _count_of, _excerpt, format_ratio, parse_ratio
+from .core import FrequencySet, ParseError, _count_of, _excerpt, _ratio_text, parse_ratio
 from .notes import NoteName, note_set
 
 __all__ = ["parse_set_expression", "canonical_set_expression"]
@@ -55,4 +56,12 @@ def parse_set_expression(text: str) -> FrequencySet:
 
 def canonical_set_expression(freq_set: FrequencySet) -> str:
     """Explicit-list form that parses back to the identical set."""
-    return ",".join(format_ratio(f, label="frequency") for f in freq_set)
+    if not freq_set:
+        return ""
+    a, multipliers, _ = freq_set._lattice_view()
+    # a*n = an*n/ad in lowest terms once gcd(n, ad) is taken out, as an/ad is
+    an, ad = a.numerator, a.denominator
+    return ",".join(
+        _ratio_text(an * (n // g), ad // g, label="frequency")
+        for n in multipliers for g in (math.gcd(n, ad),)
+    )

@@ -19,6 +19,8 @@ system. With F = a*N and G = b*M (fundamentals a, b, integer multipliers),
 a generator hands it the transpositions t as the ascending reduced integer
 pairs p/q = t*b/a, and ``_scored`` is the one place where the overlap of F
 and tF', the threshold test and the score are computed, on those integers.
+It tests the threshold on the largest union |N| + |M| first, so a candidate
+that cannot clear it is rejected before its overlap is counted.
 A kept candidate leaves ``_scored`` as a row (n, d, score) of a
 ``TuningTable``, n/d = p*a/(q*b) in lowest terms, so no other code knows
 these coordinates; a ``Fraction`` is built only when a library caller
@@ -33,7 +35,8 @@ nothing else sorts:
 * affinitive - f/f' = a*n/(b*m) is t with t*b/a = n/m, so the pairs are
   the reduced n/m over the multipliers, deduplicated as integer tuples and
   sorted by the exact integer key floor(p*2^s/q), 2^s > M_top^2: reduced
-  fractions with denominators up to M_top differ by at least 1/M_top^2.
+  fractions with denominators up to M_top differ by at least 1/M_top^2
+  (``_ascending``).
 * harmonic, bounded - the reduced c/d in [lo, hi] with d <= D = max_den,
   ``_walk(lo, hi, floor(hi*D), D)`` (``enumerate_rationals`` is the same
   walk), each mapped to c*b/(d*a) in lowest terms.
@@ -48,7 +51,9 @@ nothing else sorts:
 * superset - the supersets are a*{1..k} and b*{1..k'}, so their pairwise
   ratios are exactly the t with t*b/a = p/q reduced, p <= k, q <= k':
   ``_walk(1/k', k, k, k')``.
-* ``octave_reduce`` - the folded intervals, sorted, each as t*b/a.
+* ``octave_reduce`` - each row's n/d folded into [1, 2) on integers (bit
+  lengths, shifts and one gcd), deduplicated and sorted as the affinitive
+  pairs are, each as t*b/a; ``fold_to_octave`` is the Fraction oracle.
 
 No table holds more than ``MAX_TABLE_ENTRIES`` candidates; a larger one is
 refused before the first is built. The affinitive candidates are the
@@ -73,7 +78,7 @@ from itertools import islice, pairwise
 from typing import Iterable, Iterator
 
 from .consonance import ConsonanceScore, _superset_count
-from .core import FrequencySet, RatioLike, format_ratio, to_ratio
+from .core import FrequencySet, RatioLike, _excerpt, format_ratio, to_ratio
 
 __all__ = [
     "TuningEntry",
@@ -175,11 +180,15 @@ def _scored(
     G = b*M (integer multipliers with gcd 1), computed without building tG:
     a*n = t*b*m iff n = p*k and m = q*k for some k, so the overlap is a
     count of integers; the union's gcd is a/q and its top partial
-    a*max(N_top, p*M_top/q), so harmonicity = |F u tG| / max(q*N_top, p*M_top).
-    The threshold test cross-multiplies integers. A kept candidate becomes
-    the row (n, d, score), n/d = p*rn/(q*rd) reduced by g1 = gcd(p, rd) and
-    g2 = gcd(q, rn) alone, as p/q and rn/rd = a/b are in lowest terms; each
-    distinct score is built once a call, and no interval or entry.
+    a*max(N_top, p*M_top/q), so harmonicity = |F u tG| / top with
+    top = max(q*N_top, p*M_top). The threshold test cross-multiplies
+    integers, and runs first on the union's largest size |N| + |M|: a
+    candidate that fails there is rejected before its overlap is counted.
+    None is counted when p > N_top or q > M_top, as no k fits. A kept
+    candidate becomes the row (n, d, score), n/d = p*rn/(q*rd) reduced by
+    g1 = gcd(p, rd) and g2 = gcd(q, rn) alone, as p/q and rn/rd = a/b are
+    in lowest terms; each distinct score is built once a call, and no
+    interval or entry.
     """
     a, n_all, n_set = contextual._lattice_view()  # refuses empty sets
     b, m_all, m_set = complementary._lattice_view()
@@ -189,38 +198,51 @@ def _scored(
     hn, hd = threshold.numerator, threshold.denominator
     n_top, m_top = n_all[-1], m_all[-1]
     sizes = len(n_all) + len(m_all)
+    room = sizes * hd
     smaller = min(len(n_all), len(m_all))
     # when k ranges further than the shorter multiplier list is long, walk
     # that list instead: m in M is shared iff q | m and p*m/q is in N
     # (symmetrically for n in N)
     by_m = len(m_all) <= len(n_all)
     shorter, longer_set = (m_all, n_set) if by_m else (n_all, m_set)
-    # union = sizes - shared, so (shared, top) determines the score
-    built: dict[tuple[int, int], ConsonanceScore] = {}
+    # union = sizes - shared, so top alone determines a score with nothing
+    # shared, and (shared, top) any other
+    built: dict[int | tuple[int, int], ConsonanceScore] = {}
     rows = []
+    append = rows.append
     for p, q in pairs:
-        k_top = min(n_top // p, m_top // q)
-        shared = 0
-        if k_top <= smaller:
-            for k in range(1, k_top + 1):
-                if p * k in n_set and q * k in m_set:
-                    shared += 1
-        else:
-            div, mul = (q, p) if by_m else (p, q)
-            for x in shorter:
-                if x % div == 0 and x // div * mul in longer_set:
-                    shared += 1
-        union = sizes - shared
-        top = max(q * n_top, p * m_top)
-        if union * hd <= hn * top:
+        top, other = q * n_top, p * m_top
+        if other > top:
+            top = other
+        if room <= hn * top:
             continue
-        key = (shared, top)
-        if key not in built:
-            built[key] = ConsonanceScore(Fraction(shared, smaller), Fraction(union, top))
+        shared = 0
+        if p <= n_top and q <= m_top:
+            k_top, k_m = n_top // p, m_top // q
+            if k_m < k_top:
+                k_top = k_m
+            if k_top <= smaller:
+                for k in range(1, k_top + 1):
+                    if p * k in n_set and q * k in m_set:
+                        shared += 1
+            else:
+                div, mul = (q, p) if by_m else (p, q)
+                for x in shorter:
+                    if x % div == 0 and x // div * mul in longer_set:
+                        shared += 1
+        if shared:
+            if (sizes - shared) * hd <= hn * top:
+                continue
+            key = (shared, top)
+        else:
+            key = top
+        score = built.get(key)
+        if score is None:
+            score = built[key] = ConsonanceScore(Fraction(shared, smaller), Fraction(sizes - shared, top))
         if scaled:
             g1, g2 = gcd(p, rd), gcd(q, rn)
             p, q = p // g1 * (rn // g2), q // g2 * (rd // g1)
-        rows.append((p, q, built[key]))
+        append((p, q, score))
     # the pairs ascend, and t = p*a/(q*b) with them
     return TuningTable._of_rows(tuple(rows), generator)
 
@@ -249,14 +271,18 @@ def affinitive_tuning(
             f"of {MAX_TABLE_ENTRIES}"
         )
     gcd = math.gcd
-    # reduced p/q with q <= m_top differ by at least 1/m_top^2 > 2^-shift, so
-    # floor(p*2^shift/q) orders them exactly; the set dies inside sorted()
-    shift = 2 * m_all[-1].bit_length()
-    ordered = sorted(
-        {(n // g, m // g) for n in n_all for m in m_all for g in (gcd(n, m),)},
-        key=lambda pq: (pq[0] << shift) // pq[1],
-    )
-    return _scored(contextual, complementary, ordered, "affinitive")
+    pairs = {(n // g, m // g) for n in n_all for m in m_all for g in (gcd(n, m),)}
+    return _scored(contextual, complementary, _ascending(pairs, m_all[-1]), "affinitive")
+
+
+def _ascending(pairs: Iterable[tuple[int, int]], max_den: int) -> list[tuple[int, int]]:
+    """Distinct reduced pairs p/q with q <= max_den, sorted by value.
+
+    Such fractions differ by at least 1/max_den^2 > 2^-shift, so the
+    integer key floor(p*2^shift/q) orders them exactly.
+    """
+    shift = 2 * max_den.bit_length()
+    return sorted(pairs, key=lambda pq: (pq[0] << shift) // pq[1])
 
 
 def enumerate_rationals(lo: RatioLike, hi: RatioLike, max_den: int) -> list[Fraction]:
@@ -271,7 +297,8 @@ def _checked_range(lo: RatioLike, hi: RatioLike, max_den: int) -> tuple[Fraction
     low, high = to_ratio(lo), to_ratio(hi)
     if not 0 < low < high:
         raise ValueError(
-            f"invalid range [{format_ratio(low, label='lo')}, {format_ratio(high, label='hi')}]"
+            f"invalid range [{_excerpt(format_ratio(low, label='lo'))}, "
+            f"{_excerpt(format_ratio(high, label='hi'))}]"
         )
     if max_den < 1:
         raise ValueError("max_den must be at least 1")
@@ -305,10 +332,11 @@ def _walk(low: Fraction, high: Fraction, max_num: int, max_den: int) -> Iterator
         if partial and count <= MAX_TABLE_ENTRIES:
             count = sum(1 for _ in islice(_farey_walk(*walk), MAX_TABLE_ENTRIES + 1))
         if count > MAX_TABLE_ENTRIES:
-            count, low, high, max_num = (
-                format_ratio(x, label=label)
+            count, low, high, max_num, max_den = (
+                _excerpt(format_ratio(x, label=label))
                 for x, label in ((count, "candidate count"), (low, "lower bound"),
-                                 (high, "upper bound"), (max_num, "numerator bound"))
+                                 (high, "upper bound"), (max_num, "numerator bound"),
+                                 (max_den, "denominator bound"))
             )
             raise ValueError(
                 f"{'at least ' if partial else ''}{count} candidate intervals p/q in "
@@ -518,9 +546,30 @@ def octave_reduce(
 
     Scores are recomputed against the source sets rather than carried over:
     an interval and its octave transposition generally have different
-    consonance.
+    consonance. Each row's n/d is folded as ``fold_to_octave`` folds it, on
+    integers: shifted by the gap in bit lengths into (1/2, 2), doubled
+    below 1, and reduced by one gcd, which takes out the power of 2 alone.
     """
-    folded = sorted({fold_to_octave(t) for t in table.intervals})
-    ratio = complementary.fundamental() / contextual.fundamental()
-    pairs = ((t * ratio).as_integer_ratio() for t in folded)
+    gcd = math.gcd
+    folded = set()
+    for n, d, _ in table._rows:
+        if n <= 0:
+            raise ValueError("interval must be positive")
+        gap = n.bit_length() - d.bit_length()
+        if gap > 0:
+            d <<= gap
+        else:
+            n <<= -gap
+        if n < d:
+            n <<= 1
+        g = gcd(n, d)
+        folded.add((n // g, d // g))
+    # as t*b/a = n*rn/(d*rd), reduced by g1 = gcd(n, rd) and g2 = gcd(d, rn)
+    ratio = complementary.fundamental() / contextual.fundamental()  # refuses empty sets
+    rn, rd = ratio.numerator, ratio.denominator
+    pairs = (
+        (n // g1 * (rn // g2), d // g2 * (rd // g1))
+        for n, d in _ascending(folded, max((d for _, d in folded), default=1))
+        for g1, g2 in ((gcd(n, rd), gcd(d, rn)),)
+    )
     return _scored(contextual, complementary, pairs, table.generator)

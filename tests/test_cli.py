@@ -513,8 +513,10 @@ _SPAN = "the supported note span C0..D#8 (about 15.89 Hz to 5123.9 Hz)"
         ("C4_6@300." + "0" * 100 + "1", 3,
          f"frequency/name mismatch: 3{'0' * 28}... Hz falls in D4, not C4"),
         ("C4_6@1" + "0" * 100, 3, f"frequency 1{'0' * 28}... Hz is outside {_SPAN}"),
+        ("-" + "9" * 4000, 3, f"non-positive frequency -{'9' * 28}..."),
     ],
-    ids=["count", "note-count", "octave", "negative-octave", "ratio", "shorthand", "mismatch", "span"],
+    ids=["count", "note-count", "octave", "negative-octave", "ratio", "shorthand", "mismatch", "span",
+         "non-positive"],
 )
 def test_long_notation_is_refused_in_one_short_line(term, code, message, capsys):
     # no more than 32 characters of the offending text are quoted, and no
@@ -539,8 +541,19 @@ def test_long_notation_is_refused_in_one_short_line(term, code, message, capsys)
         (["thomae", "--max-den", "12", "--lo", "1e99999"], 2,
          "toneset thomae: error: argument --lo: cannot parse ratio '1e99999': decimal exponent "
          "beyond +-4300"),
+        # 4,000 digits: int() reads them, and the domain refusal quotes them
+        (["harmonic", "1", "1", "--h", "0", "--max-den", "9" * 4000], 3,
+         f"error: at least 10280930023 candidate intervals p/q in [1/8, 8] with p <= 7{'9' * 28}... "
+         f"and q <= {'9' * 29}... exceed the limit of 4194304"),
+        (["curve", "1", "1", "--steps", "9" * 4000], 3,
+         f"error: {'9' * 29}... steps exceed the limit of 4194304"),
+        (["superset", "1", "1", "--n", "9" * 4000], 3,
+         f"error: partial count 1{'0' * 28}... exceeds the limit of 1048576"),
+        (["harmonic", "1", "1", "--h", "0", "--lo", "9" * 4000, "--hi", "1"], 3,
+         f"error: invalid range [{'9' * 29}..., 1]"),
     ],
-    ids=["figure", "max-den", "h", "steps", "chi-star", "exponent"],
+    ids=["figure", "max-den", "h", "steps", "chi-star", "exponent", "max-den-walk", "steps-sweep",
+         "superset-n", "range"],
 )
 def test_long_option_values_are_refused_in_one_short_line(argv, code, message, capsys):
     # argparse prints its usage lines, then the one error line

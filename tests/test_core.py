@@ -277,6 +277,18 @@ class TestSetSemantics:
         assert (a | b) == FrequencySet([1, 2, 3, 4])
         assert (a & b) == FrequencySet([3])
 
+    @given(
+        st.sets(st.fractions(F(1, 50), 50, max_denominator=60), max_size=8),
+        st.sets(st.fractions(F(1, 50), 50, max_denominator=60), max_size=8),
+    )
+    def test_union_equals_the_set_of_both_element_lists(self, xs, ys):
+        x, y = FrequencySet(xs), FrequencySet(ys)
+        union = x | y
+        assert union == FrequencySet(x.elements + y.elements)
+        assert union.elements == tuple(sorted(xs | ys))
+        assert union._multiplier_set == frozenset(union._multipliers)
+        assert union == y | x
+
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             FrequencySet([0])

@@ -377,9 +377,19 @@ class TestTranspositionScorer:
         thresholds = st.fractions(min_value=0, max_value=F(99, 100), max_denominator=10**6)
         if exact < 1:  # the boundary itself must be rejected: the test is strict
             thresholds |= st.just(exact)
+        # the bound (|N| + |M|) / max(q*N_top, p*M_top) on the harmonicity,
+        # where the scorer rejects before counting shared partials
+        a, n_all, _ = contextual._lattice_view()
+        b, m_all, _ = complementary._lattice_view()
+        p, q = (t * b / a).as_integer_ratio()
+        bound = F(len(n_all) + len(m_all), max(q * n_all[-1], p * m_all[-1]))
+        if bound < 1:
+            thresholds |= st.just(bound)
         h = data.draw(thresholds)
         score = transposition_scorer(contextual, complementary, h)(t)
         assert (score is not None) == (exact > h)
+        if h == bound:
+            assert score is None
 
     @settings(max_examples=100, deadline=None)
     @given(small_lattice_sets, small_lattice_sets)
@@ -704,6 +714,33 @@ class TestOctaveReduce:
     )
     def test_fold_equals_the_octave_loop(self, t):
         assert fold_to_octave(t) == self.folded_by_loop(t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sets(
+            st.builds(F, st.integers(1, 2**70), st.integers(1, 2**70))
+            | st.builds(lambda e, n: F(2) ** e * n, st.integers(-80, 80), st.sampled_from([1, 3, 5])),
+            min_size=1,
+            max_size=12,
+        ),
+        small_lattice_sets,
+        small_lattice_sets,
+    )
+    def test_folds_rows_as_fold_to_octave_does(self, intervals, contextual, complementary):
+        score = ConsonanceScore(F(0), F(1))
+        table = TuningTable(tuple(TuningEntry(t, score) for t in sorted(intervals)), "x")
+        reduced = octave_reduce(table, contextual, complementary)
+        assert reduced.intervals == tuple(sorted({fold_to_octave(t) for t in intervals}))
+        assert reduced.generator == "x"
+        for entry in reduced.entries:
+            assert entry.score == total_consonance(contextual, complementary.transpose(entry.interval))
+
+    def test_nonpositive_interval_is_refused_as_by_fold_to_octave(self):
+        score = ConsonanceScore(F(0), F(1))
+        for t in (F(0), F(-3, 2)):
+            table = TuningTable((TuningEntry(t, score), TuningEntry(F(2), score)), "x")
+            with pytest.raises(ValueError, match="^interval must be positive$"):
+                octave_reduce(table, C4, C4)
 
     def test_reduced_c4_table(self):
         table = octave_reduce(affinitive_tuning(C4, C4), C4, C4)
