@@ -9,7 +9,9 @@ only at the display edge (``cents``) and in the roughness model
 (:mod:`toneset.dissonance`); it never feeds back into the rational layer.
 Tiny deviations from exact ratios collapse the common fundamental, so binary
 floats are rejected rather than silently converted: pass decimals as
-strings ("2.76") to keep them exact.
+strings ("2.76") to keep them exact. Ratio text has one reader,
+``_ratio_terms``, which gives its value as integers in lowest terms;
+``parse_ratio`` and tuning documents both read through it.
 
 Everything here is an immutable value; all operations are pure functions and
 safe for unrestricted concurrent use.
@@ -66,13 +68,19 @@ def parse_ratio(text: str) -> Fraction:
 
     Decimal strings convert exactly (2.76 becomes 69/25), never through a
     binary float. Exponents beyond ``MAX_DECIMAL_EXPONENT`` are refused.
-    Plain ASCII digits "n" or "n/d", the form every document writes, go
-    straight to ``int()``; any other text is read by ``Fraction``. Both
-    refuse alike.
     """
+    return Fraction(*_ratio_terms(text))
+
+
+def _ratio_terms(text: str) -> tuple[int, int]:
+    """The one ratio reader: numerator and denominator, in lowest terms, of
+    the ratio ``text`` denotes. Plain ASCII digits "n" or "n/d", the form
+    every document writes, go through ``int()`` and one gcd; any other text
+    through ``Fraction``. Both refuse alike, with a ParseError."""
     token = text.strip()
-    terms = _plain_terms(token)
-    exponent = None if terms else _EXPONENT_RE.search(token)
+    num, slash, den = token.partition("/")
+    plain = num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit())
+    exponent = None if plain else _EXPONENT_RE.search(token)
     if exponent:
         digits = exponent[1].replace("_", "").lstrip("0")
         if len(digits) > 4 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
@@ -81,24 +89,15 @@ def parse_ratio(text: str) -> Fraction:
                 f"+-{MAX_DECIMAL_EXPONENT}"
             )
     try:
-        return Fraction(*terms) if terms else Fraction(token)
+        if not plain:
+            return Fraction(token).as_integer_ratio()
+        n, d = int(num), int(den) if slash else 1
+        g = math.gcd(n, d) if d else 0  # n/0 divides by zero below
+        return n // g, d // g
     except (ValueError, ZeroDivisionError):
         raise ParseError(
             f"cannot parse ratio {_excerpt(token)!r} (expected 'p/q' or a decimal)"
         ) from None
-
-
-def _plain_terms(token: str) -> tuple[int, int] | None:
-    """The integers n, d of plain ASCII digits "n" or "n/d" (d = 1 for "n"),
-    not reduced and d possibly 0; None for any other text, and for digits
-    too long for ``int()``, which ``Fraction`` refuses alike."""
-    num, slash, den = token.partition("/")
-    if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
-        try:
-            return int(num), int(den) if slash else 1
-        except ValueError:
-            pass
-    return None
 
 
 def _excerpt(text: str) -> str:

@@ -14,14 +14,17 @@ cells and the note name; a ``table_csv`` row is one fill of the template
 handed to a writer are read as rows. It formats each score object once a
 call, keyed by its identity: a generated table shares one
 ``ConsonanceScore`` per distinct score, and ``TuningDocument.from_json``
-builds one per distinct score text and reads each interval's plain "n/d"
-digits as integers.
+builds one per distinct score text and reads each interval as integers in
+lowest terms through the one ratio reader, ``core._ratio_terms``.
 Every cell is formatted from numerators and denominators, with no Fraction
-arithmetic; score floats are shown by the one display rule,
-``core._display_score``. There is one JSON writer, ``to_json``: its bytes
-are those of ``json.dumps(..., indent=2, ensure_ascii=False)``, but only the
-metadata goes through ``json.dumps``, and each entry is filled into one
-template, with no dict per entry (``as_dict`` reads that text back).
+arithmetic; a score's terms, its total (a + h) / 2 included, come from one
+function, ``_score_terms``, and its floats are shown by the one display
+rule, ``core._display_score``. The text table's consonance order builds one
+Fraction per distinct total, to rank the totals. There is one JSON writer,
+``to_json``: its bytes are those of ``json.dumps(..., indent=2,
+ensure_ascii=False)``, but only the metadata goes through ``json.dumps``,
+and each entry is filled into one template, with no dict per entry
+(``as_dict`` reads that text back).
 The other CSVs the package writes go through ``csv_text``, which joins the
 cells of each row with "," (no cell the package writes needs quoting);
 ``table_csv`` writes the same bytes from its template. Each writer still builds
@@ -40,7 +43,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, T
 
 from . import __version__
 from .consonance import ConsonanceScore
-from .core import _cents_of, _display_score, _plain_terms, _ratio_text, _scientific, cents, parse_ratio
+from .core import _cents_of, _display_score, _ratio_terms, _ratio_text, _scientific, cents, parse_ratio
 from .notes import _note_in_span
 from .tuning import TuningEntry, TuningTable, _check_order, _entry_rows
 
@@ -124,12 +127,10 @@ def _joined_cells(score: ConsonanceScore) -> str:
 
 def _float_cells(score: ConsonanceScore) -> tuple[str, str, str]:
     """The affinity, harmonicity and total cells of a CSV row, formatted from
-    numerators and denominators alone: an int divided by an int is correctly
-    rounded, so each float equals ``float()`` of its Fraction, the total's
-    included."""
-    a, h = score.affinity, score.harmonicity
-    an, ad, hn, hd = a.numerator, a.denominator, h.numerator, h.denominator
-    return _float_cell(an, ad), _float_cell(hn, hd), _float_cell(an * hd + hn * ad, 2 * ad * hd)
+    their ``_score_terms``: an int divided by an int is correctly rounded, so
+    each float equals ``float()`` of its Fraction."""
+    (an, ad), (hn, hd), (tn, td) = _score_terms(score)
+    return _float_cell(an, ad), _float_cell(hn, hd), _float_cell(tn, td)
 
 
 def _float_cell(n: int, d: int) -> str:
@@ -150,16 +151,21 @@ def curve_csv(points: Iterable[CurvePoint]) -> str:
 _SCORE_LABELS = ("affinity", "harmonicity", "total")
 
 
-def _score_fields(score: ConsonanceScore) -> tuple[tuple[int, int], tuple, tuple]:
-    """A score's total as (numerator, denominator) in lowest terms, the exact
-    "p/q" texts of affinity, harmonicity and total, and their
-    ``_display_score`` values (JSON and text alike), from numerators and
-    denominators alone: the total (a + h) / 2 takes one gcd."""
-    a, h = score.affinity, score.harmonicity
-    an, ad, hn, hd = a.numerator, a.denominator, h.numerator, h.denominator
+def _score_terms(score: ConsonanceScore) -> tuple[tuple[int, int], ...]:
+    """A score's affinity, harmonicity and total (a + h) / 2, each as
+    (numerator, denominator) in lowest terms: the total takes one gcd and no
+    Fraction arithmetic. The one place a total's terms are derived."""
+    a, h = score.affinity.as_integer_ratio(), score.harmonicity.as_integer_ratio()
+    (an, ad), (hn, hd) = a, h
     tn, td = an * hd + hn * ad, 2 * ad * hd
     g = math.gcd(tn, td)
-    terms = ((an, ad), (hn, hd), (tn // g, td // g))
+    return a, h, (tn // g, td // g)
+
+
+def _score_fields(score: ConsonanceScore) -> tuple[tuple[int, int], tuple, tuple]:
+    """A score's total terms, the exact "p/q" texts of affinity, harmonicity
+    and total, and their ``_display_score`` values (JSON and text alike)."""
+    terms = _score_terms(score)
     return (
         terms[2],
         tuple(_ratio_text(n, d, True, label) for (n, d), label in zip(terms, _SCORE_LABELS)),
@@ -216,8 +222,13 @@ def _render_text(doc: TuningDocument, order: str) -> str:
     """A document as a text table, in interval or consonance order."""
     rows: Iterable = _formatted(doc, _text_scores, _text_row)
     if order == "consonance":
-        # rows ascend by interval, and the sort is stable: equal totals keep that order
-        rows = sorted(rows, key=lambda row: -Fraction(*row[0]))
+        # each distinct total is ranked once, its terms in lowest terms; the
+        # rows ascend by interval and the sort is stable, so equal totals
+        # keep that order
+        rows = list(rows)
+        totals = sorted({total for total, _ in rows}, key=lambda total: Fraction(*total), reverse=True)
+        rank = {total: i for i, total in enumerate(totals)}
+        rows.sort(key=lambda row: rank[row[0]])
     head = (
         f"# {doc.metadata['generator']} tuning  F={doc.metadata['context']}  F'={doc.metadata['complement']}\n"
         f"{'interval':>10}  {'cents':>10}  {'affinity':>16}  {'harmonicity':>18}  {'total':>16}  note"
@@ -233,19 +244,6 @@ def _refuse_constant(name: str) -> None:
 
 def _ratio_field(raw: dict, index: int, field: str) -> Fraction:
     return parse_ratio(_text_field(raw, index, field))
-
-
-def _interval_field(raw: dict, index: int) -> tuple[int, int]:
-    """An entry's interval as n, d in lowest terms: plain digits "n/d", the
-    form every document writes, are read as integers, and any other text by
-    ``parse_ratio``, which accepts and refuses as it does for every field."""
-    text = _text_field(raw, index, "interval")
-    terms = _plain_terms(text)
-    if terms is None or not terms[1]:
-        return parse_ratio(text).as_integer_ratio()
-    n, d = terms
-    g = math.gcd(n, d)
-    return n // g, d // g
 
 
 def _text_field(raw: dict, index: int, field: str) -> str:
@@ -368,21 +366,21 @@ class TuningDocument:
                     f"invalid tuning document: entry {index} field 'note' must be a string, "
                     f"not {type(note).__name__}"
                 )
-            n, d = _interval_field(raw, index)
+            n, d = _ratio_terms(_text_field(raw, index, "interval"))
+            if n <= 0:
+                raise ValueError(f"invalid tuning document: entry {index} field 'interval' must be positive")
             texts = tuple(raw.get(field) for field in _SCORE_LABELS)
             score = scores.get(texts) if all(type(t) is str for t in texts) else None
             if score is None:
                 a, h = _ratio_field(raw, index, "affinity"), _ratio_field(raw, index, "harmonicity")
                 score = ConsonanceScore(a, h)
-                if "total" in raw:
-                    t = _ratio_field(raw, index, "total")
-                    # t == (a + h) / 2, cross-multiplied
-                    an, ad, hn, hd = a.numerator, a.denominator, h.numerator, h.denominator
-                    if 2 * t.numerator * ad * hd != t.denominator * (an * hd + hn * ad):
-                        raise ValueError(
-                            f"inconsistent entry: total {raw['total']} is not the mean of "
-                            f"affinity and harmonicity at interval {raw['interval']}"
-                        )
+                # both totals in lowest terms: equal terms are equal values
+                total = "total" in raw and _ratio_field(raw, index, "total").as_integer_ratio()
+                if total and total != _score_terms(score)[2]:
+                    raise ValueError(
+                        f"inconsistent entry: total {raw['total']} is not the mean of "
+                        f"affinity and harmonicity at interval {raw['interval']}"
+                    )
                 scores[texts] = score
             rows.append((n, d, score))
             notes.append(note)

@@ -5,6 +5,9 @@ one block per panel, and curve overlays get a sidecar block). CSVs carry
 exact interval ratios plus float columns sufficient to re-plot the scenario;
 plotting itself is out of scope. The curve builders import the numpy-backed
 roughness module when they run, so the other figures never load numpy.
+There is one distribution, ``_distribution``: the harmonic tuning of a unit
+singleton at h = 0. fig5_5, fig5_6 and fig8_1 format its integer rows
+through ``document._formatted``, as every table figure does.
 """
 
 from __future__ import annotations
@@ -12,16 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
-from .consonance import thomae_classical, thomae_modified
-from .core import FrequencySet, _excerpt, cents, format_ratio, harmonic_set
+from .core import FrequencySet, _excerpt, harmonic_set
 from .document import _float_cells, _formatted, csv_text, curve_csv, table_csv
-from .tuning import (
-    affinitive_tuning,
-    enumerate_rationals,
-    harmonic_tuning,
-    octave_reduce,
-    superset_tuning,
-)
+from .tuning import TuningTable, affinitive_tuning, harmonic_tuning, octave_reduce, superset_tuning
 
 __all__ = ["emit_figure_data", "supported_figures"]
 
@@ -110,21 +106,24 @@ def _fig5_4(params: Params) -> dict[str, str]:
     return {"fig5_4": table_csv(affinitive_tuning(inh, inh))}
 
 
-def _fig5_5(params: Params) -> dict[str, str]:
+def _distribution(params: Params) -> TuningTable:
+    """The one distribution behind fig5_5, fig5_6 and fig8_1: the harmonic
+    tuning of a unit singleton at h = 0, every reduced t in [1/8, 8] with
+    denominator up to max_den, its row n/d in lowest terms."""
     single = FrequencySet([C4_FUNDAMENTAL])
-    table = harmonic_tuning(single, single, 0, Fraction(1, 8), 8, _max_den(params))
-    return {"fig5_5": table_csv(table)}
+    return harmonic_tuning(single, single, 0, Fraction(1, 8), 8, _max_den(params))
+
+
+def _fig5_5(params: Params) -> dict[str, str]:
+    return {"fig5_5": table_csv(_distribution(params))}
 
 
 def _fig5_6(params: Params) -> dict[str, str]:
-    single = FrequencySet([C4_FUNDAMENTAL])
-    table = harmonic_tuning(single, single, 0, Fraction(1, 8), 8, _max_den(params))
+    # thomae_modified(n/d) is 1/max(n, d); an int over an int is correctly rounded
     rows = _formatted(
-        table,
+        _distribution(params),
         _float_cells,
-        lambda n, d, c, cells, _: [
-            f"{n}/{d}", f"{c:.4f}", cells[2], repr(float(thomae_modified(Fraction(n, d))))
-        ],
+        lambda n, d, c, cells, _: [f"{n}/{d}", f"{c:.4f}", cells[2], repr(1 / max(n, d))],
     )
     return {"fig5_6": csv_text(["interval_ratio", "cents", "total", "thomae_modified"], rows)}
 
@@ -228,15 +227,10 @@ def _fig5_14(params: Params) -> dict[str, str]:
 
 
 def _fig8_1(params: Params) -> dict[str, str]:
-    rows = []
-    for t in enumerate_rationals(Fraction(1, 8), 8, _max_den(params)):
-        rows.append(
-            [
-                format_ratio(t, always_slash=True),
-                f"{cents(t):.4f}",
-                repr(float(thomae_classical(t))),
-            ]
-        )
+    # thomae_classical(n/d) is 1/d; the row's score is not shown
+    rows = _formatted(
+        _distribution(params), lambda _: (), lambda n, d, c, _, __: [f"{n}/{d}", f"{c:.4f}", repr(1 / d)]
+    )
     return {"fig8_1": csv_text(["interval_ratio", "cents", "thomae"], rows)}
 
 

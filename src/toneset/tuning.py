@@ -22,9 +22,11 @@ and tF', the threshold test and the score are computed, on those integers.
 It tests the threshold on the largest union |N| + |M| first, so a candidate
 that cannot clear it is rejected before its overlap is counted.
 A kept candidate leaves ``_scored`` as a row (n, d, score) of a
-``TuningTable``, n/d = p*a/(q*b) in lowest terms, so no other code knows
-these coordinates; a ``Fraction`` is built only when a library caller
-reads ``entries`` or ``intervals``, and the writers read the rows.
+``TuningTable``, n/d = p*a/(q*b) in lowest terms (``_scored``'s rn/rd is
+a/b). Only ``harmonic_tuning`` and ``octave_reduce`` also know these
+coordinates: they map intervals into them through their rn/rd = b/a. A
+``Fraction`` is built only when a library caller reads ``entries`` or
+``intervals``, and the writers read the rows.
 The public consonance functions compute the same Fractions from the sets
 themselves and are the oracle the tests compare against. The generators
 differ only in their pairs; all but affinitive take them from

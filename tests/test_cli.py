@@ -283,6 +283,19 @@ class TestDocumentPipelines:
         assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["reduce-octave", "export-scl"])
+    @pytest.mark.parametrize("interval", ["0", "-3/2"])
+    def test_non_positive_interval_is_domain_error(self, tmp_path, capsys, command, interval):
+        # the first entry, so no entry below it fails the order check first
+        _, out, _ = run(["affinitive", "262*N6", "262*N6"], capsys)
+        data = json.loads(out)
+        data["entries"][0]["interval"] = interval
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(json.dumps(data))
+        code, out, err = run([command, "--in", str(doc_path)], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: invalid tuning document: entry 0 field 'interval' must be positive\n"
+
+    @pytest.mark.parametrize("command", ["reduce-octave", "export-scl"])
     @pytest.mark.parametrize(
         "field, value, message",
         [

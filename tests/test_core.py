@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from toneset import (
     FrequencySet,
@@ -19,7 +19,7 @@ from toneset import (
     total_period,
     transpose,
 )
-from toneset.core import MAX_DECIMAL_EXPONENT, MAX_HARMONIC_PARTIALS, _display_score, _excerpt
+from toneset.core import MAX_DECIMAL_EXPONENT, MAX_HARMONIC_PARTIALS, _display_score, _excerpt, _ratio_terms
 
 ratios = st.fractions(min_value=F(1, 30), max_value=F(50), max_denominator=30)
 freq_sets = st.sets(ratios, min_size=1, max_size=6).map(FrequencySet)
@@ -123,6 +123,88 @@ class TestParseRatioDigits:
     @given(st.text(alphabet="0123456789/+-._ .²١", max_size=12))
     def test_random_text_agrees_with_fraction(self, text):
         assert parsed_or_refusal(text) == fraction_or_refusal(text)
+
+
+def reference_terms(text):
+    """The reference reader: ``Fraction`` reads the stripped text, unless its
+    last "e" or "E" is followed, to the end, by an optional sign and decimal
+    digits and underscores worth more than ``MAX_DECIMAL_EXPONENT``; every
+    failure is one refusal message."""
+    token = text.strip()
+    cut = max(token.rfind("e"), token.rfind("E"))
+    if cut >= 0:
+        tail = token[cut + 1:]
+        tail = tail[1:] if tail.startswith(("+", "-")) else tail
+        if all(c == "_" or c.isdecimal() for c in tail):
+            digits = tail.replace("_", "").lstrip("0")
+            if len(digits) > 4 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+                return f"cannot parse ratio {_excerpt(token)!r}: decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}"
+    try:
+        return F(token).as_integer_ratio()
+    except (ValueError, ZeroDivisionError):
+        return f"cannot parse ratio {_excerpt(token)!r} (expected 'p/q' or a decimal)"
+
+
+def terms_or_refusal(text):
+    """``_ratio_terms``'s terms, or its refusal message; ``parse_ratio``
+    agrees with it either way."""
+    try:
+        terms = _ratio_terms(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as again:
+            parse_ratio(text)
+        assert str(again.value) == str(exc)
+        return str(exc)
+    assert parse_ratio(text).as_integer_ratio() == terms
+    return terms
+
+
+_DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=8)
+_PLAIN = st.one_of(
+    _DIGITS,  # leading zeros included
+    st.builds("{}/{}".format, _DIGITS, _DIGITS),  # n/0 and 0/0 included
+    st.builds(lambda n, d, k: f"{n * k}/{d * k}", st.integers(0, 10**6), st.integers(1, 10**6),
+              st.integers(1, 1000)),  # not reduced
+    st.sampled_from(["1" * 4301, "0" * 4300 + "7", "7/" + "3" * 4301, "4" * 4300 + "/" + "6" * 4300]),
+)
+_DECIMALS = st.builds(
+    "{}{}.{}".format, st.sampled_from(["", "+", "-"]), st.text("0123456789", max_size=5),
+    st.text("0123456789", max_size=5),
+)
+_EXPONENT_DIGITS = st.sampled_from(
+    ["0", "4300", "04300", "4_300", "4301", "4_301", "0004301", "99999", "1" * 20, "٤٣٠٠", "٤٣٠١", "", "_"]
+)
+_EXPONENTS = st.builds(
+    "{}{}{}{}".format, st.sampled_from(["1", "2.5", "-3", ".5", "7/2", "1_0", "x"]),
+    st.sampled_from(["e", "E"]), st.sampled_from(["", "+", "-", "+-"]), _EXPONENT_DIGITS,
+)
+_ODD = st.text(alphabet="0123456789/+-._ eE²١٢", max_size=12)  # underscores, non-ASCII digits
+_SPACES = st.sampled_from(["", " ", "\t", " \n"])
+_RATIO_TEXTS = st.builds(
+    "{}{}{}".format, _SPACES, st.one_of(_PLAIN, _DECIMALS, _EXPONENTS, _ODD), _SPACES
+)
+
+
+class TestRatioTerms:
+    """The one ratio reader reads and refuses as ``Fraction`` behind the
+    exponent guard, in lowest terms, for ``parse_ratio`` and documents alike."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_RATIO_TEXTS)
+    @example("5/0")
+    @example("0/0")
+    @example("1" * 4301)
+    @example("1e4301")
+    @example("")
+    def test_agrees_with_the_reference_reader(self, text):
+        assert terms_or_refusal(text) == reference_terms(text)
+
+    @pytest.mark.parametrize("text, terms", [
+        ("006/004", (3, 2)), ("0/5", (0, 1)), (" 440 ", (440, 1)), ("2.76", (69, 25)),
+        ("-6/4", (-3, 2)), ("1_0/4", (5, 2)), ("١٢/8", (3, 2)),
+    ])
+    def test_lowest_terms(self, text, terms):
+        assert _ratio_terms(text) == terms
 
 
 class TestGcdSet:

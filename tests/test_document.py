@@ -88,6 +88,15 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="mean"):
             TuningDocument.from_json(json.dumps(data))
 
+    @pytest.mark.parametrize("interval", ["0", "0/5", "-0", "-3/2", "-0.5"])
+    def test_non_positive_interval_rejected(self, interval):
+        data = json.loads(c4_document().to_json())
+        data["entries"][0]["interval"] = interval  # no entry below it to fail the order check
+        with pytest.raises(
+            ValueError, match=r"^invalid tuning document: entry 0 field 'interval' must be positive$"
+        ):
+            TuningDocument.from_json(json.dumps(data))
+
     def test_unsorted_entries_rejected(self):
         data = json.loads(c4_document().to_json())
         data["entries"].reverse()
@@ -481,6 +490,37 @@ class TestJsonWriter:
         out = tmp_path / "a.json"
         code = main(["affinitive", "1,1e4299", "1e-1", "-o", str(out)])
         assert (code, capsys.readouterr().out, out.exists()) == (3, "", False)
+
+
+class TestScoreTerms:
+    """``_score_terms`` is the one derivation of a score's terms."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.builds(ConsonanceScore, _UNIT | _TINY | st.fractions(), _UNIT | _TINY | st.fractions()))
+    def test_terms_of_affinity_harmonicity_and_total(self, score):
+        assert document._score_terms(score) == tuple(
+            value.as_integer_ratio() for value in (score.affinity, score.harmonicity, score.total)
+        )
+
+
+# scores from a few values, so that many rows share a total: (a, h) and (h, a) always do
+_TIED = st.sampled_from([F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1)])
+_TIED_ENTRIES = st.lists(st.tuples(st.builds(F, _HUGE, _HUGE), _TIED, _TIED), max_size=30).map(
+    lambda rows: [TuningEntry(t, ConsonanceScore(a, h)) for t, a, h in sorted({r[0]: r for r in rows}.values())]
+)
+
+
+class TestConsonanceOrder:
+    """The consonance order ranks each distinct total once and keeps equal
+    totals in interval order, as a stable sort of the rows by -total does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_TIED_ENTRIES)
+    def test_equals_the_per_row_fraction_sort(self, entries):
+        doc = TuningDocument({"generator": "g", "context": "1", "complement": "1"}, tuple(entries))
+        lines = _render_text(doc, "interval").splitlines(keepends=True)
+        ranked = sorted(zip(lines[2:], entries), key=lambda pair: -pair[1].score.total)
+        assert _render_text(doc, "consonance") == "".join(lines[:2] + [line for line, _ in ranked])
 
 
 def text_rows(text):

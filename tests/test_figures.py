@@ -1,10 +1,20 @@
 import csv
 import io
+import json
 from fractions import Fraction as F
 
 import pytest
 
-from toneset import emit_figure_data, supported_figures
+from toneset import (
+    cents,
+    emit_figure_data,
+    enumerate_rationals,
+    format_ratio,
+    supported_figures,
+    thomae_classical,
+    thomae_modified,
+)
+from toneset.cli import main
 
 
 def rows(text):
@@ -90,3 +100,27 @@ class TestTuningFigures:
     def test_curve_figures_have_three_resolutions(self):
         parts = emit_figure_data("fig4_3", {"steps": 50})
         assert len(parts) == 3
+
+
+@pytest.mark.parametrize("max_den", [1, 7, 16, 60])
+def test_one_distribution(max_den, capsys):
+    """fig8_1 equals a reference built from ``enumerate_rationals`` and
+    ``thomae_classical``, and fig5_5, fig5_6 and the ``thomae`` document have
+    its intervals."""
+    params = {"max_den": max_den}
+    reference = "interval_ratio,cents,thomae\n" + "".join(
+        f"{format_ratio(t, always_slash=True)},{cents(t):.4f},{float(thomae_classical(t))!r}\n"
+        for t in enumerate_rationals(F(1, 8), 8, max_den)
+    )
+    thomae = emit_figure_data("fig8_1", params)["fig8_1"]
+    assert thomae == reference
+    intervals = [r["interval_ratio"] for r in rows(thomae)]
+    assert [r["interval_ratio"] for r in rows(emit_figure_data("fig5_5", params)["fig5_5"])] == intervals
+    modified = rows(emit_figure_data("fig5_6", params)["fig5_6"])
+    assert [r["interval_ratio"] for r in modified] == intervals
+    assert [r["thomae_modified"] for r in modified] == [
+        repr(float(thomae_modified(F(t)))) for t in intervals
+    ]
+    assert main(["thomae", "--max-den", str(max_den)]) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert [e["interval"] for e in document["entries"]] == intervals

@@ -62,6 +62,21 @@ FIGURE_PARTS = {
     "fig8_1": "75f7514ad281e3dc06ca06a17d0d48fa6f434a7874eae7fc8fdc63f4cf147a76",
 }
 
+# the one distribution, the unit singleton's harmonic tuning at h = 0 (fig5_5,
+# fig5_6 and fig8_1), at the default max_den 60 and at 7
+DISTRIBUTION_PARTS = {
+    60: {
+        "fig5_5": "b12b1b88486497e9f17dcffeb6b8c1db986976c27b8cd71c1901b2470c940543",
+        "fig5_6": "9e606370fe57027029632f5d7a31ec1299ec40f5a7eb384b7b28f70f338425bb",
+        "fig8_1": "256214634ed38734b0691db2356e05803def455da790424a6d0a4d3643a50059",
+    },
+    7: {
+        "fig5_5": "7779a6c4d5b3203a13b3f3834b36886ce78d38b0713dd2e617733229dd727301",
+        "fig5_6": "fdf9878060c2536cce3c717c3b96adece1f72d74da82c6ea50fba35fda2bdc5b",
+        "fig8_1": "a8f3e97a26aa2507eae6f89e1b3e2b1e3b147138f7b7b842d13ee4fefba2786e",
+    },
+}
+
 # the six-partial inharmonic spectrum of fig4_2 and fig5_4, explicitly
 INHARMONIC = "262,723.12,1417.42,2342.28,3497.7,4886.3"
 
@@ -84,6 +99,9 @@ DOCUMENTS = {
         "c47f37fde0166409bf29b7a0815db2570a23b494e844e710e9753220bd575e81",
     ("affinitive", INHARMONIC, INHARMONIC, "--format", "text"):
         "37e80b9a56bd6d5f4567243cd13d0cf8366eddb3f56cae797a30313ba4af9fcd",
+    # totals 1/max(p, q), each shared by several intervals, kept in interval order
+    ("thomae", "--max-den", "12", "--format", "text", "--order", "consonance"):
+        "22148df66dd34e0ad4f5d45106d29fa7733c5370ecc6ebf1134d898e177b8543",
 }
 
 # reduce-octave of the ("affinitive", "262*N6", "262*N6", "--notes") document
@@ -150,6 +168,13 @@ def test_every_table_part_of_every_figure_is_pinned():
             parts.update(emit_figure_data(figure_id, FIGURE_PARAMS))
     parts.pop("fig5_1_dissonance")
     assert {name: sha256(text) for name, text in parts.items()} == FIGURE_PARTS
+
+
+@pytest.mark.parametrize("max_den", list(DISTRIBUTION_PARTS))
+def test_distribution_figures_are_pinned(max_den):
+    params = {} if max_den == 60 else {"max_den": max_den}
+    parts = {name: emit_figure_data(name, params)[name] for name in DISTRIBUTION_PARTS[max_den]}
+    assert {name: sha256(text) for name, text in parts.items()} == DISTRIBUTION_PARTS[max_den]
 
 
 @pytest.mark.parametrize("name", list(GENERATOR_TABLES))
