@@ -266,11 +266,13 @@ class TuningDocument:
     ``entries`` is a view of them, built on first read: for a document
     without note names, the table's own entries. ``from_table`` takes the
     rows of a table; the constructor and ``from_json`` refuse entries that
-    do not strictly ascend by interval, so every document reads back.
+    do not strictly ascend by interval or are not positive, so every
+    document reads back.
     """
 
     def __init__(self, metadata: dict, entries: tuple[TuningEntry, ...]):
-        table = TuningTable(entries, metadata.get("generator", "unknown"))  # checks the order
+        # the table refuses entries out of order or not positive
+        table = TuningTable(entries, metadata.get("generator", "unknown"))
         self._hold(metadata, table, [e.note for e in entries], entries)
 
     def _hold(self, metadata: dict, table: TuningTable, notes: Iterable, entries=None) -> None:

@@ -77,7 +77,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import islice, pairwise
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .consonance import ConsonanceScore, _superset_count
 from .core import FrequencySet, RatioLike, _excerpt, format_ratio, to_ratio
@@ -123,8 +123,9 @@ class TuningTable:
     metadata.
 
     A table holds its entries as rows ``(n, d, score)``, each interval n/d
-    in lowest terms. A generated table has the rows alone and builds
-    ``entries`` and ``intervals`` on first read.
+    in lowest terms; the constructor refuses intervals that do not strictly
+    ascend or are not positive. A generated table has the rows alone and
+    builds ``entries`` and ``intervals`` on first read.
     """
 
     entries: tuple[TuningEntry, ...]
@@ -162,10 +163,13 @@ def _entry_rows(entries: Iterable[TuningEntry]) -> tuple[tuple[int, int, Consona
     return tuple((e.interval.numerator, e.interval.denominator, e.score) for e in entries)
 
 
-def _check_order(rows: Iterable[tuple[int, int, ConsonanceScore]]) -> None:
-    """Refuse rows that are not strictly increasing by p/q."""
+def _check_order(rows: Sequence[tuple[int, int, ConsonanceScore]]) -> None:
+    """Refuse rows that are not strictly increasing by p/q, or whose first
+    p/q (and so every one, if the order holds) is not positive."""
     if any(c * b <= a * d for (a, b, _), (c, d, _) in pairwise(rows)):
         raise ValueError("tuning entries must be strictly increasing by interval")
+    if rows and rows[0][0] <= 0:
+        raise ValueError("interval must be positive")
 
 
 def _scored(
@@ -555,8 +559,6 @@ def octave_reduce(
     gcd = math.gcd
     folded = set()
     for n, d, _ in table._rows:
-        if n <= 0:
-            raise ValueError("interval must be positive")
         gap = n.bit_length() - d.bit_length()
         if gap > 0:
             d <<= gap

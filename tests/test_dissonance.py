@@ -17,7 +17,8 @@ from toneset import (
     pair_roughness,
     spectrum_roughness,
 )
-from toneset.dissonance import _check_pairs, _chunk_rows
+from toneset import dissonance
+from toneset.dissonance import _check_pairs, _chunk_rows, _skip_cut, _upper_pairs
 
 C4 = harmonic_set(262, 6)
 
@@ -27,6 +28,27 @@ def all_pairs_roughness(freqs, params=DEFAULT_PARAMS):
     return math.fsum(
         pair_roughness(a, b, params) for i, a in enumerate(freqs) for b in freqs[i + 1 :]
     )
+
+
+def oracle_totals(F_, G, ts, params):
+    """all_pairs_roughness at each t, or None where math.exp overflows or
+    a kernel denominator is 0."""
+    totals = []
+    for t in ts:
+        try:
+            totals.append(all_pairs_roughness(list(F_) + [t * g for g in G], params))
+        except (OverflowError, ZeroDivisionError):
+            totals.append(None)
+    return totals
+
+
+def assert_matches_oracle(d, want, pairs):
+    # the tolerance of TestDissonanceCurve.test_matches_all_pairs_sum
+    assert math.isclose(d, want, rel_tol=1e-12, abs_tol=1e-14 * pairs), (d, want)
+
+
+# a skipped pair's kernel value may exceed 2^-100 only by the rounding of its x
+SKIP_BOUND = 2.0**-100 * (1 + 1e-9)
 
 
 def interior_minima(values):
@@ -112,6 +134,197 @@ def sweeps(draw):
     t_hi = draw(st.floats(1.05, 4.0))
     chi_star = draw(st.sampled_from([0.24, 0.03, 0.003]))
     return [float(f) for f in F_], [float(g) for g in G], t_hi, steps, chi_star
+
+
+@st.composite
+def wide_sweeps(draw):
+    """1-40 partials each side, spread log-uniformly over 20 Hz - 20 kHz so
+    that a sweep skips pairs, some shared between F and G; a chunk of 1-40
+    steps (most not dividing 16) and a step count on either side of the
+    first chunk and block boundaries or past several of them."""
+    freqs = st.floats(math.log(20), math.log(20000)).map(math.exp)
+    F_ = draw(st.lists(freqs, min_size=1, max_size=40, unique=True))
+    G = draw(st.lists(st.one_of(st.sampled_from(F_), freqs), min_size=1, max_size=40, unique=True))
+    rows = draw(st.sampled_from([1, 2, 3, 5, 7, 16, 17, 40]))
+    block = rows * -(-16 // rows)
+    steps = draw(
+        st.sampled_from([rows, rows + 1, block - 1, block, block + 1, 2 * block + rows + 1])
+        | st.integers(2, 3 * block + 2)
+    )
+    t_lo = draw(st.sampled_from([1.0, 0.5, 0.93]))
+    t_hi = t_lo * draw(st.floats(1.05, 8.0))
+    chi_star = draw(st.sampled_from([0.24, 1.0, 0.03]))
+    return F_, G, t_lo, t_hi, rows, max(2, steps), DissonanceParams(chi_star=chi_star)
+
+
+def chunk_elements(F_, G, rows):
+    """The chunk budget that makes a sweep of F_ against G ``rows`` steps a chunk."""
+    return rows * max(len(F_) * len(G), len(G) * (len(G) - 1) // 2)
+
+
+class TestSkippedPairs:
+    """Pairs whose kernel cannot exceed 2^-100 are left out of a sweep, per
+    block of at least 16 steps for cross pairs and once for pairs within
+    tF'; the totals still match the all-pairs oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_sweeps(), st.data())
+    def test_matches_all_pairs_sum_at_every_boundary(self, sweep, data):
+        F_, G, t_lo, t_hi, rows, steps, params = sweep
+        with mock.patch.object(dissonance, "_CHUNK_ELEMENTS", chunk_elements(F_, G, rows)):
+            assert _chunk_rows(len(F_), len(G)) == rows
+            points = dissonance_curve(F_, G, t_lo, t_hi, steps, params)
+        ts = np.geomspace(t_lo, t_hi, steps).tolist()
+        assert [p.t for p in points] == ts
+        # both sides of every chunk boundary, and so of every block boundary
+        picked = {0, steps - 1, data.draw(st.integers(0, steps - 1))}
+        picked |= {i + d for i in range(rows, steps, rows) for d in (-1, 0)}
+        picked = sorted(picked)
+        pairs = math.comb(len(F_) + len(G), 2)
+        for i, want in zip(picked, oracle_totals(F_, G, [ts[i] for i in picked], params)):
+            assert_matches_oracle(points[i].dissonance, want, pairs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(wide_sweeps())
+    def test_every_skipped_pair_is_below_the_bound(self, sweep):
+        F_, G, t_lo, t_hi, rows, steps, params = sweep
+        chunks, kept_within = [], []
+        cross_chunks, moving_pairs = dissonance._cross_chunks, dissonance._moving_pairs
+
+        def record_chunks(*args):
+            for chunk in cross_chunks(*args):
+                chunks.append(chunk)
+                yield chunk
+
+        def record_within(*args):
+            kept_within.append(moving_pairs(*args))
+            return kept_within[-1]
+
+        with mock.patch.multiple(
+            dissonance,
+            _CHUNK_ELEMENTS=chunk_elements(F_, G, rows),
+            _cross_chunks=record_chunks,
+            _moving_pairs=record_within,
+        ):
+            dissonance_curve(F_, G, t_lo, t_hi, steps, params)
+        ts = np.geomspace(t_lo, t_hi, steps)
+        # the chunks walk the steps in order, each with its own t values
+        assert [first for first, *_ in chunks] == list(range(0, steps, rows))
+        for first, t, _, _ in chunks:
+            assert t[:, 0].tolist() == ts[first : first + rows].tolist()
+        # one decision holds for whole chunks and at least 16 steps
+        runs = [[chunks[0]]]
+        for chunk in chunks[1:]:
+            if chunk[2] is runs[-1][-1][2]:
+                runs[-1].append(chunk)
+            else:
+                runs.append([chunk])
+        for run in runs[:-1]:
+            assert sum(t.size for _, t, _, _ in run) >= 16
+        # every cross pair left out of a chunk is negligible at each of its steps
+        for _, t, f, g in chunks:
+            kept = set(zip(f.tolist(), g.tolist()))
+            for a in F_:
+                for b in G:
+                    if (a, b) not in kept:
+                        for s in t[:, 0].tolist():
+                            assert abs(pair_roughness(a, s * b, params)) <= SKIP_BOUND, (a, b, s)
+        # and so is every pair within tF' left out of the whole sweep
+        slope = params.curve_slope / params.chi_star
+        ((lower, dist),) = kept_within
+        kept = set(zip(lower.tolist(), dist.tolist()))
+        every = zip(*(column.tolist() for column in _upper_pairs(np.array(G), slope)))
+        for (i, j), key in zip(zip(*np.triu_indices(len(G), k=1)), every):
+            if key not in kept:
+                for s in ts.tolist():
+                    assert abs(pair_roughness(s * G[i], s * G[j], params)) <= SKIP_BOUND, (i, j, s)
+
+    def test_wide_spectra_skip_most_pairs(self):
+        # every cross pair of these spectra is past the cut for the whole
+        # sweep, and so are the two far pairs within G
+        F_ = [20.0 * k for k in range(1, 5)]
+        G = [2000.0, 2100.0, 9000.0]
+        p = DEFAULT_PARAMS
+        slope, offset, cut = p.curve_slope / p.chi_star, p.curve_offset / p.chi_star, _skip_cut(p)
+        base, moving, ts = np.array(F_), np.array(G), np.geomspace(1.0, 1.5, 40)
+        chunks = list(dissonance._cross_chunks(ts, base, moving, 8, slope, offset, cut))
+        assert [first for first, *_ in chunks] == [0, 8, 16, 24, 32]
+        assert all(f.size == g.size == 0 for _, _, f, g in chunks)
+        _, dist = dissonance._moving_pairs(moving, slope, offset, 1.0, cut)
+        assert dist.tolist() == [100.0]
+        points = dissonance_curve(F_, G, 1.0, 1.5, 40)
+        for p, want in zip(points, oracle_totals(F_, G, [p.t for p in points], DEFAULT_PARAMS)):
+            assert_matches_oracle(p.dissonance, want, math.comb(7, 2))
+
+    def test_skip_cut(self):
+        # at the defaults |kernel(x)| <= 10 e^(-3.51 x) falls below 2^-100 at x = 20.40
+        assert _skip_cut(DEFAULT_PARAMS) == pytest.approx(20.40, abs=0.005)
+        assert 10 * math.exp(-3.51 * _skip_cut(DEFAULT_PARAMS)) == pytest.approx(2.0**-100)
+        for params in (
+            DissonanceParams(weight_fast=0.0, weight_slow=0.0),
+            DissonanceParams(amplitude=0.0),
+            DissonanceParams(amplitude=1e200),
+            DissonanceParams(decay_fast=0.5),
+            DissonanceParams(decay_slow=0.0),
+            DissonanceParams(decay_fast=math.nan),
+            DissonanceParams(curve_offset=-18.96),
+            DissonanceParams(curve_slope=-0.0207),
+            DissonanceParams(curve_slope=0.0, curve_offset=0.0),
+            DissonanceParams(weight_slow=math.inf),
+        ):
+            assert _skip_cut(params) == math.inf, params
+
+    EDGE_PARAMS = {
+        "no-fast-weight": DissonanceParams(weight_fast=0.0),
+        "no-slow-weight": DissonanceParams(weight_slow=0.0),
+        "silent": DissonanceParams(amplitude=0.0),
+        "rising-decay": DissonanceParams(decay_fast=0.5),
+        "negative-offset": DissonanceParams(curve_offset=-18.96),
+    }
+
+    @pytest.mark.parametrize("params", EDGE_PARAMS.values(), ids=EDGE_PARAMS.keys())
+    @pytest.mark.parametrize(
+        "F_, G",
+        [
+            ([262.0 * k for k in range(1, 7)], [262.0 * k for k in range(1, 7)]),
+            (np.geomspace(20, 20000, 30).tolist(), np.geomspace(27, 17000, 25).tolist()),
+            ([1000.0 * k for k in range(1, 9)], [1100.0 * k for k in range(1, 5)]),
+        ],
+        ids=["c4", "wide", "high"],
+    )
+    def test_edge_parameters_match_the_oracle_or_refuse(self, params, F_, G):
+        # whatever the parameters, a sweep agrees with the oracle or refuses
+        # with the one message it always had: no ZeroDivisionError, no log
+        # domain error, and a refusal only where the oracle has no total
+        ts = np.geomspace(1.0, 2.1, 40).tolist()
+        wants = oracle_totals(F_, G, ts, params)
+        try:
+            with np.errstate(all="ignore"):
+                points = dissonance_curve(F_, G, 1.0, 2.1, 40, params)
+        except ValueError as error:
+            assert str(error) == "dissonance cannot be negative or NaN"
+            assert any(w is None or not w >= 0 for w in wants)
+            return
+        pairs = math.comb(len(F_) + len(G), 2)
+        for p, want in zip(points, wants):
+            assert want is not None
+            assert_matches_oracle(p.dissonance, want, pairs)
+
+    def test_one_step_chunk_memory_is_linear_in_the_pairs(self):
+        # 400 * 400 cross pairs overfill a chunk, so every chunk is one step
+        # and every block 16; each block's mask and kept pairs are O(N*M)
+        # (all pairs over a block would be 16 * N*M values per array)
+        F_ = np.geomspace(20, 20000, 400).tolist()
+        G = np.geomspace(25, 19000, 400).tolist()
+        assert _chunk_rows(len(F_), len(G)) == 1
+        tracemalloc.start()
+        try:
+            points = dissonance_curve(F_, G, 1.0, 2.1, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(points) == 20
+        assert peak < 12 * len(F_) * len(G) * 8
 
 
 class TestDissonanceCurve:

@@ -736,11 +736,16 @@ class TestOctaveReduce:
             assert entry.score == total_consonance(contextual, complementary.transpose(entry.interval))
 
     def test_nonpositive_interval_is_refused_as_by_fold_to_octave(self):
+        # no table holds such an interval: the constructor refuses it with
+        # fold_to_octave's message, so octave_reduce never meets one
         score = ConsonanceScore(F(0), F(1))
         for t in (F(0), F(-3, 2)):
-            table = TuningTable((TuningEntry(t, score), TuningEntry(F(2), score)), "x")
             with pytest.raises(ValueError, match="^interval must be positive$"):
-                octave_reduce(table, C4, C4)
+                fold_to_octave(t)
+            with pytest.raises(ValueError, match="^interval must be positive$"):
+                octave_reduce(
+                    TuningTable((TuningEntry(t, score), TuningEntry(F(2), score)), "x"), C4, C4
+                )
 
     def test_reduced_c4_table(self):
         table = octave_reduce(affinitive_tuning(C4, C4), C4, C4)
@@ -792,6 +797,17 @@ class TestTuningTable:
                 (TuningEntry(F(2), score), TuningEntry(F(1), score)),
                 "affinitive",
             )
+
+    @pytest.mark.parametrize("first", [F(-3, 2), F(0)])
+    def test_rejects_non_positive_intervals(self, first):
+        # an ascending table of a non-positive and a positive interval used
+        # to be built, and its writers then failed with a math domain error
+        score = ConsonanceScore(F(1), F(1))
+        entries = (TuningEntry(first, score), TuningEntry(F(3, 2), score))
+        with pytest.raises(ValueError, match="^interval must be positive$"):
+            TuningTable(entries, "superset")
+        with pytest.raises(ValueError, match="^interval must be positive$"):
+            TuningDocument({"generator": "superset"}, entries)
 
     @settings(max_examples=100, deadline=None)
     @given(
