@@ -27,6 +27,7 @@ from .figures import emit_figure_data
 from .notation import canonical_set_expression, parse_set_expression
 from .tuning import (
     TuningTable,
+    _terms,
     affinitive_tuning,
     harmonic_tuning,
     octave_reduce,
@@ -100,7 +101,7 @@ def _emit_document(
 def cmd_consonance(args: argparse.Namespace) -> int:
     contextual = parse_set_expression(args.context)
     complementary = parse_set_expression(args.complement)
-    _, texts, shown = _score_fields(total_consonance(contextual, complementary))
+    _, texts, shown = _score_fields(_terms(total_consonance(contextual, complementary)))
     # every line is formatted before any is written, so a failure prints none
     sys.stdout.write("".join(
         f"{label:<11} = {text} ({_score_text(v)})\n"

@@ -134,6 +134,7 @@ def pair_roughness(
     )
 
 
+@np.errstate(over="ignore")  # an overflowing sum is refused by _checked
 def _kernel_sum(
     x: np.ndarray, params: DissonanceParams, slow: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -268,12 +269,13 @@ def spectrum_roughness(
     params: DissonanceParams = DEFAULT_PARAMS,
 ) -> float:
     """Total roughness of one spectrum: sum over all unordered partial pairs,
-    of which more than ``MAX_TABLE_ENTRIES`` raise ValueError."""
+    of which more than ``MAX_TABLE_ENTRIES`` raise ValueError, as does a
+    total that is negative, NaN or past the float range."""
     freqs = _sized(freqs)
     _check_pairs(len(freqs))
     slope, offset = params.curve_slope / params.chi_star, params.curve_offset / params.chi_star
     lower, dist = _upper_pairs(_as_float_array(freqs, "spectrum"), slope)
-    return float(_kernel_sum(dist / (lower + offset), params))
+    return float(_checked(_kernel_sum(dist / (lower + offset), params)))
 
 
 def dissonance_curve(
@@ -289,9 +291,10 @@ def dissonance_curve(
     Samples are spaced geometrically (uniform in cents). At each sampled t
     the roughness of the combined spectrum F u tF' is summed over all
     partial pairs, within-set pairs included. Non-finite partials or bounds,
-    a top that carries a partial past the float range, and more than
+    a top that carries a partial past the float range, more than
     ``MAX_TABLE_ENTRIES`` steps or partial pairs (the row cap of tuning
-    tables) raise ValueError.
+    tables), and a total that is negative, NaN or past the float range
+    raise ValueError.
     """
     if not (math.isfinite(t_lo) and math.isfinite(t_hi) and 0 < t_lo < t_hi):
         raise ValueError(f"invalid sweep range [{t_lo}, {t_hi}]")
@@ -338,6 +341,14 @@ def dissonance_curve(
         np.divide(dist, x, out=x)
         totals[first : first + t.size] += _kernel_sum(x, params, scratch[: x.size].reshape(x.shape))
     totals += fixed
+    return list(map(tuple.__new__, repeat(CurvePoint), zip(ts.tolist(), _checked(totals).tolist())))
+
+
+def _checked(totals: np.ndarray) -> np.ndarray:
+    """Roughness totals, refused when one is negative, NaN or past the
+    float range (where ``pair_roughness`` raises OverflowError)."""
     if not np.all(totals >= 0):  # NaN fails the comparison too
         raise ValueError("dissonance cannot be negative or NaN")
-    return list(map(tuple.__new__, repeat(CurvePoint), zip(ts.tolist(), totals.tolist())))
+    if not np.all(totals < math.inf):
+        raise ValueError("dissonance exceeds the float range")
+    return totals

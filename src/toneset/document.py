@@ -4,32 +4,16 @@ A tuning document is a table's rows (with note names, on request) plus the
 metadata needed to regenerate and rescore them; it is the interchange
 format between subcommands. Exact rational strings are authoritative; cents
 and float columns are derived on export, so import -> export is
-byte-identical. One per-call pass, ``_formatted``, turns a table's rows
-(``tuning.TuningTable``: reduced intervals n/d and their scores) into the
-rows of every table writer: the CSV of ``table_csv``, the JSON of
-``TuningDocument`` and the text table the CLI prints. Each writer hands it
-a row function that takes the interval's terms, its cents, the score's
-cells and the note name; a ``table_csv`` row is one fill of the template
-"{n}/{d},{cents:.4f},{cells}". No writer builds a ``TuningEntry``; entries
-handed to a writer are read as rows. It formats each score object once a
-call, keyed by its identity: a generated table shares one
-``ConsonanceScore`` per distinct score, and ``TuningDocument.from_json``
-builds one per distinct score text and reads each interval as integers in
-lowest terms through the one ratio reader, ``core._ratio_terms``.
-Every cell is formatted from numerators and denominators, with no Fraction
-arithmetic; a score's terms, its total (a + h) / 2 included, come from one
-function, ``_score_terms``, and its floats are shown by the one display
-rule, ``core._display_score``. The text table's consonance order builds one
-Fraction per distinct total, to rank the totals. There is one JSON writer,
-``to_json``: its bytes are those of ``json.dumps(..., indent=2,
-ensure_ascii=False)``, but only the metadata goes through ``json.dumps``,
-and each entry is filled into one template, with no dict per entry
-(``as_dict`` reads that text back).
-The other CSVs the package writes go through ``csv_text``, which joins the
-cells of each row with "," (no cell the package writes needs quoting);
-``table_csv`` writes the same bytes from its template. Each writer still builds
-its whole output as one string, and ``from_json`` reads a whole document
-into memory.
+byte-identical. Every table writer (``table_csv``, ``TuningDocument.to_json``
+and the text table the CLI prints) is one pass, ``_formatted``, over a
+table's integer rows, with its own cells and row function. No writer
+builds a ``TuningEntry`` or a ``ConsonanceScore``, and ``from_json``
+reads every ratio text as integers through ``core._ratio_terms``; README,
+"Tables are integer rows, and a row is its interval", gives the rows, the
+per-call memo, the score terms, the JSON template and the few Fractions
+built. The other CSVs the package writes go through ``csv_text``. Each
+writer still builds its whole output as one string, and ``from_json``
+reads a whole document into memory.
 """
 
 from __future__ import annotations
@@ -42,10 +26,9 @@ from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, TypeVar
 
 from . import __version__
-from .consonance import ConsonanceScore
-from .core import _cents_of, _display_score, _ratio_terms, _ratio_text, _scientific, cents, parse_ratio
+from .core import _cents_of, _display_score, _ratio_terms, _ratio_text, _scientific, cents
 from .notes import _note_in_span
-from .tuning import TuningEntry, TuningTable, _check_order, _entry_rows
+from .tuning import TuningEntry, TuningTable, _Terms, _check_order, _entry_rows
 
 if TYPE_CHECKING:  # the roughness module loads numpy; only its type is needed
     from .dissonance import CurvePoint
@@ -89,28 +72,29 @@ def table_csv(source: TuningTable | TuningDocument | Iterable[TuningEntry]) -> s
 
 def _formatted(
     source: TuningTable | TuningDocument | Iterable[TuningEntry],
-    cells: Callable[[ConsonanceScore], Any],
+    cells: Callable[[_Terms], Any],
     row: Callable[[int, int, float, Any, Optional[str]], _Row],
 ) -> Iterator[_Row]:
     """The one pass behind every table writer (CSV, JSON, text): for each
-    row, ``row(n, d, cents, cells(score), note)`` with its interval n/d in
-    lowest terms and its note name (None but in an annotated document).
+    row, ``row(n, d, cents, cells(terms), note)`` with its interval n/d in
+    lowest terms, its score terms and its note name (None but in an
+    annotated document).
 
-    The cells are computed once per score object in this call: generated
-    tables share one object per distinct score. The rows hold every score
-    while the call lives, so no id is reused, and the memo goes with the
-    call. A ``row`` that prints an interval term too long for ``int`` text
-    gets ``format_ratio``'s refusal, which names the interval.
+    The cells are computed once per terms object in this call: tables share
+    one object per distinct score. The rows hold every terms object while
+    the call lives, so no id is reused, and the memo goes with the call. A
+    ``row`` that prints an interval term too long for ``int`` text gets
+    ``format_ratio``'s refusal, which names the interval.
     """
     if isinstance(source, TuningDocument):
         rows, notes = source._table._rows, source._notes
     else:
         rows, notes = (source._rows if isinstance(source, TuningTable) else _entry_rows(source)), None
     memo: dict[int, Any] = {}
-    for (n, d, score), note in zip(rows, notes or repeat(None)):
-        found = memo.get(id(score))
+    for (n, d, terms), note in zip(rows, notes or repeat(None)):
+        found = memo.get(id(terms))
         if found is None:
-            found = memo[id(score)] = cells(score)
+            found = memo[id(terms)] = cells(terms)
         try:
             line = row(n, d, _cents_of(n, d), found, note)
         except ValueError:
@@ -119,18 +103,19 @@ def _formatted(
         yield line
 
 
-def _joined_cells(score: ConsonanceScore) -> str:
+def _joined_cells(terms: _Terms) -> str:
     """The three score cells of a CSV row, joined the way ``csv_text``
     joins cells."""
-    return ",".join(_float_cells(score))
+    return ",".join(_float_cells(terms))
 
 
-def _float_cells(score: ConsonanceScore) -> tuple[str, str, str]:
-    """The affinity, harmonicity and total cells of a CSV row, formatted from
-    their ``_score_terms``: an int divided by an int is correctly rounded, so
-    each float equals ``float()`` of its Fraction."""
-    (an, ad), (hn, hd), (tn, td) = _score_terms(score)
-    return _float_cell(an, ad), _float_cell(hn, hd), _float_cell(tn, td)
+def _float_cells(terms: _Terms) -> tuple[str, str, str]:
+    """The affinity, harmonicity and total (an*hd + hn*ad) / (2*ad*hd)
+    cells of a CSV row, formatted from the score terms as they are: an int
+    divided by an int is correctly rounded whatever the reduction, so each
+    float equals ``float()`` of its Fraction."""
+    an, ad, hn, hd = terms
+    return _float_cell(an, ad), _float_cell(hn, hd), _float_cell(an * hd + hn * ad, 2 * ad * hd)
 
 
 def _float_cell(n: int, d: int) -> str:
@@ -151,25 +136,27 @@ def curve_csv(points: Iterable[CurvePoint]) -> str:
 _SCORE_LABELS = ("affinity", "harmonicity", "total")
 
 
-def _score_terms(score: ConsonanceScore) -> tuple[tuple[int, int], ...]:
-    """A score's affinity, harmonicity and total (a + h) / 2, each as
-    (numerator, denominator) in lowest terms: the total takes one gcd and no
-    Fraction arithmetic. The one place a total's terms are derived."""
-    a, h = score.affinity.as_integer_ratio(), score.harmonicity.as_integer_ratio()
-    (an, ad), (hn, hd) = a, h
+def _score_terms(terms: _Terms) -> tuple[tuple[int, int], ...]:
+    """The affinity, harmonicity and total (a + h) / 2 of a row's score
+    terms, each as (numerator, denominator) in lowest terms, by one gcd each
+    and no Fraction. The one place a score's reduced terms are derived."""
+    an, ad, hn, hd = terms
+    g, k = math.gcd(an, ad), math.gcd(hn, hd)
+    an, ad, hn, hd = an // g, ad // g, hn // k, hd // k
     tn, td = an * hd + hn * ad, 2 * ad * hd
     g = math.gcd(tn, td)
-    return a, h, (tn // g, td // g)
+    return (an, ad), (hn, hd), (tn // g, td // g)
 
 
-def _score_fields(score: ConsonanceScore) -> tuple[tuple[int, int], tuple, tuple]:
-    """A score's total terms, the exact "p/q" texts of affinity, harmonicity
-    and total, and their ``_display_score`` values (JSON and text alike)."""
-    terms = _score_terms(score)
+def _score_fields(terms: _Terms) -> tuple[tuple[int, int], tuple, tuple]:
+    """A score's total in lowest terms, the exact "p/q" texts of affinity,
+    harmonicity and total, and their ``_display_score`` values (JSON and
+    text alike), from a row's score terms."""
+    reduced = _score_terms(terms)
     return (
-        terms[2],
-        tuple(_ratio_text(n, d, True, label) for (n, d), label in zip(terms, _SCORE_LABELS)),
-        tuple(_display_score(n, d) for n, d in terms),
+        reduced[2],
+        tuple(_ratio_text(n, d, True, label) for (n, d), label in zip(reduced, _SCORE_LABELS)),
+        tuple(_display_score(n, d) for n, d in reduced),
     )
 
 
@@ -181,10 +168,10 @@ def _score_text(shown: float | str) -> str:
     return f"{shown:.3f}" if shown == round(shown, 3) else f"{shown:.3e}"
 
 
-def _json_scores(score: ConsonanceScore) -> str:
+def _json_scores(terms: _Terms) -> str:
     """The score fields of a JSON document entry, as ``json.dumps`` with
     ``indent=2`` writes them inside an entry."""
-    _, texts, shown = _score_fields(score)
+    _, texts, shown = _score_fields(terms)
     # a shown score is a float, or the _scientific text of one that reads 0
     return _JSON_SCORES.format(
         *texts, *(encode_basestring(v) if isinstance(v, str) else repr(v) for v in shown)
@@ -206,9 +193,9 @@ _JSON_SCORES = (
 )
 
 
-def _text_scores(score: ConsonanceScore) -> tuple[tuple[int, int], str]:
+def _text_scores(terms: _Terms) -> tuple[tuple[int, int], str]:
     """A score's total and the score columns of its text table row."""
-    total, texts, shown = _score_fields(score)
+    total, texts, shown = _score_fields(terms)
     return total, "".join(f"  {text:>8} ({_score_text(v)})" for text, v in zip(texts, shown))
 
 
@@ -240,10 +227,6 @@ def _refuse_constant(name: str) -> None:
     """Refuse the ``NaN``, ``Infinity`` and ``-Infinity`` that Python's JSON
     reader accepts and strict readers do not."""
     raise ValueError(f"invalid tuning document JSON: {name} is not a JSON value")
-
-
-def _ratio_field(raw: dict, index: int, field: str) -> Fraction:
-    return parse_ratio(_text_field(raw, index, field))
 
 
 def _text_field(raw: dict, index: int, field: str) -> str:
@@ -285,8 +268,7 @@ class TuningDocument:
         if self._entries is None:
             table, notes = self._table, self._notes
             self._entries = table.entries if notes is None else tuple(
-                TuningEntry(t, score, note)
-                for t, (_, _, score), note in zip(table.intervals, table._rows, notes)
+                TuningEntry(e.interval, e.score, note) for e, note in zip(table.entries, notes)
             )
         return self._entries
 
@@ -355,9 +337,10 @@ class TuningDocument:
                     f"invalid tuning document: metadata field {field!r} must be "
                     f"{name}, not {type(value).__name__}"
                 )
-        # one score per distinct (affinity, harmonicity, total) text triple,
-        # parsed and checked once, so the writers' memo serves read documents
-        scores: dict[tuple, ConsonanceScore] = {}
+        # one terms object per distinct (affinity, harmonicity, total) text
+        # triple, read and checked once, so the writers' memo serves read
+        # documents
+        scores: dict[tuple, _Terms] = {}
         rows, notes = [], []
         for index, raw in enumerate(data["entries"]):
             if not isinstance(raw, dict):
@@ -372,19 +355,19 @@ class TuningDocument:
             if n <= 0:
                 raise ValueError(f"invalid tuning document: entry {index} field 'interval' must be positive")
             texts = tuple(raw.get(field) for field in _SCORE_LABELS)
-            score = scores.get(texts) if all(type(t) is str for t in texts) else None
-            if score is None:
-                a, h = _ratio_field(raw, index, "affinity"), _ratio_field(raw, index, "harmonicity")
-                score = ConsonanceScore(a, h)
+            terms = scores.get(texts) if all(type(t) is str for t in texts) else None
+            if terms is None:
+                a = _ratio_terms(_text_field(raw, index, "affinity"))
+                terms = (*a, *_ratio_terms(_text_field(raw, index, "harmonicity")))
                 # both totals in lowest terms: equal terms are equal values
-                total = "total" in raw and _ratio_field(raw, index, "total").as_integer_ratio()
-                if total and total != _score_terms(score)[2]:
+                total = "total" in raw and _ratio_terms(_text_field(raw, index, "total"))
+                if total and total != _score_terms(terms)[2]:
                     raise ValueError(
                         f"inconsistent entry: total {raw['total']} is not the mean of "
                         f"affinity and harmonicity at interval {raw['interval']}"
                     )
-                scores[texts] = score
-            rows.append((n, d, score))
+                scores[texts] = terms
+            rows.append((n, d, terms))
             notes.append(note)
         _check_order(rows)
         doc = cls.__new__(cls)

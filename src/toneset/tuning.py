@@ -9,60 +9,27 @@ a contextual set F and a complementary set F' that is transposed against it:
   union-harmonicity clears a threshold h. Rich for sparse spectra. For
   h = 0 it needs its bounds (defaults: +-3 octaves, denominators up to
   60); for h > 0 every interval that clears h already lies in a finite
-  rectangle (below).
+  rectangle.
 * superset - affinitive intervals of the harmonic supersets of F and F',
   scored on the original sets. Contains the affinitive table (its entries
   with nonzero affinity) and never misses a high-harmonicity interval.
 
 Every table is made by one function, ``_scored``, in one coordinate
 system. With F = a*N and G = b*M (fundamentals a, b, integer multipliers),
-a generator hands it the transpositions t as the ascending reduced integer
-pairs p/q = t*b/a, and ``_scored`` is the one place where the overlap of F
-and tF', the threshold test and the score are computed, on those integers.
-It tests the threshold on the largest union |N| + |M| first, so a candidate
-that cannot clear it is rejected before its overlap is counted.
-A kept candidate leaves ``_scored`` as a row (n, d, score) of a
-``TuningTable``, n/d = p*a/(q*b) in lowest terms (``_scored``'s rn/rd is
-a/b). Only ``harmonic_tuning`` and ``octave_reduce`` also know these
-coordinates: they map intervals into them through their rn/rd = b/a. A
-``Fraction`` is built only when a library caller reads ``entries`` or
-``intervals``, and the writers read the rows.
-The public consonance functions compute the same Fractions from the sets
-themselves and are the oracle the tests compare against. The generators
-differ only in their pairs; all but affinitive take them from
-``_walk(low, high, max_num, max_den)``, the reduced p/q in [low, high] with
-p <= max_num and q <= max_den, ascending (one Farey next-term rule), so
-nothing else sorts:
-
-* affinitive - f/f' = a*n/(b*m) is t with t*b/a = n/m, so the pairs are
-  the reduced n/m over the multipliers, deduplicated as integer tuples and
-  sorted by the exact integer key floor(p*2^s/q), 2^s > M_top^2: reduced
-  fractions with denominators up to M_top differ by at least 1/M_top^2
-  (``_ascending``).
-* harmonic, bounded - the reduced c/d in [lo, hi] with d <= D = max_den,
-  ``_walk(lo, hi, floor(hi*D), D)`` (``enumerate_rationals`` is the same
-  walk), each mapped to c*b/(d*a) in lowest terms.
-* harmonic, rectangle, for h = hn/hd > 0: the harmonicity is at most
-  S / max(q*N_top, p*M_top) for S = |N| + |M|, so every interval that
-  clears h has p <= P = (S*hd - 1) // (hn*M_top) and
-  q <= Q = (S*hd - 1) // (hn*N_top): ``_walk(lo*b/a, hi*b/a, P, Q)``,
-  skipping unscored a t whose denominator exceeds max_den. It is taken
-  when P*Q is below the bounded walk's bound (hi - lo)*D*(D+1)/2 + D; a
-  tiny h makes the rectangle huge, and the bounded walk is taken, as it
-  always is for h = 0.
-* superset - the supersets are a*{1..k} and b*{1..k'}, so their pairwise
-  ratios are exactly the t with t*b/a = p/q reduced, p <= k, q <= k':
-  ``_walk(1/k', k, k, k')``.
-* ``octave_reduce`` - each row's n/d folded into [1, 2) on integers (bit
-  lengths, shifts and one gcd), deduplicated and sorted as the affinitive
-  pairs are, each as t*b/a; ``fold_to_octave`` is the Fraction oracle.
-
-No table holds more than ``MAX_TABLE_ENTRIES`` candidates; a larger one is
-refused before the first is built. The affinitive candidates are the
-|N|*|M| partial pairs. A walk's are counted only when both max_num*max_den
-and (high - low)*max_den*(max_den + 1)/2 + max_den bound them above the
-cap, exactly, by Moebius inversion over the shorter side of the box
-(``_reduced_count``).
+a generator hands it each transposition t as (p, q, n, d): the ascending
+reduced integer pair p/q = t*b/a, and t = n/d in lowest terms, reduced
+once by whichever side holds it. ``_scored`` is the one place where the
+overlap of F and tF', the threshold test and the score are computed, on
+those integers; a kept candidate becomes a row (n, d, terms) of a
+``TuningTable``, terms the integers of its affinity and harmonicity. The
+generators differ only in their pairs: the affinitive pairs are sorted by
+``_ascending``, the others come from one Farey walk, ``_walk``, which
+refuses more than ``MAX_TABLE_ENTRIES`` candidates before the first, and
+``octave_reduce`` folds a table's rows on integers. The README design
+notes give each generator's pairs, the rectangle that bounds h > 0, the
+cap, and who builds what ("Tables are integer rows, and a row is its
+interval"). The public consonance functions compute the same Fractions
+from the sets themselves and are the oracle the tests compare against.
 
 Octave reduction folds intervals into [1, 2) and rescores them from scratch;
 consonance is not preserved by octave transposition (4/5 folds to 8/5, which
@@ -122,10 +89,13 @@ class TuningTable:
     them; the sets and parameters they came from are the document's
     metadata.
 
-    A table holds its entries as rows ``(n, d, score)``, each interval n/d
-    in lowest terms; the constructor refuses intervals that do not strictly
-    ascend or are not positive. A generated table has the rows alone and
-    builds ``entries`` and ``intervals`` on first read.
+    A table holds its entries as rows ``(n, d, terms)``: each interval n/d
+    in lowest terms, and its score as the integer terms (an, ad, hn, hd) of
+    affinity an/ad and harmonicity hn/hd, not necessarily in lowest terms
+    (README, "Tables are integer rows"). The constructor refuses intervals
+    that do not strictly ascend or are not positive. A generated table has
+    the rows alone and builds ``entries`` and ``intervals`` on first read,
+    one ``ConsonanceScore`` per distinct terms object.
     """
 
     entries: tuple[TuningEntry, ...]
@@ -148,9 +118,12 @@ class TuningTable:
         state = self.__dict__
         if name != "entries" or "_rows" not in state:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        entries = state["entries"] = tuple(
-            TuningEntry(Fraction(n, d), score) for n, d, score in state["_rows"]
-        )
+        rows = state["_rows"]  # they hold every terms tuple, so no id is reused
+        distinct = {id(terms): terms for _, _, terms in rows}
+        scores = {
+            key: ConsonanceScore(Fraction(an, ad), Fraction(hn, hd)) for key, (an, ad, hn, hd) in distinct.items()
+        }
+        entries = state["entries"] = tuple(TuningEntry(Fraction(n, d), scores[id(t)]) for n, d, t in rows)
         return entries
 
     @cached_property
@@ -158,12 +131,23 @@ class TuningTable:
         return tuple(Fraction(n, d) for n, d, _ in self._rows)
 
 
-def _entry_rows(entries: Iterable[TuningEntry]) -> tuple[tuple[int, int, ConsonanceScore], ...]:
-    """Entries as the rows of a table."""
-    return tuple((e.interval.numerator, e.interval.denominator, e.score) for e in entries)
+_Terms = tuple[int, int, int, int]
 
 
-def _check_order(rows: Sequence[tuple[int, int, ConsonanceScore]]) -> None:
+def _terms(score: ConsonanceScore) -> _Terms:
+    """A score as a row's terms: affinity and harmonicity as integer pairs."""
+    return (*score.affinity.as_integer_ratio(), *score.harmonicity.as_integer_ratio())
+
+
+def _entry_rows(entries: Iterable[TuningEntry]) -> tuple[tuple[int, int, _Terms], ...]:
+    """Entries as the rows of a table, one terms object per score object."""
+    entries = tuple(entries)  # holds every score, so no id is reused
+    distinct = {id(e.score): e.score for e in entries}
+    terms = {key: _terms(score) for key, score in distinct.items()}
+    return tuple((e.interval.numerator, e.interval.denominator, terms[id(e.score)]) for e in entries)
+
+
+def _check_order(rows: Sequence[tuple[int, int, _Terms]]) -> None:
     """Refuse rows that are not strictly increasing by p/q, or whose first
     p/q (and so every one, if the order holds) is not positive."""
     if any(c * b <= a * d for (a, b, _), (c, d, _) in pairwise(rows)):
@@ -175,12 +159,13 @@ def _check_order(rows: Sequence[tuple[int, int, ConsonanceScore]]) -> None:
 def _scored(
     contextual: FrequencySet,
     complementary: FrequencySet,
-    pairs: Iterable[tuple[int, int]],
+    pairs: Iterable[tuple[int, int, int, int]],
     generator: str,
     threshold: Fraction = Fraction(0),
 ) -> TuningTable:
     """The table of every t whose harmonicity exceeds ``threshold`` (0 keeps
-    every one), t given as the ascending reduced integer pairs p/q = t*b/a.
+    every one), t given as (p, q, n, d): the reduced integer pair
+    p/q = t*b/a, ascending, and t = n/d in lowest terms.
 
     Each score is ``total_consonance(F, G.transpose(t))`` for F = a*N and
     G = b*M (integer multipliers with gcd 1), computed without building tG:
@@ -191,16 +176,12 @@ def _scored(
     integers, and runs first on the union's largest size |N| + |M|: a
     candidate that fails there is rejected before its overlap is counted.
     None is counted when p > N_top or q > M_top, as no k fits. A kept
-    candidate becomes the row (n, d, score), n/d = p*rn/(q*rd) reduced by
-    g1 = gcd(p, rd) and g2 = gcd(q, rn) alone, as p/q and rn/rd = a/b are
-    in lowest terms; each distinct score is built once a call, and no
-    interval or entry.
+    candidate becomes the row (n, d, terms), terms = (shared, min(|N|, |M|),
+    |N| + |M| - shared, top); each distinct terms tuple is built once a
+    call, and no Fraction, score or entry.
     """
-    a, n_all, n_set = contextual._lattice_view()  # refuses empty sets
-    b, m_all, m_set = complementary._lattice_view()
-    rn, rd = (a / b).as_integer_ratio()
-    scaled = rn != rd
-    gcd = math.gcd
+    _, n_all, n_set = contextual._lattice_view()  # refuses empty sets
+    _, m_all, m_set = complementary._lattice_view()
     hn, hd = threshold.numerator, threshold.denominator
     n_top, m_top = n_all[-1], m_all[-1]
     sizes = len(n_all) + len(m_all)
@@ -213,10 +194,10 @@ def _scored(
     shorter, longer_set = (m_all, n_set) if by_m else (n_all, m_set)
     # union = sizes - shared, so top alone determines a score with nothing
     # shared, and (shared, top) any other
-    built: dict[int | tuple[int, int], ConsonanceScore] = {}
+    built: dict[int | tuple[int, int], _Terms] = {}
     rows = []
     append = rows.append
-    for p, q in pairs:
+    for p, q, n, d in pairs:
         top, other = q * n_top, p * m_top
         if other > top:
             top = other
@@ -242,13 +223,10 @@ def _scored(
             key = (shared, top)
         else:
             key = top
-        score = built.get(key)
-        if score is None:
-            score = built[key] = ConsonanceScore(Fraction(shared, smaller), Fraction(sizes - shared, top))
-        if scaled:
-            g1, g2 = gcd(p, rd), gcd(q, rn)
-            p, q = p // g1 * (rn // g2), q // g2 * (rd // g1)
-        append((p, q, score))
+        terms = built.get(key)
+        if terms is None:
+            terms = built[key] = (shared, smaller, sizes - shared, top)
+        append((n, d, terms))
     # the pairs ascend, and t = p*a/(q*b) with them
     return TuningTable._of_rows(tuple(rows), generator)
 
@@ -278,7 +256,31 @@ def affinitive_tuning(
         )
     gcd = math.gcd
     pairs = {(n // g, m // g) for n in n_all for m in m_all for g in (gcd(n, m),)}
-    return _scored(contextual, complementary, _ascending(pairs, m_all[-1]), "affinitive")
+    pairs = _scaled(_ascending(pairs, m_all[-1]), *_quotient(contextual, complementary))
+    return _scored(contextual, complementary, pairs, "affinitive")
+
+
+def _quotient(x: FrequencySet, y: FrequencySet) -> tuple[int, int]:
+    """The ratio of the fundamentals of x and y in lowest terms, as integers;
+    empty sets are refused."""
+    a, b = x.fundamental(), y.fundamental()
+    n, d = a.numerator * b.denominator, a.denominator * b.numerator
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+def _scaled(pairs: Iterable[tuple[int, int]], rn: int, rd: int) -> Iterator[tuple[int, int, int, int]]:
+    """Each reduced x/y as (x, y, u, v), u/v = x*rn/(y*rd) in lowest terms
+    for rn/rd in lowest terms: reduced by g1 = gcd(x, rd) and g2 = gcd(y, rn)
+    alone, as x/y is in lowest terms too."""
+    if rn == rd:
+        return ((x, y, x, y) for x, y in pairs)
+    gcd = math.gcd
+    return (
+        (x, y, x // g1 * (rn // g2), y // g2 * (rd // g1))
+        for x, y in pairs
+        for g1, g2 in ((gcd(x, rd), gcd(y, rn)),)
+    )
 
 
 def _ascending(pairs: Iterable[tuple[int, int]], max_den: int) -> list[tuple[int, int]]:
@@ -332,7 +334,7 @@ def _walk(low: Fraction, high: Fraction, max_num: int, max_den: int) -> Iterator
         return iter(())
     hn, hd = high.numerator, high.denominator
     walk = (*_farey_bracket(low, max_num, max_den), max_num, max_den, hn, hd)
-    if min(max_num * max_den, _walk_bound(low, high, max_den)) > MAX_TABLE_ENTRIES:
+    if max_num * max_den > MAX_TABLE_ENTRIES and _walk_bound(low, high, max_den) > MAX_TABLE_ENTRIES:
         partial = min(max_num, max_den) > _SIEVE_LIMIT
         count = _reduced_count(low, high, max_num, max_den)
         if partial and count <= MAX_TABLE_ENTRIES:
@@ -427,25 +429,31 @@ def harmonic_tuning(
 
     One pass: each candidate is thresholded and scored by the same call.
     For h > 0 the candidates come from the rectangle of ``_rectangle_sides``
-    when its area is below the bounded walk's cheap bound (module docstring).
+    when its area is below the bounded walk's cheap bound (README, "For
+    h > 0 the harmonic generator needs no bounds").
     """
     threshold = to_ratio(h)
     if not 0 <= threshold < 1:
         raise ValueError("harmonicity threshold h must lie in [0, 1)")
     # the scorer takes t as p/q = t*b/a, with b/a = rn/rd
-    ratio = complementary.fundamental() / contextual.fundamental()  # refuses empty sets
+    rn, rd = _quotient(complementary, contextual)
     low, high = _checked_range(lo, hi, max_den)
-    rn, rd = ratio.numerator, ratio.denominator
     gcd = math.gcd
     sides = threshold and _rectangle_sides(contextual, complementary, threshold)
     if sides and sides[0] * sides[1] < _walk_bound(low, high, max_den):
         # t = p*rd/(q*rn) rises with p/q; one whose denominator exceeds
         # max_den is skipped unscored
-        walk = _walk(low * ratio, high * ratio, *sides)
-        pairs = ((p, q) for p, q in walk if q * rn <= max_den * gcd(p * rd, q * rn))
+        walk = _walk(low * rn / rd, high * rn / rd, *sides)
+        pairs = (
+            (p, q, p * rd // g, d)
+            for p, q in walk
+            for g in (gcd(p * rd, q * rn),)
+            for d in (q * rn // g,)
+            if d <= max_den
+        )
     else:
         walk = _walk(low, high, high.numerator * max_den // high.denominator, max_den)
-        pairs = ((c * rn // g, d * rd // g) for c, d in walk for g in (gcd(c * rn, d * rd),))
+        pairs = ((c * rn // g, d * rd // g, c, d) for c, d in walk for g in (gcd(c * rn, d * rd),))
     return _scored(contextual, complementary, pairs, "harmonic", threshold)
 
 
@@ -482,7 +490,7 @@ def superset_tuning(
     # are (a/b)*p/q over the reduced p/q with p <= k and q <= kk; their
     # fundamentals are the originals', so p/q is already the t*b/a scored
     k, kk = _superset_count(contextual, n), _superset_count(complementary, m)
-    walk = _walk(Fraction(1, kk), Fraction(k), k, kk)
+    walk = _scaled(_walk(Fraction(1, kk), Fraction(k), k, kk), *_quotient(contextual, complementary))
     return _scored(contextual, complementary, walk, "superset")
 
 
@@ -568,12 +576,7 @@ def octave_reduce(
             n <<= 1
         g = gcd(n, d)
         folded.add((n // g, d // g))
-    # as t*b/a = n*rn/(d*rd), reduced by g1 = gcd(n, rd) and g2 = gcd(d, rn)
-    ratio = complementary.fundamental() / contextual.fundamental()  # refuses empty sets
-    rn, rd = ratio.numerator, ratio.denominator
-    pairs = (
-        (n // g1 * (rn // g2), d // g2 * (rd // g1))
-        for n, d in _ascending(folded, max((d for _, d in folded), default=1))
-        for g1, g2 in ((gcd(n, rd), gcd(d, rn)),)
-    )
-    return _scored(contextual, complementary, pairs, table.generator)
+    # each as t*b/a = n*rn/(d*rd) for rn/rd = b/a
+    folded = _ascending(folded, max((d for _, d in folded), default=1))
+    scaled = _scaled(folded, *_quotient(complementary, contextual))
+    return _scored(contextual, complementary, ((p, q, n, d) for n, d, p, q in scaled), table.generator)

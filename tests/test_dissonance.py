@@ -461,6 +461,17 @@ class TestDissonanceCurve:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="negative or NaN"):
             dissonance_curve([262.0], [262.0], 1.0, 2.0, 3, params)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_totals_rejected_without_a_warning(self):
+        # the oracle overflows here; the sweep used to return inf at every step
+        params = DissonanceParams(decay_fast=5.0)
+        with pytest.raises(OverflowError):
+            pair_roughness(20.0, 20000.0, params)
+        with pytest.raises(ValueError, match="^dissonance exceeds the float range$"):
+            dissonance_curve([20.0, 20000.0], [25.0], 1.0, 2.0, 3, params)
+        with pytest.raises(ValueError, match="^dissonance exceeds the float range$"):
+            spectrum_roughness([20.0, 20000.0], params)
+
 
 class TestSpectrumRoughness:
     def test_matches_pairwise_sum(self):
@@ -469,6 +480,18 @@ class TestSpectrumRoughness:
 
     def test_single_partial_has_no_pairs(self):
         assert spectrum_roughness([262.0]) == 0.0
+
+    @pytest.mark.parametrize(
+        "params, freqs",
+        [
+            (DissonanceParams(weight_fast=-5.0, weight_slow=5.0), [262.0, 524.0]),
+            (DissonanceParams(curve_slope=0.0, curve_offset=0.0), [262.0, 262.0]),
+        ],
+        ids=["negative", "nan"],
+    )
+    def test_negative_or_nan_total_rejected_as_in_a_sweep(self, params, freqs):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="^dissonance cannot be negative or NaN$"):
+            spectrum_roughness(freqs, params)
 
     def test_non_finite_partial_rejected(self):
         with pytest.raises(ValueError, match="partial 2 of the spectrum"):

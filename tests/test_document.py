@@ -28,7 +28,7 @@ from toneset import (
 )
 from toneset import document
 from toneset.cli import main
-from toneset.core import _display_score, _scientific
+from toneset.core import _display_score, _ratio_terms, _scientific
 from toneset.document import _render_text, csv_text, table_csv
 
 C4 = harmonic_set(262, 6)
@@ -149,12 +149,18 @@ class TestJsonRoundTrip:
 
     def test_one_score_per_distinct_score_text(self):
         text = c4_document().to_json()
-        with mock.patch.object(document, "parse_ratio", wraps=parse_ratio) as spy:
+        with mock.patch.object(document, "_ratio_terms", wraps=_ratio_terms) as spy:
             doc = TuningDocument.from_json(text)
         triples = {(e["affinity"], e["harmonicity"], e["total"]) for e in json.loads(text)["entries"]}
         assert len({id(e.score) for e in doc.entries}) == len(triples) < len(doc.entries)
-        # intervals are read as integers; each distinct triple's three texts once
-        assert spy.call_count == 3 * len(triples)
+        # each interval is read, and each distinct triple's three texts once,
+        # the first time the triple is met
+        expected, seen = [], set()
+        for e in json.loads(text)["entries"]:
+            triple = (e["affinity"], e["harmonicity"], e["total"])
+            expected += [e["interval"], *(() if triple in seen else triple)]
+            seen.add(triple)
+        assert [call.args[0] for call in spy.call_args_list] == expected
         assert doc.entries == c4_document().entries
         assert doc.to_json() == text
 
@@ -496,9 +502,15 @@ class TestScoreTerms:
     """``_score_terms`` is the one derivation of a score's terms."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.builds(ConsonanceScore, _UNIT | _TINY | st.fractions(), _UNIT | _TINY | st.fractions()))
-    def test_terms_of_affinity_harmonicity_and_total(self, score):
-        assert document._score_terms(score) == tuple(
+    @given(
+        st.builds(ConsonanceScore, _UNIT | _TINY | st.fractions(), _UNIT | _TINY | st.fractions()),
+        st.integers(1, 2**70) | st.just(1),
+        st.integers(1, 2**70) | st.just(1),
+    )
+    def test_terms_of_affinity_harmonicity_and_total(self, score, j, k):
+        # a row's terms need not be in lowest terms
+        (an, ad), (hn, hd) = score.affinity.as_integer_ratio(), score.harmonicity.as_integer_ratio()
+        assert document._score_terms((an * j, ad * j, hn * k, hd * k)) == tuple(
             value.as_integer_ratio() for value in (score.affinity, score.harmonicity, score.total)
         )
 
@@ -617,6 +629,45 @@ class TestWritersBuildNoEntry:
         annotated = doc.entries
         assert len(built) == 2 * 23
         assert doc.entries is annotated and len(built) == 2 * 23
+
+
+class TestScoresBuiltOnRead:
+    """A generated table and its documents hold integer score terms: no
+    ``Fraction`` or ``ConsonanceScore`` is built from the generator call to
+    the written bytes; reading ``entries`` builds one score per distinct
+    terms object."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = {"Fraction": 0, "ConsonanceScore": 0}
+        new, init = F.__new__, ConsonanceScore.__init__
+
+        def counting_new(cls, *args, **kwargs):
+            calls["Fraction"] += 1
+            return new(cls, *args, **kwargs)
+
+        def counting_init(self, *args, **kwargs):
+            calls["ConsonanceScore"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counting_new)
+        monkeypatch.setattr(ConsonanceScore, "__init__", counting_init)
+        return calls
+
+    def test_none_until_entries_are_read(self, built):
+        # the union's fundamental is 131, so t*b/a differs from t
+        complement = C4 | harmonic_set(393, 6)
+        args = (F(0), F(1, 4), F(4), 32)
+        built["Fraction"] = 0
+        table = harmonic_tuning(C4, complement, *args)
+        text = table_csv(table)
+        doc = TuningDocument.from_table(table, "F", "G")
+        read = TuningDocument.from_json(doc.to_json())
+        assert read.to_csv() == text and len(text.splitlines()) > 1000
+        assert built == {"Fraction": 0, "ConsonanceScore": 0}
+        distinct = len({id(terms) for _, _, terms in table._rows})
+        scores = {id(e.score) for e in table.entries}
+        assert built["ConsonanceScore"] == len(scores) == distinct < len(table.entries)
 
 
 class TestExportScl:

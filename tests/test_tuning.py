@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -7,7 +8,7 @@ from itertools import pairwise
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from toneset import (
     FrequencySet,
@@ -31,6 +32,7 @@ from toneset import (
     total_consonance,
 )
 from toneset import tuning
+from toneset.core import _display_score, _scientific, cents, format_ratio
 from toneset.document import _render_text, table_csv
 from toneset.tuning import _reduced_count
 
@@ -325,9 +327,9 @@ small_lattice_sets = st.builds(
 
 def scored_over(contextual, complementary, intervals, threshold=F(0)):
     """``tuning._scored`` in one call over the ascending intervals t, each
-    handed over as t*b/a in lowest terms."""
+    handed over as t*b/a and t, both in lowest terms."""
     ratio = complementary.fundamental() / contextual.fundamental()
-    pairs = [(t * ratio).as_integer_ratio() for t in intervals]
+    pairs = [(*(t * ratio).as_integer_ratio(), *t.as_integer_ratio()) for t in intervals]
     return tuning._scored(contextual, complementary, pairs, "test", threshold)
 
 
@@ -899,6 +901,100 @@ class TestTableRows:
         message = "ValueError: interval is too long to print: its numerator has 4401 digits"
         assert all(text.startswith(message) for text in written(doc))
         assert written(doc) == written(TuningDocument(doc.metadata, table.entries))
+
+
+def reference_writers(metadata, entries):
+    """The CSV, JSON and interval- and consonance-ordered text of a
+    document's entries, every score field formatted from the Fractions of
+    its ``ConsonanceScore``."""
+
+    def values(e):
+        return e.score.affinity, e.score.harmonicity, e.score.total
+
+    def float_cell(x):
+        return repr(float(x)) if float(x) or not x else _scientific(x)
+
+    def shown_text(x):
+        shown = _display_score(x.numerator, x.denominator)
+        if isinstance(shown, str):
+            return shown
+        return f"{shown:.3f}" if shown == round(shown, 3) else f"{shown:.3e}"
+
+    def text(ordered):
+        head = [
+            f"# {metadata['generator']} tuning  F={metadata['context']}  F'={metadata['complement']}",
+            f"{'interval':>10}  {'cents':>10}  {'affinity':>16}  {'harmonicity':>18}  {'total':>16}  note",
+        ]
+        return "\n".join(head + [
+            f"{format_ratio(e.interval, always_slash=True):>10}  {cents(e.interval):>10.4f}"
+            + "".join(f"  {format_ratio(v, always_slash=True):>8} ({shown_text(v)})" for v in values(e))
+            + f"  {e.note or ''}"
+            for e in ordered
+        ]) + "\n"
+
+    csv = "interval_ratio,cents,affinity,harmonicity,total\n" + "".join(
+        f"{format_ratio(e.interval, always_slash=True)},{cents(e.interval):.4f},"
+        + ",".join(float_cell(v) for v in values(e)) + "\n"
+        for e in entries
+    )
+    labels = ("affinity", "harmonicity", "total")
+    rows = []
+    for e in entries:
+        row = {"interval": format_ratio(e.interval, always_slash=True), "cents": round(cents(e.interval), 4)}
+        row.update(zip(labels, (format_ratio(v, always_slash=True) for v in values(e))))
+        row.update(zip((f"{label}_float" for label in labels),
+                       (_display_score(v.numerator, v.denominator) for v in values(e))))
+        if e.note is not None:
+            row["note"] = e.note
+        rows.append(row)
+    document = json.dumps({"metadata": metadata, "entries": rows}, indent=2, ensure_ascii=False) + "\n"
+    by_total = sorted(entries, key=lambda e: -e.score.total)  # stable: ties keep interval order
+    return [csv, document, text(entries), text(by_total)]
+
+
+def every_table(contextual, complementary, h):
+    """A table from each generator and walk, and each of them octave-reduced;
+    the superset table only where the supersets are not refused."""
+    args = (contextual, complementary, h, F(1, 4), 4, 12)
+    tables = [
+        affinitive_tuning(contextual, complementary),
+        forced_walk("rectangle", *args),
+        forced_walk("bounded", *args),
+        harmonic_tuning(contextual, complementary, 0, F(1, 4), 4, 12),
+    ]
+    try:
+        tables.append(superset_tuning(contextual, complementary, 1, 2))
+    except ValueError:  # a superset past MAX_HARMONIC_PARTIALS
+        pass
+    return tables + [octave_reduce(table, contextual, complementary) for table in tables]
+
+
+class TestGeneratedTablesMatchTheReference:
+    """Every generator's entries are the oracle's scores, and every writer's
+    bytes those of the reference writers over them."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_lattice_sets, small_lattice_sets, st.integers(0, 50), st.booleans())
+    # scores far below the float range: cells fall back to scientific text
+    @example(FrequencySet(["1e400", "2"]), FrequencySet(["3"]), 0, True)
+    def test_entries_and_writers(self, contextual, complementary, pick, notes):
+        # a threshold at a candidate's exact harmonicity tests the strict cut
+        exact = sorted(
+            x for t in SMALL_RANGE
+            for x in (harmonicity(contextual, complementary.transpose(t)),) if F(1, 100) <= x < 1
+        )
+        h = exact[pick % len(exact)] if exact else F(1, 2)
+        root = F(262) if notes else None
+        for table in every_table(contextual, complementary, h):
+            for entry in table.entries:
+                assert entry.score == total_consonance(contextual, complementary.transpose(entry.interval))
+            doc = TuningDocument.from_table(table, "F", "G", {"h": "x"}, annotate_root=root)
+            reference = reference_writers(doc.metadata, tuple(
+                TuningEntry(t, total_consonance(contextual, complementary.transpose(t)), note)
+                for t, note in zip(table.intervals, [e.note for e in doc.entries])
+            ))
+            assert written(doc) == reference
+            assert written(TuningDocument.from_json(doc.to_json())) == reference
 
 
 class TestGeneratorRefusals:
