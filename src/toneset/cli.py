@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import __version__
-from .consonance import total_consonance
 from .core import FrequencySet, ParseError, _excerpt, format_ratio, parse_ratio
 from .document import TuningDocument, curve_csv, export_scl
 from .document import _SCORE_LABELS, _render_text, _score_fields, _score_text
@@ -27,7 +26,7 @@ from .figures import emit_figure_data
 from .notation import canonical_set_expression, parse_set_expression
 from .tuning import (
     TuningTable,
-    _terms,
+    _unison_terms,
     affinitive_tuning,
     harmonic_tuning,
     octave_reduce,
@@ -101,7 +100,7 @@ def _emit_document(
 def cmd_consonance(args: argparse.Namespace) -> int:
     contextual = parse_set_expression(args.context)
     complementary = parse_set_expression(args.complement)
-    _, texts, shown = _score_fields(_terms(total_consonance(contextual, complementary)))
+    _, texts, shown = _score_fields(_unison_terms(contextual, complementary))
     # every line is formatted before any is written, so a failure prints none
     sys.stdout.write("".join(
         f"{label:<11} = {text} ({_score_text(v)})\n"

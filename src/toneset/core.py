@@ -10,8 +10,8 @@ only at the display edge (``cents``) and in the roughness model
 Tiny deviations from exact ratios collapse the common fundamental, so binary
 floats are rejected rather than silently converted: pass decimals as
 strings ("2.76") to keep them exact. Ratio text has one reader,
-``_ratio_terms``, which gives its value as integers in lowest terms;
-``parse_ratio`` and tuning documents both read through it.
+``_ratio_terms``, and a set is built from its values' integer terms
+(README, "Sets and names from text are built on integers").
 
 Everything here is an immutable value; all operations are pure functions and
 safe for unrestricted concurrent use.
@@ -74,12 +74,18 @@ def parse_ratio(text: str) -> Fraction:
 
 def _ratio_terms(text: str) -> tuple[int, int]:
     """The one ratio reader: numerator and denominator, in lowest terms, of
-    the ratio ``text`` denotes. Plain ASCII digits "n" or "n/d", the form
-    every document writes, go through ``int()`` and one gcd; any other text
-    through ``Fraction``. Both refuse alike, with a ParseError."""
+    the ratio ``text`` denotes. Plain ASCII digits "n", "n/d" or "i.f", the
+    forms every document and most sets write, go through ``int()`` and one
+    gcd, each digit run read on its own as ``Fraction`` reads it; any other
+    text through ``Fraction``. Both refuse alike, with a ParseError."""
     token = text.strip()
     num, slash, den = token.partition("/")
-    plain = num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit())
+    if slash:
+        plain = num.isascii() and num.isdigit() and den.isascii() and den.isdigit()
+    else:
+        num, _, places = num.partition(".")
+        digits = num + places
+        plain = digits.isascii() and digits.isdigit()
     exponent = None if plain else _EXPONENT_RE.search(token)
     if exponent:
         digits = exponent[1].replace("_", "").lstrip("0")
@@ -91,7 +97,11 @@ def _ratio_terms(text: str) -> tuple[int, int]:
     try:
         if not plain:
             return Fraction(token).as_integer_ratio()
-        n, d = int(num), int(den) if slash else 1
+        if slash:
+            n, d = int(num), int(den)
+        else:  # "i.f" is (i * 10**len(f) + f) / 10**len(f)
+            d = 10 ** len(places)
+            n = int(num or 0) * d + int(places or 0)
         g = math.gcd(n, d) if d else 0  # n/0 divides by zero below
         return n // g, d // g
     except (ValueError, ZeroDivisionError):
@@ -180,10 +190,16 @@ def to_ratio(value: RatioLike) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    return Fraction(*_ratio_pair(value))
+
+
+def _ratio_pair(value: RatioLike) -> tuple[int, int]:
+    """:func:`to_ratio` of ``value`` as numerator and denominator in lowest
+    terms, without building a Fraction for an int or a text."""
+    if isinstance(value, (Fraction, int)):
+        return value.numerator, value.denominator
     if isinstance(value, str):
-        return parse_ratio(value)
+        return _ratio_terms(value)
     if isinstance(value, float):
         raise TypeError(
             f"refusing float {value!r}: pass it as a string (e.g. '2.76') to stay exact"
@@ -244,17 +260,19 @@ class FrequencySet:
     __slots__ = ("_fundamental", "_multipliers", "_multiplier_set", "_freqs", "_element_set")
 
     def __init__(self, frequencies: Iterable[RatioLike] = ()):
-        freqs = sorted({to_ratio(f) for f in frequencies})
-        if freqs and freqs[0] <= 0:
-            raise ValueError(f"non-positive frequency {_excerpt(format_ratio(freqs[0], label='frequency'))}")
+        # each value as n/d in lowest terms, d > 0: texts and ints build no Fraction
+        pairs = list(map(_ratio_pair, frequencies))
+        nums, dens = zip(*pairs) if pairs else ((), ())
+        if nums and min(nums) <= 0:
+            smallest = min(Fraction(n, d) for n, d in pairs)
+            raise ValueError(f"non-positive frequency {_excerpt(format_ratio(smallest, label='frequency'))}")
         # gcd of reduced numerators over lcm of denominators is already in
         # lowest terms: a prime of the gcd divides no denominator (0 if empty)
-        a = Fraction(math.gcd(*(f.numerator for f in freqs)), math.lcm(*(f.denominator for f in freqs)))
-        num, den = a.numerator, a.denominator
-        multipliers = tuple(f.numerator * den // (f.denominator * num) for f in freqs)
-        self._fundamental, self._multipliers = a, multipliers
-        self._multiplier_set = frozenset(multipliers)
-        self._freqs: tuple[Fraction, ...] | None = tuple(freqs)
+        g, lcm = math.gcd(*nums), math.lcm(*dens)
+        multiplier_set = frozenset([n // g * (lcm // d) for n, d in pairs])
+        self._fundamental, self._multipliers = Fraction(g, lcm), tuple(sorted(multiplier_set))
+        self._multiplier_set = multiplier_set
+        self._freqs: tuple[Fraction, ...] | None = None
         self._element_set: frozenset[Fraction] | None = None
 
     @classmethod
@@ -271,7 +289,7 @@ class FrequencySet:
     def harmonic(cls, fundamental: RatioLike, count: int) -> "FrequencySet":
         """The first ``count`` integer multiples of ``fundamental``."""
         base = to_ratio(fundamental)
-        if base <= 0:
+        if base.numerator <= 0:
             raise ValueError("fundamental must be positive")
         multipliers = tuple(range(1, _checked_count(count) + 1))
         return cls._lattice(base, multipliers, frozenset(multipliers))

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, T
 
 from . import __version__
 from .core import _cents_of, _display_score, _ratio_terms, _ratio_text, _scientific, cents
-from .notes import _note_in_span
+from .notes import _note_text
 from .tuning import TuningEntry, TuningTable, _Terms, _check_order, _entry_rows
 
 if TYPE_CHECKING:  # the roughness module loads numpy; only its type is needed
@@ -150,14 +150,17 @@ def _score_terms(terms: _Terms) -> tuple[tuple[int, int], ...]:
 
 def _score_fields(terms: _Terms) -> tuple[tuple[int, int], tuple, tuple]:
     """A score's total in lowest terms, the exact "p/q" texts of affinity,
-    harmonicity and total, and their ``_display_score`` values (JSON and
-    text alike), from a row's score terms."""
-    reduced = _score_terms(terms)
-    return (
-        reduced[2],
-        tuple(_ratio_text(n, d, True, label) for (n, d), label in zip(reduced, _SCORE_LABELS)),
-        tuple(_display_score(n, d) for n, d in reduced),
-    )
+    harmonicity and total, and their ``_display_score`` values (JSON, text
+    and the ``consonance`` command alike), from a row's score terms: the one
+    pass per distinct score behind every exact score field."""
+    (an, ad), (hn, hd), (tn, td) = _score_terms(terms)
+    try:
+        texts = f"{an}/{ad}", f"{hn}/{hd}", f"{tn}/{td}"
+    except ValueError:
+        for (n, d), label in zip(((an, ad), (hn, hd), (tn, td)), _SCORE_LABELS):
+            _ratio_text(n, d, True, label)  # raises for the first term too long to print
+        raise
+    return (tn, td), texts, (_display_score(an, ad), _display_score(hn, hd), _display_score(tn, td))
 
 
 def _score_text(shown: float | str) -> str:
@@ -171,10 +174,13 @@ def _score_text(shown: float | str) -> str:
 def _json_scores(terms: _Terms) -> str:
     """The score fields of a JSON document entry, as ``json.dumps`` with
     ``indent=2`` writes them inside an entry."""
-    _, texts, shown = _score_fields(terms)
+    _, texts, (a, h, t) = _score_fields(terms)
     # a shown score is a float, or the _scientific text of one that reads 0
     return _JSON_SCORES.format(
-        *texts, *(encode_basestring(v) if isinstance(v, str) else repr(v) for v in shown)
+        *texts,
+        encode_basestring(a) if type(a) is str else repr(a),
+        encode_basestring(h) if type(h) is str else repr(h),
+        encode_basestring(t) if type(t) is str else repr(t),
     )
 
 
@@ -195,8 +201,10 @@ _JSON_SCORES = (
 
 def _text_scores(terms: _Terms) -> tuple[tuple[int, int], str]:
     """A score's total and the score columns of its text table row."""
-    total, texts, shown = _score_fields(terms)
-    return total, "".join(f"  {text:>8} ({_score_text(v)})" for text, v in zip(texts, shown))
+    total, (a, h, t), (shown_a, shown_h, shown_t) = _score_fields(terms)
+    return total, (
+        f"  {a:>8} ({_score_text(shown_a)})  {h:>8} ({_score_text(shown_h)})  {t:>8} ({_score_text(shown_t)})"
+    )
 
 
 def _text_row(n: int, d: int, c: float, scores: tuple[tuple[int, int], str], note: Optional[str]):
@@ -285,8 +293,7 @@ class TuningDocument:
         if annotate_root is not None:
             # an entry outside the naming span is left unannotated
             rn, rd = annotate_root.numerator, annotate_root.denominator
-            notes = (_note_in_span(rn * n, rd * d) for n, d, _ in table._rows)
-            notes = [n and n.render() for n in notes]
+            notes = [_note_text(rn * n, rd * d) for n, d, _ in table._rows]
         metadata = {
             "tool": TOOL_NAME,
             "version": __version__,
@@ -351,11 +358,12 @@ class TuningDocument:
                     f"invalid tuning document: entry {index} field 'note' must be a string, "
                     f"not {type(note).__name__}"
                 )
-            n, d = _ratio_terms(_text_field(raw, index, "interval"))
+            interval = raw.get("interval")
+            n, d = _ratio_terms(interval if type(interval) is str else _text_field(raw, index, "interval"))
             if n <= 0:
                 raise ValueError(f"invalid tuning document: entry {index} field 'interval' must be positive")
-            texts = tuple(raw.get(field) for field in _SCORE_LABELS)
-            terms = scores.get(texts) if all(type(t) is str for t in texts) else None
+            texts = a, h, t = raw.get("affinity"), raw.get("harmonicity"), raw.get("total")
+            terms = scores.get(texts) if type(a) is str and type(h) is str and type(t) is str else None
             if terms is None:
                 a = _ratio_terms(_text_field(raw, index, "affinity"))
                 terms = (*a, *_ratio_terms(_text_field(raw, index, "harmonicity")))

@@ -7,6 +7,9 @@ Grammar shared by the command line and document metadata:
 * note labels:                     ``C4_6@262`` (partials mandatory; ``@``
                                    overrides the default grid reference)
 * unions:                          parts joined with ``+``
+
+Terms are built on integers (README, "Sets and names from text are built
+on integers").
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ def _parse_term(token: str) -> FrequencySet:
             NoteName.parse(match.group("note")),
             parse_ratio(reference) if reference is not None else None,
         )
-    return FrequencySet(parse_ratio(part) for part in term.split(","))
+    return FrequencySet(term.split(","))
 
 
 def parse_set_expression(text: str) -> FrequencySet:

@@ -13,7 +13,9 @@ bounds are irrational), so the half-open convention never actually has to
 break a tie.
 
 Labels carry an optional partial count: "A2_4" is the A2 note built from
-4 harmonic partials.
+4 harmonic partials. The window test gives a semitone index, from which
+names are looked up or built (README, "Sets and names from text are built
+on integers").
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .core import FrequencySet, ParseError, RatioLike, _count_of, _excerpt, format_ratio, to_ratio
+from .core import (
+    FrequencySet, ParseError, RatioLike, _count_of, _excerpt, _ratio_terms, format_ratio, to_ratio,
+)
 
 __all__ = [
     "PITCH_CLASSES",
@@ -46,7 +50,10 @@ _LOWEST_MIDI = 12
 _HIGHEST_MIDI = 111
 _A4_MIDI = 69
 _A4_HZ = 440
+_LOG2_A4 = math.log2(_A4_HZ)
 _SPAN = "the supported note span C0..D#8 (about 15.89 Hz to 5123.9 Hz)"
+# The names of the span's notes, C0 first, as NoteName.render() writes them.
+_SPAN_TEXTS = tuple(f"{PITCH_CLASSES[m % 12]}{m // 12 - 1}" for m in range(_LOWEST_MIDI, _HIGHEST_MIDI + 1))
 
 
 @dataclass(frozen=True)
@@ -101,11 +108,11 @@ class NoteName:
         return self.midi == other.midi
 
 
-def _note_in_span(numerator: int, denominator: int) -> Optional[NoteName]:
-    """:func:`note_name` of the positive frequency numerator/denominator
-    (in any terms), or None outside the span, decided on integers before
-    any text is built."""
-    estimate = 12.0 * (math.log2(numerator) - math.log2(denominator) - math.log2(440.0))
+def _midi_in_span(numerator: int, denominator: int) -> Optional[int]:
+    """The semitone index of :func:`note_name` for the positive frequency
+    numerator/denominator (in any terms), or None outside the span, decided
+    on integers."""
+    estimate = 12.0 * (math.log2(numerator) - math.log2(denominator) - _LOG2_A4)
     i = round(estimate)
     # The estimate lies within a semitone of the exact index, so one further
     # outside the span is out of it without raising freq to the 24th power.
@@ -119,9 +126,14 @@ def _note_in_span(numerator: int, denominator: int) -> Optional[NoteName]:
     while _at_least(u, v, 2 * i + 1):
         i += 1
     midi = i + _A4_MIDI
-    if not _LOWEST_MIDI <= midi <= _HIGHEST_MIDI:
-        return None
-    return NoteName(PITCH_CLASSES[midi % 12], midi // 12 - 1)
+    return midi if _LOWEST_MIDI <= midi <= _HIGHEST_MIDI else None
+
+
+def _note_text(numerator: int, denominator: int) -> Optional[str]:
+    """The rendered :func:`note_name` of the positive frequency
+    numerator/denominator (in any terms), or None outside the span."""
+    midi = _midi_in_span(numerator, denominator)
+    return None if midi is None else _SPAN_TEXTS[midi - _LOWEST_MIDI]
 
 
 def _at_least(u: int, v: int, k: int) -> bool:
@@ -135,12 +147,12 @@ def note_name(freq: RatioLike) -> NoteName:
     Raises for frequencies outside the supported C0..D#8 span.
     """
     f = to_ratio(freq)
-    if f <= 0:
+    if f.numerator <= 0:
         raise ValueError("frequency must be positive")
-    note = _note_in_span(f.numerator, f.denominator)
-    if note is None:
+    midi = _midi_in_span(f.numerator, f.denominator)
+    if midi is None:
         raise ValueError(f"frequency {_excerpt(format_ratio(f))} Hz is outside {_SPAN}")
-    return note
+    return NoteName(PITCH_CLASSES[midi % 12], midi // 12 - 1)
 
 
 def grid_frequency(note: Union[NoteName, str]) -> Fraction:
@@ -154,7 +166,7 @@ def grid_frequency(note: Union[NoteName, str]) -> Fraction:
     if not _LOWEST_MIDI <= name.midi <= _HIGHEST_MIDI:
         raise ValueError(f"note {_excerpt(name.render())} is outside {_SPAN}")
     value = 440.0 * 2.0 ** ((name.midi - _A4_MIDI) / 12.0)
-    return Fraction(f"{value:.2f}")
+    return Fraction(*_ratio_terms(f"{value:.2f}"))
 
 
 def note_set(

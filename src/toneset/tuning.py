@@ -231,6 +231,13 @@ def _scored(
     return TuningTable._of_rows(tuple(rows), generator)
 
 
+def _unison_terms(contextual: FrequencySet, complementary: FrequencySet) -> _Terms:
+    """The score terms of F against F' untransposed (t = 1), as ``_scored``
+    counts them on the integer multipliers."""
+    rn, rd = _quotient(complementary, contextual)
+    return _scored(contextual, complementary, [(rn, rd, 1, 1)], "unison")._rows[0][2]
+
+
 def affinitive_intervals(
     contextual: FrequencySet, complementary: FrequencySet
 ) -> frozenset[Fraction]:

@@ -15,7 +15,11 @@ from hypothesis import given, settings, strategies as st
 import toneset
 from toneset import supported_figures
 from toneset.cli import main
-from toneset.core import MAX_HARMONIC_PARTIALS
+from toneset.consonance import total_consonance
+from toneset.core import MAX_HARMONIC_PARTIALS, _display_score, format_ratio
+from toneset.document import _score_text
+from toneset.notation import parse_set_expression
+from toneset.notes import note_name
 from toneset.tuning import MAX_TABLE_ENTRIES
 
 
@@ -23,6 +27,22 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def decimal_text(value):
+    """Exact "i.f" text of a value whose denominator divides 2."""
+    return f"{value.numerator // value.denominator}.{5 if value.denominator == 2 else 0}"
+
+
+# mixed-notation set terms over multiples of 65.5 Hz, so that sets often
+# share partials: decimal lists, f*Nk shorthand and @-referenced note terms
+_PITCHES = st.integers(1, 78).map(lambda k: decimal_text(F(131 * k, 2)))
+_MIXED_TERMS = st.one_of(
+    st.lists(_PITCHES, min_size=1, max_size=3).map(",".join),
+    st.builds("{}*N{}".format, _PITCHES, st.integers(1, 6)),
+    st.builds(lambda ref, count: f"{note_name(F(ref)).render()}_{count}@{ref}", _PITCHES, st.integers(1, 6)),
+)
+_MIXED_SETS = st.lists(_MIXED_TERMS, min_size=1, max_size=3).map("+".join)
 
 
 class TestConsonanceCommand:
@@ -40,6 +60,21 @@ class TestConsonanceCommand:
         assert f"harmonicity = 1/25{'0' * 398} (4.000e-400)" in out
         assert f"total       = 1/5{'0' * 399} (2.000e-400)" in out
         assert "affinity    = 0/1 (0.000)" in out
+
+    @settings(max_examples=80, deadline=None)
+    @given(_MIXED_SETS, _MIXED_SETS)
+    def test_report_is_total_consonance(self, context, complement):
+        score = total_consonance(parse_set_expression(context), parse_set_expression(complement))
+        expected = "".join(
+            f"{label:<11} = {format_ratio(value, True)} "
+            f"({_score_text(_display_score(value.numerator, value.denominator))})\n"
+            for label, value in (("affinity", score.affinity), ("harmonicity", score.harmonicity),
+                                 ("total", score.total))
+        )
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["consonance", context, complement])
+        assert (code, out.getvalue(), err.getvalue()) == (0, expected, "")
 
     def test_note_notation(self, capsys):
         code, out, _ = run(["consonance", "C4_6@262", "G4_6@393"], capsys)
@@ -778,7 +813,8 @@ _COUNTS = st.one_of(
 _JUNK = st.text(max_size=8).filter(lambda s: not s.startswith("-"))
 _RATIOS = st.sampled_from(["1", "2", "3/2", "5/4", "262", "393", "2.76", "0.5", "1e400",
                            "1e3000", "1e-3000", "1e4301", "1e-10000000", "0", "-3", "1/0",
-                           "x"])
+                           "x", "0262.500", "1.", ".5", ".", "1_0.5", "١.٥", "1.2.3",
+                           "1" * 4301 + ".5", "5." + "1" * 4301, "1" * 4000 + "." + "1" * 4000])
 _INTEGER_LISTS = st.lists(st.integers(1, 64).map(str), min_size=1, max_size=4).map(",".join)
 # integer partials only: harmonic supersets of these stay at most 64 + n partials
 _SMALL_SETS = st.lists(

@@ -178,10 +178,18 @@ _EXPONENTS = st.builds(
     "{}{}{}{}".format, st.sampled_from(["1", "2.5", "-3", ".5", "7/2", "1_0", "x"]),
     st.sampled_from(["e", "E"]), st.sampled_from(["", "+", "-", "+-"]), _EXPONENT_DIGITS,
 )
+# plain decimals "i.f", read by int() one digit run at a time: leading and
+# trailing zeros, an empty side, and runs at and past int()'s 4,300 digits
+_RUNS = st.sampled_from(["", "0", "00", "5", "007", "250", "1" * 4300, "1" * 4301, "0" * 4300, "9" * 4301])
+_PLAIN_DECIMALS = st.one_of(
+    st.builds("{}.{}".format, _RUNS, _RUNS),
+    st.builds("{}.{}".format, st.text("0123456789", max_size=6), st.text("0123456789", max_size=6)),
+    st.sampled_from(["1.", ".5", "1_0.5", "1._5", "١.٥", "1.٥", "٠.5", "1" * 4000 + "." + "1" * 4000]),
+)
 _ODD = st.text(alphabet="0123456789/+-._ eE²١٢", max_size=12)  # underscores, non-ASCII digits
 _SPACES = st.sampled_from(["", " ", "\t", " \n"])
 _RATIO_TEXTS = st.builds(
-    "{}{}{}".format, _SPACES, st.one_of(_PLAIN, _DECIMALS, _EXPONENTS, _ODD), _SPACES
+    "{}{}{}".format, _SPACES, st.one_of(_PLAIN, _PLAIN_DECIMALS, _DECIMALS, _EXPONENTS, _ODD), _SPACES
 )
 
 
@@ -199,9 +207,23 @@ class TestRatioTerms:
     def test_agrees_with_the_reference_reader(self, text):
         assert terms_or_refusal(text) == reference_terms(text)
 
+    @pytest.mark.parametrize("text", [
+        "0.5", "00.500", "1.", ".5", ".", "1_0.5", "1._5", "١.٥", "1.٥", "1.5/2", "1.2.3",
+        "1" * 4300 + ".5", "1" * 4301 + ".5", "5." + "1" * 4300, "5." + "1" * 4301,
+        "0" * 4301 + ".5", "1" * 4000 + "." + "1" * 4000,
+    ])
+    def test_plain_decimals_agree_with_fraction(self, text):
+        assert terms_or_refusal(text) == reference_terms(text)
+
+    def test_each_digit_run_has_its_own_limit(self):
+        # 8,001 digits in all, but neither run is past 4,300: Fraction reads it
+        text = "1" * 4000 + "." + "1" * 4000
+        assert _ratio_terms(text) == F(text).as_integer_ratio()
+
     @pytest.mark.parametrize("text, terms", [
         ("006/004", (3, 2)), ("0/5", (0, 1)), (" 440 ", (440, 1)), ("2.76", (69, 25)),
         ("-6/4", (-3, 2)), ("1_0/4", (5, 2)), ("١٢/8", (3, 2)),
+        ("002.7600", (69, 25)), ("1.", (1, 1)), (".5", (1, 2)),
     ])
     def test_lowest_terms(self, text, terms):
         assert _ratio_terms(text) == terms
@@ -348,6 +370,28 @@ class TestCents:
         assert cents(F(1, 10**400)) < -1_000_000
 
 
+# values drawn for sets, duplicates and non-positive ones among them
+_SET_VALUES = st.sampled_from([F(1, 2), F(1), F(3, 2), F(5, 4), F(2, 5), F(262), F(131, 2), F(7, 8),
+                               F(1, 3), F(5, 6), F(0), F(-1, 2), F(-3)])
+_SPELLINGS = ["fraction", "int", "text", "decimal"]
+
+
+def spelling(value, how, factor, zeros):
+    """``value`` as a set value: a Fraction, an int, "n/d" text (its terms
+    times ``factor``, so not always reduced) or decimal text with ``zeros``
+    trailing zeros; "n/d" text where the value has no such spelling."""
+    if how == "fraction":
+        return value
+    if how == "int" and value.denominator == 1:
+        return int(value)
+    places = next((k for k in range(12) if 10**k % value.denominator == 0), None)
+    if how == "decimal" and places is not None:
+        digits = str(abs(value.numerator) * 10**places // value.denominator).rjust(places + 1, "0")
+        sign = "-" if value < 0 else ""
+        return f"{sign}{digits[:len(digits) - places]}.{digits[len(digits) - places:]}{'0' * zeros}"
+    return f"{value.numerator * factor}/{value.denominator * factor}"
+
+
 class TestSetSemantics:
     def test_sorted_dedup(self):
         fs = FrequencySet(["3/2", "3/2", 1, "0.5"])
@@ -370,6 +414,30 @@ class TestSetSemantics:
         assert union.elements == tuple(sorted(xs | ys))
         assert union._multiplier_set == frozenset(union._multipliers)
         assert union == y | x
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_SET_VALUES, st.sampled_from(_SPELLINGS), st.integers(1, 4), st.integers(0, 2)),
+                    max_size=8))
+    @example([(F(1, 2), "decimal", 1, 0), (F(1, 2), "text", 1, 0), (F(1, 2), "text", 2, 0)])
+    @example([(F(3), "int", 1, 0), (F(-1, 2), "decimal", 1, 1), (F(-1, 4), "text", 3, 0), (F(0), "int", 1, 0)])
+    def test_equals_the_fraction_reference(self, drawn):
+        values = [value for value, *_ in drawn]
+        spelled = [spelling(value, *how) for value, *how in drawn]
+        if values and min(values) <= 0:
+            # the refusal names the smallest value, however it was written
+            with pytest.raises(ValueError, match=f"^non-positive frequency {format_ratio(min(values))}$"):
+                FrequencySet(spelled)
+            return
+        fs = FrequencySet(spelled)
+        elements = sorted(set(values))
+        a = F(math.gcd(*(v.numerator for v in elements)), math.lcm(*(v.denominator for v in elements)))
+        assert fs.elements == tuple(elements)
+        assert fs == FrequencySet(elements) and hash(fs) == hash(FrequencySet(elements))
+        if elements:
+            fundamental, multipliers, multiplier_set = fs._lattice_view()
+            assert fundamental == a
+            assert multipliers == tuple(int(v / a) for v in elements)
+            assert multiplier_set == frozenset(multipliers)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from toneset import (
     note_name,
     note_set,
 )
-from toneset.notes import PITCH_CLASSES, _note_in_span
+from toneset.notes import PITCH_CLASSES, _midi_in_span, _note_text
 
 ALL_MIDI = range(12, 112)  # C0 .. D#8
 
@@ -132,8 +132,7 @@ def fraction_midi_in_span(freq):
 
 
 def integer_midi_in_span(numerator, denominator):
-    note = _note_in_span(numerator, denominator)
-    return None if note is None else note.midi
+    return _midi_in_span(numerator, denominator)
 
 
 def window_edge(half_semitone):
@@ -143,7 +142,7 @@ def window_edge(half_semitone):
 
 
 class TestWindowOnIntegers:
-    """``_note_in_span`` decides the window on integers as the Fraction
+    """``_midi_in_span`` decides the window on integers as the Fraction
     24th-power rule does, in lowest terms or not."""
 
     @given(st.fractions(min_value=F(1, 10**4), max_value=F(10**5), max_denominator=10**9),
@@ -172,3 +171,35 @@ class TestWindowOnIntegers:
                              + [F(15), F(16), F(5123), F(5125), F(10**4000 + 1, 10**3998)])
     def test_far_outside_and_near_the_span(self, freq):
         assert integer_midi_in_span(freq.numerator, freq.denominator) == fraction_midi_in_span(freq)
+
+
+def rendered_name_or_none(freq):
+    """``note_name(freq).render()``, or None where ``note_name`` refuses the
+    frequency as outside the span."""
+    try:
+        return note_name(freq).render()
+    except ValueError:
+        return None
+
+
+class TestNoteTexts:
+    """A document's note names come from the table of the span's texts,
+    looked up by the window test's semitone index; ``note_name`` builds its
+    ``NoteName`` from that same index."""
+
+    # C0's window starts near 15.89 Hz and D#8's ends near 5272 Hz
+    @given(st.fractions(min_value=F(14), max_value=F(5400), max_denominator=10**6), st.integers(1, 10**6))
+    @example(window_edge(23) - F(1, 10**12), 1)
+    @example(window_edge(23) + F(1, 10**12), 1)
+    @example(window_edge(223) - F(1, 10**12), 1)
+    @example(window_edge(223) + F(1, 10**12), 1)
+    def test_table_text_is_the_rendered_name(self, freq, scale):
+        expected = rendered_name_or_none(freq)
+        assert _note_text(freq.numerator * scale, freq.denominator * scale) == expected
+        if expected is not None:
+            assert note_name(freq).midi == _midi_in_span(freq.numerator, freq.denominator)
+
+    def test_every_span_text_once(self):
+        texts = [_note_text(*grid_frequency(_name_for_midi(midi)).as_integer_ratio()) for midi in ALL_MIDI]
+        assert texts == [_name_for_midi(midi).render() for midi in ALL_MIDI]
+        assert (texts[0], texts[-1]) == ("C0", "D#8")
