@@ -23,7 +23,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
     "Ratio",
@@ -330,19 +330,7 @@ class FrequencySet:
         return f"FrequencySet({format_set(self)})"
 
     def __or__(self, other: "FrequencySet") -> "FrequencySet":
-        if not other:
-            return self
-        if not self:
-            return other
-        # with g = gcd(a, b), the union is g * ((a/g)*N u (b/g)*M), whose
-        # multipliers have gcd gcd(a/g, b/g) = 1
-        a, b = self._fundamental, other._fundamental
-        gn = math.gcd(a.numerator, b.numerator)
-        gd = math.lcm(a.denominator, b.denominator)
-        x = a.numerator // gn * (gd // a.denominator)
-        y = b.numerator // gn * (gd // b.denominator)
-        merged = frozenset([x * n for n in self._multipliers] + [y * m for m in other._multipliers])
-        return FrequencySet._lattice(Fraction(gn, gd), tuple(sorted(merged)), merged)
+        return _union((self, other))
 
     def __and__(self, other: "FrequencySet") -> "FrequencySet":
         return FrequencySet(self.element_set() & other.element_set())
@@ -389,6 +377,26 @@ class FrequencySet:
         Equals the lcm of the individual partial periods.
         """
         return 1 / self.fundamental()
+
+
+def _union(sets: Sequence[FrequencySet]) -> FrequencySet:
+    """The union of ``sets`` in one pass: one gcd, one lcm, one frozenset
+    and one sort, however many sets. An empty set adds nothing, and a union
+    with one nonempty set is that set (the first set when all are empty)."""
+    nonempty = [s for s in sets if s._multipliers]
+    if len(nonempty) < 2:
+        return nonempty[0] if nonempty else sets[0]
+    # with g = gcd of the fundamentals a_i, the union is g * (u (a_i/g)*N_i),
+    # whose multipliers have gcd 1
+    nums = [s._fundamental.numerator for s in nonempty]
+    dens = [s._fundamental.denominator for s in nonempty]
+    gn, gd = math.gcd(*nums), math.lcm(*dens)
+    merged = []
+    for s, n, d in zip(nonempty, nums, dens):
+        scale = n // gn * (gd // d)
+        merged += [scale * m for m in s._multipliers]
+    multiplier_set = frozenset(merged)
+    return FrequencySet._lattice(Fraction(gn, gd), tuple(sorted(multiplier_set)), multiplier_set)
 
 
 def _checked_count(count: int) -> int:

@@ -14,14 +14,15 @@ contract is qualitative: minima locations, not bit-exact curve values.
 
 A sweep of F (N partials) against tF' (M partials) sums the t-independent
 pairs within F once and, per step, evaluates at most the N*M cross pairs and
-the M(M-1)/2 pairs within tF'. Every pair goes through one kernel function
-of x = d / (fmin * s1/chi_star + s2/chi_star): a cross pair's x takes seven
-numpy passes (one of them a divide), and a pair within tF', whose d and fmin
-are those of F' scaled by t, two: x = d / (fmin * s1/chi_star + s2/chi_star/t)
-with both terms fixed for the sweep. The kernel adds two ``exp``s and six
-passes, and applies a^2 once per row total. Steps are walked in chunks of
-about 2^16 pair values through three reused buffers, so memory is bounded by
-the chunk and the pair arrays, not by steps * (N+M)^2.
+the M(M-1)/2 pairs within tF', all through one kernel function of y = b1 x,
+x = d / (fmin * s1/chi_star + s2/chi_star). A cross pair (f, t*g) is held as
+its coincidence point P = f/g, and each block of steps (below) splits the
+cross pairs it keeps into rising, falling and straddling groups, each with
+its cheapest form of y: 7, 8 and 11 numpy passes a pair-step with the
+kernel's, and 7 a pair within tF' (README, "Roughness model"). Steps are
+walked in chunks of about 2^16 pair values, each laid end to end in one
+reused buffer, so memory is bounded by the chunk and the pair arrays, not by
+steps * (N+M)^2.
 
 Pairs that cannot change a total are not evaluated. With b1, b2 < 0 and
 s1, s2 >= 0 (not both 0), |kernel(x)| <= a^2 (|c1| + |c2|) e^(max(b1, b2) x),
@@ -31,9 +32,11 @@ past the cut at every t of the block; a pair within tF', whose x grows with
 t, is left out of the whole sweep when it is past the cut at the first step.
 A step has at most 2^22 pairs, so a total loses at most 2^-78 (3.3e-24).
 For any other parameters (a decay >= 0, a negative s1 or s2, both 0, or
-a^2 (|c1| + |c2|) zero or not finite) the cut is infinite and nothing is
-skipped. Far pairs are also the slow ones: ``exp`` of an argument below
-about -708 costs ten to a hundred times an ordinary one.
+a^2 (|c1| + |c2|) zero or past the float range) the cut is infinite and
+nothing is skipped. Far pairs are also the slow ones: ``exp`` of an
+argument below about -708 costs ten to a hundred times an ordinary one.
+A cross pair whose f/g and (s2/chi_star)/g both pass the float range (a
+partial below about 4e-307 Hz) has a NaN x, and its sweep is refused.
 
 Summation order and the skip differ from an all-pairs sum only in rounding:
 curves agree with it to 1e-12 relative (the last digits of a ``dissonance``
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sized, Union
@@ -88,6 +91,10 @@ class DissonanceParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.chi_star) and self.chi_star > 0):
             raise ValueError(f"chi_star must be finite and positive, not {self.chi_star}")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, not {value}")
 
 
 DEFAULT_PARAMS = DissonanceParams()
@@ -96,6 +103,12 @@ DEFAULT_PARAMS = DissonanceParams()
 # steps small enough that each temporary stays cache-sized and memory does
 # not grow with the number of steps.
 _CHUNK_ELEMENTS = 1 << 16
+
+# numpy's ufunc buffer, in values, while a sweep runs: an operation that
+# broadcasts a column of steps against a row of pairs copies its operands
+# through the buffer when a row of its output is shorter than about a third
+# of it (8192 values by default), at about four times the cost of the loop
+_BUFFER_SIZE = 256
 
 
 class CurvePoint(namedtuple("CurvePoint", "t dissonance")):
@@ -134,28 +147,32 @@ def pair_roughness(
     )
 
 
-@np.errstate(over="ignore")  # an overflowing sum is refused by _checked
 def _kernel_sum(
-    x: np.ndarray, params: DissonanceParams, slow: Optional[np.ndarray] = None
+    y: np.ndarray, params: DissonanceParams, fold: float = 1.0, slow: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Kernel summed over the last axis, for pairs given by their
-    x = chi_star * d / (s1 * fmin + s2); ``x`` is overwritten, and so is
-    ``slow``, scratch space of x's shape."""
-    slow = np.multiply(x, params.decay_slow, out=slow)
+    """Kernel summed over the last axis, for pairs given by y = fold * x,
+    x = chi_star * d / (s1 * fmin + s2), where ``fold`` is 1 or b1 (which
+    then costs no multiply); ``y`` is overwritten, and so is ``slow``,
+    scratch space of y's shape and memory order. Each exponential is summed
+    on its own. Callers ignore overflow, which ``_checked`` refuses."""
+    p = params
+    slow = np.multiply(y, p.decay_slow / fold, out=slow)
     np.exp(slow, out=slow)
-    slow *= params.weight_slow
-    x *= params.decay_fast
-    np.exp(x, out=x)
-    x *= params.weight_fast
-    x += slow
-    return params.amplitude * params.amplitude * x.sum(axis=-1)
+    if fold != p.decay_fast:
+        y *= p.decay_fast / fold
+    np.exp(y, out=y)
+    return p.amplitude * p.amplitude * (p.weight_fast * y.sum(axis=-1) + p.weight_slow * slow.sum(axis=-1))
 
 
 def _upper_pairs(freqs: np.ndarray, slope: float) -> tuple[np.ndarray, np.ndarray]:
     """``slope`` times the lower frequency, and the distance, of every
-    unordered pair of partials: x = distance / (that + s2/chi_star)."""
-    i, j = np.triu_indices(freqs.size, k=1)
-    return slope * np.minimum(freqs[i], freqs[j]), np.abs(freqs[j] - freqs[i])
+    unordered pair of partials, i < j in row-major order:
+    x = distance / (that + s2/chi_star)."""
+    upper = ~np.tri(freqs.size, dtype=bool)
+    return (
+        slope * np.minimum.outer(freqs, freqs)[upper],
+        np.abs(np.subtract.outer(freqs, freqs)[upper]),
+    )
 
 
 def _skip_cut(params: DissonanceParams) -> float:
@@ -187,33 +204,60 @@ def _moving_pairs(
 
 def _cross_chunks(
     ts: np.ndarray, base: np.ndarray, moving: np.ndarray, rows: int, slope: float,
-    offset: float, cut: float,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    offset: float, cut: float, fold: float,
+) -> Iterator[tuple[int, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """Each chunk of ``rows`` steps as its first index, its t column and
-    the partials f, g of the cross pairs (f, t*g) that can matter there.
+    the cross pairs (f, t*g) that can matter there, in three groups.
 
-    A cross pair has x <= ``cut`` only for t in a window [t1, t2]: above
-    t = f/g, x = (t*g - f) / (slope * f + offset) grows with t, and below
-    it x = (f - t*g) / (slope * t*g + offset) shrinks with t. Pairs are
-    decided once per block of whole chunks and at least 16 steps: a pair is
-    kept when its window meets the block's t range (a NaN end keeps it too),
-    and the pair arrays are not copied when every pair is.
+    A pair is held as its coincidence point P = f/g and Q = offset/g:
+    x = |t - P| / (slope * min(t, P) + Q). Each group is an array of two
+    rows, a column per pair, from which y = fold * x takes the fewest
+    passes: rising pairs (P at most the block's first t) as P and
+    R = fold / (slope * P + Q), y = (t - P) * R; falling pairs (P at least
+    its last t) as P and Q/fold, y = (P - t) / (slope/fold * t + Q/fold);
+    and straddling pairs as P and Q/fold, y by the min/abs form.
+
+    A pair has x <= ``cut`` only for t in a window [t_from, t_to] about P,
+    as x grows with |t - P| on either side. Pairs are decided once per block
+    of whole chunks and at least 16 steps: a pair is kept when its window
+    meets the block's t range (a NaN t_from keeps a falling pair too, to be
+    refused). With an infinite cut, every pair straddles every block.
     """
-    # flat, so each row of a chunk is one long run
-    cross_f, cross_g = np.repeat(base, moving.size), np.tile(moving, base.size)
-    t_from, t_to = -math.inf, math.inf  # an infinite cut keeps every pair
-    if cut < math.inf:
-        reach, stretch = cut * offset, 1 + cut * slope
-        t_from = (cross_f - reach) / (cross_g * stretch)
-        t_to = (cross_f * stretch + reach) / cross_g
+    pairs = np.empty((2, base.size * moving.size))  # rows P and Q/fold
+    np.divide.outer(base, moving, out=pairs[0].reshape(base.size, moving.size))
+    pairs[1].reshape(base.size, moving.size)[:] = offset / fold / moving
+    if cut == math.inf:
+        groups = (pairs[:, :0], pairs[:, :0], pairs)
+        for first in range(0, ts.size, rows):
+            yield first, ts[first : first + rows, None], groups
+        return
+    P, Q = pairs
+    order = P.argsort()
+    P[:] = P.take(order)
+    Q[:] = Q.take(order)
+    del order
+    t_to = P * (slope / fold)
+    t_to += Q
+    t_to *= cut * fold
+    t_to += P
+    t_from = Q * (-cut * fold)
+    t_from += P
+    t_from /= 1 + cut * slope
     block = rows * -(-16 // rows)
     for start in range(0, ts.size, block):
         stop = min(start + block, ts.size)
-        far = t_from > ts[stop - 1]
-        far |= t_to < ts[start]
-        f, g = (cross_f[~far], cross_g[~far]) if far.any() else (cross_f, cross_g)
+        lo, hi = ts[start], ts[stop - 1]
+        rise = P.searchsorted(lo, "right")
+        fall = max(rise, P.searchsorted(hi, "left"))
+        # P and t_to are finite or +inf where P <= lo, so no t_to there is NaN
+        rising = pairs[:, :rise].take((t_to[:rise] >= lo).nonzero()[0], axis=1)
+        R = rising[1]
+        R += rising[0] * (slope / fold)
+        np.divide(1, R, out=R)
+        falling = pairs[:, fall:].take((~(t_from[fall:] > hi)).nonzero()[0], axis=1)
+        groups = (rising, falling, pairs[:, rise:fall])
         for first in range(start, stop, rows):
-            yield first, ts[first : min(first + rows, stop), None], f, g
+            yield first, ts[first : min(first + rows, stop), None], groups
 
 
 def _chunk_rows(n: int, m: int) -> int:
@@ -223,6 +267,18 @@ def _chunk_rows(n: int, m: int) -> int:
 
 
 def _as_float_array(freqs: Union[FrequencySet, Iterable[float]], role: str) -> np.ndarray:
+    if isinstance(freqs, FrequencySet) and freqs:
+        # a * n as num * n / den, rounded once as float() rounds the Fraction,
+        # without building one
+        a, multipliers, _ = freqs._lattice_view()
+        num, den = a.numerator, a.denominator
+        try:
+            arr = np.array([num * n / den for n in multipliers])
+        except OverflowError:
+            pass  # the loop below names the partial
+        else:
+            if arr[0] > 0:  # ascending: only the first can fall below the float range
+                return arr
     values = []
     for index, f in enumerate(freqs, 1):
         try:
@@ -275,7 +331,9 @@ def spectrum_roughness(
     _check_pairs(len(freqs))
     slope, offset = params.curve_slope / params.chi_star, params.curve_offset / params.chi_star
     lower, dist = _upper_pairs(_as_float_array(freqs, "spectrum"), slope)
-    return float(_checked(_kernel_sum(dist / (lower + offset), params)))
+    with np.errstate(over="ignore"):  # an overflowing total is refused by _checked
+        total = _kernel_sum(dist / (lower + offset), params)
+    return float(_checked(total))
 
 
 def dissonance_curve(
@@ -312,36 +370,74 @@ def dissonance_curve(
     if not math.isfinite(t_hi * float(moving.max())):
         raise ValueError(f"sweep top {t_hi} carries the complementary set past the float range")
     ts = np.geomspace(t_lo, t_hi, steps)
+    with np.errstate(over="ignore"):  # an overflowing total is refused by _checked
+        buffer_size = np.setbufsize(_BUFFER_SIZE)
+        try:
+            totals = _sweep(ts, base, moving, params)
+        finally:
+            np.setbufsize(buffer_size)
+    return list(map(tuple.__new__, repeat(CurvePoint), zip(ts.tolist(), _checked(totals).tolist())))
+
+
+def _sweep(ts: np.ndarray, base: np.ndarray, moving: np.ndarray, params: DissonanceParams) -> np.ndarray:
+    """Roughness of F u tF' at each t of ``ts``, for F ``base`` and F'
+    ``moving``."""
     slope, offset = params.curve_slope / params.chi_star, params.curve_offset / params.chi_star
     cut = _skip_cut(params)
+    # b1 < 0 is folded into every y of the sweep when the cut is finite
+    fold = params.decay_fast if cut < math.inf else 1.0
     # pairs within F do not move with t
     lower, dist = _upper_pairs(base, slope)
     fixed = _kernel_sum(dist / (lower + offset), params)
     lower, dist = _moving_pairs(moving, slope, offset, ts[0], cut)
-    rows = _chunk_rows(base.size, moving.size)
-    # every chunk reuses three buffers, for the x of its cross pairs, of its
-    # pairs within tF' and the kernel's scratch: a fresh array costs a page
-    # fault per page
-    cross_x, within_x = np.empty(rows * base.size * moving.size), np.empty(rows * dist.size)
-    scratch = np.empty(max(cross_x.size, within_x.size))
-    totals = np.empty(steps)
-    for first, t, f, g in _cross_chunks(ts, base, moving, rows, slope, offset, cut):
-        x = cross_x[: t.size * f.size].reshape(t.size, f.size)
-        scale = scratch[: x.size].reshape(x.shape)
-        np.multiply(t, g, out=x)
-        np.minimum(x, f, out=scale)
-        scale *= slope
-        scale += offset
-        x -= f
-        np.abs(x, out=x)
-        x /= scale
-        totals[first : first + t.size] = _kernel_sum(x, params, scale)
-        x = within_x[: t.size * dist.size].reshape(t.size, dist.size)
-        np.add(lower, offset / t, out=x)
-        np.divide(dist, x, out=x)
-        totals[first : first + t.size] += _kernel_sum(x, params, scratch[: x.size].reshape(x.shape))
-    totals += fixed
-    return list(map(tuple.__new__, repeat(CurvePoint), zip(ts.tolist(), _checked(totals).tolist())))
+    dist = dist * fold
+    # buffers for the steps a short sweep has, not for a whole chunk
+    rows = min(_chunk_rows(base.size, moving.size), ts.size)
+    # a chunk lays its groups of cross pairs and its pairs within tF' end to
+    # end along the rows of one reused buffer, its steps down the columns;
+    # when its steps outnumber half its cross pairs (small spectra) they run
+    # along the rows instead, so numpy loops over the longer rows. The
+    # kernel's scratch takes the same layout in a second buffer: a fresh
+    # array costs a page fault per page
+    steps_inner = 2 * rows > base.size * moving.size
+    buffer = np.empty(rows * (base.size * moving.size + dist.size))
+    scratch = np.empty(buffer.size)
+    totals = np.empty(ts.size)
+    for first, t, (rising, falling, straddling) in _cross_chunks(
+        ts, base, moving, rows, slope, offset, cut, fold
+    ):
+        n = t.size
+        a = rising.shape[1]
+        b = a + falling.shape[1]
+        c = b + straddling.shape[1]
+        k = c + dist.size
+        if steps_inner:
+            y, s = buffer[: n * k].reshape(k, n).T, scratch[: n * k].reshape(k, n).T
+        else:
+            y, s = buffer[: n * k].reshape(n, k), scratch[: n * k].reshape(n, k)
+        if a:  # t >= P: x = (t - P) / (slope * P + Q)
+            part = y[:, :a]
+            np.subtract(t, rising[0], out=part)
+            part *= rising[1]
+        if b > a:  # t <= P: x = (P - t) / (slope * t + Q)
+            part, scale = y[:, a:b], s[:, a:b]
+            np.add(t * (slope / fold), falling[1], out=scale)
+            np.subtract(falling[0], t, out=part)
+            part /= scale
+        if c > b:
+            part, scale = y[:, b:c], s[:, b:c]
+            np.minimum(t, straddling[0], out=scale)
+            scale *= slope / fold
+            scale += straddling[1]
+            np.subtract(t, straddling[0], out=part)
+            np.abs(part, out=part)
+            part /= scale
+        # within tF', d and the lower partial scale with t
+        part = y[:, c:]
+        np.add(lower, offset / t, out=part)
+        np.divide(dist, part, out=part)
+        totals[first : first + n] = _kernel_sum(y, params, fold, s)
+    return totals + fixed
 
 
 def _checked(totals: np.ndarray) -> np.ndarray:

@@ -14,12 +14,10 @@ on integers").
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 import re
 
-from .core import FrequencySet, ParseError, _count_of, _excerpt, _ratio_text, parse_ratio
+from .core import FrequencySet, ParseError, _count_of, _excerpt, _ratio_text, _union, parse_ratio
 from .notes import NoteName, note_set
 
 __all__ = ["parse_set_expression", "canonical_set_expression"]
@@ -49,12 +47,13 @@ def _parse_term(token: str) -> FrequencySet:
 
 
 def parse_set_expression(text: str) -> FrequencySet:
-    """Parse a set expression, unioning '+'-joined terms."""
+    """Parse a set expression, unioning '+'-joined terms in one pass; the
+    first bad term, from the left, is the one refused."""
     expr = text.strip()
     if not expr:
         raise ParseError("empty frequency-set expression")
     # a one-term expression is its term, not a rebuilt copy of it
-    return functools.reduce(operator.or_, map(_parse_term, expr.split("+")))
+    return _union([_parse_term(term) for term in expr.split("+")])
 
 
 def canonical_set_expression(freq_set: FrequencySet) -> str:

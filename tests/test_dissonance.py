@@ -1,6 +1,9 @@
+import dataclasses
 import math
+import sys
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from toneset import (
     affinitive_intervals,
+    FrequencySet,
     CurvePoint,
     DEFAULT_PARAMS,
     DissonanceParams,
@@ -115,6 +119,13 @@ class TestPairRoughness:
         with pytest.raises(ValueError, match="finite"):
             DissonanceParams(chi_star=chi_star)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(DissonanceParams) if f.name != "chi_star"])
+    def test_every_field_must_be_finite(self, field, value):
+        # refused when built, not after a sweep has run on it
+        with pytest.raises(ValueError, match=f"^{field} must be finite, not {value}$"):
+            DissonanceParams(**{field: value})
+
 
 @st.composite
 def sweeps(draw):
@@ -210,7 +221,7 @@ class TestSkippedPairs:
         ts = np.geomspace(t_lo, t_hi, steps)
         # the chunks walk the steps in order, each with its own t values
         assert [first for first, *_ in chunks] == list(range(0, steps, rows))
-        for first, t, _, _ in chunks:
+        for first, t, _ in chunks:
             assert t[:, 0].tolist() == ts[first : first + rows].tolist()
         # one decision holds for whole chunks and at least 16 steps
         runs = [[chunks[0]]]
@@ -220,17 +231,21 @@ class TestSkippedPairs:
             else:
                 runs.append([chunk])
         for run in runs[:-1]:
-            assert sum(t.size for _, t, _, _ in run) >= 16
-        # every cross pair left out of a chunk is negligible at each of its steps
-        for _, t, f, g in chunks:
-            kept = set(zip(f.tolist(), g.tolist()))
+            assert sum(t.size for _, t, _ in run) >= 16
+        # every cross pair left out of a chunk is negligible at each of its
+        # steps; a kept pair is (P, Q/fold) in its group, or (P, fold/(s1 P + Q))
+        # when it is rising
+        slope, offset = params.curve_slope / params.chi_star, params.curve_offset / params.chi_star
+        fold = params.decay_fast if _skip_cut(params) < math.inf else 1.0
+        for _, t, groups in chunks:
+            kept = {key for group in groups for key in zip(*group.tolist())}
             for a in F_:
                 for b in G:
-                    if (a, b) not in kept:
+                    P, Q = a / b, offset / fold / b
+                    if not {(P, Q), (P, 1 / (P * (slope / fold) + Q))} & kept:
                         for s in t[:, 0].tolist():
                             assert abs(pair_roughness(a, s * b, params)) <= SKIP_BOUND, (a, b, s)
         # and so is every pair within tF' left out of the whole sweep
-        slope = params.curve_slope / params.chi_star
         ((lower, dist),) = kept_within
         kept = set(zip(lower.tolist(), dist.tolist()))
         every = zip(*(column.tolist() for column in _upper_pairs(np.array(G), slope)))
@@ -247,9 +262,9 @@ class TestSkippedPairs:
         p = DEFAULT_PARAMS
         slope, offset, cut = p.curve_slope / p.chi_star, p.curve_offset / p.chi_star, _skip_cut(p)
         base, moving, ts = np.array(F_), np.array(G), np.geomspace(1.0, 1.5, 40)
-        chunks = list(dissonance._cross_chunks(ts, base, moving, 8, slope, offset, cut))
+        chunks = list(dissonance._cross_chunks(ts, base, moving, 8, slope, offset, cut, p.decay_fast))
         assert [first for first, *_ in chunks] == [0, 8, 16, 24, 32]
-        assert all(f.size == g.size == 0 for _, _, f, g in chunks)
+        assert all(group.size == 0 for _, _, groups in chunks for group in groups)
         _, dist = dissonance._moving_pairs(moving, slope, offset, 1.0, cut)
         assert dist.tolist() == [100.0]
         points = dissonance_curve(F_, G, 1.0, 1.5, 40)
@@ -266,11 +281,9 @@ class TestSkippedPairs:
             DissonanceParams(amplitude=1e200),
             DissonanceParams(decay_fast=0.5),
             DissonanceParams(decay_slow=0.0),
-            DissonanceParams(decay_fast=math.nan),
             DissonanceParams(curve_offset=-18.96),
             DissonanceParams(curve_slope=-0.0207),
             DissonanceParams(curve_slope=0.0, curve_offset=0.0),
-            DissonanceParams(weight_slow=math.inf),
         ):
             assert _skip_cut(params) == math.inf, params
 
@@ -325,6 +338,81 @@ class TestSkippedPairs:
             tracemalloc.stop()
         assert len(points) == 20
         assert peak < 12 * len(F_) * len(G) * 8
+
+
+@pytest.fixture(scope="module")
+def seed_5_round(tmp_path_factory):
+    """The benchmark's seed-5 ``roughness`` round: its jobs, in order."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import jobs
+    return jobs.build("roughness", 5, False, tmp_path_factory.mktemp("round"))
+
+
+def recorded_groups(sweep):
+    """Run ``sweep()``, and return the (rising, falling, straddling) pair
+    counts of each chunk its cross pairs were grouped into."""
+    counts, cross_chunks = [], dissonance._cross_chunks
+
+    def record(*args):
+        for chunk in cross_chunks(*args):
+            counts.append(tuple(group.shape[1] for group in chunk[2]))
+            yield chunk
+
+    with mock.patch.object(dissonance, "_cross_chunks", record):
+        sweep()
+    return counts
+
+
+class TestCrossGroups:
+    """Cross pairs are held as coincidence points P = f/g and split per
+    block into rising (P at or below its first t), falling (P at or above
+    its last t) and straddling pairs, each with its own form of x."""
+
+    def test_coincidences_on_block_edges_match_the_oracle(self):
+        # 16 steps a chunk and a block; P = f/g is exact, as every g is a
+        # power of 2: P = 1 on the first step (F and G share 128 and 256),
+        # P on the last step of the first block and on the first step of the
+        # second, and P = t_hi on the last step of the sweep
+        ts = np.geomspace(1.0, 2.1, 48)
+        G = [128.0, 256.0, 512.0]
+        F_ = [128.0, 256.0, 128 * ts[15], 256 * ts[16], 512 * ts[47], 128 * ts[31]]
+        assert ts[47] == 2.1 and all(f / g in ts for f, g in zip(F_[2:], [128, 256, 512, 128]))
+        with mock.patch.object(dissonance, "_CHUNK_ELEMENTS", chunk_elements(F_, G, 16)):
+            assert _chunk_rows(len(F_), len(G)) == 16
+            points = dissonance_curve(F_, G, 1.0, 2.1, 48)
+            counts = recorded_groups(lambda: dissonance_curve(F_, G, 1.0, 2.1, 48))
+        assert [p.t for p in points] == ts.tolist()
+        assert all(sum(group) > 0 for group in zip(*counts))
+        for p, want in zip(points, oracle_totals(F_, G, ts.tolist(), DEFAULT_PARAMS)):
+            assert_matches_oracle(p.dissonance, want, math.comb(len(F_) + len(G), 2))
+
+    def test_seed_5_64_plus_64_sweep_uses_every_group(self, seed_5_round):
+        (job,) = [job for job in seed_5_round if job.name == "64+64x500"]
+        counts = recorded_groups(job.run)
+        rising, falling, straddling = (sum(group) for group in zip(*counts))
+        assert rising > 0 and falling > 0 and straddling > 0
+
+    def test_rising_decay_only_straddles(self):
+        # decay_fast > 0 leaves the cut infinite: nothing is split or skipped
+        F_, G = [262.0 * k for k in range(1, 7)], [330.0 * k for k in range(1, 5)]
+        params = DissonanceParams(decay_fast=0.5)
+        assert _skip_cut(params) == math.inf
+        counts = recorded_groups(lambda: dissonance_curve(F_, G, 1.0, 2.1, 40, params))
+        assert counts == [(0, 0, len(F_) * len(G))]
+
+    def test_kernel_values_per_seed_5_round(self, seed_5_round):
+        # the split changes how a value is computed, not which are
+        values, kernel_sum = [], dissonance._kernel_sum
+
+        def count(y, *args):
+            values.append(y.size)
+            return kernel_sum(y, *args)
+
+        with mock.patch.object(dissonance, "_kernel_sum", count):
+            for job in seed_5_round:
+                job.run()
+        assert sum(values) == 10_604_592
 
 
 class TestDissonanceCurve:
@@ -496,6 +584,13 @@ class TestSpectrumRoughness:
     def test_non_finite_partial_rejected(self):
         with pytest.raises(ValueError, match="partial 2 of the spectrum"):
             spectrum_roughness([1.0, math.nan])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.fractions(min_value=F(1, 10**6), max_value=10**6), min_size=1, max_size=12))
+    def test_a_set_converts_as_its_partials_do(self, values):
+        # the lattice shortcut rounds each partial once, as float() does
+        fs = FrequencySet(values)
+        assert dissonance._as_float_array(fs, "spectrum").tolist() == [float(f) for f in fs]
 
     def test_partial_below_the_float_range_is_named(self):
         with pytest.raises(ValueError, match=r"^partial 1 of the spectrum \(3\.000e-400\) is below"):

@@ -1,7 +1,11 @@
+import functools
+import operator
+import time
 from fractions import Fraction as F
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toneset import (
     FrequencySet,
@@ -56,6 +60,51 @@ class TestParseSetExpression:
     def test_error_names_offending_token(self):
         with pytest.raises(ParseError, match="wibble"):
             parse_set_expression("262,wibble")
+
+    @pytest.mark.parametrize(
+        "expr, named",
+        [
+            ("262+wibble+wobble", "wibble"),
+            ("262*N0+C4_6@x+wibble", "262[*]N0"),
+            ("1+2+C4_6@x+262*N0", "'x'"),
+            ("1+0,2+wibble", "non-positive frequency 0"),
+        ],
+    )
+    def test_first_bad_term_is_the_one_named(self, expr, named):
+        with pytest.raises(ValueError, match=named):
+            parse_set_expression(expr)
+
+    def test_many_terms_parse_in_one_union(self):
+        # pairwise unions made 4,000 single-value terms cost O(k^2): 0.6 s
+        terms = [str(n) for n in range(1, 4001)]
+        listed = parse_set_expression(",".join(terms))
+        times = []
+        for _ in range(3):
+            start = time.process_time()
+            got = parse_set_expression("+".join(terms))
+            times.append(time.process_time() - start)
+        assert got == listed
+        assert min(times) < 0.05
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.fractions(min_value=F(1, 60), max_value=1000, max_denominator=60),
+                st.lists(st.integers(1, 40), min_size=1, max_size=6),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_one_union_equals_pairwise_unions(self, terms):
+        # each term a fundamental times a few multipliers, the fundamentals
+        # mixed so that the union's gcd falls below all of them
+        sets = [FrequencySet([a * n for n in ns]) for a, ns in terms]
+        got = parse_set_expression("+".join(canonical_set_expression(s) for s in sets))
+        want = functools.reduce(operator.or_, sets)
+        assert got == want == FrequencySet([f for s in sets for f in s])
+        assert got.elements == want.elements
 
 
 class TestCanonicalExpression:
