@@ -12,36 +12,15 @@ exactly at the nonzero-affinity intervals, which is what this module is here
 to check. Amplitudes are uniform (spectra are bare frequency sets), and the
 contract is qualitative: minima locations, not bit-exact curve values.
 
-A sweep of F (N partials) against tF' (M partials) sums the t-independent
-pairs within F once and, per step, evaluates at most the N*M cross pairs and
-the M(M-1)/2 pairs within tF', all through one kernel function of y = b1 x,
-x = d / (fmin * s1/chi_star + s2/chi_star). A cross pair (f, t*g) is held as
-its coincidence point P = f/g, and each block of steps (below) splits the
-cross pairs it keeps into rising, falling and straddling groups, each with
-its cheapest form of y: 7, 8 and 11 numpy passes a pair-step with the
-kernel's, and 7 a pair within tF' (README, "Roughness model"). Steps are
-walked in chunks of about 2^16 pair values, each laid end to end in one
-reused buffer, so memory is bounded by the chunk and the pair arrays, not by
-steps * (N+M)^2.
-
-Pairs that cannot change a total are not evaluated. With b1, b2 < 0 and
-s1, s2 >= 0 (not both 0), |kernel(x)| <= a^2 (|c1| + |c2|) e^(max(b1, b2) x),
-which is below 2^-100 past a cut of x = 20.4 at the defaults. A cross pair
-is left out of a block of whole chunks and at least 16 steps when its x is
-past the cut at every t of the block; a pair within tF', whose x grows with
-t, is left out of the whole sweep when it is past the cut at the first step.
-A step has at most 2^22 pairs, so a total loses at most 2^-78 (3.3e-24).
-For any other parameters (a decay >= 0, a negative s1 or s2, both 0, or
-a^2 (|c1| + |c2|) zero or past the float range) the cut is infinite and
-nothing is skipped. Far pairs are also the slow ones: ``exp`` of an
-argument below about -708 costs ten to a hundred times an ordinary one.
-A cross pair whose f/g and (s2/chi_star)/g both pass the float range (a
-partial below about 4e-307 Hz) has a NaN x, and its sweep is refused.
-
-Summation order and the skip differ from an all-pairs sum only in rounding:
-curves agree with it to 1e-12 relative (the last digits of a ``dissonance``
-value), and to ~1e-15 absolute per pair for totals too small for that,
-where one ulp of ``exp`` in a nearly coincident pair dominates.
+A sweep of F against tF' sums the pairs within F once and walks its steps
+in chunks through reused buffers, so memory is bounded by the chunk and the
+pair arrays, not by steps * (N+M)^2. Each block of steps splits the cross
+pairs it keeps by the side of their coincidence point, and pairs that
+cannot change a total are not evaluated (README, "Roughness model", which
+gives the kernel's forms and their numpy passes, the skip rule and its
+conditions, and how far the sums may differ from an all-pairs sum). Far
+pairs are also the slow ones: ``exp`` of an argument below about -708 costs
+ten to a hundred times an ordinary one.
 
 This is the one floating-point corner of the package; nothing here feeds
 back into the rational layer.

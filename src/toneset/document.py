@@ -5,15 +5,12 @@ metadata needed to regenerate and rescore them; it is the interchange
 format between subcommands. Exact rational strings are authoritative; cents
 and float columns are derived on export, so import -> export is
 byte-identical. Every table writer (``table_csv``, ``TuningDocument.to_json``
-and the text table the CLI prints) is one pass, ``_formatted``, over a
-table's integer rows, with its own cells and row function. No writer
-builds a ``TuningEntry`` or a ``ConsonanceScore``, and ``from_json``
-reads every ratio text as integers through ``core._ratio_terms``; README,
-"Tables are integer rows, and a row is its interval", gives the rows, the
-per-call memo, the score terms, the JSON template and the few Fractions
-built. The other CSVs the package writes go through ``csv_text``. Each
-writer still builds its whole output as one string, and ``from_json``
-reads a whole document into memory.
+and the text table the CLI prints) is one pass, ``_formatted``, over
+integer rows and optional note names, with its own cells and row function
+(README, "Tables are integer rows, and a row is its interval"). The other
+CSVs the package writes go through ``csv_text``. Each writer still builds
+its whole output as one string, and ``from_json`` reads a whole document
+into memory.
 """
 
 from __future__ import annotations
@@ -21,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, repeat
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, TypeVar
@@ -66,35 +64,33 @@ _table_row = "{}/{},{:.4f},{}".format
 
 def table_csv(source: TuningTable | TuningDocument | Iterable[TuningEntry]) -> str:
     """A table's entries as CSV: exact interval, cents and the three scores,
-    each row one fill of a template, as ``csv_text`` would join its cells."""
-    return "\n".join(chain([_TABLE_HEADER], _formatted(source, _joined_cells, _table_row))) + "\n"
+    each row one fill of a template, as ``csv_text`` would join its cells.
+    Loose entries are written in the order given."""
+    if isinstance(source, TuningDocument):
+        source = source._table
+    rows = source._rows if isinstance(source, TuningTable) else _entry_rows(source)
+    return "\n".join(chain([_TABLE_HEADER], _formatted(rows, None, _joined_cells, _table_row))) + "\n"
 
 
 def _formatted(
-    source: TuningTable | TuningDocument | Iterable[TuningEntry],
+    rows: Iterable[tuple[int, int, _Terms]],
+    notes: Optional[Iterable[Optional[str]]],
     cells: Callable[[_Terms], Any],
     row: Callable[[int, int, float, Any, Optional[str]], _Row],
 ) -> Iterator[_Row]:
     """The one pass behind every table writer (CSV, JSON, text): for each
-    row, ``row(n, d, cents, cells(terms), note)`` with its interval n/d in
-    lowest terms, its score terms and its note name (None but in an
-    annotated document).
+    row (n, d, terms) and its note name (None without ``notes``),
+    ``row(n, d, cents, cells(terms), note)``.
 
-    The cells are computed once per terms object in this call: tables share
-    one object per distinct score. The rows hold every terms object while
-    the call lives, so no id is reused, and the memo goes with the call. A
+    The cells are computed once per distinct terms value in this call. A
     ``row`` that prints an interval term too long for ``int`` text gets
     ``format_ratio``'s refusal, which names the interval.
     """
-    if isinstance(source, TuningDocument):
-        rows, notes = source._table._rows, source._notes
-    else:
-        rows, notes = (source._rows if isinstance(source, TuningTable) else _entry_rows(source)), None
-    memo: dict[int, Any] = {}
+    memo: dict[_Terms, Any] = {}
     for (n, d, terms), note in zip(rows, notes or repeat(None)):
-        found = memo.get(id(terms))
+        found = memo.get(terms)
         if found is None:
-            found = memo[id(terms)] = cells(terms)
+            found = memo[terms] = cells(terms)
         try:
             line = row(n, d, _cents_of(n, d), found, note)
         except ValueError:
@@ -111,9 +107,8 @@ def _joined_cells(terms: _Terms) -> str:
 
 def _float_cells(terms: _Terms) -> tuple[str, str, str]:
     """The affinity, harmonicity and total (an*hd + hn*ad) / (2*ad*hd)
-    cells of a CSV row, formatted from the score terms as they are: an int
-    divided by an int is correctly rounded whatever the reduction, so each
-    float equals ``float()`` of its Fraction."""
+    cells of a CSV row: an int divided by an int is correctly rounded, so
+    each float equals ``float()`` of its Fraction."""
     an, ad, hn, hd = terms
     return _float_cell(an, ad), _float_cell(hn, hd), _float_cell(an * hd + hn * ad, 2 * ad * hd)
 
@@ -138,11 +133,9 @@ _SCORE_LABELS = ("affinity", "harmonicity", "total")
 
 def _score_terms(terms: _Terms) -> tuple[tuple[int, int], ...]:
     """The affinity, harmonicity and total (a + h) / 2 of a row's score
-    terms, each as (numerator, denominator) in lowest terms, by one gcd each
-    and no Fraction. The one place a score's reduced terms are derived."""
+    terms, each as (numerator, denominator) in lowest terms: the total by
+    one gcd and no Fraction."""
     an, ad, hn, hd = terms
-    g, k = math.gcd(an, ad), math.gcd(hn, hd)
-    an, ad, hn, hd = an // g, ad // g, hn // k, hd // k
     tn, td = an * hd + hn * ad, 2 * ad * hd
     g = math.gcd(tn, td)
     return (an, ad), (hn, hd), (tn // g, td // g)
@@ -215,7 +208,7 @@ def _text_row(n: int, d: int, c: float, scores: tuple[tuple[int, int], str], not
 
 def _render_text(doc: TuningDocument, order: str) -> str:
     """A document as a text table, in interval or consonance order."""
-    rows: Iterable = _formatted(doc, _text_scores, _text_row)
+    rows: Iterable = _formatted(doc._table._rows, doc._notes, _text_scores, _text_row)
     if order == "consonance":
         # each distinct total is ranked once, its terms in lowest terms; the
         # rows ascend by interval and the sort is stable, so equal totals
@@ -249,6 +242,13 @@ def _text_field(raw: dict, index: int, field: str) -> str:
     return value
 
 
+def _note_field(note: Any, index: int) -> Optional[str]:
+    """An entry's note name, which must be a string or None."""
+    if isinstance(note, (str, type(None))):
+        return note
+    raise ValueError(f"invalid tuning document: entry {index} field 'note' must be a string, not {type(note).__name__}")
+
+
 class TuningDocument:
     """A tuning table plus the metadata needed to regenerate and rescore it.
 
@@ -262,23 +262,20 @@ class TuningDocument:
     """
 
     def __init__(self, metadata: dict, entries: tuple[TuningEntry, ...]):
-        # the table refuses entries out of order or not positive
+        # the table refuses entries out of order, not positive or with an inexact score
         table = TuningTable(entries, metadata.get("generator", "unknown"))
-        self._hold(metadata, table, [e.note for e in entries], entries)
+        self._hold(metadata, table, [_note_field(e.note, index) for index, e in enumerate(entries)])
 
-    def _hold(self, metadata: dict, table: TuningTable, notes: Iterable, entries=None) -> None:
+    def _hold(self, metadata: dict, table: TuningTable, notes: Iterable) -> None:
         notes = tuple(notes)
-        self.metadata, self._table, self._entries = metadata, table, entries
+        self.metadata, self._table = metadata, table
         self._notes = notes if any(n is not None for n in notes) else None
 
-    @property
+    @cached_property
     def entries(self) -> tuple[TuningEntry, ...]:
-        if self._entries is None:
-            table, notes = self._table, self._notes
-            self._entries = table.entries if notes is None else tuple(
-                TuningEntry(e.interval, e.score, note) for e, note in zip(table.entries, notes)
-            )
-        return self._entries
+        if self._notes is None:
+            return self._table.entries
+        return tuple(TuningEntry(e.interval, e.score, note) for e, note in zip(self._table.entries, self._notes))
 
     @classmethod
     def from_table(
@@ -319,7 +316,7 @@ class TuningDocument:
         for the document: ``json.dumps`` writes the metadata, and each entry
         fills one template."""
         head = json.dumps({"metadata": self.metadata, "entries": []}, indent=2, ensure_ascii=False)
-        entries = ",\n".join(_formatted(self, _json_scores, _json_entry))
+        entries = ",\n".join(_formatted(self._table._rows, self._notes, _json_scores, _json_entry))
         # the head ends '"entries": []\n}'
         return f"{head[:-4]}[\n{entries}\n  ]\n}}\n" if entries else head + "\n"
 
@@ -344,20 +341,14 @@ class TuningDocument:
                     f"invalid tuning document: metadata field {field!r} must be "
                     f"{name}, not {type(value).__name__}"
                 )
-        # one terms object per distinct (affinity, harmonicity, total) text
-        # triple, read and checked once, so the writers' memo serves read
-        # documents
+        # each distinct (affinity, harmonicity, total) text triple is read
+        # and checked once
         scores: dict[tuple, _Terms] = {}
         rows, notes = [], []
         for index, raw in enumerate(data["entries"]):
             if not isinstance(raw, dict):
                 raise ValueError(f"invalid tuning document: entry {index} is not an object")
-            note = raw.get("note")
-            if not isinstance(note, (str, type(None))):
-                raise ValueError(
-                    f"invalid tuning document: entry {index} field 'note' must be a string, "
-                    f"not {type(note).__name__}"
-                )
+            note = _note_field(raw.get("note"), index)
             interval = raw.get("interval")
             n, d = _ratio_terms(interval if type(interval) is str else _text_field(raw, index, "interval"))
             if n <= 0:

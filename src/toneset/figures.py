@@ -121,7 +121,8 @@ def _fig5_5(params: Params) -> dict[str, str]:
 def _fig5_6(params: Params) -> dict[str, str]:
     # thomae_modified(n/d) is 1/max(n, d); an int over an int is correctly rounded
     rows = _formatted(
-        _distribution(params),
+        _distribution(params)._rows,
+        None,
         _float_cells,
         lambda n, d, c, cells, _: [f"{n}/{d}", f"{c:.4f}", cells[2], repr(1 / max(n, d))],
     )
@@ -229,7 +230,7 @@ def _fig5_14(params: Params) -> dict[str, str]:
 def _fig8_1(params: Params) -> dict[str, str]:
     # thomae_classical(n/d) is 1/d; the row's score is not shown
     rows = _formatted(
-        _distribution(params), lambda _: (), lambda n, d, c, _, __: [f"{n}/{d}", f"{c:.4f}", repr(1 / d)]
+        _distribution(params)._rows, None, lambda _: (), lambda n, d, c, _, __: [f"{n}/{d}", f"{c:.4f}", repr(1 / d)]
     )
     return {"fig8_1": csv_text(["interval_ratio", "cents", "thomae"], rows)}
 

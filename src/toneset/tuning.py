@@ -14,27 +14,14 @@ a contextual set F and a complementary set F' that is transposed against it:
   scored on the original sets. Contains the affinitive table (its entries
   with nonzero affinity) and never misses a high-harmonicity interval.
 
-Every table is made by one function, ``_scored``, in one coordinate
-system. With F = a*N and G = b*M (fundamentals a, b, integer multipliers),
-a generator hands it each transposition t as (p, q, n, d): the ascending
-reduced integer pair p/q = t*b/a, and t = n/d in lowest terms, reduced
-once by whichever side holds it. ``_scored`` is the one place where the
-overlap of F and tF', the threshold test and the score are computed, on
-those integers; a kept candidate becomes a row (n, d, terms) of a
-``TuningTable``, terms the integers of its affinity and harmonicity. The
-generators differ only in their pairs: the affinitive pairs are sorted by
-``_ascending``, the others come from one Farey walk, ``_walk``, which
-refuses more than ``MAX_TABLE_ENTRIES`` candidates before the first, and
-``octave_reduce`` folds a table's rows on integers. The README design
-notes give each generator's pairs, the rectangle that bounds h > 0, the
-cap, and who builds what ("Tables are integer rows, and a row is its
-interval"). The public consonance functions compute the same Fractions
-from the sets themselves and are the oracle the tests compare against.
-
-Octave reduction folds intervals into [1, 2) and rescores them from scratch;
-consonance is not preserved by octave transposition (4/5 folds to 8/5, which
-shares no partials with a six-partial context), so carried-over scores would
-be wrong.
+Every table is made by one function, ``_scored``, on integers, and the
+generators differ only in the pairs they hand it: the affinitive pairs
+sorted by ``_ascending``, the others from one Farey walk, ``_walk``
+(README, "Every table is made by that one function"). A kept candidate
+becomes a row (n, d, terms) of a ``TuningTable``. The public consonance
+functions compute the same Fractions from the sets themselves and are the
+oracle the tests compare against. Octave reduction rescores the folded
+intervals, as consonance is not preserved by octave transposition.
 """
 
 from __future__ import annotations
@@ -89,13 +76,10 @@ class TuningTable:
     them; the sets and parameters they came from are the document's
     metadata.
 
-    A table holds its entries as rows ``(n, d, terms)``: each interval n/d
-    in lowest terms, and its score as the integer terms (an, ad, hn, hd) of
-    affinity an/ad and harmonicity hn/hd, not necessarily in lowest terms
-    (README, "Tables are integer rows"). The constructor refuses intervals
-    that do not strictly ascend or are not positive. A generated table has
-    the rows alone and builds ``entries`` and ``intervals`` on first read,
-    one ``ConsonanceScore`` per distinct terms object.
+    A table holds its entries as rows ``(n, d, terms)`` (README, "Tables
+    are integer rows"). The constructor refuses intervals that do not
+    strictly ascend or are not positive. A generated table has the rows
+    alone and builds ``entries`` and ``intervals`` on first read.
     """
 
     entries: tuple[TuningEntry, ...]
@@ -118,12 +102,10 @@ class TuningTable:
         state = self.__dict__
         if name != "entries" or "_rows" not in state:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        rows = state["_rows"]  # they hold every terms tuple, so no id is reused
-        distinct = {id(terms): terms for _, _, terms in rows}
-        scores = {
-            key: ConsonanceScore(Fraction(an, ad), Fraction(hn, hd)) for key, (an, ad, hn, hd) in distinct.items()
-        }
-        entries = state["entries"] = tuple(TuningEntry(Fraction(n, d), scores[id(t)]) for n, d, t in rows)
+        rows = state["_rows"]
+        distinct = {terms for _, _, terms in rows}
+        scores = {t: ConsonanceScore(Fraction(t[0], t[1]), Fraction(t[2], t[3])) for t in distinct}
+        entries = state["entries"] = tuple(TuningEntry(Fraction(n, d), scores[t]) for n, d, t in rows)
         return entries
 
     @cached_property
@@ -135,16 +117,21 @@ _Terms = tuple[int, int, int, int]
 
 
 def _terms(score: ConsonanceScore) -> _Terms:
-    """A score as a row's terms: affinity and harmonicity as integer pairs."""
-    return (*score.affinity.as_integer_ratio(), *score.harmonicity.as_integer_ratio())
+    """A score as a row's terms: affinity and harmonicity as integer pairs
+    in lowest terms. A field that is not an int or a Fraction is refused:
+    a float's terms would be its binary value, not the score it stands for."""
+    a, h = score.affinity, score.harmonicity
+    for label, value in (("affinity", a), ("harmonicity", h)):
+        if isinstance(value, float):
+            raise TypeError(f"refusing float {value!r} as score field {label!r}: pass a Fraction to stay exact")
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"score field {label!r} must be an int or a Fraction, not {type(value).__name__}")
+    return (*a.as_integer_ratio(), *h.as_integer_ratio())
 
 
 def _entry_rows(entries: Iterable[TuningEntry]) -> tuple[tuple[int, int, _Terms], ...]:
-    """Entries as the rows of a table, one terms object per score object."""
-    entries = tuple(entries)  # holds every score, so no id is reused
-    distinct = {id(e.score): e.score for e in entries}
-    terms = {key: _terms(score) for key, score in distinct.items()}
-    return tuple((e.interval.numerator, e.interval.denominator, terms[id(e.score)]) for e in entries)
+    """Entries as the rows of a table."""
+    return tuple((e.interval.numerator, e.interval.denominator, _terms(e.score)) for e in entries)
 
 
 def _check_order(rows: Sequence[tuple[int, int, _Terms]]) -> None:
@@ -168,17 +155,12 @@ def _scored(
     p/q = t*b/a, ascending, and t = n/d in lowest terms.
 
     Each score is ``total_consonance(F, G.transpose(t))`` for F = a*N and
-    G = b*M (integer multipliers with gcd 1), computed without building tG:
-    a*n = t*b*m iff n = p*k and m = q*k for some k, so the overlap is a
-    count of integers; the union's gcd is a/q and its top partial
-    a*max(N_top, p*M_top/q), so harmonicity = |F u tG| / top with
-    top = max(q*N_top, p*M_top). The threshold test cross-multiplies
-    integers, and runs first on the union's largest size |N| + |M|: a
-    candidate that fails there is rejected before its overlap is counted.
-    None is counted when p > N_top or q > M_top, as no k fits. A kept
+    G = b*M, counted on the multipliers without building tG (README,
+    "Scoring a transposition never materialises tF'"): the union's gcd is
+    a/q and its top partial a*top/q, top = max(q*N_top, p*M_top). A kept
     candidate becomes the row (n, d, terms), terms = (shared, min(|N|, |M|),
-    |N| + |M| - shared, top); each distinct terms tuple is built once a
-    call, and no Fraction, score or entry.
+    |N| + |M| - shared, top) in lowest terms, reduced once per distinct
+    score in a call.
     """
     _, n_all, n_set = contextual._lattice_view()  # refuses empty sets
     _, m_all, m_set = complementary._lattice_view()
@@ -225,7 +207,8 @@ def _scored(
             key = top
         terms = built.get(key)
         if terms is None:
-            terms = built[key] = (shared, smaller, sizes - shared, top)
+            g, k = math.gcd(shared, smaller), math.gcd(sizes - shared, top)
+            terms = built[key] = (shared // g, smaller // g, (sizes - shared) // k, top // k)
         append((n, d, terms))
     # the pairs ascend, and t = p*a/(q*b) with them
     return TuningTable._of_rows(tuple(rows), generator)
@@ -331,11 +314,8 @@ def _walk(low: Fraction, high: Fraction, max_num: int, max_den: int) -> Iterator
     q <= max_den, ascending; none when max_num or max_den is below 1.
 
     A walk of more than ``MAX_TABLE_ENTRIES`` candidates is refused before
-    the first pair is asked for. The candidates are counted only when both
-    max_num*max_den and ``_walk_bound`` exceed the cap: exactly by
-    ``_reduced_count``, or, when both sides exceed ``_SIEVE_LIMIT`` and that
-    count's lower bound does not exceed the cap, by walking them, at most
-    MAX_TABLE_ENTRIES + 1 steps.
+    the first pair is asked for (README, "A walk visits at most 2^22
+    candidates").
     """
     if max_num < 1 or max_den < 1:
         return iter(())

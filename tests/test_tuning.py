@@ -811,6 +811,21 @@ class TestTuningTable:
         with pytest.raises(ValueError, match="^interval must be positive$"):
             TuningDocument({"generator": "superset"}, entries)
 
+    def test_rejects_a_score_field_that_is_not_exact(self):
+        # a float affinity used to be written as its binary value,
+        # 3602879701896397/36028797018963968, which from_json then read back
+        for score, message in (
+            (ConsonanceScore(0.1, F(1, 3)), r"refusing float 0\.1 as score field 'affinity': pass a Fraction"),
+            (ConsonanceScore(F(1, 3), "1/2"), "score field 'harmonicity' must be an int or a Fraction, not str"),
+        ):
+            entries = (TuningEntry(F(3, 2), score),)
+            with pytest.raises(TypeError, match=f"^{message}"):
+                TuningTable(entries, "superset")
+            with pytest.raises(TypeError, match=f"^{message}"):
+                TuningDocument({"generator": "superset"}, entries)
+        exact = TuningTable((TuningEntry(F(3, 2), ConsonanceScore(0, 1)),), "superset")
+        assert exact._rows == ((3, 2, (0, 1, 1, 1)),)
+
     @settings(max_examples=100, deadline=None)
     @given(
         small_lattice_sets,
@@ -866,6 +881,23 @@ class TestTableRows:
         for table in generated_tables(contextual, complementary, h, n, m):
             assert all(math.gcd(num, den) == 1 for num, den, _ in table._rows)
             assert all(a * d < c * b for (a, b, _), (c, d, _) in pairwise(table._rows))
+
+    @settings(max_examples=60, deadline=None)
+    @given(*_draws)
+    def test_terms_are_the_scores_in_lowest_terms(self, contextual, complementary, h, n, m):
+        # equal scores are equal terms, whichever side built the row: the
+        # scorer, octave_reduce, the public constructor or from_json
+        for table in generated_tables(contextual, complementary, h, n, m):
+            read = TuningDocument.from_json(TuningDocument.from_table(table, "F", "G").to_json())
+            for rows in (
+                table._rows,
+                octave_reduce(table, contextual, complementary)._rows,
+                TuningTable(eager_entries(table, contextual, complementary), table.generator)._rows,
+                read.to_table()._rows,
+            ):
+                for num, den, terms in rows:
+                    score = total_consonance(contextual, complementary.transpose(F(num, den)))
+                    assert terms == (*score.affinity.as_integer_ratio(), *score.harmonicity.as_integer_ratio())
 
     @settings(max_examples=100, deadline=None)
     @given(*_draws)
