@@ -27,7 +27,6 @@ from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
     "Ratio",
-    "RatioLike",
     "ParseError",
     "parse_ratio",
     "format_ratio",

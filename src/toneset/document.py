@@ -249,6 +249,19 @@ def _note_field(note: Any, index: int) -> Optional[str]:
     raise ValueError(f"invalid tuning document: entry {index} field 'note' must be a string, not {type(note).__name__}")
 
 
+def _check_metadata(metadata: Any, entries_listed: bool = True) -> None:
+    """Refuse metadata that is not an object (or entries that were not
+    listed), or a metadata field a reader uses that has the wrong type."""
+    if not isinstance(metadata, dict) or not entries_listed:
+        raise ValueError("invalid tuning document: metadata must be an object and entries a list")
+    for field, (kind, name) in _METADATA_FIELDS.items():
+        value = metadata.get(field, kind())
+        if not isinstance(value, kind):
+            raise ValueError(
+                f"invalid tuning document: metadata field {field!r} must be {name}, not {type(value).__name__}"
+            )
+
+
 class TuningDocument:
     """A tuning table plus the metadata needed to regenerate and rescore it.
 
@@ -257,11 +270,12 @@ class TuningDocument:
     ``entries`` is a view of them, built on first read: for a document
     without note names, the table's own entries. ``from_table`` takes the
     rows of a table; the constructor and ``from_json`` refuse entries that
-    do not strictly ascend by interval or are not positive, so every
-    document reads back.
+    do not strictly ascend by interval or are not positive, and all three
+    refuse metadata ``from_json`` could not read, so every document reads back.
     """
 
     def __init__(self, metadata: dict, entries: tuple[TuningEntry, ...]):
+        _check_metadata(metadata)
         # the table refuses entries out of order, not positive or with an inexact score
         table = TuningTable(entries, metadata.get("generator", "unknown"))
         self._hold(metadata, table, [_note_field(e.note, index) for index, e in enumerate(entries)])
@@ -299,6 +313,7 @@ class TuningDocument:
             "complement": complement_expr,
             "parameters": dict(parameters or {}),
         }
+        _check_metadata(metadata)
         doc = cls.__new__(cls)
         doc._hold(metadata, table, notes)
         return doc
@@ -330,17 +345,7 @@ class TuningDocument:
             raise ValueError("invalid tuning document JSON: nested too deeply") from None
         if not isinstance(data, dict) or "metadata" not in data or "entries" not in data:
             raise ValueError("invalid tuning document: missing metadata or entries")
-        if not isinstance(data["metadata"], dict) or not isinstance(data["entries"], list):
-            raise ValueError(
-                "invalid tuning document: metadata must be an object and entries a list"
-            )
-        for field, (kind, name) in _METADATA_FIELDS.items():
-            value = data["metadata"].get(field, kind())
-            if not isinstance(value, kind):
-                raise ValueError(
-                    f"invalid tuning document: metadata field {field!r} must be "
-                    f"{name}, not {type(value).__name__}"
-                )
+        _check_metadata(data["metadata"], isinstance(data["entries"], list))
         # each distinct (affinity, harmonicity, total) text triple is read
         # and checked once
         scores: dict[tuple, _Terms] = {}

@@ -1,13 +1,13 @@
 """Reference dataset emission for the documented tuning scenarios.
 
-Each figure id maps to one or more CSV blocks (a multi-panel scenario emits
-one block per panel, and curve overlays get a sidecar block). CSVs carry
-exact interval ratios plus float columns sufficient to re-plot the scenario;
-plotting itself is out of scope. The curve builders import the numpy-backed
-roughness module when they run, so the other figures never load numpy.
-There is one distribution, ``_distribution``: the harmonic tuning of a unit
-singleton at h = 0. fig5_5, fig5_6 and fig8_1 format its integer rows
-through ``document._formatted``, as every table figure does.
+A figure id is its builder's name without the leading "_": ``_fig5_1``
+builds fig5_1, as one CSV block per panel (plus a sidecar block for a
+curve overlay). CSVs carry exact interval ratios and the float columns to
+re-plot a scenario; plotting is out of scope. Curve builders import the
+numpy-backed roughness module when they run, so no other figure loads
+numpy. There is one distribution, ``_distribution``, the harmonic tuning
+of a unit singleton at h = 0; fig5_5, fig5_6 and fig8_1 format its integer
+rows through ``document._formatted``, as every table figure does.
 """
 
 from __future__ import annotations
@@ -236,23 +236,7 @@ def _fig8_1(params: Params) -> dict[str, str]:
 
 
 _BUILDERS: dict[str, Callable[[Params], dict[str, str]]] = {
-    "fig4_2": _fig4_2,
-    "fig4_3": _fig4_3,
-    "fig5_1": _fig5_1,
-    "fig5_2": _fig5_2,
-    "fig5_3": _fig5_3,
-    "fig5_4": _fig5_4,
-    "fig5_5": _fig5_5,
-    "fig5_6": _fig5_6,
-    "fig5_7": _fig5_7,
-    "fig5_8": _fig5_8,
-    "fig5_9": _fig5_9,
-    "fig5_10": _fig5_10,
-    "fig5_11": _fig5_11,
-    "fig5_12": _fig5_12,
-    "fig5_13": _fig5_13,
-    "fig5_14": _fig5_14,
-    "fig8_1": _fig8_1,
+    name[1:]: builder for name, builder in list(globals().items()) if name.startswith("_fig")
 }
 
 

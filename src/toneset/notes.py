@@ -31,7 +31,6 @@ from .core import (
 )
 
 __all__ = [
-    "PITCH_CLASSES",
     "NoteName",
     "note_name",
     "grid_frequency",

@@ -116,22 +116,25 @@ class TuningTable:
 _Terms = tuple[int, int, int, int]
 
 
+def _exact_terms(value: object, label: str) -> tuple[int, int]:
+    """An int or a Fraction as an integer pair in lowest terms; anything
+    else is refused, as a float's terms would be its binary value."""
+    if isinstance(value, float):
+        raise TypeError(f"refusing float {value!r} as {label}: pass a Fraction to stay exact")
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{label} must be an int or a Fraction, not {type(value).__name__}")
+    return value.as_integer_ratio()
+
+
 def _terms(score: ConsonanceScore) -> _Terms:
-    """A score as a row's terms: affinity and harmonicity as integer pairs
-    in lowest terms. A field that is not an int or a Fraction is refused:
-    a float's terms would be its binary value, not the score it stands for."""
+    """A score as a row's terms: affinity and harmonicity in lowest terms."""
     a, h = score.affinity, score.harmonicity
-    for label, value in (("affinity", a), ("harmonicity", h)):
-        if isinstance(value, float):
-            raise TypeError(f"refusing float {value!r} as score field {label!r}: pass a Fraction to stay exact")
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"score field {label!r} must be an int or a Fraction, not {type(value).__name__}")
-    return (*a.as_integer_ratio(), *h.as_integer_ratio())
+    return (*_exact_terms(a, "score field 'affinity'"), *_exact_terms(h, "score field 'harmonicity'"))
 
 
 def _entry_rows(entries: Iterable[TuningEntry]) -> tuple[tuple[int, int, _Terms], ...]:
-    """Entries as the rows of a table."""
-    return tuple((e.interval.numerator, e.interval.denominator, _terms(e.score)) for e in entries)
+    """Entries as the rows of a table; an inexact interval or score is refused."""
+    return tuple((*_exact_terms(e.interval, "interval"), _terms(e.score)) for e in entries)
 
 
 def _check_order(rows: Sequence[tuple[int, int, _Terms]]) -> None:

@@ -804,6 +804,32 @@ def test_roughness_names_resolve():
         toneset.no_such_name
 
 
+# the public names of the package at the commit that made it re-export each
+# module's __all__; a name added or dropped must be added or dropped here
+_PUBLIC_NAMES = {
+    "ConsonanceScore", "CurvePoint", "DEFAULT_PARAMS", "DissonanceParams", "FrequencySet", "NoteName",
+    "ParseError", "Ratio", "TuningDocument", "TuningEntry", "TuningTable", "__version__",
+    "affinitive_intervals", "affinitive_tuning", "affinity", "canonical_set_expression", "cents",
+    "dissonance_curve", "emit_figure_data", "enumerate_rationals", "export_scl", "fold_to_octave",
+    "format_ratio", "format_set", "gcd_set", "grid_frequency", "harmonic_intervals", "harmonic_set",
+    "harmonic_superset", "harmonic_tuning", "harmonicity", "note_name", "note_set", "octave_reduce",
+    "pair_roughness", "parse_ratio", "parse_set_expression", "rational_gcd", "rational_lcm",
+    "spectrum_roughness", "superset_tuning", "supported_figures", "thomae_classical",
+    "thomae_modified", "to_ratio", "total_consonance", "total_period", "transpose",
+}
+
+
+def test_package_names_are_each_module_all_once():
+    from toneset import consonance, core, dissonance, document, figures, notation, notes, tuning
+
+    modules = (core, notes, consonance, tuning, document, notation, figures)
+    declared = [name for module in modules for name in module.__all__]
+    assert toneset.__all__ == ["__version__", *declared, *sorted(toneset._DISSONANCE_NAMES)]
+    assert len(set(toneset.__all__)) == len(toneset.__all__) == 48
+    assert set(toneset.__all__) == _PUBLIC_NAMES
+    assert toneset._DISSONANCE_NAMES == set(dissonance.__all__)
+
+
 # --- fuzzing: whatever the argv, main() exits 0, 2 or 3 and never raises -----
 
 _COUNTS = st.one_of(

@@ -532,6 +532,53 @@ class TestJsonWriter:
         assert (code, capsys.readouterr().out, out.exists()) == (3, "", False)
 
 
+# metadata of any JSON shape, a field a reader uses often of the wrong type
+_ANY_METADATA = _METADATA | _JSON_VALUES | st.dictionaries(
+    st.sampled_from(["tool", "generator", "context", "complement", "parameters"]) | st.text(max_size=6),
+    _JSON_VALUES,
+    max_size=5,
+)
+
+
+class TestEveryDocumentReadsBack:
+    """The constructor, ``from_table`` and ``from_json`` share one metadata
+    check, so a document built any way reads back through ``from_json``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ANY_METADATA, _NOTED_ENTRIES)
+    def test_accepted_documents_read_back(self, metadata, entries):
+        entries = tuple(sorted({e.interval: e for e in entries}.values(), key=lambda e: e.interval))
+        try:
+            doc = TuningDocument(metadata, entries)
+        except ValueError as refusal:
+            assert str(refusal).startswith("invalid tuning document: metadata ")
+            return
+        read = TuningDocument.from_json(doc.to_json())
+        assert (read.metadata, read.entries) == (metadata, entries)
+
+    @pytest.mark.parametrize("metadata, message", [
+        # the constructor used to raise AttributeError: 'NoneType' object has no attribute 'get'
+        (None, "metadata must be an object and entries a list"),
+        # the constructor used to accept these, and from_json refused what to_json wrote
+        ({"generator": 5}, "metadata field 'generator' must be a string, not int"),
+        ({"parameters": []}, "metadata field 'parameters' must be an object, not list"),
+    ])
+    def test_constructor_refuses_what_from_json_refuses(self, metadata, message):
+        text = json.dumps({"metadata": metadata, "entries": []})
+        for build in (lambda: TuningDocument(metadata, ()), lambda: TuningDocument.from_json(text)):
+            with pytest.raises(ValueError, match=f"^invalid tuning document: {message}$"):
+                build()
+
+    def test_from_table_refuses_what_from_json_refuses(self):
+        # both used to be accepted, and from_json refused what to_json wrote
+        for table, context, field, kind in ((TuningTable((), 5), "F", "generator", "int"),
+                                            (TuningTable((), "g"), None, "context", "NoneType")):
+            with pytest.raises(
+                ValueError, match=f"^invalid tuning document: metadata field '{field}' must be a string, not {kind}$"
+            ):
+                TuningDocument.from_table(table, context, "G")
+
+
 class TestScoreTerms:
     """``_score_terms`` is the one derivation of a score's terms."""
 

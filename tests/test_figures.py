@@ -27,8 +27,12 @@ class TestRegistry:
             emit_figure_data("fig99")
 
     def test_supported_ids(self):
-        ids = supported_figures()
-        assert "fig5_1" in ids and "fig8_1" in ids and "fig5_14" in ids
+        # each id is a builder's name without its "_"; a helper named
+        # "_fig..." by accident would show up here as an eighteenth id
+        assert supported_figures() == [
+            "fig4_2", "fig4_3", "fig5_1", "fig5_10", "fig5_11", "fig5_12", "fig5_13", "fig5_14",
+            "fig5_2", "fig5_3", "fig5_4", "fig5_5", "fig5_6", "fig5_7", "fig5_8", "fig5_9", "fig8_1",
+        ]
 
 
 class TestTuningFigures:

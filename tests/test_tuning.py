@@ -826,6 +826,21 @@ class TestTuningTable:
         exact = TuningTable((TuningEntry(F(3, 2), ConsonanceScore(0, 1)),), "superset")
         assert exact._rows == ((3, 2, (0, 1, 1, 1)),)
 
+    @pytest.mark.parametrize("interval, message", [
+        (1.5, r"^refusing float 1\.5 as interval: pass a Fraction to stay exact$"),
+        ("3/2", "^interval must be an int or a Fraction, not str$"),
+        (None, "^interval must be an int or a Fraction, not NoneType$"),
+    ])
+    def test_rejects_an_interval_that_is_not_exact(self, interval, message):
+        # these used to raise AttributeError: ... has no attribute 'numerator'
+        score = ConsonanceScore(F(1), F(1))
+        entries = (TuningEntry(F(1, 2), score), TuningEntry(interval, score))
+        with pytest.raises(TypeError, match=message):
+            TuningTable(entries, "superset")
+        with pytest.raises(TypeError, match=message):
+            TuningDocument({"generator": "superset"}, entries)
+        assert TuningTable((TuningEntry(3, score),), "superset")._rows == ((3, 1, (1, 1, 1, 1)),)
+
     @settings(max_examples=100, deadline=None)
     @given(
         small_lattice_sets,
