@@ -1,11 +1,11 @@
 """Roughness-based dissonance curves for comparison against rational tunings.
 
 Pairwise roughness follows the Plomp & Levelt (1965) critical-band data in
-the parameterised form popularised by Sethares ("Tuning, Timbre, Spectrum,
-Scale"): two exponentials whose horizontal scale tracks the critical band of
-the lower partial. ``chi_star`` is the interval fraction of maximum
-roughness; shrinking it models a coarser auditory resolution and flattens
-the curve's sharp minima.
+the form and with the constants popularised by Sethares ("Tuning, Timbre,
+Spectrum, Scale"): two exponentials whose horizontal scale tracks the
+critical band of the lower partial. Only ``chi_star``, the interval fraction
+of maximum roughness, is a parameter; shrinking it models a coarser auditory
+resolution and flattens the curve's sharp minima.
 
 Those sharp minima appear where partials of the two sounds coincide, i.e.
 exactly at the nonzero-affinity intervals, which is what this module is here
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sized, Union
@@ -50,30 +50,33 @@ __all__ = [
 ]
 
 
+# Sethares's constants: s1, the critical-band growth per Hz, and s2, its
+# floor in Hz; the decays b1, b2 and the weights c1, c2 of the two
+# exponentials. Amplitudes are uniform, 1.
+_S1, _S2 = 0.0207, 18.96
+_B1, _B2 = -3.51, -5.75
+_C1, _C2 = 5.0, -5.0
+
+# x beyond which every kernel value is below 2^-100, as
+# |kernel(x)| <= (|c1| + |c2|) e^(max(b1, b2) x): about 20.40
+_CUT = (math.log(abs(_C1) + abs(_C2)) + 100 * math.log(2)) / -max(_B1, _B2)
+
+
 @dataclass(frozen=True)
 class DissonanceParams:
-    """Constants of the pairwise roughness kernel.
+    """Resolution of the pairwise roughness kernel.
 
-    roughness(f1, f2) = a^2 * (c1 * exp(b1*s*d) + c2 * exp(b2*s*d)) with
-    d = |f2 - f1| and s = chi_star / (s1 * min(f1, f2) + s2).
+    roughness(f1, f2) = c1 * exp(b1*s*d) + c2 * exp(b2*s*d) with
+    d = |f2 - f1| and s = chi_star / (s1 * min(f1, f2) + s2), for
+    s1 = 0.0207, s2 = 18.96, b1 = -3.51, b2 = -5.75, c1 = 5 and c2 = -5.
+    ``chi_star`` is the interval fraction of maximum roughness.
     """
 
-    chi_star: float = 0.24  # interval fraction of maximum roughness
-    curve_slope: float = 0.0207  # s1: critical-band growth per Hz
-    curve_offset: float = 18.96  # s2: critical-band floor in Hz
-    decay_fast: float = -3.51  # b1
-    decay_slow: float = -5.75  # b2
-    weight_fast: float = 5.0  # c1
-    weight_slow: float = -5.0  # c2
-    amplitude: float = 1.0  # uniform amplitude convention
+    chi_star: float = 0.24
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.chi_star) and self.chi_star > 0):
             raise ValueError(f"chi_star must be finite and positive, not {self.chi_star}")
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{field.name} must be finite, not {value}")
 
 
 DEFAULT_PARAMS = DissonanceParams()
@@ -109,7 +112,8 @@ class CurvePoint(namedtuple("CurvePoint", "t dissonance")):
 def pair_roughness(
     f1: float, f2: float, params: DissonanceParams = DEFAULT_PARAMS
 ) -> float:
-    """Roughness of two sine partials: 0 at coincidence, peaked nearby.
+    """Roughness of two sine partials (``DissonanceParams`` gives the
+    kernel): 0 at coincidence, peaked nearby.
 
     The interior maximum sits at the chi_star-governed fraction of the lower
     frequency's critical band and the value tails off to zero as the
@@ -117,30 +121,23 @@ def pair_roughness(
     """
     if f1 <= 0 or f2 <= 0:
         raise ValueError("frequencies must be positive")
-    spread = params.chi_star / (params.curve_slope * min(f1, f2) + params.curve_offset)
-    x = spread * abs(f2 - f1)
-    gain = params.amplitude * params.amplitude
-    return gain * (
-        params.weight_fast * math.exp(params.decay_fast * x)
-        + params.weight_slow * math.exp(params.decay_slow * x)
-    )
+    x = params.chi_star / (_S1 * min(f1, f2) + _S2) * abs(f2 - f1)
+    return _C1 * math.exp(_B1 * x) + _C2 * math.exp(_B2 * x)
 
 
-def _kernel_sum(
-    y: np.ndarray, params: DissonanceParams, fold: float = 1.0, slow: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _kernel_sum(y: np.ndarray, fold: float = 1.0, slow: Optional[np.ndarray] = None) -> np.ndarray:
     """Kernel summed over the last axis, for pairs given by y = fold * x,
     x = chi_star * d / (s1 * fmin + s2), where ``fold`` is 1 or b1 (which
     then costs no multiply); ``y`` is overwritten, and so is ``slow``,
     scratch space of y's shape and memory order. Each exponential is summed
-    on its own. Callers ignore overflow, which ``_checked`` refuses."""
-    p = params
-    slow = np.multiply(y, p.decay_slow / fold, out=slow)
+    on its own. A caller ignores overflow (and a sweep invalid values),
+    which ``_checked`` refuses."""
+    slow = np.multiply(y, _B2 / fold, out=slow)
     np.exp(slow, out=slow)
-    if fold != p.decay_fast:
-        y *= p.decay_fast / fold
+    if fold != _B1:
+        y *= _B1 / fold
     np.exp(y, out=y)
-    return p.amplitude * p.amplitude * (p.weight_fast * y.sum(axis=-1) + p.weight_slow * slow.sum(axis=-1))
+    return _C1 * y.sum(axis=-1) + _C2 * slow.sum(axis=-1)
 
 
 def _upper_pairs(freqs: np.ndarray, slope: float) -> tuple[np.ndarray, np.ndarray]:
@@ -154,74 +151,52 @@ def _upper_pairs(freqs: np.ndarray, slope: float) -> tuple[np.ndarray, np.ndarra
     )
 
 
-def _skip_cut(params: DissonanceParams) -> float:
-    """x beyond which every kernel value is below 2^-100: with b1, b2 < 0
-    and s1, s2 >= 0 (not both 0), |kernel(x)| <= a^2 (|c1| + |c2|)
-    e^(max(b1, b2) x). Infinite, so that nothing is skipped, for any other
-    parameters."""
-    p = params
-    bound = p.amplitude * p.amplitude * (abs(p.weight_fast) + abs(p.weight_slow))
-    if not (
-        p.decay_fast < 0 and p.decay_slow < 0 and p.curve_slope >= 0 and p.curve_offset >= 0
-        and p.curve_slope + p.curve_offset > 0  # else a coincident pair's x is 0/0
-        and 0 < bound < math.inf
-    ):
-        return math.inf
-    return (math.log(bound) + 100 * math.log(2)) / -max(p.decay_fast, p.decay_slow)
-
-
 def _moving_pairs(
-    moving: np.ndarray, slope: float, offset: float, t_lo: float, cut: float
+    moving: np.ndarray, slope: float, offset: float, t_lo: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_upper_pairs`` of F' less those past the cut from t_lo on: within
-    tF', x = distance / (slope * lower + offset/t) grows with t whenever the
-    cut is finite, so the first step decides a pair for the whole sweep."""
+    tF', x = distance / (slope * lower + offset/t) grows with t, so the
+    first step decides a pair for the whole sweep."""
     lower, dist = _upper_pairs(moving, slope)
-    near = ~(dist / (lower + offset / t_lo) > cut)  # a NaN x is kept, to be refused
+    near = ~(dist / (lower + offset / t_lo) > _CUT)  # a NaN x is kept, to be refused
     return (lower, dist) if near.all() else (lower[near], dist[near])
 
 
 def _cross_chunks(
-    ts: np.ndarray, base: np.ndarray, moving: np.ndarray, rows: int, slope: float,
-    offset: float, cut: float, fold: float,
+    ts: np.ndarray, base: np.ndarray, moving: np.ndarray, rows: int, slope: float, offset: float
 ) -> Iterator[tuple[int, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """Each chunk of ``rows`` steps as its first index, its t column and
     the cross pairs (f, t*g) that can matter there, in three groups.
 
     A pair is held as its coincidence point P = f/g and Q = offset/g:
     x = |t - P| / (slope * min(t, P) + Q). Each group is an array of two
-    rows, a column per pair, from which y = fold * x takes the fewest
-    passes: rising pairs (P at most the block's first t) as P and
-    R = fold / (slope * P + Q), y = (t - P) * R; falling pairs (P at least
-    its last t) as P and Q/fold, y = (P - t) / (slope/fold * t + Q/fold);
-    and straddling pairs as P and Q/fold, y by the min/abs form.
+    rows, a column per pair, from which y = b1 * x takes the fewest passes:
+    rising pairs (P at most the block's first t) as P and
+    R = b1 / (slope * P + Q), y = (t - P) * R; falling pairs (P at least
+    its last t) as P and Q/b1, y = (P - t) / (slope/b1 * t + Q/b1); and
+    straddling pairs as P and Q/b1, y by the min/abs form.
 
-    A pair has x <= ``cut`` only for t in a window [t_from, t_to] about P,
+    A pair has x <= the cut only for t in a window [t_from, t_to] about P,
     as x grows with |t - P| on either side. Pairs are decided once per block
     of whole chunks and at least 16 steps: a pair is kept when its window
     meets the block's t range (a NaN t_from keeps a falling pair too, to be
-    refused). With an infinite cut, every pair straddles every block.
+    refused).
     """
-    pairs = np.empty((2, base.size * moving.size))  # rows P and Q/fold
+    pairs = np.empty((2, base.size * moving.size))  # rows P and Q/b1
     np.divide.outer(base, moving, out=pairs[0].reshape(base.size, moving.size))
-    pairs[1].reshape(base.size, moving.size)[:] = offset / fold / moving
-    if cut == math.inf:
-        groups = (pairs[:, :0], pairs[:, :0], pairs)
-        for first in range(0, ts.size, rows):
-            yield first, ts[first : first + rows, None], groups
-        return
+    pairs[1].reshape(base.size, moving.size)[:] = offset / _B1 / moving
     P, Q = pairs
     order = P.argsort()
     P[:] = P.take(order)
     Q[:] = Q.take(order)
     del order
-    t_to = P * (slope / fold)
+    t_to = P * (slope / _B1)
     t_to += Q
-    t_to *= cut * fold
+    t_to *= _CUT * _B1
     t_to += P
-    t_from = Q * (-cut * fold)
+    t_from = Q * (-_CUT * _B1)
     t_from += P
-    t_from /= 1 + cut * slope
+    t_from /= 1 + _CUT * slope
     block = rows * -(-16 // rows)
     for start in range(0, ts.size, block):
         stop = min(start + block, ts.size)
@@ -231,7 +206,7 @@ def _cross_chunks(
         # P and t_to are finite or +inf where P <= lo, so no t_to there is NaN
         rising = pairs[:, :rise].take((t_to[:rise] >= lo).nonzero()[0], axis=1)
         R = rising[1]
-        R += rising[0] * (slope / fold)
+        R += rising[0] * (slope / _B1)
         np.divide(1, R, out=R)
         falling = pairs[:, fall:].take((~(t_from[fall:] > hi)).nonzero()[0], axis=1)
         groups = (rising, falling, pairs[:, rise:fall])
@@ -308,10 +283,10 @@ def spectrum_roughness(
     total that is negative, NaN or past the float range."""
     freqs = _sized(freqs)
     _check_pairs(len(freqs))
-    slope, offset = params.curve_slope / params.chi_star, params.curve_offset / params.chi_star
+    slope, offset = _S1 / params.chi_star, _S2 / params.chi_star
     lower, dist = _upper_pairs(_as_float_array(freqs, "spectrum"), slope)
     with np.errstate(over="ignore"):  # an overflowing total is refused by _checked
-        total = _kernel_sum(dist / (lower + offset), params)
+        total = _kernel_sum(dist / (lower + offset))
     return float(_checked(total))
 
 
@@ -349,7 +324,8 @@ def dissonance_curve(
     if not math.isfinite(t_hi * float(moving.max())):
         raise ValueError(f"sweep top {t_hi} carries the complementary set past the float range")
     ts = np.geomspace(t_lo, t_hi, steps)
-    with np.errstate(over="ignore"):  # an overflowing total is refused by _checked
+    # a total made NaN or past the float range is refused by _checked
+    with np.errstate(over="ignore", invalid="ignore"):
         buffer_size = np.setbufsize(_BUFFER_SIZE)
         try:
             totals = _sweep(ts, base, moving, params)
@@ -361,15 +337,13 @@ def dissonance_curve(
 def _sweep(ts: np.ndarray, base: np.ndarray, moving: np.ndarray, params: DissonanceParams) -> np.ndarray:
     """Roughness of F u tF' at each t of ``ts``, for F ``base`` and F'
     ``moving``."""
-    slope, offset = params.curve_slope / params.chi_star, params.curve_offset / params.chi_star
-    cut = _skip_cut(params)
-    # b1 < 0 is folded into every y of the sweep when the cut is finite
-    fold = params.decay_fast if cut < math.inf else 1.0
+    slope, offset = _S1 / params.chi_star, _S2 / params.chi_star
     # pairs within F do not move with t
     lower, dist = _upper_pairs(base, slope)
-    fixed = _kernel_sum(dist / (lower + offset), params)
-    lower, dist = _moving_pairs(moving, slope, offset, ts[0], cut)
-    dist = dist * fold
+    fixed = _kernel_sum(dist / (lower + offset))
+    # b1 is folded into every y of the sweep
+    lower, dist = _moving_pairs(moving, slope, offset, ts[0])
+    dist = dist * _B1
     # buffers for the steps a short sweep has, not for a whole chunk
     rows = min(_chunk_rows(base.size, moving.size), ts.size)
     # a chunk lays its groups of cross pairs and its pairs within tF' end to
@@ -382,9 +356,7 @@ def _sweep(ts: np.ndarray, base: np.ndarray, moving: np.ndarray, params: Dissona
     buffer = np.empty(rows * (base.size * moving.size + dist.size))
     scratch = np.empty(buffer.size)
     totals = np.empty(ts.size)
-    for first, t, (rising, falling, straddling) in _cross_chunks(
-        ts, base, moving, rows, slope, offset, cut, fold
-    ):
+    for first, t, (rising, falling, straddling) in _cross_chunks(ts, base, moving, rows, slope, offset):
         n = t.size
         a = rising.shape[1]
         b = a + falling.shape[1]
@@ -400,13 +372,13 @@ def _sweep(ts: np.ndarray, base: np.ndarray, moving: np.ndarray, params: Dissona
             part *= rising[1]
         if b > a:  # t <= P: x = (P - t) / (slope * t + Q)
             part, scale = y[:, a:b], s[:, a:b]
-            np.add(t * (slope / fold), falling[1], out=scale)
+            np.add(t * (slope / _B1), falling[1], out=scale)
             np.subtract(falling[0], t, out=part)
             part /= scale
         if c > b:
             part, scale = y[:, b:c], s[:, b:c]
             np.minimum(t, straddling[0], out=scale)
-            scale *= slope / fold
+            scale *= slope / _B1
             scale += straddling[1]
             np.subtract(t, straddling[0], out=part)
             np.abs(part, out=part)
@@ -415,7 +387,7 @@ def _sweep(ts: np.ndarray, base: np.ndarray, moving: np.ndarray, params: Dissona
         part = y[:, c:]
         np.add(lower, offset / t, out=part)
         np.divide(dist, part, out=part)
-        totals[first : first + n] = _kernel_sum(y, params, fold, s)
+        totals[first : first + n] = _kernel_sum(y, _B1, s)
     return totals + fixed
 
 

@@ -249,9 +249,28 @@ def _note_field(note: Any, index: int) -> Optional[str]:
     raise ValueError(f"invalid tuning document: entry {index} field 'note' must be a string, not {type(note).__name__}")
 
 
+def _json_fault(value: Any) -> Optional[str]:
+    """What in ``value`` would not read back from JSON as an equal value,
+    or None: only dicts with string keys, lists, strings, ints, finite
+    floats, booleans and None do."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else str(value)
+    if value is None or isinstance(value, (str, int)):
+        return None
+    if isinstance(value, dict):
+        keys = [key for key in value if not isinstance(key, str)]
+        if keys:
+            return f"a key of type {type(keys[0]).__name__}"
+        value = value.values()
+    elif not isinstance(value, list):
+        return f"a value of type {type(value).__name__}"
+    return next(filter(None, map(_json_fault, value)), None)
+
+
 def _check_metadata(metadata: Any, entries_listed: bool = True) -> None:
     """Refuse metadata that is not an object (or entries that were not
-    listed), or a metadata field a reader uses that has the wrong type."""
+    listed), a metadata field a reader uses that has the wrong type, or
+    one that would not read back from JSON as it is."""
     if not isinstance(metadata, dict) or not entries_listed:
         raise ValueError("invalid tuning document: metadata must be an object and entries a list")
     for field, (kind, name) in _METADATA_FIELDS.items():
@@ -260,6 +279,21 @@ def _check_metadata(metadata: Any, entries_listed: bool = True) -> None:
             raise ValueError(
                 f"invalid tuning document: metadata field {field!r} must be {name}, not {type(value).__name__}"
             )
+    try:
+        for field, value in metadata.items():
+            if not isinstance(field, str):
+                raise ValueError(
+                    f"invalid tuning document: metadata field {field!r} must be named by a string, "
+                    f"not {type(field).__name__}"
+                )
+            fault = _json_fault(value)
+            if fault:
+                raise ValueError(
+                    f"invalid tuning document: metadata field {field!r} holds {fault}, "
+                    "which does not read back from JSON"
+                )
+    except RecursionError:  # nested past the stack, or holding itself
+        raise ValueError("invalid tuning document: metadata nested too deeply") from None
 
 
 class TuningDocument:
@@ -271,7 +305,8 @@ class TuningDocument:
     without note names, the table's own entries. ``from_table`` takes the
     rows of a table; the constructor and ``from_json`` refuse entries that
     do not strictly ascend by interval or are not positive, and all three
-    refuse metadata ``from_json`` could not read, so every document reads back.
+    refuse metadata ``from_json`` could not read back as it is, so every
+    document reads back.
     """
 
     def __init__(self, metadata: dict, entries: tuple[TuningEntry, ...]):

@@ -249,6 +249,11 @@ class TestCurveCommand:
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_pair_without_a_coincidence_point_is_refused_without_a_warning(self, capsys):
+        code, out, err = run(["curve", "262", "1e-320", "--steps", "3"], capsys)
+        assert (code, out, err) == (3, "", "error: dissonance cannot be negative or NaN\n")
+
 
 class TestDocumentPipelines:
     def test_reduce_then_export_scl(self, tmp_path, capsys):

@@ -22,7 +22,7 @@ from toneset import (
     spectrum_roughness,
 )
 from toneset import dissonance
-from toneset.dissonance import _check_pairs, _chunk_rows, _skip_cut, _upper_pairs
+from toneset.dissonance import _B1, _B2, _CUT, _S1, _S2, _check_pairs, _checked, _chunk_rows, _upper_pairs
 
 C4 = harmonic_set(262, 6)
 
@@ -35,15 +35,8 @@ def all_pairs_roughness(freqs, params=DEFAULT_PARAMS):
 
 
 def oracle_totals(F_, G, ts, params):
-    """all_pairs_roughness at each t, or None where math.exp overflows or
-    a kernel denominator is 0."""
-    totals = []
-    for t in ts:
-        try:
-            totals.append(all_pairs_roughness(list(F_) + [t * g for g in G], params))
-        except (OverflowError, ZeroDivisionError):
-            totals.append(None)
-    return totals
+    """all_pairs_roughness at each t."""
+    return [all_pairs_roughness(list(F_) + [t * g for g in G], params) for t in ts]
 
 
 def assert_matches_oracle(d, want, pairs):
@@ -91,9 +84,8 @@ class TestPairRoughness:
         # the kernel c1*e^(b1*x) + c2*e^(b2*x) peaks at
         # x_m = ln(b2/b1)/(b1-b2); with x = chi_star*d/(s1*fmin+s2) the
         # roughness maximum lands at d = x_m*(s1*fmin+s2)/chi_star
-        p = DEFAULT_PARAMS
-        x_m = math.log(p.decay_slow / p.decay_fast) / (p.decay_fast - p.decay_slow)
-        predicted = x_m * (p.curve_slope * 400.0 + p.curve_offset) / p.chi_star
+        x_m = math.log(_B2 / _B1) / (_B1 - _B2)
+        predicted = x_m * (_S1 * 400.0 + _S2) / DEFAULT_PARAMS.chi_star
         offsets = np.linspace(0.01, 4 * predicted, 200_000)
         values = [pair_roughness(400.0, 400.0 + d) for d in offsets]
         located = offsets[int(np.argmax(values))]
@@ -119,12 +111,11 @@ class TestPairRoughness:
         with pytest.raises(ValueError, match="finite"):
             DissonanceParams(chi_star=chi_star)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(DissonanceParams) if f.name != "chi_star"])
-    def test_every_field_must_be_finite(self, field, value):
-        # refused when built, not after a sweep has run on it
-        with pytest.raises(ValueError, match=f"^{field} must be finite, not {value}$"):
-            DissonanceParams(**{field: value})
+    def test_chi_star_is_the_only_parameter(self):
+        # the kernel's other constants are Sethares's, fixed in the module
+        assert [f.name for f in dataclasses.fields(DissonanceParams)] == ["chi_star"]
+        with pytest.raises(TypeError):
+            DissonanceParams(decay_fast=-3.51)
 
 
 @st.composite
@@ -233,16 +224,15 @@ class TestSkippedPairs:
         for run in runs[:-1]:
             assert sum(t.size for _, t, _ in run) >= 16
         # every cross pair left out of a chunk is negligible at each of its
-        # steps; a kept pair is (P, Q/fold) in its group, or (P, fold/(s1 P + Q))
+        # steps; a kept pair is (P, Q/b1) in its group, or (P, b1/(s1 P + Q))
         # when it is rising
-        slope, offset = params.curve_slope / params.chi_star, params.curve_offset / params.chi_star
-        fold = params.decay_fast if _skip_cut(params) < math.inf else 1.0
+        slope, offset = _S1 / params.chi_star, _S2 / params.chi_star
         for _, t, groups in chunks:
             kept = {key for group in groups for key in zip(*group.tolist())}
             for a in F_:
                 for b in G:
-                    P, Q = a / b, offset / fold / b
-                    if not {(P, Q), (P, 1 / (P * (slope / fold) + Q))} & kept:
+                    P, Q = a / b, offset / _B1 / b
+                    if not {(P, Q), (P, 1 / (P * (slope / _B1) + Q))} & kept:
                         for s in t[:, 0].tolist():
                             assert abs(pair_roughness(a, s * b, params)) <= SKIP_BOUND, (a, b, s)
         # and so is every pair within tF' left out of the whole sweep
@@ -259,69 +249,21 @@ class TestSkippedPairs:
         # sweep, and so are the two far pairs within G
         F_ = [20.0 * k for k in range(1, 5)]
         G = [2000.0, 2100.0, 9000.0]
-        p = DEFAULT_PARAMS
-        slope, offset, cut = p.curve_slope / p.chi_star, p.curve_offset / p.chi_star, _skip_cut(p)
+        slope, offset = _S1 / DEFAULT_PARAMS.chi_star, _S2 / DEFAULT_PARAMS.chi_star
         base, moving, ts = np.array(F_), np.array(G), np.geomspace(1.0, 1.5, 40)
-        chunks = list(dissonance._cross_chunks(ts, base, moving, 8, slope, offset, cut, p.decay_fast))
+        chunks = list(dissonance._cross_chunks(ts, base, moving, 8, slope, offset))
         assert [first for first, *_ in chunks] == [0, 8, 16, 24, 32]
         assert all(group.size == 0 for _, _, groups in chunks for group in groups)
-        _, dist = dissonance._moving_pairs(moving, slope, offset, 1.0, cut)
+        _, dist = dissonance._moving_pairs(moving, slope, offset, 1.0)
         assert dist.tolist() == [100.0]
         points = dissonance_curve(F_, G, 1.0, 1.5, 40)
         for p, want in zip(points, oracle_totals(F_, G, [p.t for p in points], DEFAULT_PARAMS)):
             assert_matches_oracle(p.dissonance, want, math.comb(7, 2))
 
     def test_skip_cut(self):
-        # at the defaults |kernel(x)| <= 10 e^(-3.51 x) falls below 2^-100 at x = 20.40
-        assert _skip_cut(DEFAULT_PARAMS) == pytest.approx(20.40, abs=0.005)
-        assert 10 * math.exp(-3.51 * _skip_cut(DEFAULT_PARAMS)) == pytest.approx(2.0**-100)
-        for params in (
-            DissonanceParams(weight_fast=0.0, weight_slow=0.0),
-            DissonanceParams(amplitude=0.0),
-            DissonanceParams(amplitude=1e200),
-            DissonanceParams(decay_fast=0.5),
-            DissonanceParams(decay_slow=0.0),
-            DissonanceParams(curve_offset=-18.96),
-            DissonanceParams(curve_slope=-0.0207),
-            DissonanceParams(curve_slope=0.0, curve_offset=0.0),
-        ):
-            assert _skip_cut(params) == math.inf, params
-
-    EDGE_PARAMS = {
-        "no-fast-weight": DissonanceParams(weight_fast=0.0),
-        "no-slow-weight": DissonanceParams(weight_slow=0.0),
-        "silent": DissonanceParams(amplitude=0.0),
-        "rising-decay": DissonanceParams(decay_fast=0.5),
-        "negative-offset": DissonanceParams(curve_offset=-18.96),
-    }
-
-    @pytest.mark.parametrize("params", EDGE_PARAMS.values(), ids=EDGE_PARAMS.keys())
-    @pytest.mark.parametrize(
-        "F_, G",
-        [
-            ([262.0 * k for k in range(1, 7)], [262.0 * k for k in range(1, 7)]),
-            (np.geomspace(20, 20000, 30).tolist(), np.geomspace(27, 17000, 25).tolist()),
-            ([1000.0 * k for k in range(1, 9)], [1100.0 * k for k in range(1, 5)]),
-        ],
-        ids=["c4", "wide", "high"],
-    )
-    def test_edge_parameters_match_the_oracle_or_refuse(self, params, F_, G):
-        # whatever the parameters, a sweep agrees with the oracle or refuses
-        # with the one message it always had: no ZeroDivisionError, no log
-        # domain error, and a refusal only where the oracle has no total
-        ts = np.geomspace(1.0, 2.1, 40).tolist()
-        wants = oracle_totals(F_, G, ts, params)
-        try:
-            with np.errstate(all="ignore"):
-                points = dissonance_curve(F_, G, 1.0, 2.1, 40, params)
-        except ValueError as error:
-            assert str(error) == "dissonance cannot be negative or NaN"
-            assert any(w is None or not w >= 0 for w in wants)
-            return
-        pairs = math.comb(len(F_) + len(G), 2)
-        for p, want in zip(points, wants):
-            assert want is not None
-            assert_matches_oracle(p.dissonance, want, pairs)
+        # |kernel(x)| <= 10 e^(-3.51 x) falls below 2^-100 at x = 20.40
+        assert _CUT == pytest.approx(20.40, abs=0.005)
+        assert 10 * math.exp(-3.51 * _CUT) == pytest.approx(2.0**-100)
 
     def test_one_step_chunk_memory_is_linear_in_the_pairs(self):
         # 400 * 400 cross pairs overfill a chunk, so every chunk is one step
@@ -392,14 +334,6 @@ class TestCrossGroups:
         counts = recorded_groups(job.run)
         rising, falling, straddling = (sum(group) for group in zip(*counts))
         assert rising > 0 and falling > 0 and straddling > 0
-
-    def test_rising_decay_only_straddles(self):
-        # decay_fast > 0 leaves the cut infinite: nothing is split or skipped
-        F_, G = [262.0 * k for k in range(1, 7)], [330.0 * k for k in range(1, 5)]
-        params = DissonanceParams(decay_fast=0.5)
-        assert _skip_cut(params) == math.inf
-        counts = recorded_groups(lambda: dissonance_curve(F_, G, 1.0, 2.1, 40, params))
-        assert counts == [(0, 0, len(F_) * len(G))]
 
     def test_kernel_values_per_seed_5_round(self, seed_5_round):
         # the split changes how a value is computed, not which are
@@ -537,28 +471,25 @@ class TestDissonanceCurve:
         with pytest.raises(ValueError):
             dissonance_curve([262.0], [262.0], t_lo, t_hi, 2)
 
-    @pytest.mark.parametrize(
-        "params",
-        [
-            DissonanceParams(weight_fast=-5.0, weight_slow=5.0),  # negative roughness
-            DissonanceParams(curve_slope=0.0, curve_offset=0.0),  # inf * 0 at unison
-        ],
-        ids=["negative", "nan"],
-    )
-    def test_negative_or_nan_totals_rejected(self, params):
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="negative or NaN"):
-            dissonance_curve([262.0], [262.0], 1.0, 2.0, 3, params)
+    @pytest.mark.filterwarnings("error")
+    def test_pair_without_a_coincidence_point_rejected_without_a_warning(self):
+        # 262 / 1e-320 and (s2/chi_star) / 1e-320 both pass the float range,
+        # so the cross pair's x is NaN
+        with pytest.raises(ValueError, match="^dissonance cannot be negative or NaN$"):
+            dissonance_curve([262.0], [1e-320], 1.0, 2.0, 3)
+
+    @pytest.mark.parametrize("totals", [[0.5, -1.0], [0.5, math.nan]], ids=["negative", "nan"])
+    def test_negative_or_nan_totals_rejected(self, totals):
+        with pytest.raises(ValueError) as refusal:
+            _checked(np.array(totals))
+        assert str(refusal.value) == "dissonance cannot be negative or NaN"
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_totals_rejected_without_a_warning(self):
-        # the oracle overflows here; the sweep used to return inf at every step
-        params = DissonanceParams(decay_fast=5.0)
-        with pytest.raises(OverflowError):
-            pair_roughness(20.0, 20000.0, params)
-        with pytest.raises(ValueError, match="^dissonance exceeds the float range$"):
-            dissonance_curve([20.0, 20000.0], [25.0], 1.0, 2.0, 3, params)
-        with pytest.raises(ValueError, match="^dissonance exceeds the float range$"):
-            spectrum_roughness([20.0, 20000.0], params)
+        # where pair_roughness would raise OverflowError
+        with pytest.raises(ValueError) as refusal:
+            _checked(np.array([0.5, math.inf]))
+        assert str(refusal.value) == "dissonance exceeds the float range"
 
 
 class TestSpectrumRoughness:
@@ -569,17 +500,12 @@ class TestSpectrumRoughness:
     def test_single_partial_has_no_pairs(self):
         assert spectrum_roughness([262.0]) == 0.0
 
-    @pytest.mark.parametrize(
-        "params, freqs",
-        [
-            (DissonanceParams(weight_fast=-5.0, weight_slow=5.0), [262.0, 524.0]),
-            (DissonanceParams(curve_slope=0.0, curve_offset=0.0), [262.0, 262.0]),
-        ],
-        ids=["negative", "nan"],
-    )
-    def test_negative_or_nan_total_rejected_as_in_a_sweep(self, params, freqs):
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="^dissonance cannot be negative or NaN$"):
-            spectrum_roughness(freqs, params)
+    @pytest.mark.parametrize("total", [-1.0, math.nan], ids=["negative", "nan"])
+    def test_negative_or_nan_total_rejected_as_in_a_sweep(self, total):
+        # no spectrum of positive partials sums to these: the kernel stands in
+        with mock.patch.object(dissonance, "_kernel_sum", return_value=np.float64(total)):
+            with pytest.raises(ValueError, match="^dissonance cannot be negative or NaN$"):
+                spectrum_roughness([262.0, 524.0])
 
     def test_non_finite_partial_rejected(self):
         with pytest.raises(ValueError, match="partial 2 of the spectrum"):

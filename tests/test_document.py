@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 from fractions import Fraction as F
 from unittest import mock
 
@@ -532,12 +533,22 @@ class TestJsonWriter:
         assert (code, capsys.readouterr().out, out.exists()) == (3, "", False)
 
 
-# metadata of any JSON shape, a field a reader uses often of the wrong type
+# values JSON writes but does not read back as they were, nested in plain ones:
+# tuples (read as lists), keys that are not strings, non-finite floats, and
+# values JSON cannot write
+_NEAR_JSON_VALUES = st.recursive(
+    _JSON_VALUES | st.sampled_from([math.nan, math.inf, -math.inf, F(1, 2)]),
+    lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=6) | st.integers(0, 3) | st.none(), inner, max_size=3),
+    max_leaves=12,
+)
+# metadata of any JSON shape, a field a reader uses often of the wrong type,
+# and nested values that would not read back
 _ANY_METADATA = _METADATA | _JSON_VALUES | st.dictionaries(
     st.sampled_from(["tool", "generator", "context", "complement", "parameters"]) | st.text(max_size=6),
     _JSON_VALUES,
     max_size=5,
-)
+) | st.dictionaries(st.sampled_from(["tool", "parameters", "x"]) | st.integers(0, 3), _NEAR_JSON_VALUES, max_size=3)
 
 
 class TestEveryDocumentReadsBack:
@@ -568,6 +579,30 @@ class TestEveryDocumentReadsBack:
         for build in (lambda: TuningDocument(metadata, ()), lambda: TuningDocument.from_json(text)):
             with pytest.raises(ValueError, match=f"^invalid tuning document: {message}$"):
                 build()
+
+    @pytest.mark.parametrize("metadata, message", [
+        # each used to be written as something else, or as NaN, which from_json refuses
+        ({"x": (1, 2)}, "metadata field 'x' holds a value of type tuple"),
+        ({1: "a"}, "metadata field 1 must be named by a string, not int"),
+        ({"parameters": {"p": [1, {2: "a"}]}}, "metadata field 'parameters' holds a key of type int"),
+        ({"x": [math.nan]}, "metadata field 'x' holds nan"),
+        ({"x": -math.inf}, "metadata field 'x' holds -inf"),
+        # to_json used to raise TypeError
+        ({"x": {"y": F(1, 2)}}, "metadata field 'x' holds a value of type Fraction"),
+    ])
+    def test_metadata_that_would_not_read_back_is_refused(self, metadata, message):
+        suffix = "" if "named by" in message else ", which does not read back from JSON"
+        with pytest.raises(ValueError) as refusal:
+            TuningDocument(metadata, ())
+        assert str(refusal.value) == f"invalid tuning document: {message}{suffix}"
+
+    def test_from_table_refuses_parameters_that_would_not_read_back(self):
+        with pytest.raises(ValueError) as refusal:
+            TuningDocument.from_table(TuningTable((), "g"), "F", "G", {"h": F(1, 2)})
+        assert str(refusal.value) == (
+            "invalid tuning document: metadata field 'parameters' holds a value of type Fraction, "
+            "which does not read back from JSON"
+        )
 
     def test_from_table_refuses_what_from_json_refuses(self):
         # both used to be accepted, and from_json refused what to_json wrote
