@@ -44,6 +44,17 @@ def assert_matches_oracle(d, want, pairs):
     assert math.isclose(d, want, rel_tol=1e-12, abs_tol=1e-14 * pairs), (d, want)
 
 
+# the kernel constants that DissonanceParams once took as fields
+FORMER_KERNEL_FIELDS = [
+    "curve_slope",
+    "curve_offset",
+    "decay_fast",
+    "decay_slow",
+    "weight_fast",
+    "weight_slow",
+    "amplitude",
+]
+
 # a skipped pair's kernel value may exceed 2^-100 only by the rounding of its x
 SKIP_BOUND = 2.0**-100 * (1 + 1e-9)
 
@@ -114,8 +125,14 @@ class TestPairRoughness:
     def test_chi_star_is_the_only_parameter(self):
         # the kernel's other constants are Sethares's, fixed in the module
         assert [f.name for f in dataclasses.fields(DissonanceParams)] == ["chi_star"]
-        with pytest.raises(TypeError):
-            DissonanceParams(decay_fast=-3.51)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", FORMER_KERNEL_FIELDS)
+    def test_every_field_must_be_finite(self, field, value):
+        # refused when built, not after a sweep has run on it: a kernel
+        # constant that was once a field is no longer a parameter at all
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'$"):
+            DissonanceParams(**{field: value})
 
 
 @st.composite
@@ -264,6 +281,36 @@ class TestSkippedPairs:
         # |kernel(x)| <= 10 e^(-3.51 x) falls below 2^-100 at x = 20.40
         assert _CUT == pytest.approx(20.40, abs=0.005)
         assert 10 * math.exp(-3.51 * _CUT) == pytest.approx(2.0**-100)
+
+    # kernels outside the skip rule's conditions, which sweeps once had to
+    # handle without skipping
+    EDGE_PARAMS = {
+        "no-fast-weight": {"weight_fast": 0.0},
+        "no-slow-weight": {"weight_slow": 0.0},
+        "silent": {"amplitude": 0.0},
+        "rising-decay": {"decay_fast": 0.5},
+        "negative-offset": {"curve_offset": -18.96},
+    }
+
+    @pytest.mark.parametrize("params", EDGE_PARAMS.values(), ids=EDGE_PARAMS.keys())
+    @pytest.mark.parametrize(
+        "F_, G",
+        [
+            ([262.0 * k for k in range(1, 7)], [262.0 * k for k in range(1, 7)]),
+            (np.geomspace(20, 20000, 30).tolist(), np.geomspace(27, 17000, 25).tolist()),
+            ([1000.0 * k for k in range(1, 9)], [1100.0 * k for k in range(1, 5)]),
+        ],
+        ids=["c4", "wide", "high"],
+    )
+    def test_edge_parameters_match_the_oracle_or_refuse(self, params, F_, G):
+        # an edge kernel is refused when built, so no sweep meets it; the one
+        # kernel a sweep can run agrees with the oracle on the same spectra
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            DissonanceParams(**params)
+        points = dissonance_curve(F_, G, 1.0, 2.1, 40)
+        pairs = math.comb(len(F_) + len(G), 2)
+        for p, want in zip(points, oracle_totals(F_, G, [p.t for p in points], DEFAULT_PARAMS)):
+            assert_matches_oracle(p.dissonance, want, pairs)
 
     def test_one_step_chunk_memory_is_linear_in_the_pairs(self):
         # 400 * 400 cross pairs overfill a chunk, so every chunk is one step
