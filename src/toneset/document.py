@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
@@ -58,8 +59,10 @@ def csv_text(header: list[str], rows: Iterable[Iterable[str]]) -> str:
 
 _TABLE_HEADER = "interval_ratio,cents,affinity,harmonicity,total"
 
-# A table_csv row: interval n/d, its cents and the joined score cells.
-_table_row = "{}/{},{:.4f},{}".format
+
+def _table_row(n: int, d: int, cents: float, cells: str, note: None) -> str:
+    """A table_csv row: interval n/d, its cents and the joined score cells."""
+    return f"{n}/{d},{cents:.4f},{cells}"
 
 
 def table_csv(source: TuningTable | TuningDocument | Iterable[TuningEntry]) -> str:
@@ -230,6 +233,18 @@ def _refuse_constant(name: str) -> None:
     raise ValueError(f"invalid tuning document JSON: {name} is not a JSON value")
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer's value; one with more digits than Python converts
+    (``sys.get_int_max_str_digits()``) is refused."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"invalid tuning document JSON: an integer of {len(text.lstrip('-'))} digits, more than "
+            f"the limit of {sys.get_int_max_str_digits()}"
+        ) from None
+
+
 def _text_field(raw: dict, index: int, field: str) -> str:
     if field not in raw:
         raise ValueError(f"invalid tuning document: entry {index} lacks {field!r}")
@@ -251,11 +266,18 @@ def _note_field(note: Any, index: int) -> Optional[str]:
 
 def _json_fault(value: Any) -> Optional[str]:
     """What in ``value`` would not read back from JSON as an equal value,
-    or None: only dicts with string keys, lists, strings, ints, finite
-    floats, booleans and None do."""
+    or None: only dicts with string keys, lists, strings, ints of at most
+    ``sys.get_int_max_str_digits()`` digits, finite floats, booleans and
+    None do."""
     if isinstance(value, float):
         return None if math.isfinite(value) else str(value)
-    if value is None or isinstance(value, (str, int)):
+    if isinstance(value, int):
+        try:
+            int.__repr__(value)  # what json.dumps writes
+        except ValueError:
+            return f"an int of more than {sys.get_int_max_str_digits()} digits"
+        return None
+    if value is None or isinstance(value, str):
         return None
     if isinstance(value, dict):
         keys = [key for key in value if not isinstance(key, str)]
@@ -373,7 +395,7 @@ class TuningDocument:
     @classmethod
     def from_json(cls, text: str) -> "TuningDocument":
         try:
-            data = json.loads(text, parse_constant=_refuse_constant)
+            data = json.loads(text, parse_constant=_refuse_constant, parse_int=_json_int)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid tuning document JSON: {exc}") from None
         except RecursionError:

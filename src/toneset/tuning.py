@@ -352,14 +352,17 @@ def _farey_walk(
 
     a/b < c/d must be consecutive in that set. Runs the Farey next-term rule
     (Graham, Knuth, Patashnik, *Concrete Mathematics* 4.5) on the rectangle:
-    consecutive terms a/b < c/d are followed by (j*c - a)/(j*d - b) with
-    j = min((max_den + b) // d, (max_num + a) // c). The terms come out
-    reduced and ascending; after max_num/1 comes 1/0, which ends any walk
-    whose bound is finite.
+    consecutive terms a/b < c/d are followed by (j*c - a)/(j*d - b) with j
+    the smaller of (max_den + b) // d and (max_num + a) // c, picked by one
+    comparison, which costs less per step than a call of ``min``. The terms
+    come out reduced and ascending; after max_num/1 comes 1/0, which ends
+    any walk whose bound is finite.
     """
     while c * hd <= hn * d:
         yield c, d
-        j = min((max_den + b) // d, (max_num + a) // c)
+        j, k = (max_den + b) // d, (max_num + a) // c
+        if k < j:
+            j = k
         a, b, c, d = c, d, j * c - a, j * d - b
 
 
@@ -443,7 +446,11 @@ def harmonic_tuning(
         )
     else:
         walk = _walk(low, high, high.numerator * max_den // high.denominator, max_den)
-        pairs = ((c * rn // g, d * rd // g, c, d) for c, d in walk for g in (gcd(c * rn, d * rd),))
+        # equal fundamentals (rn = rd = 1): p/q is t itself, as in _scaled
+        if rn == rd:
+            pairs = ((c, d, c, d) for c, d in walk)
+        else:
+            pairs = ((c * rn // g, d * rd // g, c, d) for c, d in walk for g in (gcd(c * rn, d * rd),))
     return _scored(contextual, complementary, pairs, "harmonic", threshold)
 
 

@@ -434,6 +434,20 @@ class TestDocumentPipelines:
         assert out == ""
         assert err == f"error: invalid tuning document JSON: {constant} is not a JSON value\n"
 
+    @pytest.mark.parametrize("command", ["reduce-octave", "export-scl"])
+    def test_metadata_int_too_long_to_read_is_domain_error(self, tmp_path, capsys, command):
+        # exited 3 with Python's own message, which names sys.set_int_max_str_digits
+        _, out, _ = run(["affinitive", "262*N6", "262*N6"], capsys)
+        doc_path = tmp_path / "doc.json"
+        doc_path.write_text(out.replace('"parameters": {}', f'"parameters": {{"x": {"7" * 5000}}}'))
+        code, out, err = run([command, "--in", str(doc_path)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: invalid tuning document JSON: an integer of 5000 digits, more than the limit of "
+            f"{sys.get_int_max_str_digits()}\n"
+        )
+
     def test_reduce_folds_intervals_of_thousands_of_octaves_quickly(self, tmp_path, capsys):
         # 200 intervals i*10^4300, about 14,300 octaves up: folding one
         # octave at a time took 26 s of CPU

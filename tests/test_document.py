@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import sys
 from fractions import Fraction as F
 from unittest import mock
 
@@ -612,6 +613,49 @@ class TestEveryDocumentReadsBack:
                 ValueError, match=f"^invalid tuning document: metadata field '{field}' must be a string, not {kind}$"
             ):
                 TuningDocument.from_table(table, context, "G")
+
+
+    @staticmethod
+    def long_int_documents(digits):
+        """An int of ``digits`` nines, in metadata and in a document's JSON text."""
+        return {"x": [10**digits - 1]}, f'{{"metadata": {{"x": [-{"9" * digits}]}}, "entries": []}}'
+
+    def test_metadata_ints_up_to_the_conversion_limit_read_back(self):
+        limit = sys.get_int_max_str_digits()
+        metadata, text = self.long_int_documents(limit)
+        doc = TuningDocument(metadata, ())
+        assert TuningDocument.from_json(doc.to_json()).metadata == metadata
+        assert TuningDocument.from_json(text).metadata == {"x": [1 - 10**limit]}
+
+    def test_metadata_ints_past_the_conversion_limit_are_refused(self):
+        # to_json used to raise Python's own "Exceeds the limit (4300 digits)
+        # ... use sys.set_int_max_str_digits()", and from_json the same
+        limit = sys.get_int_max_str_digits()
+        metadata, text = self.long_int_documents(limit + 1)
+        with pytest.raises(ValueError) as refusal:
+            TuningDocument(metadata, ())
+        assert str(refusal.value) == (
+            f"invalid tuning document: metadata field 'x' holds an int of more than {limit} digits, "
+            "which does not read back from JSON"
+        )
+        with pytest.raises(ValueError) as refusal:
+            TuningDocument.from_json(text)
+        assert str(refusal.value) == (
+            f"invalid tuning document JSON: an integer of {limit + 1} digits, more than the limit of {limit}"
+        )
+
+    def test_a_raised_conversion_limit_is_followed(self):
+        limit = sys.get_int_max_str_digits()
+        metadata, text = self.long_int_documents(limit + 1)
+        sys.set_int_max_str_digits(limit + 1)
+        try:
+            doc = TuningDocument(metadata, ())
+            assert TuningDocument.from_json(doc.to_json()).metadata == metadata
+            assert TuningDocument.from_json(text).metadata == {"x": [-metadata["x"][0]]}
+            sys.set_int_max_str_digits(0)  # no limit
+            assert TuningDocument(*self.long_int_documents(10 * limit)[:1], ()).metadata
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestScoreTerms:

@@ -298,6 +298,18 @@ class TestEnumerateRationals:
         with pytest.raises(ValueError, match=f"^at least {len(expected)} candidate intervals"):
             enumerate_rationals(lo, hi, 20_000)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.data())
+    def test_walk_is_every_reduced_fraction_of_the_box(self, max_num, max_den, data):
+        # bounds past the box's corners 1/max_den and max_num/1 leave one
+        # bound binding over the whole range; low == high walks one point
+        bounds = st.fractions(F(1, 50), 50, max_denominator=50)
+        low = data.draw(bounds, "low")
+        high = data.draw(st.just(low) | st.fractions(low, 50, max_denominator=50), "high")
+        box = sorted(F(p, q) for p in range(1, max_num + 1) for q in range(1, max_den + 1) if math.gcd(p, q) == 1)
+        expected = [x.as_integer_ratio() for x in box if low <= x <= high]
+        assert list(tuning._walk(low, high, max_num, max_den)) == expected
+
 
 # one-decimal partials of a one-decimal fundamental: mostly inharmonic, with
 # whole-number ratios whenever the decimals happen to line up
@@ -501,6 +513,39 @@ def forced_walk(walk, *args):
     bound = math.inf if walk == "rectangle" else 0
     with mock.patch.object(tuning, "_walk_bound", return_value=bound):
         return harmonic_tuning(*args)
+
+
+# multipliers N with gcd 1, so that a*N has the fundamental a
+coprime_multipliers = st.sets(st.integers(1, 12), min_size=1, max_size=4).filter(lambda s: math.gcd(*s) == 1)
+
+
+class TestEqualFundamentals:
+    """F = a*N against F' = a*M, for which the bounded walk hands each t to
+    the scorer as p/q = t without a gcd."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.fractions(F(1, 4), 4, max_denominator=6), coprime_multipliers, coprime_multipliers, st.data())
+    def test_both_walks_equal_the_filter_over_enumerate_rationals(self, base, n, m, data):
+        lo = data.draw(st.fractions(F(1, 8), 4, max_denominator=12), "lo")
+        hi = data.draw(st.fractions(lo, 8, max_denominator=12).filter(lambda x: x > lo), "hi")
+        max_den = data.draw(st.integers(1, 12), "max_den")
+        step = data.draw(st.sampled_from([F(3, 2), F(4, 5), F(7, 3)]), "step")
+        contextual = FrequencySet(base * k for k in n)
+        candidates = enumerate_rationals(lo, hi, max_den)
+        # the same sets with unequal fundamentals take the gcd
+        for b in (base, base * step):
+            complementary = FrequencySet(b * k for k in m)
+            assert (tuning._quotient(complementary, contextual) == (1, 1)) == (b == base)
+            scores = [total_consonance(contextual, complementary.transpose(t)) for t in candidates]
+            walkable = [
+                x for x in {s.harmonicity for s in scores}
+                if x < 1 and math.prod(tuning._rectangle_sides(contextual, complementary, x)) <= 20_000
+            ]
+            for h in (F(0), data.draw(st.sampled_from(sorted(walkable)), "h") if walkable else F(1, 2)):
+                expected = tuple(TuningEntry(t, s) for t, s in zip(candidates, scores) if s.harmonicity > h)
+                for walk in ("rectangle", "bounded"):
+                    got = forced_walk(walk, contextual, complementary, h, lo, hi, max_den).entries
+                    assert first_difference(got, expected) is None
 
 
 class TestHarmonicWalks:
