@@ -27,6 +27,7 @@ intervals, as consonance is not preserved by octave transposition.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -152,6 +153,7 @@ def _scored(
     pairs: Iterable[tuple[int, int, int, int]],
     generator: str,
     threshold: Fraction = Fraction(0),
+    counts: Counter[tuple[int, int]] | None = None,
 ) -> TuningTable:
     """The table of every t whose harmonicity exceeds ``threshold`` (0 keeps
     every one), t given as (p, q, n, d): the reduced integer pair
@@ -163,7 +165,8 @@ def _scored(
     a/q and its top partial a*top/q, top = max(q*N_top, p*M_top). A kept
     candidate becomes the row (n, d, terms), terms = (shared, min(|N|, |M|),
     |N| + |M| - shared, top) in lowest terms, reduced once per distinct
-    score in a call.
+    score in a call. ``counts``, when given, holds the shared count of every
+    p/q that shares a partial (see that note), read instead of counted.
     """
     _, n_all, n_set = contextual._lattice_view()  # refuses empty sets
     _, m_all, m_set = complementary._lattice_view()
@@ -180,6 +183,7 @@ def _scored(
     # union = sizes - shared, so top alone determines a score with nothing
     # shared, and (shared, top) any other
     built: dict[int | tuple[int, int], _Terms] = {}
+    counted = None if counts is None else counts.get
     rows = []
     append = rows.append
     for p, q, n, d in pairs:
@@ -189,7 +193,9 @@ def _scored(
         if room <= hn * top:
             continue
         shared = 0
-        if p <= n_top and q <= m_top:
+        if counted is not None:
+            shared = counted((p, q), 0)
+        elif p <= n_top and q <= m_top:
             k_top, k_m = n_top // p, m_top // q
             if k_m < k_top:
                 k_top = k_m
@@ -437,16 +443,19 @@ def harmonic_tuning(
         # t = p*rd/(q*rn) rises with p/q; one whose denominator exceeds
         # max_den is skipped unscored
         walk = _walk(low * rn / rd, high * rn / rd, *sides)
-        pairs = (
-            (p, q, p * rd // g, d)
-            for p, q in walk
-            for g in (gcd(p * rd, q * rn),)
-            for d in (q * rn // g,)
-            if d <= max_den
-        )
+        # equal fundamentals (rn = rd = 1): p/q is t itself, as in _scaled
+        if rn == rd:
+            pairs = ((p, q, p, q) for p, q in walk if q <= max_den)
+        else:
+            pairs = (
+                (p, q, p * rd // g, d)
+                for p, q in walk
+                for g in (gcd(p * rd, q * rn),)
+                for d in (q * rn // g,)
+                if d <= max_den
+            )
     else:
         walk = _walk(low, high, high.numerator * max_den // high.denominator, max_den)
-        # equal fundamentals (rn = rd = 1): p/q is t itself, as in _scaled
         if rn == rd:
             pairs = ((c, d, c, d) for c, d in walk)
         else:
@@ -481,14 +490,27 @@ def superset_tuning(
     The supersets (extended by n and m partials) only generate candidate
     intervals; consonance is measured against the real spectra, so entries
     with zero affinity are normal and kept. A table of more than
-    ``MAX_TABLE_ENTRIES`` entries is refused before any is built.
+    ``MAX_TABLE_ENTRIES`` entries is refused before any is built. Shared
+    partials come from ``_shared_counts`` when F and F' are sparse enough
+    (README, "Scoring a transposition never materialises tF'").
     """
     # the supersets are a*{1..k} and b*{1..kk}, so their pairwise ratios
     # are (a/b)*p/q over the reduced p/q with p <= k and q <= kk; their
     # fundamentals are the originals', so p/q is already the t*b/a scored
     k, kk = _superset_count(contextual, n), _superset_count(complementary, m)
     walk = _scaled(_walk(Fraction(1, kk), Fraction(k), k, kk), *_quotient(contextual, complementary))
-    return _scored(contextual, complementary, walk, "superset")
+    # the k + kk - 1 rows p/1 and 1/q are always kept, so counts over no
+    # more pairs than that hold no more entries than the table
+    n_all, m_all = contextual._lattice_view()[1], complementary._lattice_view()[1]
+    counts = _shared_counts(n_all, m_all) if len(n_all) * len(m_all) < k + kk else None
+    return _scored(contextual, complementary, walk, "superset", counts=counts)
+
+
+def _shared_counts(n_all: Sequence[int], m_all: Sequence[int]) -> Counter[tuple[int, int]]:
+    """How many pairs (n, m) of N x M reduce to each p/q = n/m: the number
+    of partials a*N and b*M share where t*b/a = p/q."""
+    gcd = math.gcd
+    return Counter((n // g, m // g) for n in n_all for m in m_all for g in (gcd(n, m),))
 
 
 def _mobius(top: int) -> list[int]:

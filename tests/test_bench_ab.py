@@ -39,14 +39,44 @@ def test_summary_gives_medians_quartiles_change_pairs_won_and_bound():
     lines = {line.split(":")[0]: line for line in bench_ab.summary(parent, change, END_TO_END)}
     assert lines["throughput_jobs_s"] == (
         "throughput_jobs_s: parent 1000 [990, 1010]  change 1100 [1090, 1110]  +10.0%  won 4/5  "
-        "bound 25% (higher is better)"
+        "bound 25% (higher is better)  not shown"
     )
     # latency falls with throughput, and lower is better
     assert "won 4/5" in lines["latency_p50_ms"] and "-9.1%" in lines["latency_p50_ms"]
     # a 15% rise against a 10% bound; equal values win for neither side
-    assert lines["peak_rss_mb"].endswith("+15.4%  won 0/5  bound 10% (lower is better)  beyond bound")
+    assert lines["peak_rss_mb"].endswith("+15.4%  won 0/5  bound 10% (lower is better)  beyond bound  not shown")
     assert lines["setup_s"].startswith("setup_s: parent 0.05 [0.05, 0.05]") and "won 0/5" in lines["setup_s"]
     assert lines["digests"] == "digests: equal"
+
+
+def verdicts(parent_throughputs, change_throughputs):
+    """The claim verdict closing each metric line of a canned comparison."""
+    parent = [bench_ab.parse_run(canned_output(x)) for x in parent_throughputs]
+    change = [bench_ab.parse_run(canned_output(x)) for x in change_throughputs]
+    return {line.split(":")[0]: line.rsplit("  ", 1)[1] for line in bench_ab.summary(parent, change, END_TO_END)[:-1]}
+
+
+def test_a_claim_is_shown_by_nine_wins_in_ten_and_medians_apart_by_more_than_the_parents_spread():
+    parent = [1000.0, 990.0, 1010.0, 995.0, 1005.0, 1000.0, 985.0, 1015.0, 1000.0, 1040.0]
+    # 9 of 10 pairs won; the medians 1000 and 1050 lie further apart than
+    # the parent's quartiles 996.25 and 1008.75
+    change = [1050.0, 1040.0, 1060.0, 1045.0, 1055.0, 1050.0, 1035.0, 1065.0, 1050.0, 1030.0]
+    shown = verdicts(parent, change)
+    assert shown["throughput_jobs_s"] == shown["latency_p50_ms"] == shown["latency_p90_ms"] == "claim shown"
+    # equal values win no pair
+    assert shown["setup_s"] == shown["peak_rss_mb"] == "not shown"
+    # a loss for the change is never a claim
+    assert verdicts(change, parent)["throughput_jobs_s"] == "not shown"
+
+
+def test_eight_wins_in_ten_or_medians_within_the_parents_spread_show_no_claim():
+    parent = [1000.0, 990.0, 1010.0, 995.0, 1005.0, 1000.0, 985.0, 1015.0, 1000.0, 1040.0]
+    eight = [1050.0, 1040.0, 1060.0, 1045.0, 1055.0, 1050.0, 1035.0, 1065.0, 990.0, 1030.0]
+    assert verdicts(parent, eight)["throughput_jobs_s"] == "not shown"
+    # every pair won, by less than the parent's quartile spread of 12.5
+    close = [x + 5.0 for x in parent]
+    assert verdicts(parent, close)["throughput_jobs_s"] == "not shown"
+    assert verdicts(parent, [x + 20.0 for x in parent])["throughput_jobs_s"] == "claim shown"
 
 
 def test_unequal_digests_and_failed_runs_are_reported():

@@ -722,6 +722,65 @@ class TestSupersetTuning:
                     assert aff <= sup
 
 
+def spied_shared_counts():
+    """``tuning._shared_counts`` patched with a spy that still counts."""
+    return mock.patch.object(tuning, "_shared_counts", wraps=tuning._shared_counts)
+
+
+class TestSharedCounts:
+    """A superset table whose shared partials are read from the counts over
+    N x M, against the same table counted candidate by candidate."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.fractions(F(1, 4), 4, max_denominator=6),
+        st.fractions(F(1, 4), 4, max_denominator=6),
+        st.sets(st.integers(1, 60), min_size=1, max_size=12),
+        st.sets(st.integers(1, 60), min_size=1, max_size=12),
+        st.integers(0, 4),
+        st.integers(0, 4),
+        st.randoms(use_true_random=False),
+    )
+    def test_counted_table_equals_the_looped_table_and_the_oracle(self, a, b, n_all, m_all, n, m, rng):
+        contextual = FrequencySet(a * x for x in n_all)
+        complementary = FrequencySet(b * x for x in m_all)
+        counted = superset_tuning(contextual, complementary, n, m)
+        with mock.patch.object(tuning, "_shared_counts", return_value=None):
+            looped = superset_tuning(contextual, complementary, n, m)
+        assert first_difference(counted._rows, looped._rows) is None
+        for entry in rng.sample(counted.entries, min(len(counted.entries), 20)):
+            assert entry.score == total_consonance(contextual, complementary.transpose(entry.interval))
+
+    def test_sparse_supersets_count_over_the_partial_pairs(self):
+        # 6 x 6 partial pairs against the 1,865 + 6 - 1 rows p/1 and 1/q
+        with spied_shared_counts() as spy:
+            table = superset_tuning(INHARMONIC, C4, 0, 0)
+        assert spy.call_count == 1
+        assert table.entries == scored_oracle(
+            affinitive_intervals(harmonic_superset(INHARMONIC, 0), harmonic_superset(C4, 0)), INHARMONIC, C4
+        )
+
+    def test_dense_supersets_and_the_other_tables_count_in_the_loop(self):
+        dense = harmonic_set(1, 40)  # 1,600 partial pairs against 79 rows p/1 and 1/q
+        with spied_shared_counts() as spy:
+            superset_tuning(dense, dense)
+            harmonic_tuning(INHARMONIC, INHARMONIC, 0)
+            harmonic_tuning(C4, C4, F(1, 12))  # the 23 x 23 rectangle
+            table = affinitive_tuning(INHARMONIC, INHARMONIC)
+            octave_reduce(table, INHARMONIC, INHARMONIC)
+        assert spy.call_count == 0
+
+    def test_a_superset_over_the_cap_is_refused_before_counting(self):
+        sparse = FrequencySet([1, 3000])
+        with spied_shared_counts() as spy, pytest.raises(
+            ValueError,
+            match=r"^5472375 candidate intervals p/q in \[1/3000, 3000\] with p <= 3000 and q <= 3000 "
+            r"exceed the limit of 4194304$",
+        ):
+            superset_tuning(sparse, sparse)
+        assert spy.call_count == 0
+
+
 class TestOctaveReduce:
     def test_fold_examples(self):
         assert fold_to_octave(F(4, 5)) == F(8, 5)
