@@ -378,19 +378,21 @@ class FrequencySet:
         return 1 / self.fundamental()
 
 
-def _union(sets: Sequence[FrequencySet]) -> FrequencySet:
-    """The union of ``sets`` in one pass: one gcd, one lcm, one frozenset
+def _union(sets: Sequence[FrequencySet], pairs: Sequence[tuple[int, int]] = ()) -> FrequencySet:
+    """The union of ``sets`` and of the one-value sets {n/d} of ``pairs``
+    (n/d > 0 in lowest terms) in one pass: one gcd, one lcm, one frozenset
     and one sort, however many sets. An empty set adds nothing, and a union
-    with one nonempty set is that set (the first set when all are empty)."""
+    with one nonempty set and no pair is that set (the first set when all
+    are empty)."""
     nonempty = [s for s in sets if s._multipliers]
-    if len(nonempty) < 2:
+    if len(nonempty) < 2 and not pairs:
         return nonempty[0] if nonempty else sets[0]
     # with g = gcd of the fundamentals a_i, the union is g * (u (a_i/g)*N_i),
-    # whose multipliers have gcd 1
-    nums = [s._fundamental.numerator for s in nonempty]
-    dens = [s._fundamental.denominator for s in nonempty]
+    # whose multipliers have gcd 1; a pair is the set (n/d)*{1}
+    nums = [s._fundamental.numerator for s in nonempty] + [n for n, _ in pairs]
+    dens = [s._fundamental.denominator for s in nonempty] + [d for _, d in pairs]
     gn, gd = math.gcd(*nums), math.lcm(*dens)
-    merged = []
+    merged = [n // gn * (gd // d) for n, d in pairs]
     for s, n, d in zip(nonempty, nums, dens):
         scale = n // gn * (gd // d)
         merged += [scale * m for m in s._multipliers]

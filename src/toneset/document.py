@@ -5,8 +5,9 @@ metadata needed to regenerate and rescore them; it is the interchange
 format between subcommands. Exact rational strings are authoritative; cents
 and float columns are derived on export, so import -> export is
 byte-identical. Every table writer (``table_csv``, ``TuningDocument.to_json``
-and the text table the CLI prints) is one pass, ``_formatted``, over
-integer rows and optional note names, with its own cells and row function
+and the text table the CLI prints) is one pass, ``_formatted``, that
+gathers the values of integer rows and optional note names, with its own
+cells, and one ``%`` fill of its row template per table, ``_filled``
 (README, "Tables are integer rows, and a row is its interval"). The other
 CSVs the package writes go through ``csv_text``. Each writer still builds
 its whole output as one string, and ``from_json`` reads a whole document
@@ -22,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
 from json.encoder import encode_basestring
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from . import __version__
 from .core import _cents_of, _display_score, _ratio_terms, _ratio_text, _scientific, cents
@@ -33,8 +34,6 @@ if TYPE_CHECKING:  # the roughness module loads numpy; only its type is needed
     from .dissonance import CurvePoint
 
 __all__ = ["TuningDocument", "export_scl"]
-
-_Row = TypeVar("_Row")
 
 TOOL_NAME = "toneset"
 
@@ -60,46 +59,53 @@ def csv_text(header: list[str], rows: Iterable[Iterable[str]]) -> str:
 _TABLE_HEADER = "interval_ratio,cents,affinity,harmonicity,total"
 
 
-def _table_row(n: int, d: int, cents: float, cells: str, note: None) -> str:
-    """A table_csv row: interval n/d, its cents and the joined score cells."""
-    return f"{n}/{d},{cents:.4f},{cells}"
-
-
 def table_csv(source: TuningTable | TuningDocument | Iterable[TuningEntry]) -> str:
     """A table's entries as CSV: exact interval, cents and the three scores,
-    each row one fill of a template, as ``csv_text`` would join its cells.
-    Loose entries are written in the order given."""
+    one fill of a row template per table, as ``csv_text`` would join the
+    cells. Loose entries are written in the order given."""
     if isinstance(source, TuningDocument):
         source = source._table
     rows = source._rows if isinstance(source, TuningTable) else _entry_rows(source)
-    return "\n".join(chain([_TABLE_HEADER], _formatted(rows, None, _joined_cells, _table_row))) + "\n"
+    return f"{_TABLE_HEADER}\n" + _filled("%d/%d,%.4f,%s\n", *_formatted(rows, None, _joined_cells))
 
 
 def _formatted(
     rows: Iterable[tuple[int, int, _Terms]],
-    notes: Optional[Iterable[Optional[str]]],
+    notes: Optional[Iterable[Any]],
     cells: Callable[[_Terms], Any],
-    row: Callable[[int, int, float, Any, Optional[str]], _Row],
-) -> Iterator[_Row]:
-    """The one pass behind every table writer (CSV, JSON, text): for each
-    row (n, d, terms) and its note name (None without ``notes``),
-    ``row(n, d, cents, cells(terms), note)``.
+    places: Optional[int] = None,
+) -> tuple[list, int]:
+    """The one pass behind every table writer (CSV, JSON, text): the values
+    n, d, cents (rounded to ``places``, when given), ``cells(terms)`` and,
+    with ``notes``, the note of each row (n, d, terms), in one flat list, and
+    how many values a row has (README, "Tables are integer rows").
 
-    The cells are computed once per distinct terms value in this call. A
-    ``row`` that prints an interval term too long for ``int`` text gets
-    ``format_ratio``'s refusal, which names the interval.
+    The cells are computed once per distinct terms value in this call.
     """
     memo: dict[_Terms, Any] = {}
+    values: list = []
     for (n, d, terms), note in zip(rows, notes or repeat(None)):
         found = memo.get(terms)
         if found is None:
             found = memo[terms] = cells(terms)
-        try:
-            line = row(n, d, _cents_of(n, d), found, note)
-        except ValueError:
-            _ratio_text(n, d, True, "interval")  # raises for a term too long to print
-            raise
-        yield line
+        c = _cents_of(n, d)
+        values += n, d, c if places is None else round(c, places), found, note
+    if notes is None:
+        del values[4::5]
+        return values, 4
+    return values, 5
+
+
+def _filled(template: str, values: list, width: int, separator: str = "") -> str:
+    """``template`` filled once per row of ``width`` values, joined by
+    ``separator``, in one ``%``. An interval term too long for ``int`` text
+    gets ``format_ratio``'s refusal, which names the first such interval."""
+    try:
+        return separator.join([template] * (len(values) // width)) % tuple(values)
+    except ValueError:
+        for n, d in zip(values[::width], values[1::width]):
+            _ratio_text(n, d, True, "interval")  # raises for the first term too long to print
+        raise
 
 
 def _joined_cells(terms: _Terms) -> str:
@@ -180,19 +186,14 @@ def _json_scores(terms: _Terms) -> str:
     )
 
 
-def _json_entry(n: int, d: int, c: float, scores: str, note: Optional[str]) -> str:
-    """A JSON document entry, as ``json.dumps`` with ``indent=2`` writes it."""
-    return (
-        f'    {{\n      "interval": "{n}/{d}",\n      "cents": {round(c, 4)!r},\n{scores}'
-        + ("" if note is None else f',\n      "note": {encode_basestring(note)}')
-        + "\n    }"
-    )
-
-
 _JSON_SCORES = (
     '      "affinity": "{}",\n      "harmonicity": "{}",\n      "total": "{}",\n'
     '      "affinity_float": {},\n      "harmonicity_float": {},\n      "total_float": {}'
 )
+
+# a JSON document entry, as ``json.dumps`` with ``indent=2`` writes it: the
+# interval, its cents rounded to 4 places, the score fields and the note field
+_JSON_ENTRY = '    {\n      "interval": "%d/%d",\n      "cents": %r,\n%s%s\n    }'
 
 
 def _text_scores(terms: _Terms) -> tuple[tuple[int, int], str]:
@@ -203,28 +204,28 @@ def _text_scores(terms: _Terms) -> tuple[tuple[int, int], str]:
     )
 
 
-def _text_row(n: int, d: int, c: float, scores: tuple[tuple[int, int], str], note: Optional[str]):
-    """A text table row and its score's total, the consonance order's key."""
-    total, cells = scores
-    return total, f"{f'{n}/{d}':>10}  {c:>10.4f}{cells}  {note or ''}"
-
-
 def _render_text(doc: TuningDocument, order: str) -> str:
     """A document as a text table, in interval or consonance order."""
-    rows: Iterable = _formatted(doc._table._rows, doc._notes, _text_scores, _text_row)
+    notes = [note or "" for note in doc._notes] if doc._notes else repeat("")
+    values, _ = _formatted(doc._table._rows, notes, _text_scores)
     if order == "consonance":
         # each distinct total is ranked once, its terms in lowest terms; the
         # rows ascend by interval and the sort is stable, so equal totals
         # keep that order
-        rows = list(rows)
-        totals = sorted({total for total, _ in rows}, key=lambda total: Fraction(*total), reverse=True)
+        rows = list(zip(*[iter(values)] * 5))
+        totals = sorted({scores[0] for _, _, _, scores, _ in rows}, key=lambda total: Fraction(*total), reverse=True)
         rank = {total: i for i, total in enumerate(totals)}
-        rows.sort(key=lambda row: rank[row[0]])
+        rows.sort(key=lambda row: rank[row[3][0]])
+        values = list(chain.from_iterable(rows))
+    # "n/d" is right-aligned as one text, so the intervals are filled first
+    values[::5] = _filled("%d/%d\n", list(chain.from_iterable(zip(values[::5], values[1::5]))), 2).split("\n")[:-1]
+    values[3::5] = [scores for _, scores in values[3::5]]
+    del values[1::5]
     head = (
         f"# {doc.metadata['generator']} tuning  F={doc.metadata['context']}  F'={doc.metadata['complement']}\n"
         f"{'interval':>10}  {'cents':>10}  {'affinity':>16}  {'harmonicity':>18}  {'total':>16}  note"
     )
-    return "\n".join(chain([head], (line for _, line in rows))) + "\n"
+    return f"{head}\n" + _filled("%10s  %10.4f%s  %s\n", values, 4)
 
 
 def _refuse_constant(name: str) -> None:
@@ -388,7 +389,8 @@ class TuningDocument:
         for the document: ``json.dumps`` writes the metadata, and each entry
         fills one template."""
         head = json.dumps({"metadata": self.metadata, "entries": []}, indent=2, ensure_ascii=False)
-        entries = ",\n".join(_formatted(self._table._rows, self._notes, _json_scores, _json_entry))
+        notes = self._notes and ["" if note is None else f',\n      "note": {encode_basestring(note)}' for note in self._notes]
+        entries = _filled(_JSON_ENTRY, *_formatted(self._table._rows, notes or repeat(""), _json_scores, 4), ",\n")
         # the head ends '"entries": []\n}'
         return f"{head[:-4]}[\n{entries}\n  ]\n}}\n" if entries else head + "\n"
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
 from .core import FrequencySet, _excerpt, harmonic_set
-from .document import _float_cells, _formatted, csv_text, curve_csv, table_csv
+from .document import _filled, _float_cells, _formatted, curve_csv, table_csv
 from .tuning import TuningTable, affinitive_tuning, harmonic_tuning, octave_reduce, superset_tuning
 
 __all__ = ["emit_figure_data", "supported_figures"]
@@ -120,13 +120,9 @@ def _fig5_5(params: Params) -> dict[str, str]:
 
 def _fig5_6(params: Params) -> dict[str, str]:
     # thomae_modified(n/d) is 1/max(n, d); an int over an int is correctly rounded
-    rows = _formatted(
-        _distribution(params)._rows,
-        None,
-        _float_cells,
-        lambda n, d, c, cells, _: [f"{n}/{d}", f"{c:.4f}", cells[2], repr(1 / max(n, d))],
-    )
-    return {"fig5_6": csv_text(["interval_ratio", "cents", "total", "thomae_modified"], rows)}
+    rows = ((n, d, (terms, max(n, d))) for n, d, terms in _distribution(params)._rows)
+    values = _formatted(rows, None, lambda key: f"{_float_cells(key[0])[2]},{1 / key[1]!r}")
+    return {"fig5_6": "interval_ratio,cents,total,thomae_modified\n" + _filled("%d/%d,%.4f,%s\n", *values)}
 
 
 def _fig5_7(params: Params) -> dict[str, str]:
@@ -229,10 +225,8 @@ def _fig5_14(params: Params) -> dict[str, str]:
 
 def _fig8_1(params: Params) -> dict[str, str]:
     # thomae_classical(n/d) is 1/d; the row's score is not shown
-    rows = _formatted(
-        _distribution(params)._rows, None, lambda _: (), lambda n, d, c, _, __: [f"{n}/{d}", f"{c:.4f}", repr(1 / d)]
-    )
-    return {"fig8_1": csv_text(["interval_ratio", "cents", "thomae"], rows)}
+    values = _formatted(((n, d, d) for n, d, _ in _distribution(params)._rows), None, lambda d: 1 / d)
+    return {"fig8_1": "interval_ratio,cents,thomae\n" + _filled("%d/%d,%.4f,%r\n", *values)}
 
 
 _BUILDERS: dict[str, Callable[[Params], dict[str, str]]] = {

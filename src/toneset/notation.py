@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 
-from .core import FrequencySet, ParseError, _count_of, _excerpt, _ratio_text, _union, parse_ratio
+from .core import FrequencySet, ParseError, _count_of, _excerpt, _ratio_terms, _ratio_text, _union, parse_ratio
 from .notes import NoteName, note_set
 
 __all__ = ["parse_set_expression", "canonical_set_expression"]
@@ -26,7 +26,8 @@ _HARMONIC_RE = re.compile(r"^(?P<fund>.+)\*N_?(?P<count>\d+)$")
 _NOTE_RE = re.compile(r"^(?P<note>[A-G][#b]?-?\d+_\d+)(?:@(?P<ref>.+))?$")
 
 
-def _parse_term(token: str) -> FrequencySet:
+def _parse_term(token: str) -> FrequencySet | tuple[int, int]:
+    """A term's set, or a single positive value's reduced pair."""
     term = token.strip()
     if not term:
         raise ParseError("empty frequency-set term")
@@ -43,6 +44,10 @@ def _parse_term(token: str) -> FrequencySet:
             NoteName.parse(match.group("note")),
             parse_ratio(reference) if reference is not None else None,
         )
+    if "," not in term:
+        pair = _ratio_terms(term)
+        if pair[0] > 0:  # FrequencySet refuses the others
+            return pair
     return FrequencySet(term.split(","))
 
 
@@ -52,8 +57,10 @@ def parse_set_expression(text: str) -> FrequencySet:
     expr = text.strip()
     if not expr:
         raise ParseError("empty frequency-set expression")
-    # a one-term expression is its term, not a rebuilt copy of it
-    return _union([_parse_term(term) for term in expr.split("+")])
+    # a one-term expression is its term, not a rebuilt copy of it; a single
+    # value joins the union as its pair, building no set of its own
+    terms = [_parse_term(term) for term in expr.split("+")]
+    return _union([t for t in terms if type(t) is not tuple], [t for t in terms if type(t) is tuple])
 
 
 def canonical_set_expression(freq_set: FrequencySet) -> str:

@@ -268,13 +268,23 @@ def _quotient(x: FrequencySet, y: FrequencySet) -> tuple[int, int]:
     return n // g, d // g
 
 
-def _scaled(pairs: Iterable[tuple[int, int]], rn: int, rd: int) -> Iterator[tuple[int, int, int, int]]:
+def _scaled(
+    pairs: Iterable[tuple[int, int]], rn: int, rd: int, k: int = 0, kk: int = 0
+) -> Iterator[tuple[int, int, int, int]]:
     """Each reduced x/y as (x, y, u, v), u/v = x*rn/(y*rd) in lowest terms
     for rn/rd in lowest terms: reduced by g1 = gcd(x, rd) and g2 = gcd(y, rn)
-    alone, as x/y is in lowest terms too."""
+    alone, as x/y is in lowest terms too. Given bounds k >= x and kk >= y,
+    g1 and g2 are read from lists of k + kk + 2 gcds built once."""
     if rn == rd:
         return ((x, y, x, y) for x, y in pairs)
     gcd = math.gcd
+    if k:
+        firsts, seconds = [gcd(x, rd) for x in range(k + 1)], [gcd(y, rn) for y in range(kk + 1)]
+        return (
+            (x, y, x // g1 * (rn // g2), y // g2 * (rd // g1))
+            for x, y in pairs
+            for g1, g2 in ((firsts[x], seconds[y]),)
+        )
     return (
         (x, y, x // g1 * (rn // g2), y // g2 * (rd // g1))
         for x, y in pairs
@@ -498,7 +508,7 @@ def superset_tuning(
     # are (a/b)*p/q over the reduced p/q with p <= k and q <= kk; their
     # fundamentals are the originals', so p/q is already the t*b/a scored
     k, kk = _superset_count(contextual, n), _superset_count(complementary, m)
-    walk = _scaled(_walk(Fraction(1, kk), Fraction(k), k, kk), *_quotient(contextual, complementary))
+    walk = _scaled(_walk(Fraction(1, kk), Fraction(k), k, kk), *_quotient(contextual, complementary), k, kk)
     # the k + kk - 1 rows p/1 and 1/q are always kept, so counts over no
     # more pairs than that hold no more entries than the table
     n_all, m_all = contextual._lattice_view()[1], complementary._lattice_view()[1]

@@ -4,10 +4,12 @@ import json
 import math
 import sys
 from fractions import Fraction as F
+from itertools import chain, repeat
+from json.encoder import encode_basestring
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from toneset import (
     ConsonanceScore,
@@ -28,9 +30,9 @@ from toneset import (
     superset_tuning,
     supported_figures,
 )
-from toneset import document
+from toneset import document, figures
 from toneset.cli import main
-from toneset.core import _display_score, _ratio_terms, _scientific
+from toneset.core import _cents_of, _display_score, _ratio_terms, _scientific
 from toneset.document import _render_text, csv_text, table_csv
 
 C4 = harmonic_set(262, 6)
@@ -719,6 +721,189 @@ class TestOneFormatter:
             assert csv_row[0] == json_row["interval"] == ratio
             assert float(csv_row[1]) == json_row["cents"] == float(c)
             assert exact == (json_row["affinity"], json_row["harmonicity"], json_row["total"])
+
+
+# The per-row writers that ``_formatted`` and ``_filled`` replaced, one
+# f-string per row, kept as the reference for the one fill per table.
+
+
+def per_row(rows, notes, cells, row):
+    """``row(n, d, cents, cells(terms), note)`` for each row (n, d, terms)
+    and its note (None without notes), the cells once per distinct terms."""
+    memo = {}
+    for (n, d, terms), note in zip(rows, notes or repeat(None)):
+        if terms not in memo:
+            memo[terms] = cells(terms)
+        yield row(n, d, _cents_of(n, d), memo[terms], note)
+
+
+def per_row_csv(rows):
+    lines = per_row(rows, None, document._joined_cells, lambda n, d, c, cells, _: f"{n}/{d},{c:.4f},{cells}")
+    return "\n".join(chain(["interval_ratio,cents,affinity,harmonicity,total"], lines)) + "\n"
+
+
+def per_row_json(doc):
+    def entry(n, d, c, scores, note):
+        return (
+            f'    {{\n      "interval": "{n}/{d}",\n      "cents": {round(c, 4)!r},\n{scores}'
+            + ("" if note is None else f',\n      "note": {encode_basestring(note)}')
+            + "\n    }"
+        )
+
+    head = json.dumps({"metadata": doc.metadata, "entries": []}, indent=2, ensure_ascii=False)
+    entries = ",\n".join(per_row(doc._table._rows, doc._notes, document._json_scores, entry))
+    return f"{head[:-4]}[\n{entries}\n  ]\n}}\n" if entries else head + "\n"
+
+
+def per_row_text(doc, order):
+    def line(n, d, c, scores, note):
+        return scores[0], f"{f'{n}/{d}':>10}  {c:>10.4f}{scores[1]}  {note or ''}"
+
+    rows = list(per_row(doc._table._rows, doc._notes, document._text_scores, line))
+    if order == "consonance":
+        rows.sort(key=lambda row: -F(*row[0]))  # stable: equal totals keep interval order
+    head = (
+        f"# {doc.metadata['generator']} tuning  F={doc.metadata['context']}  F'={doc.metadata['complement']}\n"
+        f"{'interval':>10}  {'cents':>10}  {'affinity':>16}  {'harmonicity':>18}  {'total':>16}  note"
+    )
+    return "\n".join(chain([head], (text for _, text in rows))) + "\n"
+
+
+def per_row_fig5_6(rows):
+    cells = per_row(rows, None, document._float_cells,
+                    lambda n, d, c, cells, _: [f"{n}/{d}", f"{c:.4f}", cells[2], repr(1 / max(n, d))])
+    return csv_text(["interval_ratio", "cents", "total", "thomae_modified"], cells)
+
+
+def per_row_fig8_1(rows):
+    cells = per_row(rows, None, lambda _: (), lambda n, d, c, _, __: [f"{n}/{d}", f"{c:.4f}", repr(1 / d)])
+    return csv_text(["interval_ratio", "cents", "thomae"], cells)
+
+
+def lowest_terms(n, d):
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+# the most digits int text converts by default, and a term that has them
+_LIMIT = sys.get_int_max_str_digits()
+_AT_LIMIT = 10**_LIMIT - 1
+_INTERVALS = st.one_of(
+    st.builds(lowest_terms, _HUGE, _HUGE),
+    # terms of 4,300 digits, above and below 1 (negative cents)
+    st.integers(0, _LIMIT - 1).flatmap(lambda k: st.sampled_from([(_AT_LIMIT, 10**k), (10**k, _AT_LIMIT)])),
+    # cents within a float's rounding of k/10^4 + 1/(2*10^4), a tie for 4 places
+    st.integers(-60_000_000, 60_000_000).map(lambda k: (2 ** ((k + 0.5) / 10**4 / 1200)).as_integer_ratio()),
+)
+_WRITER_ROWS = st.lists(
+    st.tuples(
+        st.builds(lambda t, a, h: (*t, (*a.as_integer_ratio(), *h.as_integer_ratio())), _INTERVALS,
+                  _UNIT | _TINY, _UNIT | _TINY),
+        _NOTES,
+    ),
+    max_size=12,
+)
+
+
+def writer_document(rows, notes, streamed=False):
+    """A document of rows and notes as they are, unsorted; with
+    ``streamed``, its rows are a new one-shot iterator at each read."""
+    doc = TuningDocument.__new__(TuningDocument)
+    table = (_StreamedTable if streamed else TuningTable)._of_rows(tuple(rows), "g")
+    doc._hold({"generator": "g", "context": "1", "complement": "2"}, table, notes)
+    return doc
+
+
+def figure_part(figure_id):
+    """A writer of a distribution figure's part, with the document's table
+    as the distribution."""
+    def write(doc):
+        with mock.patch.object(figures, "_distribution", return_value=doc._table):
+            return emit_figure_data(figure_id)[figure_id]
+    return write
+
+
+# every table writer, by name
+WRITERS = {
+    "csv": table_csv,
+    "json": TuningDocument.to_json,
+    "text": lambda doc: _render_text(doc, "interval"),
+    "consonance": lambda doc: _render_text(doc, "consonance"),
+    "fig5_6": figure_part("fig5_6"),
+    "fig8_1": figure_part("fig8_1"),
+}
+
+
+def writer_outputs(doc):
+    return {name: write(doc) for name, write in WRITERS.items()}
+
+
+class TestOneFillPerTable:
+    """Every table writer fills one template per table, and writes what the
+    per-row f-string writers wrote."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_WRITER_ROWS, st.booleans())
+    @example([], False)
+    @example([], True)
+    # below 1 at 4,300 digits, cents 701.95505 to a float's rounding, 4,300 digits
+    @example([((10**7, _AT_LIMIT, (0, 1, 1, 2)), '"\\\n'),
+              ((*(2 ** (701.95505 / 1200)).as_integer_ratio(), (1, 2, 1, 3)), None),
+              ((_AT_LIMIT, 1, (1, 1, 1, 1)), "é")], True)
+    def test_writers_equal_the_per_row_writers(self, noted_rows, streamed):
+        rows = [row for row, _ in noted_rows]
+        notes = [note for _, note in noted_rows]
+        doc = writer_document(rows, notes)
+        assert writer_outputs(writer_document(rows, notes, streamed)) == {
+            "csv": per_row_csv(rows),
+            "json": per_row_json(doc),
+            "text": per_row_text(doc, "interval"),
+            "consonance": per_row_text(doc, "consonance"),
+            "fig5_6": per_row_fig5_6(rows),
+            "fig8_1": per_row_fig8_1(rows),
+        }
+
+
+class TestOneFillRefusal:
+    """A term too long to print, in any row, gets ``format_ratio``'s refusal
+    for the first interval that has one, from every writer."""
+
+    SCORE = (1, 2, 1, 3)
+    # about 1, and so in the middle of the rows: a 4,401-digit numerator
+    MIDDLE = [(1, 2, SCORE), (10**4400 + 1, 10**4400, SCORE), (2, 1, SCORE)]
+    LAST = [(1, 2, SCORE), (2, 1, SCORE), (10**4400, 1, SCORE)]
+
+    @pytest.mark.parametrize("rows", [MIDDLE, LAST], ids=["middle", "last"])
+    @pytest.mark.parametrize("writer", ["csv", "json", "text", "consonance", "fig5_6", "fig8_1"])
+    def test_every_writer_names_the_interval(self, rows, writer):
+        n, d, _ = next(row for row in rows if row[0] > 10**_LIMIT)
+        with pytest.raises(ValueError) as refusal:
+            format_ratio(F(n, d), True, "interval")
+        assert str(refusal.value).startswith("interval is too long to print: its numerator has 4401 digits")
+        with pytest.raises(ValueError) as written:
+            WRITERS[writer](writer_document(rows, [None] * len(rows)))
+        assert str(written.value) == str(refusal.value)
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_the_first_interval_too_long_is_named(self, writer):
+        rows = [(1, 2, self.SCORE), (10**4400, 1, self.SCORE), (10**4500, 1, self.SCORE)]
+        with pytest.raises(ValueError, match="^interval is too long to print: its numerator has 4401 digits"):
+            WRITERS[writer](writer_document(rows, [None] * 3))
+
+    @pytest.mark.parametrize("argv", [
+        # rows about 1/2, 1 and 2; the one about 1 has two 4,401-digit terms
+        ["affinitive", f"1/2,1.{'0' * 2199}1,2", f"1{'0' * 2200}/1{'0' * 2199}3"],
+        # rows 10^2200 and 10^4400
+        ["affinitive", "1,1e2200", "1e-2200"],
+    ], ids=["middle", "last"])
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_cli_writes_nothing(self, tmp_path, capsys, argv, output):
+        out = tmp_path / "table"
+        for target in ([], ["-o", str(out)]):
+            code = main([*argv, "--format", output, *target])
+            captured = capsys.readouterr()
+            assert (code, captured.out, out.exists()) == (3, "", False)
+            assert captured.err.startswith("error: interval is too long to print: its numerator has 4401 digits")
 
 
 class TestWritersBuildNoEntry:

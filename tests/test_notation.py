@@ -69,6 +69,10 @@ class TestParseSetExpression:
             ("262*N0+C4_6@x+wibble", "262[*]N0"),
             ("1+2+C4_6@x+262*N0", "'x'"),
             ("1+0,2+wibble", "non-positive frequency 0"),
+            ("1+0+wibble", "non-positive frequency 0"),
+            ("1+wibble+0", "wibble"),
+            ("2+-3/2+1/0", "non-positive frequency -3/2"),
+            ("2+1/0+-3", "'1/0'"),
         ],
     )
     def test_first_bad_term_is_the_one_named(self, expr, named):
@@ -111,6 +115,30 @@ class TestParseSetExpression:
         got = parse_set_expression("+".join(canonical_set_expression(s) for s in sets))
         want = functools.reduce(operator.or_, sets)
         assert got == want == FrequencySet([f for s in sets for f in s])
+        assert got.elements == want.elements
+
+
+    def test_single_values_build_no_set_of_their_own(self):
+        # each joins the union as its reduced pair; the union is built once
+        with mock.patch.object(FrequencySet, "__init__", side_effect=AssertionError("built")):
+            got = parse_set_expression("262+3/2+393.5+262*N2")
+        assert got == FrequencySet([262, F(3, 2), F("393.5"), 524])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.fractions(min_value=F(1, 60), max_value=1000, max_denominator=60), min_size=1, max_size=3),
+            min_size=1,
+            max_size=8,
+        ),
+        st.sampled_from(["{}", "{:.3f}", "  {} "]),
+    )
+    def test_single_value_terms_give_the_sets_of_their_terms(self, terms, form):
+        # single values and lists, as "n/d" or (rounded) decimal texts
+        texts = [",".join(form.format(v if form == "{}" else float(v)) for v in term) for term in terms]
+        got = parse_set_expression("+".join(texts))
+        want = functools.reduce(operator.or_, [FrequencySet(text.split(",")) for text in texts])
+        assert got == want
         assert got.elements == want.elements
 
 

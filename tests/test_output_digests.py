@@ -25,6 +25,9 @@ def test_every_figure_part_and_demo_is_listed(capsys):
     assert set(pinned) - set(FIGURE_PARTS) == {
         "fig4_2", "fig4_3_chi_0_24", "fig4_3_chi_0_03", "fig4_3_chi_0_003", "fig5_1_dissonance"
     }
+    commands = [line[2:] for line in lines if line[1] == "cli"]
+    assert commands == [list(argv) for argv in output_digests.COMMANDS]
+    assert len(commands) == 6
     demos = [line[2] for line in lines if line[1] == "demo"]
     assert demos == sorted(path.name for path in (ROOT / "demos").glob("*.py"))
-    assert len(lines) == len(figures) + len(demos)
+    assert len(lines) == len(figures) + len(commands) + len(demos)

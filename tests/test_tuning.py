@@ -8,7 +8,7 @@ from itertools import pairwise
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from toneset import (
     FrequencySet,
@@ -779,6 +779,37 @@ class TestSharedCounts:
         ):
             superset_tuning(sparse, sparse)
         assert spy.call_count == 0
+
+
+class TestScaledFromLists:
+    """Superset rows whose t = p*a/(q*b) is reduced by gcds read from the
+    per-call lists, against the same rows reduced by per-row gcds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.fractions(F(1, 12), 12, max_denominator=12),
+        st.fractions(F(1, 12), 12, max_denominator=12),
+        st.sets(st.integers(1, 30), min_size=1, max_size=5),
+        st.sets(st.integers(1, 30), min_size=1, max_size=5),
+        st.integers(0, 4),
+        st.integers(0, 4),
+    )
+    @example(F(3, 2), F(5, 4), {1}, {1, 2, 6}, 0, 2)  # k = 1
+    @example(F(10, 3), F(4, 9), {2, 3, 9}, {7}, 1, 0)  # k' = 1
+    def test_rows_equal_per_row_scaling(self, a, b, n_set, m_set, n, m):
+        contextual = FrequencySet(a * x for x in n_set)
+        complementary = FrequencySet(b * x for x in m_set)
+        rn, rd = tuning._quotient(contextual, complementary)
+        assume(rn != rd)
+        k, kk = len(harmonic_superset(contextual, n)), len(harmonic_superset(complementary, m))
+        per_row = tuning._scaled
+        with mock.patch.object(tuning.math, "gcd", wraps=math.gcd) as spy:
+            tuning._scaled(iter(()), rn, rd, k, kk)
+        assert spy.call_count == k + kk + 2  # the lists, built before any row
+        listed = superset_tuning(contextual, complementary, n, m)
+        with mock.patch.object(tuning, "_scaled", lambda pairs, rn, rd, *_: per_row(pairs, rn, rd)):
+            scaled = superset_tuning(contextual, complementary, n, m)
+        assert first_difference(listed._rows, scaled._rows) is None
 
 
 class TestOctaveReduce:

@@ -1,14 +1,17 @@
-"""SHA-256 digests of every figure part and of each demo's stdout.
+"""SHA-256 digests of every figure part, of a fixed list of toneset
+commands' stdout and of each demo's stdout.
 
     python3 tools/output_digests.py [CHECKOUT]
 
 CHECKOUT is a toneset source tree (the one holding this script by
-default); its ``src`` is imported and its ``demos/*.py`` are run, each in
-a fresh interpreter. One line is printed per output, as the digest of its
-bytes and a label:
+default); its ``src`` is imported, the commands of COMMANDS run in this
+process, and its ``demos/*.py`` are run, each in a fresh interpreter. One
+line is printed per output, as the digest of its bytes and a label:
 
     <sha256>  figure <params> <part>    every part of every figure id, at
                                          each of PARAMS (compact JSON)
+    <sha256>  cli <arguments>           a command's stdout; one that reads a
+                                         document reads the previous stdout
     <sha256>  demo <file>               a demo's stdout
 
 Curve parts are included: their last digits depend on numpy's ``exp``, so
@@ -17,20 +20,34 @@ their listings are equal, as in
 
     diff <(python3 tools/output_digests.py OLD) <(python3 tools/output_digests.py)
 
-A demo that exits nonzero or writes to stderr stops the listing with exit 1.
+A command or demo that exits nonzero or writes to stderr stops the listing
+with exit 1.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 # the defaults, and the small parameters that the pinned outputs use
 PARAMS = ({}, {"max_den": 16, "steps": 300})
+
+# the JSON writer with note names, its document octave-reduced and exported
+# to Scala, and the text writer in both orders
+COMMANDS = (
+    ["affinitive", "C4_6@262", "C4_6@262", "--notes"],
+    ["reduce-octave"],
+    ["export-scl"],
+    ["superset", "C4_6@262", "G4_6@393", "--format", "text", "--order", "consonance"],
+    ["harmonic", "262,723.12,1310", "C4_6@262", "--h", "0", "--max-den", "12", "--format", "text"],
+    ["thomae", "--max-den", "12"],
+)
 
 
 def _sha256(text: str) -> str:
@@ -50,6 +67,27 @@ def figure_lines() -> list[str]:
     return lines
 
 
+def cli_lines() -> list[str]:
+    """A line per command of COMMANDS, each given the previous one's stdout
+    as its stdin."""
+    from toneset.cli import main
+
+    lines, previous = [], ""
+    for argv in COMMANDS:
+        out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+        sys.stdin = io.StringIO(previous)
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        finally:
+            sys.stdin = stdin
+        if code or err.getvalue():
+            raise RuntimeError(f"toneset {' '.join(argv)} exited {code}:\n{err.getvalue()}")
+        previous = out.getvalue()
+        lines.append(f"{_sha256(previous)}  cli {' '.join(argv)}")
+    return lines
+
+
 def demo_lines(root: Path) -> list[str]:
     """A line per demo of ``root``, run on ``root/src``."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
@@ -66,7 +104,7 @@ def main(argv: list[str]) -> int:
     root = Path(argv[0]).resolve() if argv else Path(__file__).resolve().parent.parent
     sys.path.insert(0, str(root / "src"))
     try:
-        lines = figure_lines() + demo_lines(root)
+        lines = figure_lines() + cli_lines() + demo_lines(root)
     except RuntimeError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
