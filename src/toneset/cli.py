@@ -3,7 +3,8 @@
 Subcommands cover the consonance report, the three tuning generators, the
 bare-interval consonance distribution, dissonance sweeps, octave reduction
 and Scala export. Tables travel between subcommands as JSON tuning
-documents (stdin/stdout by default).
+documents (stdin/stdout by default). Tables, curves, scales and scores are
+formatted by :mod:`toneset.document`, and figure parts by :mod:`toneset.figures`.
 
 Exit codes: 0 success, 2 for notation/usage parse failures, 3 for domain
 errors (empty sets, invalid ranges, unknown figure ids, ...).
@@ -20,8 +21,7 @@ from typing import Callable, Optional
 
 from . import __version__
 from .core import FrequencySet, ParseError, _excerpt, format_ratio, parse_ratio
-from .document import TuningDocument, curve_csv, export_scl
-from .document import _SCORE_LABELS, _render_text, _score_fields, _score_text
+from .document import TuningDocument, _consonance_lines, _render_text, curve_csv, export_scl
 from .figures import emit_figure_data
 from .notation import canonical_set_expression, parse_set_expression
 from .tuning import (
@@ -100,12 +100,8 @@ def _emit_document(
 def cmd_consonance(args: argparse.Namespace) -> int:
     contextual = parse_set_expression(args.context)
     complementary = parse_set_expression(args.complement)
-    _, texts, shown = _score_fields(_unison_terms(contextual, complementary))
     # every line is formatted before any is written, so a failure prints none
-    sys.stdout.write("".join(
-        f"{label:<11} = {text} ({_score_text(v)})\n"
-        for label, text, v in zip(_SCORE_LABELS, texts, shown)
-    ))
+    sys.stdout.write(_consonance_lines(_unison_terms(contextual, complementary)))
     return EXIT_OK
 
 

@@ -5,7 +5,8 @@ its fundamental a times its integer multipliers N (F = a*N, the view every
 generator works in); its sorted elements are built on first use. All
 frequencies and intervals are ``fractions.Fraction`` values, so set algebra,
 common fundamentals and wave periods come out exact. Floating point appears
-only at the display edge (``cents``) and in the roughness model
+only at the display edge (``cents`` here, score display in
+:mod:`toneset.document`) and in the roughness model
 (:mod:`toneset.dissonance`); it never feeds back into the rational layer.
 Tiny deviations from exact ratios collapse the common fundamental, so binary
 floats are rejected rather than silently converted: pass decimals as
@@ -162,23 +163,6 @@ def _scientific(value: Fraction) -> str:
     if digits == 10_000:  # 9.9995... rounds up into the next decade
         digits, exponent = 1000, exponent + 1
     return f"{sign}{digits // 1000}.{digits % 1000:03d}e{exponent:+03d}"
-
-
-def _display_score(numerator: int, denominator: int) -> float | str:
-    """How the score numerator/denominator is shown beside its exact ratio
-    (JSON and text alike).
-
-    A float rounded to 3 decimals; the unrounded float when rounding would
-    show a nonzero score as 0; and the :func:`_scientific` text when even
-    the float gives 0 for a nonzero score. An int divided by an int is
-    correctly rounded, so the float is ``float()`` of the Fraction.
-    """
-    x = numerator / denominator
-    if x == 0.0 and numerator:
-        return _scientific(Fraction(numerator, denominator))
-    if x == 0.0 or abs(x) >= 0.0005:
-        return round(x, 3)
-    return x
 
 
 def to_ratio(value: RatioLike) -> Fraction:

@@ -8,10 +8,11 @@ byte-identical. Every table writer (``table_csv``, ``TuningDocument.to_json``
 and the text table the CLI prints) is one pass, ``_formatted``, that
 gathers the values of integer rows and optional note names, with its own
 cells, and one ``%`` fill of its row template per table, ``_filled``
-(README, "Tables are integer rows, and a row is its interval"). The other
-CSVs the package writes go through ``csv_text``. Each writer still builds
-its whole output as one string, and ``from_json`` reads a whole document
-into memory.
+(README, "Tables are integer rows, and a row is its interval"); curves
+and figures fill theirs the same way. A score is shown by one rule,
+``_display_score``, and the ``consonance`` report is ``_consonance_lines``.
+Each writer still builds its whole output as one string, and ``from_json``
+reads a whole document into memory.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from . import __version__
-from .core import _cents_of, _display_score, _ratio_terms, _ratio_text, _scientific, cents
+from .core import _cents_of, _ratio_terms, _ratio_text, _scientific, cents
 from .notes import _note_text
 from .tuning import TuningEntry, TuningTable, _Terms, _check_order, _entry_rows
 
@@ -46,23 +47,13 @@ _METADATA_FIELDS = {
 }
 
 
-def csv_text(header: list[str], rows: Iterable[Iterable[str]]) -> str:
-    """A CSV block: header, rows, bare "\\n" line endings.
-
-    Cells are joined with "," as they are: every cell the package writes is
-    a number, an "n/d" text, a ``_scientific`` text or a header, and none
-    needs quoting.
-    """
-    return "\n".join(map(",".join, chain([header], rows))) + "\n"
-
-
 _TABLE_HEADER = "interval_ratio,cents,affinity,harmonicity,total"
 
 
 def table_csv(source: TuningTable | TuningDocument | Iterable[TuningEntry]) -> str:
     """A table's entries as CSV: exact interval, cents and the three scores,
-    one fill of a row template per table, as ``csv_text`` would join the
-    cells. Loose entries are written in the order given."""
+    one fill of a row template per table. Loose entries are written in the
+    order given."""
     if isinstance(source, TuningDocument):
         source = source._table
     rows = source._rows if isinstance(source, TuningTable) else _entry_rows(source)
@@ -109,8 +100,7 @@ def _filled(template: str, values: list, width: int, separator: str = "") -> str
 
 
 def _joined_cells(terms: _Terms) -> str:
-    """The three score cells of a CSV row, joined the way ``csv_text``
-    joins cells."""
+    """The three score cells of a CSV row, joined by ","."""
     return ",".join(_float_cells(terms))
 
 
@@ -129,12 +119,27 @@ def _float_cell(n: int, d: int) -> str:
     return repr(x) if x or not n else _scientific(Fraction(n, d))
 
 
+def _display_score(numerator: int, denominator: int) -> float | str:
+    """How a score is shown beside its exact ratio (JSON, text and
+    ``consonance``): its float rounded to 3 decimals, unrounded where that
+    would show a nonzero score as 0, and its ``_scientific`` text where even
+    the float reads 0. An int divided by an int is correctly rounded, so the
+    float is ``float()`` of the Fraction."""
+    x = numerator / denominator
+    if x == 0.0 and numerator:
+        return _scientific(Fraction(numerator, denominator))
+    if x == 0.0 or abs(x) >= 0.0005:
+        return round(x, 3)
+    return x
+
+
 def curve_csv(points: Iterable[CurvePoint]) -> str:
-    """A dissonance curve as CSV: t, its cents and the roughness."""
-    return csv_text(
-        ["t", "cents", "dissonance"],
-        ([repr(p.t), f"{cents(p.t):.4f}", repr(p.dissonance)] for p in points),
-    )
+    """A dissonance curve as CSV (t, its cents, the roughness), in one fill
+    of a row template; ``cents`` refuses a t that is not positive."""
+    values: list = []
+    for p in points:
+        values += p.t, cents(p.t), p.dissonance
+    return "t,cents,dissonance\n" + _filled("%r,%.4f,%r\n", values, 3)
 
 
 _SCORE_LABELS = ("affinity", "harmonicity", "total")
@@ -150,11 +155,11 @@ def _score_terms(terms: _Terms) -> tuple[tuple[int, int], ...]:
     return (an, ad), (hn, hd), (tn // g, td // g)
 
 
-def _score_fields(terms: _Terms) -> tuple[tuple[int, int], tuple, tuple]:
-    """A score's total in lowest terms, the exact "p/q" texts of affinity,
-    harmonicity and total, and their ``_display_score`` values (JSON, text
-    and the ``consonance`` command alike), from a row's score terms: the one
-    pass per distinct score behind every exact score field."""
+def _score_fields(terms: _Terms) -> tuple[tuple, tuple]:
+    """The exact "p/q" texts of affinity, harmonicity and total, and their
+    ``_display_score`` values (JSON, text and the ``consonance`` command
+    alike), from a row's score terms: the one pass per distinct score behind
+    every exact score field."""
     (an, ad), (hn, hd), (tn, td) = _score_terms(terms)
     try:
         texts = f"{an}/{ad}", f"{hn}/{hd}", f"{tn}/{td}"
@@ -162,7 +167,7 @@ def _score_fields(terms: _Terms) -> tuple[tuple[int, int], tuple, tuple]:
         for (n, d), label in zip(((an, ad), (hn, hd), (tn, td)), _SCORE_LABELS):
             _ratio_text(n, d, True, label)  # raises for the first term too long to print
         raise
-    return (tn, td), texts, (_display_score(an, ad), _display_score(hn, hd), _display_score(tn, td))
+    return texts, (_display_score(an, ad), _display_score(hn, hd), _display_score(tn, td))
 
 
 def _score_text(shown: float | str) -> str:
@@ -173,10 +178,16 @@ def _score_text(shown: float | str) -> str:
     return f"{shown:.3f}" if shown == round(shown, 3) else f"{shown:.3e}"
 
 
+def _consonance_lines(terms: _Terms) -> str:
+    """The ``consonance`` report of a row's score terms: each score's exact and shown value."""
+    texts, shown = _score_fields(terms)
+    return "".join(f"{label:<11} = {text} ({_score_text(v)})\n" for label, text, v in zip(_SCORE_LABELS, texts, shown))
+
+
 def _json_scores(terms: _Terms) -> str:
     """The score fields of a JSON document entry, as ``json.dumps`` with
     ``indent=2`` writes them inside an entry."""
-    _, texts, (a, h, t) = _score_fields(terms)
+    texts, (a, h, t) = _score_fields(terms)
     # a shown score is a float, or the _scientific text of one that reads 0
     return _JSON_SCORES.format(
         *texts,
@@ -196,30 +207,29 @@ _JSON_SCORES = (
 _JSON_ENTRY = '    {\n      "interval": "%d/%d",\n      "cents": %r,\n%s%s\n    }'
 
 
-def _text_scores(terms: _Terms) -> tuple[tuple[int, int], str]:
-    """A score's total and the score columns of its text table row."""
-    total, (a, h, t), (shown_a, shown_h, shown_t) = _score_fields(terms)
-    return total, (
-        f"  {a:>8} ({_score_text(shown_a)})  {h:>8} ({_score_text(shown_h)})  {t:>8} ({_score_text(shown_t)})"
-    )
+def _text_scores(terms: _Terms) -> str:
+    """The score columns of a text table row."""
+    (a, h, t), (shown_a, shown_h, shown_t) = _score_fields(terms)
+    return f"  {a:>8} ({_score_text(shown_a)})  {h:>8} ({_score_text(shown_h)})  {t:>8} ({_score_text(shown_t)})"
 
 
 def _render_text(doc: TuningDocument, order: str) -> str:
     """A document as a text table, in interval or consonance order."""
+    rows = doc._table._rows
     notes = [note or "" for note in doc._notes] if doc._notes else repeat("")
-    values, _ = _formatted(doc._table._rows, notes, _text_scores)
     if order == "consonance":
         # each distinct total is ranked once, its terms in lowest terms; the
         # rows ascend by interval and the sort is stable, so equal totals
         # keep that order
-        rows = list(zip(*[iter(values)] * 5))
-        totals = sorted({scores[0] for _, _, _, scores, _ in rows}, key=lambda total: Fraction(*total), reverse=True)
-        rank = {total: i for i, total in enumerate(totals)}
-        rows.sort(key=lambda row: rank[row[3][0]])
-        values = list(chain.from_iterable(rows))
+        pairs = list(zip(rows, notes))
+        total = {terms: _score_terms(terms)[2] for terms in {row[2] for row, _ in pairs}}
+        ranked = sorted(set(total.values()), key=lambda t: Fraction(*t), reverse=True)
+        rank = {t: i for i, t in enumerate(ranked)}
+        pairs.sort(key=lambda pair: rank[total[pair[0][2]]])
+        rows, notes = [row for row, _ in pairs], [note for _, note in pairs]
+    values, _ = _formatted(rows, notes, _text_scores)
     # "n/d" is right-aligned as one text, so the intervals are filled first
     values[::5] = _filled("%d/%d\n", list(chain.from_iterable(zip(values[::5], values[1::5]))), 2).split("\n")[:-1]
-    values[3::5] = [scores for _, scores in values[3::5]]
     del values[1::5]
     head = (
         f"# {doc.metadata['generator']} tuning  F={doc.metadata['context']}  F'={doc.metadata['complement']}\n"

@@ -233,17 +233,14 @@ def _unison_terms(contextual: FrequencySet, complementary: FrequencySet) -> _Ter
 def affinitive_intervals(
     contextual: FrequencySet, complementary: FrequencySet
 ) -> frozenset[Fraction]:
-    """All pairwise ratios f/f' - the transpositions with nonzero affinity."""
-    if not contextual or not complementary:
-        raise ValueError("empty frequency set")
+    """All pairwise ratios f/f' - the transpositions with nonzero affinity;
+    refused as ``affinitive_tuning`` refuses its sets."""
+    _capped_multipliers(contextual, complementary)
     return frozenset(f / g for f in contextual for g in complementary)
 
 
-def affinitive_tuning(
-    contextual: FrequencySet, complementary: FrequencySet
-) -> TuningTable:
-    """One scored entry per affinitive interval; more than
-    ``MAX_TABLE_ENTRIES`` partial pairs are refused before any is built."""
+def _capped_multipliers(contextual: FrequencySet, complementary: FrequencySet) -> tuple[tuple[int, ...], ...]:
+    """Both sets' multipliers; more than ``MAX_TABLE_ENTRIES`` partial pairs are refused."""
     _, n_all, _ = contextual._lattice_view()  # refuses empty sets
     _, m_all, _ = complementary._lattice_view()
     count = len(n_all) * len(m_all)
@@ -253,6 +250,15 @@ def affinitive_tuning(
             f"{format_ratio(len(n_all))} x {format_ratio(len(m_all))} partials exceed the limit "
             f"of {MAX_TABLE_ENTRIES}"
         )
+    return n_all, m_all
+
+
+def affinitive_tuning(
+    contextual: FrequencySet, complementary: FrequencySet
+) -> TuningTable:
+    """One scored entry per affinitive interval; more than
+    ``MAX_TABLE_ENTRIES`` partial pairs are refused before any is built."""
+    n_all, m_all = _capped_multipliers(contextual, complementary)
     gcd = math.gcd
     pairs = {(n // g, m // g) for n in n_all for m in m_all for g in (gcd(n, m),)}
     pairs = _scaled(_ascending(pairs, m_all[-1]), *_quotient(contextual, complementary))

@@ -39,12 +39,14 @@ def test_summary_gives_medians_quartiles_change_pairs_won_and_bound():
     lines = {line.split(":")[0]: line for line in bench_ab.summary(parent, change, END_TO_END)}
     assert lines["throughput_jobs_s"] == (
         "throughput_jobs_s: parent 1000 [990, 1010]  change 1100 [1090, 1110]  +10.0%  won 4/5  "
-        "bound 25% (higher is better)  not shown"
+        "bound 25% (higher is better)  not shown (fewer than 10 pairs)"
     )
     # latency falls with throughput, and lower is better
     assert "won 4/5" in lines["latency_p50_ms"] and "-9.1%" in lines["latency_p50_ms"]
     # a 15% rise against a 10% bound; equal values win for neither side
-    assert lines["peak_rss_mb"].endswith("+15.4%  won 0/5  bound 10% (lower is better)  beyond bound  not shown")
+    assert lines["peak_rss_mb"].endswith(
+        "+15.4%  won 0/5  bound 10% (lower is better)  beyond bound  not shown (fewer than 10 pairs)"
+    )
     assert lines["setup_s"].startswith("setup_s: parent 0.05 [0.05, 0.05]") and "won 0/5" in lines["setup_s"]
     assert lines["digests"] == "digests: equal"
 
@@ -77,6 +79,18 @@ def test_eight_wins_in_ten_or_medians_within_the_parents_spread_show_no_claim():
     close = [x + 5.0 for x in parent]
     assert verdicts(parent, close)["throughput_jobs_s"] == "not shown"
     assert verdicts(parent, [x + 20.0 for x in parent])["throughput_jobs_s"] == "claim shown"
+
+
+def test_fewer_than_ten_pairs_show_no_claim():
+    # 3 of 3 pairs won, the medians far apart: still no claim
+    shown = verdicts([1000.0, 990.0, 1010.0], [1500.0, 1490.0, 1510.0])
+    assert shown["throughput_jobs_s"] == shown["latency_p50_ms"] == "not shown (fewer than 10 pairs)"
+    assert set(shown.values()) == {"not shown (fewer than 10 pairs)"}
+    # nine pairs fall short too; the tenth shows the claim
+    parent = [1000.0, 990.0, 1010.0, 995.0, 1005.0, 1000.0, 985.0, 1015.0, 1000.0, 1040.0]
+    change = [x + 100.0 for x in parent]
+    assert verdicts(parent[:9], change[:9])["throughput_jobs_s"] == "not shown (fewer than 10 pairs)"
+    assert verdicts(parent, change)["throughput_jobs_s"] == "claim shown"
 
 
 def test_unequal_digests_and_failed_runs_are_reported():

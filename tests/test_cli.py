@@ -16,8 +16,8 @@ import toneset
 from toneset import supported_figures
 from toneset.cli import main
 from toneset.consonance import total_consonance
-from toneset.core import MAX_HARMONIC_PARTIALS, _display_score, format_ratio
-from toneset.document import _score_text
+from toneset.core import MAX_HARMONIC_PARTIALS, format_ratio
+from toneset.document import _display_score, _score_text
 from toneset.notation import parse_set_expression
 from toneset.notes import note_name
 from toneset.tuning import MAX_TABLE_ENTRIES

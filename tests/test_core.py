@@ -19,7 +19,8 @@ from toneset import (
     total_period,
     transpose,
 )
-from toneset.core import MAX_DECIMAL_EXPONENT, MAX_HARMONIC_PARTIALS, _display_score, _excerpt, _ratio_terms
+from toneset.core import MAX_DECIMAL_EXPONENT, MAX_HARMONIC_PARTIALS, _excerpt, _ratio_terms
+from toneset.document import _display_score
 
 ratios = st.fractions(min_value=F(1, 30), max_value=F(50), max_denominator=30)
 freq_sets = st.sets(ratios, min_size=1, max_size=6).map(FrequencySet)

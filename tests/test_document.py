@@ -32,8 +32,11 @@ from toneset import (
 )
 from toneset import document, figures
 from toneset.cli import main
-from toneset.core import _cents_of, _display_score, _ratio_terms, _scientific
-from toneset.document import _render_text, csv_text, table_csv
+from toneset.consonance import total_consonance
+from toneset.core import _cents_of, _ratio_terms, _scientific
+from toneset.dissonance import CurvePoint
+from toneset.document import _consonance_lines, _display_score, _render_text, curve_csv, table_csv
+from toneset.tuning import _unison_terms
 
 C4 = harmonic_set(262, 6)
 
@@ -260,7 +263,8 @@ class TestCsv:
 
 
 def csv_writer_text(header, rows):
-    """The reference csv_text: the standard library's CSV writer."""
+    """A CSV block as the standard library's CSV writer writes it: the
+    reference for every CSV the package writes."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -268,29 +272,32 @@ def csv_writer_text(header, rows):
     return buffer.getvalue()
 
 
-_HEADER_CELLS = st.sampled_from(
-    ["interval_ratio", "cents", "affinity", "harmonicity", "total", "t", "dissonance",
-     "thomae", "thomae_modified"]
+# every kind of float a curve holds: subnormal, huge, integral and any other
+_CURVE_FLOATS = st.one_of(
+    st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),
+    st.floats(min_value=1e300, allow_infinity=False),
+    st.integers(1, 2**53).map(float),
+    st.floats(min_value=5e-324, allow_infinity=False),
 )
-# every kind of cell the package writes: float reprs, 4-decimal cents,
-# "n/d" texts, scientific texts and header names
-_PACKAGE_CELLS = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    st.floats(-1e6, 1e6).map(lambda c: f"{c:.4f}"),
-    st.builds(lambda n, d: f"{n}/{d}", st.integers(0, 2**200), st.integers(1, 2**200)),
-    st.fractions().map(_scientific),
-    _HEADER_CELLS,
+_CURVES = st.lists(
+    st.builds(CurvePoint, _CURVE_FLOATS, st.just(0.0) | st.just(-0.0) | _CURVE_FLOATS),
+    max_size=12,
 )
 
 
-class TestCsvText:
+class TestCurveCsv:
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(_HEADER_CELLS, min_size=1, max_size=5),
-        st.lists(st.lists(_PACKAGE_CELLS, min_size=1, max_size=6), max_size=8),
-    )
-    def test_equals_the_csv_writer(self, header, rows):
-        assert csv_text(header, rows) == csv_writer_text(header, rows)
+    @given(_CURVES)
+    @example([])
+    @example([CurvePoint(5e-324, 0.0), CurvePoint(1.7976931348623157e308, 2.0), CurvePoint(2.0, 1e-320)])
+    def test_equals_the_csv_writer(self, points):
+        rows = ([repr(p.t), f"{cents(p.t):.4f}", repr(p.dissonance)] for p in points)
+        assert curve_csv(points) == csv_writer_text(["t", "cents", "dissonance"], rows)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0])
+    def test_a_t_that_is_not_positive_is_refused(self, t):
+        with pytest.raises(ValueError, match="^interval must be positive$"):
+            curve_csv([CurvePoint(1.0, 0.5), CurvePoint(t, 0.5)])
 
 
 def float_cell(value):
@@ -301,7 +308,7 @@ def float_cell(value):
 
 def fraction_table_csv(entries):
     """The reference table_csv: every column through Fraction arithmetic."""
-    return csv_text(
+    return csv_writer_text(
         ["interval_ratio", "cents", "affinity", "harmonicity", "total"],
         (
             [
@@ -673,6 +680,41 @@ class TestScoreTerms:
         )
 
 
+def shown_text(value):
+    """A score as the report shows it, from its Fraction: 3 decimals; 4
+    significant digits where 3 decimals would read 0 for a nonzero score;
+    the scientific text where even the float reads 0."""
+    x = float(value)
+    if value and not x:
+        return _scientific(value)
+    return f"{x:.3f}" if not x or x >= 0.0005 else f"{x:.3e}"
+
+
+# positive sets from small and far-apart values, as "n/d" or decimal texts
+_REPORT_VALUES = st.one_of(
+    st.fractions(F(1, 1000), 1000).map(str),
+    st.builds(lambda n, k: f"{n}e{k}", st.integers(1, 99), st.integers(-420, 420)),
+)
+_REPORT_SETS = st.lists(_REPORT_VALUES, min_size=1, max_size=4).map(FrequencySet)
+
+
+class TestConsonanceLines:
+    """The ``consonance`` report equals lines built field by field from
+    ``total_consonance``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_REPORT_SETS, _REPORT_SETS)
+    @example(FrequencySet(["1"]), FrequencySet(["1e-400"]))
+    def test_report_is_total_consonance(self, contextual, complementary):
+        score = total_consonance(contextual, complementary)
+        expected = "".join(
+            f"{label:<11} = {format_ratio(value, always_slash=True)} ({shown_text(value)})\n"
+            for label, value in (("affinity", score.affinity), ("harmonicity", score.harmonicity),
+                                 ("total", score.total))
+        )
+        assert _consonance_lines(_unison_terms(contextual, complementary)) == expected
+
+
 # scores from a few values, so that many rows share a total: (a, h) and (h, a) always do
 _TIED = st.sampled_from([F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1)])
 _TIED_ENTRIES = st.lists(st.tuples(st.builds(F, _HUGE, _HUGE), _TIED, _TIED), max_size=30).map(
@@ -756,12 +798,17 @@ def per_row_json(doc):
 
 
 def per_row_text(doc, order):
-    def line(n, d, c, scores, note):
-        return scores[0], f"{f'{n}/{d}':>10}  {c:>10.4f}{scores[1]}  {note or ''}"
+    def cells(terms):
+        an, ad, hn, hd = terms
+        return (F(an, ad) + F(hn, hd)) / 2, document._text_scores(terms)
 
-    rows = list(per_row(doc._table._rows, doc._notes, document._text_scores, line))
+    def line(n, d, c, cells, note):
+        total, scores = cells
+        return total, f"{f'{n}/{d}':>10}  {c:>10.4f}{scores}  {note or ''}"
+
+    rows = list(per_row(doc._table._rows, doc._notes, cells, line))
     if order == "consonance":
-        rows.sort(key=lambda row: -F(*row[0]))  # stable: equal totals keep interval order
+        rows.sort(key=lambda row: -row[0])  # stable: equal totals keep interval order
     head = (
         f"# {doc.metadata['generator']} tuning  F={doc.metadata['context']}  F'={doc.metadata['complement']}\n"
         f"{'interval':>10}  {'cents':>10}  {'affinity':>16}  {'harmonicity':>18}  {'total':>16}  note"
@@ -772,12 +819,12 @@ def per_row_text(doc, order):
 def per_row_fig5_6(rows):
     cells = per_row(rows, None, document._float_cells,
                     lambda n, d, c, cells, _: [f"{n}/{d}", f"{c:.4f}", cells[2], repr(1 / max(n, d))])
-    return csv_text(["interval_ratio", "cents", "total", "thomae_modified"], cells)
+    return csv_writer_text(["interval_ratio", "cents", "total", "thomae_modified"], cells)
 
 
 def per_row_fig8_1(rows):
     cells = per_row(rows, None, lambda _: (), lambda n, d, c, _, __: [f"{n}/{d}", f"{c:.4f}", repr(1 / d)])
-    return csv_text(["interval_ratio", "cents", "thomae"], cells)
+    return csv_writer_text(["interval_ratio", "cents", "thomae"], cells)
 
 
 def lowest_terms(n, d):

@@ -27,7 +27,7 @@ def test_every_figure_part_and_demo_is_listed(capsys):
     }
     commands = [line[2:] for line in lines if line[1] == "cli"]
     assert commands == [list(argv) for argv in output_digests.COMMANDS]
-    assert len(commands) == 6
+    assert len(commands) == 8
     demos = [line[2] for line in lines if line[1] == "demo"]
     assert demos == sorted(path.name for path in (ROOT / "demos").glob("*.py"))
     assert len(lines) == len(figures) + len(commands) + len(demos)

@@ -32,8 +32,8 @@ from toneset import (
     total_consonance,
 )
 from toneset import tuning
-from toneset.core import _display_score, _scientific, cents, format_ratio
-from toneset.document import _render_text, table_csv
+from toneset.core import _scientific, cents, format_ratio
+from toneset.document import _display_score, _render_text, table_csv
 from toneset.tuning import _reduced_count
 
 C4 = harmonic_set(262, 6)
@@ -206,6 +206,17 @@ class TestAffinitiveTuning:
             ValueError, match="^13 candidate intervals f/f' from 13 x 1 partials exceed the limit of 12$"
         ):
             affinitive_tuning(harmonic_set(1, 13), FrequencySet([1]))
+
+    def test_affinitive_intervals_above_the_cap_are_refused(self, monkeypatch):
+        monkeypatch.setattr(tuning, "MAX_TABLE_ENTRIES", 12)
+        assert len(affinitive_intervals(harmonic_set(1, 3), harmonic_set(1, 4))) == 9
+        large = harmonic_set(1, 13)
+        # refused from the partial counts, before any partial is read
+        with mock.patch.object(FrequencySet, "__iter__", side_effect=AssertionError("a partial was read")):
+            with pytest.raises(
+                ValueError, match="^13 candidate intervals f/f' from 13 x 1 partials exceed the limit of 12$"
+            ):
+                affinitive_intervals(large, FrequencySet([1]))
 
     def test_gap_sampling_has_zero_affinity(self):
         intervals = sorted(affinitive_intervals(C4, C4))

@@ -16,9 +16,10 @@ holding this script, never written) one line gives each side's median and
 quartiles over its runs, the change's median relative to the parent's, the
 pairs the change won (ties count for neither side) and the metric's bound;
 "beyond bound" marks a median worse than the parent's by more than it. The
-line ends with "claim shown" when the change won at least 9 in 10 pairs and
-its median is better than the parent's by more than the parent's quartile
-spread, the rule for claiming a gain; otherwise with "not shown".
+line ends with "claim shown" when at least 10 pairs ran, the change won at
+least 9 in 10 of them and its median is better than the parent's by more
+than the parent's quartile spread, the rule for claiming a gain; with "not
+shown (fewer than 10 pairs)" when fewer ran; otherwise with "not shown".
 Then the runs' output digests are compared. Exits 1 when a run exits
 nonzero, is not ``correct`` or has failed jobs, and 2 on bad arguments.
 """
@@ -78,10 +79,11 @@ def summary(parent: list[Run], change: list[Run], end_to_end: list[dict]) -> lis
         won = sum(sign * (y - x) > 0 for x, y in zip(a, b))
         flag = "  beyond bound" if -sign * relative > spec["bound"] else ""
         shown = 10 * won >= 9 * len(a) and sign * (bm - am) > aq3 - aq1
+        verdict = "not shown (fewer than 10 pairs)" if len(a) < 10 else "claim shown" if shown else "not shown"
         lines.append(
             f"{name}: parent {am:.6g} [{aq1:.6g}, {aq3:.6g}]  change {bm:.6g} [{bq1:.6g}, {bq3:.6g}]  "
             f"{relative:+.1%}  won {won}/{len(a)}  bound {spec['bound']:.0%} ({spec['better']} is better){flag}  "
-            f"{'claim shown' if shown else 'not shown'}"
+            f"{verdict}"
         )
     digests = {run.digest for run in parent + change}
     lines.append("digests: " + ("equal" if len(digests) == 1 else "differ " + " ".join(sorted(map(str, digests)))))

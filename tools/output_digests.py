@@ -39,7 +39,8 @@ from pathlib import Path
 PARAMS = ({}, {"max_den": 16, "steps": 300})
 
 # the JSON writer with note names, its document octave-reduced and exported
-# to Scala, and the text writer in both orders
+# to Scala, the text writer in both orders, and the consonance report, one
+# of whose scores reads 0 as a float
 COMMANDS = (
     ["affinitive", "C4_6@262", "C4_6@262", "--notes"],
     ["reduce-octave"],
@@ -47,6 +48,8 @@ COMMANDS = (
     ["superset", "C4_6@262", "G4_6@393", "--format", "text", "--order", "consonance"],
     ["harmonic", "262,723.12,1310", "C4_6@262", "--h", "0", "--max-den", "12", "--format", "text"],
     ["thomae", "--max-den", "12"],
+    ["consonance", "C4_6@262", "262*N4+393"],
+    ["consonance", "1", "1e-400"],
 )
 
 
