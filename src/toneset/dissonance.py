@@ -20,7 +20,10 @@ cannot change a total are not evaluated (README, "Roughness model", which
 gives the kernel's forms and their numpy passes, the skip rule and its
 conditions, and how far the sums may differ from an all-pairs sum). Far
 pairs are also the slow ones: ``exp`` of an argument below about -708 costs
-ten to a hundred times an ordinary one.
+ten to a hundred times an ordinary one. Within one set (F, tF', or the
+spectrum of ``spectrum_roughness``) the pairs of a partial with a run of
+consecutive multipliers above it form a geometric series, summed in closed
+form as one entry (README, "Runs within a set are summed in closed form").
 
 This is the one floating-point corner of the package; nothing here feeds
 back into the rational layer.
@@ -29,6 +32,7 @@ back into the rational layer.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,6 +96,24 @@ _CHUNK_ELEMENTS = 1 << 16
 # of it (8192 values by default), at about four times the cost of the loop
 _BUFFER_SIZE = 256
 
+# The pairs of a partial with a block of at least this many consecutive
+# multipliers above it are summed as one entry, and with a shorter block
+# pair by pair: an entry costs about three pairs (README, "Runs within a set")
+_MIN_RUN = 4
+
+# The least unit u (the x between neighbours of a run) of an entry: from
+# |b1*u| = 1/2 on, 1 - e^(b1*u) loses at most about an ulp to cancellation,
+# so the run sums are good to a few ulps; and as u <= chi_star / (s1 * m_j),
+# it bounds the multiplier m_j, whose rounding the unit, taken from the head
+# pair, carries along the run. A partial whose unit is smaller keeps its pairs
+_MIN_UNIT = 0.5 / -_B1
+
+# The least pair values (the pairs within a set times the steps that sum
+# them) for which a sum seeks the set's runs: finding and summing entries
+# costs about 0.1 ms, which fewer values do not repay (README, "Runs within
+# a set"). A C4_6 sweep of 2000 steps (30,000 values) sums pair by pair
+_RUN_VALUES = 1 << 15
+
 
 class CurvePoint(namedtuple("CurvePoint", "t dissonance")):
     """One sample of a sweep: the interval t and the roughness there.
@@ -104,8 +126,8 @@ class CurvePoint(namedtuple("CurvePoint", "t dissonance")):
     __slots__ = ()
 
     def __new__(cls, t: float, dissonance: float) -> "CurvePoint":
-        if dissonance < 0:
-            raise ValueError("dissonance cannot be negative")
+        if not dissonance >= 0:  # NaN fails the comparison too; -0.0 passes
+            raise ValueError("dissonance cannot be negative or NaN")
         return super().__new__(cls, t, dissonance)
 
 
@@ -125,41 +147,145 @@ def pair_roughness(
     return _C1 * math.exp(_B1 * x) + _C2 * math.exp(_B2 * x)
 
 
-def _kernel_sum(y: np.ndarray, fold: float = 1.0, slow: Optional[np.ndarray] = None) -> np.ndarray:
+def _kernel_sum(
+    y: np.ndarray,
+    fold: float = 1.0,
+    slow: Optional[np.ndarray] = None,
+    sums: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Kernel summed over the last axis, for pairs given by y = fold * x,
     x = chi_star * d / (s1 * fmin + s2), where ``fold`` is 1 or b1 (which
     then costs no multiply); ``y`` is overwritten, and so is ``slow``,
     scratch space of y's shape and memory order. Each exponential is summed
-    on its own. A caller ignores overflow (and a sweep invalid values),
-    which ``_checked`` refuses."""
+    on its own. The last pairs of ``y`` may be the heads of entries, whose
+    exponentials ``_run_sums``'s ``sums`` multiply. A caller ignores
+    overflow (and a sweep invalid values), which ``_checked`` refuses."""
     slow = np.multiply(y, _B2 / fold, out=slow)
     np.exp(slow, out=slow)
     if fold != _B1:
         y *= _B1 / fold
     np.exp(y, out=y)
+    if sums is not None:
+        tail = y.shape[-1] - sums[0].shape[-1]
+        y[..., tail:] *= sums[0]
+        slow[..., tail:] *= sums[1]
     return _C1 * y.sum(axis=-1) + _C2 * slow.sum(axis=-1)
 
 
-def _upper_pairs(freqs: np.ndarray, slope: float) -> tuple[np.ndarray, np.ndarray]:
-    """``slope`` times the lower frequency, and the distance, of every
-    unordered pair of partials, i < j in row-major order:
-    x = distance / (that + s2/chi_star)."""
-    upper = ~np.tri(freqs.size, dtype=bool)
-    return (
-        slope * np.minimum.outer(freqs, freqs)[upper],
-        np.abs(np.subtract.outer(freqs, freqs)[upper]),
+def _run_sums(head: np.ndarray, scale: np.ndarray, lengths: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The two sums of each entry's run, e^(beta*i*u) over i < L for
+    beta = b1 and b2, which multiply e^(b1*x) and e^(b2*x) of its head
+    pair: (1 - e^(beta*u*L)) / (1 - e^(beta*u)), where b1*u = ``head`` *
+    ``scale``. ``out`` is scratch space of shape (2, 2, *head.shape); the
+    sums are written to ``out[1]``, b1's first."""
+    units, sums = out
+    np.multiply(head, scale, out=units[0])
+    np.multiply(units[0], _B2 / _B1, out=units[1])
+    np.multiply(units, lengths, out=sums)
+    np.exp(out, out=out)
+    np.subtract(1, out, out=out)
+    sums /= units
+    return sums
+
+
+_Runs = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _runs(freqs: Union[FrequencySet, Sized], repeats: int) -> Optional[_Runs]:
+    """The runs of at least ``_MIN_RUN`` consecutive multipliers of a
+    FrequencySet whose pairs are summed ``repeats`` times, as the index of
+    each one's first partial and the index past its last, the number of
+    each partial's run (that of an empty last run for a partial in none),
+    and the multipliers below 2^53 as exact floats; None for any other
+    set, for a set with no such run, and for fewer than ``_RUN_VALUES``
+    pair values. A multiplier from 2^53 on is in no run: the floats of its
+    neighbours are no more than an ulp apart."""
+    if not isinstance(freqs, FrequencySet) or math.comb(len(freqs), 2) * repeats < _RUN_VALUES:
+        return None
+    multipliers = freqs._lattice_view()[1]
+    exact = np.array(multipliers[: bisect_left(multipliers, 2**53)], dtype=float)
+    # a run starts at 0, after each step other than 1, and at each
+    # multiplier from 2^53 on
+    bounds = np.concatenate(
+        ([0], (exact[1:] != exact[:-1] + 1).nonzero()[0] + 1, np.arange(exact.size, len(multipliers) + 1))
     )
+    lengths = bounds[1:] - bounds[:-1]
+    long = lengths >= _MIN_RUN
+    if not long.any():
+        return None
+    # a last, empty run past the end stands for the short ones
+    numbers = np.where(long, long.cumsum() - 1, long.sum())
+    starts, ends = (np.append(edge[long], len(multipliers)) for edge in (bounds[:-1], bounds[1:]))
+    return starts, ends, np.repeat(numbers, lengths), exact
 
 
-def _moving_pairs(
-    moving: np.ndarray, slope: float, offset: float, t_lo: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_upper_pairs`` of F' less those past the cut from t_lo on: within
-    tF', x = distance / (slope * lower + offset/t) grows with t, so the
-    first step decides a pair for the whole sweep."""
-    lower, dist = _upper_pairs(moving, slope)
-    near = ~(dist / (lower + offset / t_lo) > _CUT)  # a NaN x is kept, to be refused
-    return (lower, dist) if near.all() else (lower[near], dist[near])
+def _within(
+    freqs: np.ndarray, runs: Optional[_Runs], slope: float, offset: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs within one set as the kernel sums them, x = d / (lower +
+    offset) for lower = ``slope`` * fmin and d the distance: lower and d
+    of each pair summed on its own, i < j in row-major order, then of the
+    head pair of each entry; and the gap s - m_j and length L of each entry.
+
+    With ``runs`` (of ascending ``freqs``), the pairs of partial j with a
+    block of at least ``_MIN_RUN`` consecutive multipliers above it (the
+    rest of its own run, or a whole run) are one entry (README, "Runs
+    within a set"). A partial whose unit x / (s - m_j) is below ``_MIN_UNIT`` at
+    ``offset``, the least that the sum meets (u grows as the offset
+    shrinks), keeps its pairs."""
+    single = ~np.tri(freqs.size, dtype=bool)
+    rows = cols = np.empty(0, dtype=int)
+    gaps = lengths = np.empty(0)
+    if runs is not None:
+        starts, ends, numbers, multipliers = runs
+        # the block of run r above partial j runs from max(j + 1, the run's
+        # start) to its end; a long block is one entry, headed by its first pair
+        heads = np.maximum.outer(np.arange(1, freqs.size + 1), starts)
+        long = ends - heads >= _MIN_RUN
+        rows, which = long.nonzero()
+        cols = heads[rows, which]
+        gaps = multipliers[cols] - multipliers[rows]
+        faint = freqs[cols] - freqs[rows] < (slope * freqs[rows] + offset) * (_MIN_UNIT * gaps)
+        if faint.any():
+            long[rows[faint]] = False
+            kept = long[rows, which]
+            rows, which, cols, gaps = rows[kept], which[kept], cols[kept], gaps[kept]
+        lengths = (ends[which] - cols).astype(float)
+        # a pair (j, k) is in an entry when the block of k's run above j is
+        single &= ~long[:, numbers]
+    lower = np.minimum.outer(freqs, freqs)[single]
+    dist = np.subtract.outer(freqs, freqs)[single]
+    if rows.size:
+        lower = np.concatenate((lower, freqs[rows]))
+        dist = np.concatenate((dist, freqs[rows] - freqs[cols]))
+    lower *= slope
+    np.abs(dist, out=dist)
+    return lower, dist, gaps, lengths
+
+
+def _near(
+    lower: np.ndarray, dist: np.ndarray, gaps: np.ndarray, lengths: np.ndarray, offset: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``_within``'s pairs and entries of F' less those past the cut at the
+    first step, ``offset`` = (s2/chi_star) / t_lo: within tF', x =
+    d / (lower + offset/t) grows with t, and the other pairs of an entry
+    lie past its head, so the first step decides them for the sweep."""
+    near = ~(dist / (lower + offset) > _CUT)  # a NaN x is kept, to be refused
+    if near.all():
+        return lower, dist, gaps, lengths
+    tail = near[near.size - gaps.size :]
+    return lower[near], dist[near], gaps[tail], lengths[tail]
+
+
+def _set_sum(freqs: np.ndarray, runs: Optional[_Runs], slope: float, offset: float) -> np.ndarray:
+    """Roughness of one set, its pairs and entries in one kernel sum."""
+    lower, dist, gaps, lengths = _within(freqs, runs, slope, offset)
+    lower += offset
+    x = np.divide(dist, lower, out=dist)
+    sums = None
+    if gaps.size:
+        sums = _run_sums(x[x.size - gaps.size :], _B1 / gaps, lengths, np.empty((2, 2, gaps.size)))
+    return _kernel_sum(x, 1.0, None, sums)
 
 
 def _cross_chunks(
@@ -214,10 +340,11 @@ def _cross_chunks(
             yield first, ts[first : min(first + rows, stop), None], groups
 
 
-def _chunk_rows(n: int, m: int) -> int:
-    """Sweep steps per chunk for n fixed and m moving partials: no per-chunk
-    temporary holds more than _CHUNK_ELEMENTS values unless one step does."""
-    return max(1, _CHUNK_ELEMENTS // max(n * m, m * (m - 1) // 2))
+def _chunk_rows(cross: int, within: int) -> int:
+    """Sweep steps per chunk for ``cross`` cross pairs and ``within`` pairs
+    and entries within F' a step: no per-chunk temporary holds more than
+    _CHUNK_ELEMENTS values unless one step does."""
+    return max(1, _CHUNK_ELEMENTS // max(cross, within))
 
 
 def _as_float_array(freqs: Union[FrequencySet, Iterable[float]], role: str) -> np.ndarray:
@@ -283,10 +410,9 @@ def spectrum_roughness(
     total that is negative, NaN or past the float range."""
     freqs = _sized(freqs)
     _check_pairs(len(freqs))
-    slope, offset = _S1 / params.chi_star, _S2 / params.chi_star
-    lower, dist = _upper_pairs(_as_float_array(freqs, "spectrum"), slope)
+    arr = _as_float_array(freqs, "spectrum")
     with np.errstate(over="ignore"):  # an overflowing total is refused by _checked
-        total = _kernel_sum(dist / (lower + offset))
+        total = _set_sum(arr, _runs(freqs, 1), _S1 / params.chi_star, _S2 / params.chi_star)
     return float(_checked(total))
 
 
@@ -308,8 +434,14 @@ def dissonance_curve(
     tables), and a total that is negative, NaN or past the float range
     raise ValueError.
     """
-    if not (math.isfinite(t_lo) and math.isfinite(t_hi) and 0 < t_lo < t_hi):
+    try:
+        finite = math.isfinite(t_lo) and math.isfinite(t_hi)
+    except OverflowError:
+        raise ValueError("sweep bounds exceed the float range") from None
+    lo, hi = float(t_lo), float(t_hi)  # numpy takes no Fraction
+    if not (finite and 0 < lo < hi):
         raise ValueError(f"invalid sweep range [{t_lo}, {t_hi}]")
+    t_lo, t_hi = lo, hi
     if steps < 2:
         raise ValueError("steps must be at least 2")
     if steps > MAX_TABLE_ENTRIES:
@@ -328,44 +460,58 @@ def dissonance_curve(
     with np.errstate(over="ignore", invalid="ignore"):
         buffer_size = np.setbufsize(_BUFFER_SIZE)
         try:
-            totals = _sweep(ts, base, moving, params)
+            totals = _sweep(ts, base, moving, _runs(contextual, 1), _runs(complementary, steps), params)
         finally:
             np.setbufsize(buffer_size)
     return list(map(tuple.__new__, repeat(CurvePoint), zip(ts.tolist(), _checked(totals).tolist())))
 
 
-def _sweep(ts: np.ndarray, base: np.ndarray, moving: np.ndarray, params: DissonanceParams) -> np.ndarray:
+def _sweep(
+    ts: np.ndarray,
+    base: np.ndarray,
+    moving: np.ndarray,
+    base_runs: Optional[_Runs],
+    moving_runs: Optional[_Runs],
+    params: DissonanceParams,
+) -> np.ndarray:
     """Roughness of F u tF' at each t of ``ts``, for F ``base`` and F'
-    ``moving``."""
+    ``moving`` and the runs of their multipliers."""
     slope, offset = _S1 / params.chi_star, _S2 / params.chi_star
     # pairs within F do not move with t
-    lower, dist = _upper_pairs(base, slope)
-    fixed = _kernel_sum(dist / (lower + offset))
-    # b1 is folded into every y of the sweep
-    lower, dist = _moving_pairs(moving, slope, offset, ts[0])
-    dist = dist * _B1
+    fixed = _set_sum(base, base_runs, slope, offset)
+    lower, dist, gaps, lengths = _within(moving, moving_runs, slope, offset / ts[0])
     # buffers for the steps a short sweep has, not for a whole chunk
-    rows = min(_chunk_rows(base.size, moving.size), ts.size)
-    # a chunk lays its groups of cross pairs and its pairs within tF' end to
-    # end along the rows of one reused buffer, its steps down the columns;
-    # when its steps outnumber half its cross pairs (small spectra) they run
-    # along the rows instead, so numpy loops over the longer rows. The
-    # kernel's scratch takes the same layout in a second buffer: a fresh
-    # array costs a page fault per page
+    rows = min(_chunk_rows(base.size * moving.size, dist.size), ts.size)
+    lower, dist, gaps, lengths = _near(lower, dist, gaps, lengths, offset / ts[0])
+    # b1 is folded into every y of the sweep
+    dist = dist * _B1
+    per_gap, e = 1 / gaps, gaps.size
+    # a chunk lays its groups of cross pairs and its pairs and entries within
+    # tF' end to end along the rows of one reused buffer, its steps down the
+    # columns; when its steps outnumber half its cross pairs (small spectra)
+    # they run along the rows instead, so numpy loops over the longer rows.
+    # The kernel's scratch and the run sums take the same layout in buffers
+    # of their own: a fresh array costs a page fault per page
     steps_inner = 2 * rows > base.size * moving.size
     buffer = np.empty(rows * (base.size * moving.size + dist.size))
     scratch = np.empty(buffer.size)
+    run_buffer = np.empty((2, 2, rows * e))
     totals = np.empty(ts.size)
+
+    def laid(buf: np.ndarray, n: int, cols: int) -> np.ndarray:
+        """n steps of ``cols`` values each, from the last axis of ``buf``."""
+        lead, values = buf.shape[:-1], buf[..., : n * cols]
+        if steps_inner:
+            return values.reshape(*lead, cols, n).swapaxes(-1, -2)
+        return values.reshape(*lead, n, cols)
+
     for first, t, (rising, falling, straddling) in _cross_chunks(ts, base, moving, rows, slope, offset):
         n = t.size
         a = rising.shape[1]
         b = a + falling.shape[1]
         c = b + straddling.shape[1]
         k = c + dist.size
-        if steps_inner:
-            y, s = buffer[: n * k].reshape(k, n).T, scratch[: n * k].reshape(k, n).T
-        else:
-            y, s = buffer[: n * k].reshape(n, k), scratch[: n * k].reshape(n, k)
+        y, s = laid(buffer, n, k), laid(scratch, n, k)
         if a:  # t >= P: x = (t - P) / (slope * P + Q)
             part = y[:, :a]
             np.subtract(t, rising[0], out=part)
@@ -387,7 +533,8 @@ def _sweep(ts: np.ndarray, base: np.ndarray, moving: np.ndarray, params: Dissona
         part = y[:, c:]
         np.add(lower, offset / t, out=part)
         np.divide(dist, part, out=part)
-        totals[first : first + n] = _kernel_sum(y, _B1, s)
+        sums = _run_sums(y[:, k - e :], per_gap, lengths, laid(run_buffer, n, e)) if e else None
+        totals[first : first + n] = _kernel_sum(y, _B1, s, sums)
     return totals + fixed
 
 

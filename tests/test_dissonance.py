@@ -21,8 +21,10 @@ from toneset import (
     pair_roughness,
     spectrum_roughness,
 )
-from toneset import dissonance
-from toneset.dissonance import _B1, _B2, _CUT, _S1, _S2, _check_pairs, _checked, _chunk_rows, _upper_pairs
+from toneset import dissonance, emit_figure_data
+from toneset.figures import _c4, _inharmonic
+from toneset.dissonance import _B1, _B2, _CUT, _MIN_RUN, _S1, _S2, _check_pairs, _checked, _chunk_rows
+from test_pinned_outputs import FIGURE_PARAMS
 
 C4 = harmonic_set(262, 6)
 
@@ -37,6 +39,12 @@ def all_pairs_roughness(freqs, params=DEFAULT_PARAMS):
 def oracle_totals(F_, G, ts, params):
     """all_pairs_roughness at each t."""
     return [all_pairs_roughness(list(F_) + [t * g for g in G], params) for t in ts]
+
+
+def float_rows(F_, G):
+    """Steps per chunk of a sweep of two float lists: they have no runs, so
+    every pair within G is a kernel value."""
+    return _chunk_rows(len(F_) * len(G), math.comb(len(G), 2))
 
 
 def assert_matches_oracle(d, want, pairs):
@@ -148,7 +156,7 @@ def sweeps(draw):
             unique=True,
         )
     )
-    rows = _chunk_rows(len(F_), len(G))
+    rows = float_rows(F_, G)
     steps = draw(st.sampled_from([2, max(2, rows - 1), rows, rows + 1]))
     t_hi = draw(st.floats(1.05, 4.0))
     chi_star = draw(st.sampled_from([0.24, 0.03, 0.003]))
@@ -176,6 +184,19 @@ def wide_sweeps(draw):
     return F_, G, t_lo, t_hi, rows, max(2, steps), DissonanceParams(chi_star=chi_star)
 
 
+@st.composite
+def wide_run_sweeps(draw):
+    """``wide_sweeps`` with G a FrequencySet of one to four runs of
+    multipliers up to 400, from 20-200 Hz up, so that a sweep cuts some of
+    its pairs and entries."""
+    F_, _, t_lo, t_hi, rows, steps, params = draw(wide_sweeps())
+    starts = draw(st.lists(st.integers(1, 400), min_size=1, max_size=4))
+    lengths = draw(st.lists(st.integers(1, 10), min_size=len(starts), max_size=len(starts)))
+    fundamental = F(draw(st.integers(200, 2000)), 10)
+    G = FrequencySet(fundamental * m for s, n in zip(starts, lengths) for m in range(s, s + n))
+    return F_, G, t_lo, t_hi, rows, steps, params
+
+
 def chunk_elements(F_, G, rows):
     """The chunk budget that makes a sweep of F_ against G ``rows`` steps a chunk."""
     return rows * max(len(F_) * len(G), len(G) * (len(G) - 1) // 2)
@@ -191,7 +212,7 @@ class TestSkippedPairs:
     def test_matches_all_pairs_sum_at_every_boundary(self, sweep, data):
         F_, G, t_lo, t_hi, rows, steps, params = sweep
         with mock.patch.object(dissonance, "_CHUNK_ELEMENTS", chunk_elements(F_, G, rows)):
-            assert _chunk_rows(len(F_), len(G)) == rows
+            assert float_rows(F_, G) == rows
             points = dissonance_curve(F_, G, t_lo, t_hi, steps, params)
         ts = np.geomspace(t_lo, t_hi, steps).tolist()
         assert [p.t for p in points] == ts
@@ -204,11 +225,11 @@ class TestSkippedPairs:
             assert_matches_oracle(points[i].dissonance, want, pairs)
 
     @settings(max_examples=40, deadline=None)
-    @given(wide_sweeps())
+    @given(wide_sweeps() | wide_run_sweeps())
     def test_every_skipped_pair_is_below_the_bound(self, sweep):
         F_, G, t_lo, t_hi, rows, steps, params = sweep
-        chunks, kept_within = [], []
-        cross_chunks, moving_pairs = dissonance._cross_chunks, dissonance._moving_pairs
+        chunks, within = [], []
+        cross_chunks, near = dissonance._cross_chunks, dissonance._near
 
         def record_chunks(*args):
             for chunk in cross_chunks(*args):
@@ -216,14 +237,15 @@ class TestSkippedPairs:
                 yield chunk
 
         def record_within(*args):
-            kept_within.append(moving_pairs(*args))
-            return kept_within[-1]
+            within.append((args, near(*args)))
+            return within[-1][1]
 
         with mock.patch.multiple(
             dissonance,
-            _CHUNK_ELEMENTS=chunk_elements(F_, G, rows),
+            _chunk_rows=lambda cross, within: rows,
             _cross_chunks=record_chunks,
-            _moving_pairs=record_within,
+            _near=record_within,
+            _RUN_VALUES=0,
         ):
             dissonance_curve(F_, G, t_lo, t_hi, steps, params)
         ts = np.geomspace(t_lo, t_hi, steps)
@@ -248,17 +270,33 @@ class TestSkippedPairs:
             kept = {key for group in groups for key in zip(*group.tolist())}
             for a in F_:
                 for b in G:
+                    b = float(b)
                     P, Q = a / b, offset / _B1 / b
                     if not {(P, Q), (P, 1 / (P * (slope / _B1) + Q))} & kept:
                         for s in t[:, 0].tolist():
                             assert abs(pair_roughness(a, s * b, params)) <= SKIP_BOUND, (a, b, s)
-        # and so is every pair within tF' left out of the whole sweep
-        ((lower, dist),) = kept_within
-        kept = set(zip(lower.tolist(), dist.tolist()))
-        every = zip(*(column.tolist() for column in _upper_pairs(np.array(G), slope)))
-        for (i, j), key in zip(zip(*np.triu_indices(len(G), k=1)), every):
-            if key not in kept:
-                for s in ts.tolist():
+        # within G, before and after the cut: pairs that stand alone, then
+        # entries, each a head pair that stands for a run of ``lengths``
+        # pairs; together they hold every pair once
+        (((lower, dist, gaps, lengths, _), (kept_lower, kept_dist, kept_gaps, _)),) = within
+        assert lower.size - gaps.size + lengths.sum() == math.comb(len(G), 2)
+        keys = list(zip(lower.tolist(), dist.tolist()))
+        entries = dict(zip(keys[len(keys) - gaps.size :], lengths.tolist()))
+        kept = list(zip(kept_lower.tolist(), kept_dist.tolist()))
+        kept_singles, kept_heads = set(kept[: len(kept) - kept_gaps.size]), set(kept[len(kept) - kept_gaps.size :])
+        G = [float(g) for g in G]  # a FrequencySet's partials ascend
+
+        def key(i, k):  # pair (i, k) as the sweep lays it
+            return slope * min(G[i], G[k]), abs(G[k] - G[i])
+
+        # every pair is kept, alone or in its entry, or else its entry's head
+        # pair (and so the pair itself) is negligible at every step
+        for i, k in zip(*np.triu_indices(len(G), k=1)):
+            head = next((h for h in range(k, i, -1) if h + entries.get(key(i, h), 0) > k), None)
+            if key(i, k) in kept_singles if head is None else key(i, head) in kept_heads:
+                continue
+            for s in ts.tolist():
+                for j in {k if head is None else head, k}:
                     assert abs(pair_roughness(s * G[i], s * G[j], params)) <= SKIP_BOUND, (i, j, s)
 
     def test_wide_spectra_skip_most_pairs(self):
@@ -271,7 +309,7 @@ class TestSkippedPairs:
         chunks = list(dissonance._cross_chunks(ts, base, moving, 8, slope, offset))
         assert [first for first, *_ in chunks] == [0, 8, 16, 24, 32]
         assert all(group.size == 0 for _, _, groups in chunks for group in groups)
-        _, dist = dissonance._moving_pairs(moving, slope, offset, 1.0)
+        _, dist, _, _ = dissonance._near(*dissonance._within(moving, None, slope, offset), offset)
         assert dist.tolist() == [100.0]
         points = dissonance_curve(F_, G, 1.0, 1.5, 40)
         for p, want in zip(points, oracle_totals(F_, G, [p.t for p in points], DEFAULT_PARAMS)):
@@ -318,7 +356,7 @@ class TestSkippedPairs:
         # (all pairs over a block would be 16 * N*M values per array)
         F_ = np.geomspace(20, 20000, 400).tolist()
         G = np.geomspace(25, 19000, 400).tolist()
-        assert _chunk_rows(len(F_), len(G)) == 1
+        assert float_rows(F_, G) == 1
         tracemalloc.start()
         try:
             points = dissonance_curve(F_, G, 1.0, 2.1, 20)
@@ -368,7 +406,7 @@ class TestCrossGroups:
         F_ = [128.0, 256.0, 128 * ts[15], 256 * ts[16], 512 * ts[47], 128 * ts[31]]
         assert ts[47] == 2.1 and all(f / g in ts for f, g in zip(F_[2:], [128, 256, 512, 128]))
         with mock.patch.object(dissonance, "_CHUNK_ELEMENTS", chunk_elements(F_, G, 16)):
-            assert _chunk_rows(len(F_), len(G)) == 16
+            assert float_rows(F_, G) == 16
             points = dissonance_curve(F_, G, 1.0, 2.1, 48)
             counts = recorded_groups(lambda: dissonance_curve(F_, G, 1.0, 2.1, 48))
         assert [p.t for p in points] == ts.tolist()
@@ -383,7 +421,9 @@ class TestCrossGroups:
         assert rising > 0 and falling > 0 and straddling > 0
 
     def test_kernel_values_per_seed_5_round(self, seed_5_round):
-        # the split changes how a value is computed, not which are
+        # the split of cross pairs changes how a value is computed, not
+        # which are; runs change which: each entry's head pair stands for
+        # its run (10,604,592 values when every pair within a set was one)
         values, kernel_sum = [], dissonance._kernel_sum
 
         def count(y, *args):
@@ -393,7 +433,137 @@ class TestCrossGroups:
         with mock.patch.object(dissonance, "_kernel_sum", count):
             for job in seed_5_round:
                 job.run()
-        assert sum(values) == 10_604_592
+        assert sum(values) == 6_762_225
+
+
+# one scale for both sets of a sweep: a partial below about 4e-307 Hz
+# against an ordinary one has no coincidence point (see
+# test_pair_without_a_coincidence_point_rejected_without_a_warning)
+SCALES = st.sampled_from([F(1), F(1, 10**300), F(3, 10**310), F(10**300)])
+
+
+@st.composite
+def run_sets(draw, scale, max_size=20):
+    """FrequencySets a*N whose multipliers hold runs, or may: harmonic
+    (1..n), sparse, or a few runs, from one partial up; the fundamental a
+    is 20-2000 Hz times ``scale``."""
+    shape = draw(st.sampled_from(["harmonic", "sparse", "runs"]))
+    if shape == "harmonic":
+        N = range(1, draw(st.integers(1, max_size)) + 1)
+    elif shape == "sparse":
+        N = draw(st.lists(st.integers(1, 200), min_size=1, max_size=max_size, unique=True))
+    else:
+        N = set()
+        for start in draw(st.lists(st.integers(1, 300), min_size=1, max_size=3)):
+            N |= set(range(start, start + draw(st.integers(1, max_size // 3))))
+    a = scale * draw(st.fractions(20, 2000, max_denominator=100))
+    return FrequencySet(a * n for n in N)
+
+
+@st.composite
+def runless_sets(draw):
+    """FrequencySets whose multipliers, from 1 up, come in blocks of fewer
+    than _MIN_RUN consecutive ones, at least 2 apart."""
+    lengths = draw(st.lists(st.integers(1, _MIN_RUN - 1), min_size=1, max_size=8))
+    gaps = draw(st.lists(st.integers(2, 30), min_size=len(lengths), max_size=len(lengths)))
+    N, start = [], 1
+    for length, gap in zip(lengths, gaps):
+        N += range(start, start + length)
+        start += length - 1 + gap
+    a = draw(st.fractions(20, 2000, max_denominator=100))
+    return FrequencySet(a * n for n in N)
+
+
+# each curve part of a figure: its figure, the set swept against itself
+# and chi_star
+CURVE_PARTS = {
+    "fig4_2": ("fig4_2", _inharmonic, 0.24),
+    "fig4_3_chi_0_24": ("fig4_3", _c4, 0.24),
+    "fig4_3_chi_0_03": ("fig4_3", _c4, 0.03),
+    "fig4_3_chi_0_003": ("fig4_3", _c4, 0.003),
+    "fig5_1_dissonance": ("fig5_1", _c4, 0.24),
+}
+
+
+def seeking_runs():
+    """A context in which every sum seeks the runs of its sets, however few
+    its pair values."""
+    return mock.patch.object(dissonance, "_RUN_VALUES", 0)
+
+
+class TestRuns:
+    """The pairs of a partial with a run of consecutive multipliers above it
+    are summed as one entry, in closed form; the sums still match the
+    all-pairs oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_sweep_of_sets_with_runs_matches_the_oracle(self, data):
+        scale = data.draw(SCALES)
+        F_, G = data.draw(run_sets(scale)), data.draw(run_sets(scale))
+        t_lo = data.draw(st.sampled_from([1.0, 0.5, 0.93]))
+        t_hi = t_lo * data.draw(st.floats(1.05, 4.0))
+        steps = data.draw(st.integers(2, 40))
+        params = DissonanceParams(chi_star=data.draw(st.sampled_from([0.24, 0.003, 5.0, 0.03, 1.0])))
+        with seeking_runs():
+            points = dissonance_curve(F_, G, t_lo, t_hi, steps, params)
+        assert [p.t for p in points] == np.geomspace(t_lo, t_hi, steps).tolist()
+        base, moving = [float(f) for f in F_], [float(g) for g in G]
+        picked = sorted({0, steps - 1, data.draw(st.integers(0, steps - 1))})
+        pairs = math.comb(len(base) + len(moving), 2)
+        for i, want in zip(picked, oracle_totals(base, moving, [points[i].t for i in picked], params)):
+            assert_matches_oracle(points[i].dissonance, want, pairs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_spectrum_of_a_set_with_runs_matches_the_oracle(self, data):
+        fs = data.draw(run_sets(data.draw(SCALES), max_size=40))
+        params = DissonanceParams(chi_star=data.draw(st.sampled_from([0.24, 0.003, 5.0, 0.03, 1.0])))
+        partials = [float(f) for f in fs]
+        want = all_pairs_roughness(partials, params)
+        with seeking_runs():
+            assert_matches_oracle(spectrum_roughness(fs, params), want, math.comb(len(partials), 2))
+
+    @settings(max_examples=50, deadline=None)
+    @given(runless_sets(), runless_sets(), st.sampled_from([0.24, 0.003, 5.0]))
+    def test_a_set_without_runs_sums_as_its_float_partials(self, F_, G, chi_star):
+        params = DissonanceParams(chi_star=chi_star)
+        base, moving = [float(f) for f in F_], [float(g) for g in G]
+        with seeking_runs():
+            assert dissonance_curve(F_, G, 1.0, 2.1, 50, params) == dissonance_curve(base, moving, 1.0, 2.1, 50, params)
+            assert spectrum_roughness(F_, params) == spectrum_roughness(base, params)
+
+    def test_multipliers_from_2_53_are_in_no_run(self):
+        # as floats, 2^53 + 1 is 2^53 and 2^53 + 3 is 2^53 + 4, so these
+        # multipliers would make a false run of 5; at this chi_star every
+        # unit passes _MIN_UNIT, so only that rule keeps them pairs
+        fs = FrequencySet(F(100, 2**53) * m for m in range(2**53 - 4, 2**53 + 5))
+        params = DissonanceParams(chi_star=1e16)
+        partials = [float(f) for f in fs]
+        with seeking_runs():
+            assert spectrum_roughness(fs, params) == spectrum_roughness(partials, params)
+            assert dissonance_curve(fs, fs, 1.0, 2.0, 5, params) == dissonance_curve(partials, partials, 1.0, 2.0, 5, params)
+
+    def test_runs_are_sought_from_run_values_on(self):
+        fs = harmonic_set(1, 8)
+        least = -(-dissonance._RUN_VALUES // math.comb(8, 2))  # steps
+        assert dissonance._runs(fs, least - 1) is None
+        assert dissonance._runs(fs, least) is not None
+        # so a C4_6 curve of 2,000 steps sums as its float partials
+        partials = [float(f) for f in C4]
+        assert dissonance_curve(C4, C4, 1.0, 2.1, 2000) == dissonance_curve(partials, partials, 1.0, 2.1, 2000)
+
+    @pytest.mark.parametrize("part", list(CURVE_PARTS))
+    def test_figure_curves_match_the_oracle(self, part):
+        figure_id, spectrum, chi_star = CURVE_PARTS[part]
+        rows = [line.split(",") for line in emit_figure_data(figure_id, FIGURE_PARAMS)[part].splitlines()[1:]]
+        assert len(rows) == FIGURE_PARAMS["steps"]
+        picked = rows[::23] + rows[-1:]
+        partials = [float(f) for f in spectrum()]
+        params = DissonanceParams(chi_star=chi_star)
+        wants = oracle_totals(partials, partials, [float(t) for t, _, _ in picked], params)
+        for (_, _, d), want in zip(picked, wants):
+            assert_matches_oracle(float(d), want, math.comb(2 * len(partials), 2))
 
 
 class TestDissonanceCurve:
@@ -411,7 +581,7 @@ class TestDissonanceCurve:
         params = DissonanceParams(chi_star=chi_star)
         points = dissonance_curve(F_, G, 1.0, t_hi, steps, params)
         assert [p.t for p in points] == np.geomspace(1.0, t_hi, steps).tolist()
-        rows = _chunk_rows(len(F_), len(G))
+        rows = float_rows(F_, G)
         picked = {0, rows - 1, rows, steps - 1, data.draw(st.integers(0, steps - 1))}
         for i in sorted(i for i in picked if i < steps):
             t, d = points[i].t, points[i].dissonance
@@ -487,6 +657,23 @@ class TestDissonanceCurve:
         a = dissonance_curve(C4, C4, 1.0, 2.0, 50)
         b = dissonance_curve(C4, C4, 1.0, 2.0, 50)
         assert a == b
+
+    def test_exact_bounds_give_the_points_of_float_bounds(self):
+        assert dissonance_curve(C4, C4, F(1), F(21, 10), 3) == dissonance_curve(C4, C4, 1.0, 2.1, 3)
+        assert dissonance_curve(C4, C4, 1, 2, 3) == dissonance_curve(C4, C4, 1.0, 2.0, 3)
+
+    @pytest.mark.parametrize(
+        "t_lo, t_hi, message",
+        [
+            (1, 10**400, "^sweep bounds exceed the float range$"),
+            (1, F(10**400, 3), "^sweep bounds exceed the float range$"),
+            (F(1, 10**400), 2, "^invalid sweep range"),  # 0.0 as a float
+            (F(1), 1 + F(1, 10**20), "^invalid sweep range"),  # an empty range as floats
+        ],
+    )
+    def test_exact_bounds_outside_the_floats_rejected(self, t_lo, t_hi, message):
+        with pytest.raises(ValueError, match=message):
+            dissonance_curve(C4, C4, t_lo, t_hi, 3)
 
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ValueError):
@@ -585,3 +772,8 @@ class TestSpectrumRoughness:
     def test_curvepoint_rejects_negative(self):
         with pytest.raises(ValueError):
             CurvePoint(1.0, -0.1)
+
+    def test_curvepoint_rejects_nan_and_keeps_negative_zero(self):
+        with pytest.raises(ValueError, match="^dissonance cannot be negative or NaN$"):
+            CurvePoint(1.0, math.nan)
+        assert CurvePoint(1.0, -0.0) == (1.0, 0.0)
